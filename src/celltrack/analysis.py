@@ -81,19 +81,24 @@ class AnalysisFilter:
 
 
 def generation_index(forest: LineageForest) -> dict[int, int]:
-    """Map track id -> generation; roots are generation 0."""
+    """Map track id -> generation; roots are generation 0.
+
+    Iterative, so lineages of any depth work; ancestors are numbered
+    before their descendants.
+    """
     gens: dict[int, int] = {}
-
-    def resolve(tid: int) -> int:
-        if tid in gens:
-            return gens[tid]
-        parent = forest.tracks[tid].parent
-        g = 0 if parent is None else resolve(parent) + 1
-        gens[tid] = g
-        return g
-
     for tid in forest.tracks:
-        resolve(tid)
+        chain: list[int] = []
+        cur: int | None = tid
+        while cur is not None and cur not in gens:
+            if len(chain) == len(forest.tracks):
+                raise ValidationError(f"lineage cycle through track {cur}")
+            chain.append(cur)
+            cur = forest.tracks[cur].parent
+        g = -1 if cur is None else gens[cur]
+        for t in reversed(chain):
+            g += 1
+            gens[t] = g
     return gens
 
 
@@ -451,19 +456,19 @@ class DivisionProfile:
 
 
 def _leaf_paths(forest: LineageForest) -> list[list[int]]:
+    """Root-to-leaf id paths, depth first with roots and children sorted."""
     paths: list[list[int]] = []
-
-    def walk(tid: int, prefix: list[int]) -> None:
-        track = forest.tracks[tid]
-        path = prefix + [tid]
-        if track.children:
-            for child in sorted(track.children):
-                walk(child, path)
+    roots = sorted((t.track_id for t in forest.roots()), reverse=True)
+    stack = [[root] for root in roots]
+    while stack:
+        path = stack.pop()
+        if len(path) > len(forest.tracks):
+            raise ValidationError(f"lineage cycle through track {path[-1]}")
+        children = forest.tracks[path[-1]].children
+        if children:
+            stack.extend(path + [c] for c in sorted(children, reverse=True))
         else:
             paths.append(path)
-
-    for root in sorted(t.track_id for t in forest.roots()):
-        walk(root, [])
     return paths
 
 

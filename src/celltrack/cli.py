@@ -270,8 +270,7 @@ def _track_file(
     detections_path: str, tracker_cfg: TrackerConfig, out_prefix: str
 ) -> LineageForest:
     det_file = load_detections(detections_path)
-    cfg = replace(tracker_cfg, embedding_dim=det_file.embedding_dim)
-    forest = track_video(det_file.frames, config=cfg, meta=det_file.meta)
+    forest = track_video(det_file.frames, config=tracker_cfg, meta=det_file.meta)
     save_forest(forest, out_prefix)
     return forest
 
@@ -283,7 +282,7 @@ def cmd_track(args) -> int:
         out,
         "track",
         [args.detections] + ([args.config] if args.config else []),
-        args.seed,
+        None,
         tracker_cfg,
         sim_cfg,
         analysis_cfg,
@@ -316,7 +315,7 @@ def cmd_evaluate(args) -> int:
         out,
         "evaluate",
         [args.pred, args.gt],
-        args.seed,
+        None,
         tracker_cfg,
         sim_cfg,
         analysis_cfg,
@@ -370,7 +369,6 @@ def _score_video(
     video_dir: str, cfg: TrackerConfig
 ) -> tuple[float, float, float]:
     det_file = load_detections(str(Path(video_dir) / "detections.txt"))
-    cfg = replace(cfg, embedding_dim=det_file.embedding_dim)
     forest = track_video(det_file.frames, config=cfg, meta=det_file.meta)
     gt = load_ground_truth(str(Path(video_dir) / "gt"))
     report = evaluate(forest, gt)
@@ -397,7 +395,7 @@ def cmd_ablate(args) -> int:
         out,
         "ablate",
         [str(v) for v in videos] + ([args.config] if args.config else []),
-        args.seed,
+        None,
         tracker_cfg,
         sim_cfg,
         analysis_cfg,
@@ -533,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override one config key (repeatable)",
         )
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--workers", type=int, default=1)
 
@@ -542,6 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--count", type=int, default=1, help="number of videos to generate"
     )
+    p.add_argument("--seed", type=int, default=None, help="video seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("track", help="run the tracker on a detection file")
@@ -570,6 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("forests", nargs="+", help="forest file prefixes")
     p.add_argument("--sample-size", type=int, default=300)
+    p.add_argument("--seed", type=int, default=None, help="profile sampling seed")
     p.set_defaults(func=cmd_analyze)
 
     return parser

@@ -53,8 +53,6 @@ class Provenance(Enum):
 
 
 class TrackStatus(Enum):
-    ACTIVE = "active"
-    LOST = "lost"
     DIVIDED = "divided"
     DEAD = "dead"
     CLOSED = "closed"
@@ -172,7 +170,6 @@ class TrackerConfig:
     tau_sim: float = 65.0
     appearance_weight: float = 0.5
     memory_frames: int = 5
-    embedding_dim: int = 256
     max_daughters: int = 2
     process_noise: float = 1.0
     measurement_noise: float = 1.0
@@ -192,8 +189,6 @@ class TrackerConfig:
             raise ValidationError("appearance_weight must lie in [0, 1]")
         if self.memory_frames < 0:
             raise ValidationError("memory_frames must be >= 0")
-        if self.embedding_dim <= 0:
-            raise ValidationError("embedding_dim must be positive")
         if self.max_daughters < 1:
             raise ValidationError("max_daughters must be >= 1")
         if self.process_noise <= 0 or self.measurement_noise <= 0:
@@ -244,8 +239,16 @@ class Track:
     entries: dict[int, TrackEntry] = field(default_factory=dict)
     parent: int | None = None
     children: list[int] = field(default_factory=list)
-    status: TrackStatus = TrackStatus.CLOSED
     end_reason: EndReason | None = None
+
+    @property
+    def status(self) -> TrackStatus:
+        """Fate of the track: divided, else dead, else closed."""
+        if self.children:
+            return TrackStatus.DIVIDED
+        if any(e.cell_class is CellClass.DEAD for e in self.entries.values()):
+            return TrackStatus.DEAD
+        return TrackStatus.CLOSED
 
     @property
     def start_frame(self) -> int:
@@ -342,13 +345,6 @@ class LineageForest:
                         f"track {tid} reverts to alive after death at frame {f}"
                     )
                 dead_seen = dead_seen or cls is CellClass.DEAD
-            if (len(track.children) > 0) != (
-                track.status is TrackStatus.DIVIDED
-            ):
-                raise ValidationError(
-                    f"track {tid}: children/status mismatch "
-                    f"({len(track.children)} children, {track.status.value})"
-                )
             if track.parent is not None:
                 if track.parent not in self.tracks:
                     raise ValidationError(
@@ -376,7 +372,7 @@ class LineageForest:
                     raise ValidationError(
                         f"child {child} does not point back to parent {tid}"
                     )
-            if track.status is TrackStatus.DIVIDED and track.death_event_frame() is not None:
+            if track.children and track.death_event_frame() is not None:
                 raise ValidationError(f"track {tid} both divided and died")
         # Parent pointers must form a forest (no cycles).
         state: dict[int, int] = {}

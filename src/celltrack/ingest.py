@@ -39,7 +39,6 @@ from .core import (
     Track,
     TrackEntry,
     TrackerConfig,
-    TrackStatus,
     ValidationError,
     VideoMeta,
 )
@@ -419,14 +418,6 @@ def load_forest(prefix: str, strict: bool = True) -> LineageForest:
             tracks[track.parent].children.append(tid)
     for track in tracks.values():
         track.children.sort()
-        if track.children:
-            track.status = TrackStatus.DIVIDED
-        elif any(
-            e.cell_class is CellClass.DEAD for e in track.entries.values()
-        ):
-            track.status = TrackStatus.DEAD
-        else:
-            track.status = TrackStatus.CLOSED
 
     forest = LineageForest(tracks=tracks, meta=meta)
     forest.validate(require_coverage=strict, require_adjacency=strict)

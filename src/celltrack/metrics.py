@@ -141,6 +141,10 @@ def build_graph(forest: LineageForest, frames: int | None = None) -> TrackingGra
                 f"track {tid} extends to frame {entry_frames[-1]}, "
                 f"beyond the declared {frames} frames"
             )
+        if entry_frames and entry_frames[0] < 0:
+            raise ValidationError(
+                f"track {tid} has an entry at negative frame {entry_frames[0]}"
+            )
         for f in entry_frames:
             frame_ids[f].append(tid)
             frame_boxes[f].append(entries[f].box)

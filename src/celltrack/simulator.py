@@ -30,7 +30,6 @@ from .core import (
     Provenance,
     Track,
     TrackEntry,
-    TrackStatus,
     EndReason,
     ValidationError,
     VideoMeta,
@@ -364,20 +363,16 @@ def _forest_from_cells(
         if not cell.entries:
             continue
         if cell.children:
-            status = TrackStatus.DIVIDED
             reason = EndReason.DIVISION
         elif not cell.alive:
-            status = TrackStatus.DEAD
             reason = EndReason.DEATH
         else:
-            status = TrackStatus.CLOSED
             reason = EndReason.END_OF_VIDEO
         tracks[cid] = Track(
             track_id=cid,
             entries=dict(sorted(cell.entries.items())),
             parent=cell.parent,
             children=sorted(cell.children),
-            status=status,
             end_reason=reason,
         )
     meta = VideoMeta(

@@ -29,8 +29,7 @@ and then lower detection index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -45,7 +44,6 @@ from .core import (
     Track,
     TrackEntry,
     TrackerConfig,
-    TrackStatus,
     ValidationError,
     VideoMeta,
     centroid,
@@ -62,13 +60,11 @@ from .kalman import (
 __all__ = [
     "CandidatePair",
     "TrackRef",
-    "Outcome",
     "MemoryEntry",
     "MemoryBank",
     "pair_cost",
     "build_candidates",
     "resolve_conflicts",
-    "classify_outcomes",
     "CellTracker",
     "track_video",
 ]
@@ -107,12 +103,6 @@ class CandidatePair:
     distance: float
     similarity: float
     cost: float
-
-
-class Outcome(Enum):
-    UNMATCHED = "unmatched"
-    CONTINUED = "continued"
-    DIVIDED = "divided"
 
 
 def build_candidates(
@@ -200,22 +190,6 @@ def resolve_conflicts(
     return out
 
 
-def classify_outcomes(
-    assignment: Mapping[int, Sequence[int]], track_ids: Iterable[int]
-) -> dict[int, Outcome]:
-    """Label each track by its stage-1 match count: 0 / 1 / several."""
-    out: dict[int, Outcome] = {}
-    for tid in track_ids:
-        n = len(assignment.get(tid, ()))
-        if n == 0:
-            out[tid] = Outcome.UNMATCHED
-        elif n == 1:
-            out[tid] = Outcome.CONTINUED
-        else:
-            out[tid] = Outcome.DIVIDED
-    return out
-
-
 @dataclass(frozen=True)
 class MemoryEntry:
     track_id: int
@@ -241,7 +215,6 @@ class _Runtime:
         "parent",
         "children",
         "entries",
-        "start_frame",
         "last_obs",
         "last_centroid",
         "box_size",
@@ -249,7 +222,6 @@ class _Runtime:
         "cell_class",
         "death_frame",
         "lost_count",
-        "closed",
         "end_reason",
         "kf_mean",
         "kf_cov",
@@ -269,7 +241,6 @@ class _Runtime:
         self.parent = parent
         self.children: list[int] = []
         self.entries: dict[int, TrackEntry] = {}
-        self.start_frame = frame_index
         self.last_obs = frame_index
         self.last_centroid = det.centroid
         x, y, w, h = det.box
@@ -278,7 +249,6 @@ class _Runtime:
         self.cell_class = det.cell_class
         self.death_frame: int | None = None
         self.lost_count = 0
-        self.closed = False
         self.end_reason: EndReason | None = None
         self.kf_mean: np.ndarray | None = None
         self.kf_cov: np.ndarray | None = None
@@ -291,12 +261,13 @@ class _Runtime:
         self.entries[frame_index] = _entry_from_detection(det)
 
 
-def _entry_from_detection(det: Detection) -> TrackEntry:
-    prov = Provenance.OBSERVED_HIGH
+def _entry_from_detection(
+    det: Detection, provenance: Provenance = Provenance.OBSERVED_HIGH
+) -> TrackEntry:
     return TrackEntry(
         box=det.box,
         cell_class=det.cell_class,
-        provenance=prov,
+        provenance=provenance,
         embedding=det.embedding,
         confidence=det.confidence,
     )
@@ -316,6 +287,8 @@ class CellTracker:
         self.record_usage = record_usage
         # frame -> list of (index into the frame's detection list, consumer)
         self.usage_log: dict[int, list[tuple[int, str]]] = {}
+        # id(detection) -> its index in the current frame, when recording
+        self._det_pos: dict[int, int] | None = None
 
     # -- public API ---------------------------------------------------------
 
@@ -338,6 +311,9 @@ class CellTracker:
                     f"embedding length changed from {self._dim} to "
                     f"{det.embedding.size} at frame {frame_index}"
                 )
+        if self.record_usage:
+            self._det_pos = {id(d): i for i, d in enumerate(detections)}
+            self.usage_log[frame_index] = []
         self._process(frame_index, list(detections))
         self._next_frame += 1
 
@@ -370,19 +346,11 @@ class CellTracker:
             self._close(rt, EndReason.END_OF_VIDEO)
         tracks: dict[int, Track] = {}
         for rt in self._done:
-            status = TrackStatus.CLOSED
-            if rt.children:
-                status = TrackStatus.DIVIDED
-            elif any(
-                e.cell_class is CellClass.DEAD for e in rt.entries.values()
-            ):
-                status = TrackStatus.DEAD
             tracks[rt.track_id] = Track(
                 track_id=rt.track_id,
                 entries=dict(sorted(rt.entries.items())),
                 parent=rt.parent,
                 children=sorted(rt.children),
-                status=status,
                 end_reason=rt.end_reason,
             )
         if meta is None:
@@ -399,9 +367,6 @@ class CellTracker:
     def _process(self, fi: int, detections: list[Detection]) -> None:
         cfg = self.config
         high, low, _ = partition_by_confidence(detections, cfg)
-        if self.record_usage:
-            det_pos = {id(d): i for i, d in enumerate(detections)}
-            self.usage_log[fi] = []
 
         open_rts = list(self._open.values())
         if cfg.use_kalman and open_rts:
@@ -439,7 +404,7 @@ class CellTracker:
         unmatched_living = [
             rt for rt in living if rt.track_id not in assign_living
         ]
-        corpse_taken = {j for js in assign_corpse.values() for js2 in [js] for j in js2}
+        corpse_taken = {j for js in assign_corpse.values() for j in js}
         free_dead = [j for j in high_dead if j not in corpse_taken]
         assign_death = self._match(
             unmatched_living, high, free_dead, 1, gate_similarity=False
@@ -454,38 +419,21 @@ class CellTracker:
                 self._divide(rt, fi, [high[j] for j in indices])
             matched.add(tid)
             claimed_high.update(indices)
-            if self.record_usage:
-                for j in indices:
-                    self.usage_log[fi].append(
-                        (det_pos[id(high[j])], f"track:{tid}")
-                    )
         for tid, indices in assign_corpse.items():
             rt = by_id[tid]
             self._extend(rt, fi, high[indices[0]])
             matched.add(tid)
             claimed_high.update(indices)
-            if self.record_usage:
-                self.usage_log[fi].append(
-                    (det_pos[id(high[indices[0]])], f"track:{tid}")
-                )
         for tid, indices in assign_death.items():
             rt = by_id[tid]
             self._extend(rt, fi, high[indices[0]])
             matched.add(tid)
             claimed_high.update(indices)
-            if self.record_usage:
-                self.usage_log[fi].append(
-                    (det_pos[id(high[indices[0]])], f"track:{tid}")
-                )
 
         # Stage 2: whatever is still open and unmatched (current frame
         # misses and the whole memory bank) gets one shot at the
         # low-confidence detections of its own class.
-        remaining = [
-            rt
-            for rt in open_rts
-            if rt.track_id not in matched and not rt.closed
-        ]
+        remaining = [rt for rt in open_rts if rt.track_id not in matched]
         low_alive = [j for j, d in enumerate(low) if d.cell_class is CellClass.ALIVE]
         low_dead = [j for j, d in enumerate(low) if d.cell_class is CellClass.DEAD]
         rem_living = [rt for rt in remaining if rt.cell_class is CellClass.ALIVE]
@@ -500,26 +448,18 @@ class CellTracker:
             rt = by_id[tid]
             self._extend(rt, fi, low[indices[0]], Provenance.OBSERVED_LOW)
             matched.add(tid)
-            if self.record_usage:
-                self.usage_log[fi].append(
-                    (det_pos[id(low[indices[0]])], f"track:{tid}")
-                )
         self._update_matched()
 
         # Fresh tracks from high-confidence detections nobody claimed.
         for j, det in enumerate(high):
-            if j in claimed_high:
-                continue
-            rt = self._new_track(fi, det)
-            if self.record_usage:
-                self.usage_log[fi].append(
-                    (det_pos[id(det)], f"init:{rt.track_id}")
-                )
+            if j not in claimed_high:
+                self._new_track(fi, det)
 
         # Memory aging: a track may miss up to memory_frames consecutive
-        # matching attempts; one more and it is closed.
+        # matching attempts; one more and it is closed.  Divided tracks
+        # closed this frame are among the matched.
         for rt in open_rts:
-            if rt.closed or rt.track_id in matched:
+            if rt.track_id in matched:
                 continue
             rt.lost_count += 1
             if rt.lost_count > self.config.memory_frames:
@@ -598,13 +538,8 @@ class CellTracker:
             raise AssertionError("dead track offered a living detection")
         if rt.lost_count >= 1:
             self._fill_gap(rt, fi, det.centroid)
-        rt.entries[fi] = TrackEntry(
-            box=det.box,
-            cell_class=det.cell_class,
-            provenance=provenance,
-            embedding=det.embedding,
-            confidence=det.confidence,
-        )
+        rt.entries[fi] = _entry_from_detection(det, provenance)
+        self._log_use(fi, det, f"track:{rt.track_id}")
         if det.cell_class is CellClass.DEAD and rt.cell_class is CellClass.ALIVE:
             rt.death_frame = fi
         rt.cell_class = det.cell_class
@@ -644,7 +579,6 @@ class CellTracker:
                 float(np.mean([d.centroid[1] for d in dets])),
             )
             self._fill_gap(rt, fi, anchor)
-        rt.closed = True
         rt.end_reason = EndReason.DIVISION
         del self._open[rt.track_id]
         self._done.append(rt)
@@ -658,10 +592,15 @@ class CellTracker:
         rt = _Runtime(self._next_id, fi, det, self.config, parent=parent)
         self._next_id += 1
         self._open[rt.track_id] = rt
+        self._log_use(fi, det, f"init:{rt.track_id}")
         return rt
 
+    def _log_use(self, fi: int, det: Detection, consumer: str) -> None:
+        """Note that ``det`` became an entry, when usage is being recorded."""
+        if self._det_pos is not None:
+            self.usage_log[fi].append((self._det_pos[id(det)], consumer))
+
     def _close(self, rt: _Runtime, reason: EndReason) -> None:
-        rt.closed = True
         if rt.death_frame is not None:
             # A track that witnessed its death keeps that as its fate even
             # if the corpse is later lost.

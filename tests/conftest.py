@@ -12,7 +12,6 @@ from celltrack import (
     Provenance,
     Track,
     TrackEntry,
-    TrackStatus,
     VideoMeta,
 )
 
@@ -45,20 +44,28 @@ def make_track(
         )
         for i in range(n)
     }
-    if children:
-        status = TrackStatus.DIVIDED
-    elif any(c is CellClass.DEAD for c in classes):
-        status = TrackStatus.DEAD
-    else:
-        status = TrackStatus.CLOSED
     return Track(
         track_id=tid,
         entries=entries,
         parent=parent,
         children=sorted(children),
-        status=status,
         end_reason=end_reason,
     )
+
+
+def make_chain(n: int) -> list[Track]:
+    """``n`` one-frame tracks, each the single daughter of the one before."""
+    return [
+        make_track(
+            tid,
+            tid - 1,
+            [bx(50, 50)],
+            parent=tid - 1 if tid > 1 else None,
+            children=[tid + 1] if tid < n else [],
+            end_reason=EndReason.DIVISION if tid < n else EndReason.END_OF_VIDEO,
+        )
+        for tid in range(1, n + 1)
+    ]
 
 
 def make_forest(

@@ -16,7 +16,6 @@ from celltrack import (
     Provenance,
     Track,
     TrackEntry,
-    TrackStatus,
     VideoMeta,
 )
 
@@ -425,7 +424,6 @@ def random_instance(
                         for i in range(clen)
                     },
                     parent=root_id,
-                    status=TrackStatus.CLOSED,
                 )
                 children.append(tid)
                 tid += 1
@@ -440,7 +438,6 @@ def random_instance(
                 for i in range(length)
             },
             children=children,
-            status=TrackStatus.DIVIDED if children else TrackStatus.CLOSED,
         )
 
     gt = LineageForest(
@@ -477,9 +474,7 @@ def random_instance(
                     provenance=Provenance.OBSERVED_HIGH,
                 )
             if entries:
-                pred_tracks[pid] = Track(
-                    track_id=pid, entries=entries, status=TrackStatus.CLOSED
-                )
+                pred_tracks[pid] = Track(track_id=pid, entries=entries)
                 ids.append(pid)
                 pid += 1
         gt_to_pred[g] = ids
@@ -497,7 +492,6 @@ def random_instance(
                 continue
             pred_tracks[child_pid].parent = parent_pid
             pred_tracks[parent_pid].children.append(child_pid)
-            pred_tracks[parent_pid].status = TrackStatus.DIVIDED
 
     if rng.random() < 0.3 and len(pred_tracks) < 5:
         start = int(rng.integers(0, frames))
@@ -513,7 +507,6 @@ def random_instance(
                 )
                 for i in range(length)
             },
-            status=TrackStatus.CLOSED,
         )
         pid += 1
 

@@ -26,6 +26,7 @@ from celltrack import (
     AnalysisFilter,
     CellClass,
     LineageForest,
+    Provenance,
     SimulationConfig,
     TrackerConfig,
     ancestor_descendant_correlation,
@@ -144,9 +145,7 @@ def test_criterion_1_identity_oracle():
             cfg = identity_config(seed)
             res = simulate(cfg)
             dets = corrupt(res.clean_frames, cfg)
-            pred = track_video(
-                dets, TrackerConfig(embedding_dim=cfg.embedding_dim)
-            )
+            pred = track_video(dets, TrackerConfig())
             pred.meta.frames = cfg.frames
             report = evaluate(pred, res.ground_truth)
             scores = (
@@ -230,7 +229,7 @@ def test_criterion_2_reference_equivalence():
 NOISY_DRAWS = 10
 VIDEOS_PER_DRAW = 10
 
-_BASE_TRACKER = TrackerConfig(embedding_dim=32)
+_BASE_TRACKER = TrackerConfig()
 NOISY_VARIANTS = {
     "full": _BASE_TRACKER,
     "no_low_conf": replace(_BASE_TRACKER, tau_low=_BASE_TRACKER.tau_high),
@@ -426,7 +425,7 @@ def _entries_identical(a: LineageForest, b: LineageForest) -> bool:
 def test_criterion_6_invariants():
     with criterion(6, "determinism and structural invariants on 50 runs"):
         rng = np.random.default_rng(6)
-        tracker_cfg = TrackerConfig(embedding_dim=32)
+        tracker_cfg = TrackerConfig()
         for i in range(50):
             cfg = random_sim_config(rng, i)
             dets = corrupt(simulate(cfg).clean_frames, cfg)
@@ -454,10 +453,18 @@ def test_criterion_6_invariants():
                 for c in t.children:
                     assert forest.tracks[c].start_frame == t.last_frame + 1
 
-            # Each detection consumed at most once per frame.
+            # Each detection consumed at most once per frame, and every
+            # observed entry logged as a use.
+            assert sorted(engine.usage_log) == list(range(len(dets)))
             for fi, uses in engine.usage_log.items():
                 indexes = [d for d, _kind in uses]
                 assert len(indexes) == len(set(indexes))
+                observed = sum(
+                    fi in t.entries
+                    and t.entries[fi].provenance is not Provenance.INTERPOLATED
+                    for t in forest.tracks.values()
+                )
+                assert len(indexes) == observed
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from celltrack import (
 )
 from celltrack.analysis import (
     DivisionProfile,
+    _leaf_paths,
     eligible_profiles,
     interdivision_records,
     sample_profiles,
@@ -29,7 +30,7 @@ from celltrack.analysis import (
     write_profiles_csv,
 )
 from celltrack.core import Provenance, TrackEntry
-from conftest import bx, make_forest, make_track
+from conftest import bx, make_chain, make_forest, make_track
 
 
 def area_boxes(areas, h=1.0):
@@ -69,6 +70,96 @@ class TestGenerationIndex:
         assert generation_index(forest) == {
             1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 9: 0,
         }
+
+
+def recursive_generation_index(forest):
+    """Recursive reference for the iterative walk."""
+    gens = {}
+
+    def resolve(tid):
+        if tid not in gens:
+            parent = forest.tracks[tid].parent
+            gens[tid] = 0 if parent is None else resolve(parent) + 1
+        return gens[tid]
+
+    for tid in forest.tracks:
+        resolve(tid)
+    return gens
+
+
+def recursive_leaf_paths(forest):
+    """Recursive reference for the iterative walk."""
+    paths = []
+
+    def walk(tid, prefix):
+        path = prefix + [tid]
+        children = forest.tracks[tid].children
+        for child in sorted(children):
+            walk(child, path)
+        if not children:
+            paths.append(path)
+
+    for root in sorted(t.track_id for t in forest.roots()):
+        walk(root, [])
+    return paths
+
+
+class TestDeepLineages:
+    CHAIN = 1500  # deeper than the default recursion limit
+
+    def small_tracks(self):
+        return [
+            make_track(1, 0, [bx(50, 50)] * 2, children=[2, 3],
+                       end_reason=EndReason.DIVISION),
+            make_track(2, 2, [bx(40, 50)] * 2, parent=1, children=[4, 5],
+                       end_reason=EndReason.DIVISION),
+            make_track(3, 2, [bx(60, 50)] * 4, parent=1,
+                       end_reason=EndReason.END_OF_VIDEO),
+            make_track(4, 4, [bx(35, 50)] * 2, parent=2,
+                       end_reason=EndReason.END_OF_VIDEO),
+            make_track(5, 4, [bx(45, 50)] * 2, parent=2,
+                       end_reason=EndReason.END_OF_VIDEO),
+            make_track(9, 0, [bx(90, 90)] * 6,
+                       end_reason=EndReason.END_OF_VIDEO),
+            make_track(7, 0, [bx(20, 90)] * 6,
+                       end_reason=EndReason.END_OF_VIDEO),
+        ]
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["parents_first", "children_first"])
+    def test_small_forest_matches_recursion(self, order):
+        forest = make_forest(*self.small_tracks()[::order])
+        forest.tracks[2].children.reverse()  # the walk sorts them itself
+        # Items, not just the dicts: callers see the same iteration order.
+        gens = list(generation_index(forest).items())
+        assert gens == list(recursive_generation_index(forest).items())
+        paths = _leaf_paths(forest)
+        assert paths == recursive_leaf_paths(forest)
+        assert paths == [[1, 2, 4], [1, 2, 5], [1, 3], [7], [9]]
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["parents_first", "children_first"])
+    def test_chain_deeper_than_recursion_limit(self, order):
+        forest = make_forest(*make_chain(self.CHAIN)[::order])
+        forest.validate()
+        assert generation_index(forest) == {
+            tid: tid - 1 for tid in range(1, self.CHAIN + 1)
+        }
+        assert _leaf_paths(forest) == [list(range(1, self.CHAIN + 1))]
+        (prof,) = eligible_profiles(forest)
+        assert prof.tracks == tuple(range(1, self.CHAIN + 1))
+        assert prof.divisions == self.CHAIN - 1
+        assert prof.events[-1] == (self.CHAIN - 1, "censored")
+
+    def test_parent_cycle_rejected(self):
+        forest = make_forest(*make_chain(3))
+        forest.tracks[1].parent = 3
+        with pytest.raises(ValidationError, match="cycle"):
+            generation_index(forest)
+
+    def test_child_cycle_rejected(self):
+        forest = make_forest(*make_chain(3))
+        forest.tracks[3].children = [2]
+        with pytest.raises(ValidationError, match="cycle"):
+            _leaf_paths(forest)
 
 
 class TestEventRates:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from celltrack import evaluate, load_forest, load_ground_truth
+from celltrack import evaluate, load_forest, load_ground_truth, save_forest
 from celltrack.cli import (
     UsageError,
     build_configs,
@@ -14,6 +14,7 @@ from celltrack.cli import (
     parse_scalar,
     read_config_file,
 )
+from conftest import make_chain, make_forest
 
 SMALL_SIM = [
     "--set", "sim.frames=20",
@@ -127,6 +128,7 @@ class TestConfigLayering:
             "bogus.frames=1",  # unknown section
             "frames=1",  # missing section prefix
             "sim.frames",  # not key=value
+            "tracker.embedding_dim=32",  # the tracker reads it off the data
         ],
     )
     def test_bad_keys(self, item):
@@ -295,6 +297,16 @@ class TestAnalyzeCommand:
         profiles = list(csv.DictReader(open(out / "division_profiles.csv")))
         assert profiles  # every gt lineage line ends at a real outcome
 
+    def test_lineage_deeper_than_recursion_limit(self, tmp_path):
+        prefix = str(tmp_path / "chain")
+        save_forest(make_forest(*make_chain(1500)), prefix)
+        out = tmp_path / "analysis"
+        assert main(["analyze", prefix, "--out", str(out)]) == 0
+        rows = list(csv.DictReader(open(out / "division_profiles.csv")))
+        # One profile, one row per event: 1499 divisions, then censoring.
+        assert len(rows) == 1500
+        assert {r["divisions"] for r in rows} == {"1499"}
+
 
 class TestExitCodes:
     def test_missing_detections(self, tmp_path):
@@ -329,6 +341,15 @@ class TestExitCodes:
         assert exc.value.code == 0
         assert "celltrack" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["track", "d.txt"], ["evaluate", "pred", "gt"], ["ablate", "corpus"]],
+    )
+    def test_seed_only_where_read(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
     def test_no_command(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -343,3 +364,5 @@ class TestManifestFirst:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "track"
         assert str(tmp_path / "gone.txt") in manifest["inputs"]
+        assert manifest["seed"] is None
+        assert "embedding_dim" not in manifest["config"]["tracker"]

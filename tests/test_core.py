@@ -16,7 +16,6 @@ from celltrack import (
     Track,
     TrackEntry,
     TrackerConfig,
-    TrackStatus,
     ValidationError,
     centroid,
     embedding_l1,
@@ -293,12 +292,6 @@ class TestForestValidation:
         with pytest.raises(ValidationError):
             make_forest(t).validate()
 
-    def test_children_status_consistency(self):
-        forest = self.valid_forest()
-        forest.tracks[1].status = TrackStatus.CLOSED
-        with pytest.raises(ValidationError):
-            forest.validate()
-
     def test_missing_parent(self):
         forest = self.valid_forest()
         forest.tracks[2].parent = 42
@@ -337,7 +330,6 @@ class TestForestValidation:
         t = make_track(1, 0, [bx(10, 10)])
         t.parent = 1
         t.children = [1]
-        t.status = TrackStatus.DIVIDED
         with pytest.raises(ValidationError):
             make_forest(t).validate()
 

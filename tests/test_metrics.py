@@ -66,7 +66,6 @@ def relabel(forest: LineageForest, offset: int = 500) -> LineageForest:
             entries=dict(t.entries),
             parent=None if t.parent is None else mapping[t.parent],
             children=sorted(mapping[c] for c in t.children),
-            status=t.status,
             end_reason=t.end_reason,
         )
     return LineageForest(tracks=tracks, meta=forest.meta)
@@ -110,6 +109,17 @@ class TestGraphBuilding:
     def test_track_beyond_declared_frames(self):
         with pytest.raises(ValidationError):
             build_graph(make_forest(make_track(1, 0, [B] * 3)), frames=2)
+
+    def test_entry_at_negative_frame(self):
+        # A list index of -1 would file the entry under the last frame.
+        bad = make_forest(make_track(1, -1, [B] * 3), frames=3)
+        good = make_forest(make_track(1, 0, [B] * 3), frames=3)
+        with pytest.raises(ValidationError, match="negative frame"):
+            build_graph(bad)
+        with pytest.raises(ValidationError, match="negative frame"):
+            evaluate(bad, good)
+        with pytest.raises(ValidationError, match="negative frame"):
+            evaluate(good, bad)
 
     def test_nodes_per_track(self):
         g = build_graph(self.forest())
@@ -481,7 +491,7 @@ class TestHota:
             seed=31,
         )
         res = simulate(cfg)
-        pred = track_video(corrupt(res.clean_frames, cfg), TrackerConfig(embedding_dim=32))
+        pred = track_video(corrupt(res.clean_frames, cfg), TrackerConfig())
         pred.meta.frames = cfg.frames
         g, p = build_graph(res.ground_truth), build_graph(pred, cfg.frames)
         gt_sizes, pred_sizes = g.nodes_per_track(), p.nodes_per_track()

@@ -381,7 +381,7 @@ class TestOracleRoundTrip:
         )
         res = simulate(cfg)
         dets = corrupt(res.clean_frames, cfg)
-        tracker_cfg = TrackerConfig(embedding_dim=cfg.embedding_dim)
+        tracker_cfg = TrackerConfig()
         pred = track_video(dets, tracker_cfg)
         pred.meta.frames = cfg.frames
         s = det_lnk_tra(pred, res.ground_truth)

@@ -18,10 +18,8 @@ from celltrack import (
 )
 from celltrack.tracker import (
     CandidatePair,
-    Outcome,
     TrackRef,
     build_candidates,
-    classify_outcomes,
     resolve_conflicts,
 )
 from conftest import bx
@@ -143,14 +141,6 @@ class TestResolveConflicts:
             self.pair(2, 1, 0.8),
         ]
         assert resolve_conflicts(pairs, 1) == {1: [0], 2: [1]}
-
-    def test_outcomes(self):
-        out = classify_outcomes({1: [4], 3: [0, 2]}, [1, 2, 3])
-        assert out == {
-            1: Outcome.CONTINUED,
-            2: Outcome.UNMATCHED,
-            3: Outcome.DIVIDED,
-        }
 
 
 class TestContinuation:
@@ -499,10 +489,18 @@ class TestEngineContracts:
         frames = self.noisy_frames(seed=3)
         for fi, dets in enumerate(frames):
             engine.step(fi, dets)
-        engine.finalize()
+        forest = engine.finalize()
+        assert sorted(engine.usage_log) == list(range(len(frames)))
         for fi, uses in engine.usage_log.items():
             indices = [i for i, _ in uses]
             assert len(indices) == len(set(indices))
+            # Complete: every observed entry was logged as a use.
+            observed = sum(
+                fi in t.entries
+                and t.entries[fi].provenance is not Provenance.INTERPOLATED
+                for t in forest.tracks.values()
+            )
+            assert len(indices) == observed
 
     def test_frames_must_arrive_in_order(self):
         engine = CellTracker()
