@@ -135,7 +135,7 @@ def event_rates(forest: LineageForest, bin_size: int = 10) -> EventRates:
     population = np.zeros(n_frames, dtype=int)
     alive = np.zeros(n_frames, dtype=int)
     division_frames: list[int] = []
-    death_frames: list[int] = []
+    death_events: list[int] = []
     for track in forest.tracks.values():
         population[track.start_frame : track.last_frame + 1] += 1
         for frame, entry in track.entries.items():
@@ -146,7 +146,7 @@ def event_rates(forest: LineageForest, bin_size: int = 10) -> EventRates:
             division_frames.append(track.last_frame + 1)
         death = track.death_event_frame()
         if death is not None:
-            death_frames.append(death)
+            death_events.append(death)
 
     n_bins = (n_frames + bin_size - 1) // bin_size
     div_counts = np.zeros(n_bins, dtype=int)
@@ -154,7 +154,7 @@ def event_rates(forest: LineageForest, bin_size: int = 10) -> EventRates:
     for f in division_frames:
         if f < n_frames:
             div_counts[f // bin_size] += 1
-    for f in death_frames:
+    for f in death_events:
         death_counts[f // bin_size] += 1
     div_rate = []
     death_rate = []

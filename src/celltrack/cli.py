@@ -12,7 +12,9 @@ feed: ``tracker.``, ``sim.``, or ``analysis.`` (for example
 ``tracker.memory_frames = 5``).  Lines starting with ``#`` are
 comments.
 
-Exit codes: 0 success, 2 usage or input problems, 1 anything else.
+Exit codes: 0 success, 2 usage or input problems (including a ground
+truth with no objects, on which the scores are undefined), 1 anything
+else.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .ingest import (
     save_detections,
     save_forest,
 )
-from .metrics import evaluate
+from .metrics import UndefinedMetricError, evaluate
 from .simulator import SimulationConfig, corrupt, simulate
 from .tracker import track_video
 
@@ -582,7 +584,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValidationError, FileNotFoundError, OSError) as exc:
+    except (
+        ValidationError, UndefinedMetricError, FileNotFoundError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive

@@ -9,7 +9,7 @@ and treated as read-only afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -178,6 +178,21 @@ class TrackerConfig:
     use_kalman: bool = True
 
     def __post_init__(self) -> None:
+        # ``f.type`` is the annotation's text (annotations are postponed).
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not (
+                isinstance(value, (int, float)) and math.isfinite(value)
+            ):
+                raise ValidationError(
+                    f"{f.name} must be a finite number, got {value!r}"
+                )
+            if f.type == "int" and (
+                isinstance(value, bool) or not isinstance(value, int)
+            ):
+                raise ValidationError(
+                    f"{f.name} must be an integer, got {value!r}"
+                )
         if not (0.0 <= self.tau_low <= self.tau_high <= 1.0):
             raise ValidationError(
                 f"need 0 <= tau_low <= tau_high <= 1, got "

@@ -143,7 +143,7 @@ def kf_update(
 
 def interpolate_gap(
     state: KalmanState,
-    box_size: tuple[float, float],
+    size: tuple[float, float],
     gap_frames: Sequence[int],
     config: TrackerConfig,
     anchor_after: Point | None = None,
@@ -156,13 +156,13 @@ def interpolate_gap(
     when ``anchor_after`` gives the re-identified position on the frame
     right after the gap, the predictions are blended linearly toward it
     so the track rejoins the new observation without a jump.  Returned
-    boxes reuse the last observed width/height.
+    boxes have ``size``, the last observed (width, height).
 
     An empty ``gap_frames`` yields an empty dict.
     """
     if not gap_frames:
         return {}
-    w, h = box_size
+    w, h = size
     positions: list[np.ndarray] = []
     rolling = state
     for _ in gap_frames:

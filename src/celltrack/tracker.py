@@ -24,17 +24,19 @@ are filled with blended predictions so tracks stay gap-free.
 Conflicts over detections are settled globally greedily: candidate pairs
 are consumed in order of ascending cost, ties broken by lower track id
 and then lower detection index.
+
+Each open track is the ``core.Track`` it is building, wrapped with the
+few values no entry records (frames lost, Kalman state); when the track
+closes, that same ``Track`` goes into the finalized forest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import (
-    Box,
     CellClass,
     Detection,
     EndReason,
@@ -46,7 +48,6 @@ from .core import (
     TrackerConfig,
     ValidationError,
     VideoMeta,
-    centroid,
 )
 from .ingest import partition_by_confidence
 from .kalman import (
@@ -58,10 +59,6 @@ from .kalman import (
 )
 
 __all__ = [
-    "CandidatePair",
-    "TrackRef",
-    "MemoryEntry",
-    "MemoryBank",
     "pair_cost",
     "build_candidates",
     "resolve_conflicts",
@@ -70,12 +67,17 @@ __all__ = [
 ]
 
 
-def pair_cost(similarity: float, distance: float, config: TrackerConfig) -> float:
+def pair_cost(
+    similarity: float | np.ndarray,
+    distance: float | np.ndarray,
+    config: TrackerConfig,
+) -> float | np.ndarray:
     """Association cost: gate-normalized blend of appearance and position.
 
     ``appearance_weight`` weighs the embedding L1 distance (normalized by
     ``tau_sim``) against the centroid distance (normalized by
     ``tau_dist``).  A pair sitting exactly on both gates costs 1.0.
+    Works on floats and elementwise on arrays alike.
     """
     w = config.appearance_weight
     return w * (similarity / config.tau_sim) + (1.0 - w) * (
@@ -83,146 +85,22 @@ def pair_cost(similarity: float, distance: float, config: TrackerConfig) -> floa
     )
 
 
-@dataclass(frozen=True)
-class TrackRef:
-    """A track as seen by the matcher: identity, position, appearance.
-
-    ``position`` is the last observed centroid for active tracks and the
-    Kalman prediction for tracks in the memory bank.
-    """
-
-    track_id: int
-    position: Point
-    embedding: np.ndarray
-
-
-@dataclass(frozen=True)
-class CandidatePair:
-    track_id: int
-    det_index: int
-    distance: float
-    similarity: float
-    cost: float
-
-
-def build_candidates(
-    refs: Sequence[TrackRef],
-    detections: Sequence[Detection],
-    config: TrackerConfig,
-    gate_similarity: bool = True,
-) -> list[CandidatePair]:
-    """All (track, detection) pairs that survive the gates.
-
-    The spatial gate ``distance <= tau_dist`` always applies; the
-    appearance gate ``similarity <= tau_sim`` is skipped for death
-    matching, where appearance is unreliable but the cost still ranks
-    candidates.
-    """
-    if not refs or not detections:
-        return []
-    pos = np.array([r.position for r in refs])
-    cen = np.array([d.centroid for d in detections])
-    dx = pos[:, 0:1] - cen[None, :, 0]
-    dy = pos[:, 1:2] - cen[None, :, 1]
-    dist = np.hypot(dx, dy)
-    ti, di = np.nonzero(dist <= config.tau_dist)
-    if ti.size == 0:
-        return []
-    emb_t = np.array([r.embedding for r in refs])
-    emb_d = np.array([d.embedding for d in detections])
-    if emb_t.shape[1] != emb_d.shape[1]:
-        raise ValidationError(
-            f"embedding length mismatch: tracks {emb_t.shape[1]} vs "
-            f"detections {emb_d.shape[1]}"
-        )
-    sim = np.abs(emb_t[ti] - emb_d[di]).sum(axis=1)
-    if gate_similarity:
-        keep = sim <= config.tau_sim
-        ti, di, sim = ti[keep], di[keep], sim[keep]
-        if ti.size == 0:
-            return []
-    d = dist[ti, di]
-    w = config.appearance_weight
-    cost = w * (sim / config.tau_sim) + (1.0 - w) * (d / config.tau_dist)
-    return [
-        CandidatePair(
-            track_id=refs[i].track_id,
-            det_index=int(j),
-            distance=float(d[k]),
-            similarity=float(sim[k]),
-            cost=float(cost[k]),
-        )
-        for k, (i, j) in enumerate(zip(ti, di))
-    ]
-
-
-def resolve_conflicts(
-    candidates: Sequence[CandidatePair],
-    max_per_track: int | Mapping[int, int],
-) -> dict[int, list[int]]:
-    """Globally greedy assignment of detections to tracks.
-
-    Pairs are taken cheapest-first (ties: lower track id, then lower
-    detection index).  A detection, once claimed, is gone for everyone
-    else; a track stops claiming at its cap.  Returns the per-track
-    claimed detection indices in ascending index order.
-    """
-    order = sorted(
-        candidates, key=lambda p: (p.cost, p.track_id, p.det_index)
-    )
-    claimed: set[int] = set()
-    out: dict[int, list[int]] = {}
-    for pair in order:
-        if pair.det_index in claimed:
-            continue
-        cap = (
-            max_per_track
-            if isinstance(max_per_track, int)
-            else max_per_track.get(pair.track_id, 1)
-        )
-        got = out.get(pair.track_id)
-        if got is not None and len(got) >= cap:
-            continue
-        claimed.add(pair.det_index)
-        out.setdefault(pair.track_id, []).append(pair.det_index)
-    for indices in out.values():
-        indices.sort()
-    return out
-
-
-@dataclass(frozen=True)
-class MemoryEntry:
-    track_id: int
-    frames_since_lost: int
-    state: KalmanState | None
-    embedding: np.ndarray
-    box: Box
-
-
-@dataclass
-class MemoryBank:
-    """Snapshot of the lost-track buffer between frames."""
-
-    max_frames: int
-    entries: list[MemoryEntry] = field(default_factory=list)
-
-
 class _Runtime:
-    """Mutable per-track state while a video is being processed."""
+    """One open track: the ``Track`` being built plus its matcher state.
+
+    Everything a detection told us lives in ``track.entries``; the latest
+    observed one, ``entries[last_obs]``, supplies the position, box size,
+    embedding and class the matcher needs.  The rest is what no entry
+    records: ``lost_count``, the consecutive frames without a match; the
+    Kalman filter ``kf_mean``/``kf_cov``, predicted every frame; and the
+    ``anchor_mean``/``anchor_cov`` filter state at the last observation,
+    from which gaps are interpolated.  Without Kalman all four are None.
+    """
 
     __slots__ = (
-        "track_id",
-        "parent",
-        "children",
-        "entries",
+        "track",
         "last_obs",
-        "last_centroid",
-        "box_size",
-        "embedding",
-        "cell_class",
-        "death_frame",
         "lost_count",
-        "end_reason",
         "kf_mean",
         "kf_cov",
         "anchor_mean",
@@ -237,28 +115,106 @@ class _Runtime:
         config: TrackerConfig,
         parent: int | None = None,
     ) -> None:
-        self.track_id = track_id
-        self.parent = parent
-        self.children: list[int] = []
-        self.entries: dict[int, TrackEntry] = {}
+        self.track = Track(
+            track_id=track_id,
+            entries={frame_index: _entry_from_detection(det)},
+            parent=parent,
+        )
         self.last_obs = frame_index
-        self.last_centroid = det.centroid
-        x, y, w, h = det.box
-        self.box_size = (w, h)
-        self.embedding = det.embedding
-        self.cell_class = det.cell_class
-        self.death_frame: int | None = None
         self.lost_count = 0
-        self.end_reason: EndReason | None = None
-        self.kf_mean: np.ndarray | None = None
-        self.kf_cov: np.ndarray | None = None
+        self.kf_mean = self.kf_cov = None
         if config.use_kalman:
             state = kf_init(det.centroid, config)
-            self.kf_mean = state.mean.copy()
-            self.kf_cov = state.cov.copy()
-        self.anchor_mean = self.kf_mean
-        self.anchor_cov = self.kf_cov
-        self.entries[frame_index] = _entry_from_detection(det)
+            self.kf_mean, self.kf_cov = state.mean.copy(), state.cov.copy()
+        self.anchor_mean, self.anchor_cov = self.kf_mean, self.kf_cov
+
+    @property
+    def last(self) -> TrackEntry:
+        """The latest observed entry."""
+        return self.track.entries[self.last_obs]
+
+    @property
+    def position(self) -> Point:
+        """Where the matcher looks for the track.
+
+        The Kalman prediction while the track is lost, otherwise (and
+        always without Kalman) the last observed centroid.
+        """
+        if self.lost_count >= 1 and self.kf_mean is not None:
+            return (float(self.kf_mean[0]), float(self.kf_mean[1]))
+        return self.last.centroid
+
+
+def build_candidates(
+    tracks: Sequence[_Runtime],
+    detections: Sequence[Detection],
+    config: TrackerConfig,
+    gate_similarity: bool = True,
+) -> list[tuple[float, int, int]]:
+    """All ``(cost, track_id, det_index)`` pairs that survive the gates.
+
+    The spatial gate ``distance <= tau_dist`` always applies; the
+    appearance gate ``similarity <= tau_sim`` is skipped for death
+    matching, where appearance is unreliable but the cost still ranks
+    candidates.
+    """
+    if not tracks or not detections:
+        return []
+    pos = np.array([t.position for t in tracks])
+    cen = np.array([d.centroid for d in detections])
+    dx = pos[:, 0:1] - cen[None, :, 0]
+    dy = pos[:, 1:2] - cen[None, :, 1]
+    dist = np.hypot(dx, dy)
+    ti, di = np.nonzero(dist <= config.tau_dist)
+    if ti.size == 0:
+        return []
+    emb_t = np.array([t.last.embedding for t in tracks])
+    emb_d = np.array([d.embedding for d in detections])
+    if emb_t.shape[1] != emb_d.shape[1]:
+        raise ValidationError(
+            f"embedding length mismatch: tracks {emb_t.shape[1]} vs "
+            f"detections {emb_d.shape[1]}"
+        )
+    sim = np.abs(emb_t[ti] - emb_d[di]).sum(axis=1)
+    if gate_similarity:
+        keep = sim <= config.tau_sim
+        ti, di, sim = ti[keep], di[keep], sim[keep]
+        if ti.size == 0:
+            return []
+    cost = pair_cost(sim, dist[ti, di], config)
+    ids = [tracks[i].track.track_id for i in ti.tolist()]
+    return list(zip(cost.tolist(), ids, di.tolist()))
+
+
+def resolve_conflicts(
+    candidates: Sequence[tuple[float, int, int]],
+    max_per_track: int | Mapping[int, int],
+) -> dict[int, list[int]]:
+    """Globally greedy assignment of detections to tracks.
+
+    Pairs are taken cheapest-first (ties: lower track id, then lower
+    detection index).  A detection, once claimed, is gone for everyone
+    else; a track stops claiming at its cap.  Returns the per-track
+    claimed detection indices in ascending index order.
+    """
+    claimed: set[int] = set()
+    out: dict[int, list[int]] = {}
+    for _, tid, j in sorted(candidates):
+        if j in claimed:
+            continue
+        cap = (
+            max_per_track
+            if isinstance(max_per_track, int)
+            else max_per_track.get(tid, 1)
+        )
+        got = out.get(tid)
+        if got is not None and len(got) >= cap:
+            continue
+        claimed.add(j)
+        out.setdefault(tid, []).append(j)
+    for indices in out.values():
+        indices.sort()
+    return out
 
 
 def _entry_from_detection(
@@ -279,7 +235,8 @@ class CellTracker:
     def __init__(self, config: TrackerConfig | None = None, record_usage: bool = False):
         self.config = config or TrackerConfig()
         self._open: dict[int, _Runtime] = {}
-        self._done: list[_Runtime] = []
+        # Closed tracks in closing order, which is the forest's key order.
+        self._done: list[Track] = []
         self._next_id = 1
         self._next_frame = 0
         self._dim: int | None = None
@@ -317,45 +274,18 @@ class CellTracker:
         self._process(frame_index, list(detections))
         self._next_frame += 1
 
-    def memory_bank(self) -> MemoryBank:
-        bank = MemoryBank(max_frames=self.config.memory_frames)
-        for rt in self._open.values():
-            if rt.lost_count >= 1:
-                state = None
-                if rt.kf_mean is not None:
-                    state = KalmanState(mean=rt.kf_mean, cov=rt.kf_cov)
-                bank.entries.append(
-                    MemoryEntry(
-                        track_id=rt.track_id,
-                        frames_since_lost=rt.lost_count,
-                        state=state,
-                        embedding=rt.embedding,
-                        box=(
-                            rt.last_centroid[0] - rt.box_size[0] / 2.0,
-                            rt.last_centroid[1] - rt.box_size[1] / 2.0,
-                            rt.box_size[0],
-                            rt.box_size[1],
-                        ),
-                    )
-                )
-        return bank
-
     def finalize(self, meta: VideoMeta | None = None) -> LineageForest:
         """Close everything still open and emit the lineage forest."""
         for rt in list(self._open.values()):
             self._close(rt, EndReason.END_OF_VIDEO)
-        tracks: dict[int, Track] = {}
-        for rt in self._done:
-            tracks[rt.track_id] = Track(
-                track_id=rt.track_id,
-                entries=dict(sorted(rt.entries.items())),
-                parent=rt.parent,
-                children=sorted(rt.children),
-                end_reason=rt.end_reason,
-            )
+        for track in self._done:
+            track.entries = dict(sorted(track.entries.items()))
+            track.children.sort()
         if meta is None:
             meta = VideoMeta(frames=self._next_frame)
-        forest = LineageForest(tracks=tracks, meta=meta)
+        forest = LineageForest(
+            tracks={track.track_id: track for track in self._done}, meta=meta
+        )
         forest.validate(
             require_coverage=self.config.use_kalman,
             require_adjacency=True,
@@ -372,8 +302,8 @@ class CellTracker:
         if cfg.use_kalman and open_rts:
             self._predict_all(open_rts)
 
-        living = [rt for rt in open_rts if rt.cell_class is CellClass.ALIVE]
-        dead = [rt for rt in open_rts if rt.cell_class is CellClass.DEAD]
+        living = [rt for rt in open_rts if rt.last.cell_class is CellClass.ALIVE]
+        dead = [rt for rt in open_rts if rt.last.cell_class is CellClass.DEAD]
         high_alive = [j for j, d in enumerate(high) if d.cell_class is CellClass.ALIVE]
         high_dead = [j for j, d in enumerate(high) if d.cell_class is CellClass.DEAD]
 
@@ -384,7 +314,7 @@ class CellTracker:
         # lost track may only divide when interpolation can reconnect the
         # parent, otherwise it re-identifies a single detection.
         caps = {
-            rt.track_id: (
+            rt.track.track_id: (
                 cfg.max_daughters
                 if rt.lost_count == 0 or cfg.use_kalman
                 else 1
@@ -402,7 +332,7 @@ class CellTracker:
         # Death matching: living tracks that found no living detection vs
         # dead detections nobody continues.  Spatial gate only.
         unmatched_living = [
-            rt for rt in living if rt.track_id not in assign_living
+            rt for rt in living if rt.track.track_id not in assign_living
         ]
         corpse_taken = {j for js in assign_corpse.values() for j in js}
         free_dead = [j for j in high_dead if j not in corpse_taken]
@@ -410,7 +340,7 @@ class CellTracker:
             unmatched_living, high, free_dead, 1, gate_similarity=False
         )
 
-        by_id = {rt.track_id: rt for rt in open_rts}
+        by_id = {rt.track.track_id: rt for rt in open_rts}
         for tid, indices in assign_living.items():
             rt = by_id[tid]
             if len(indices) == 1:
@@ -419,25 +349,19 @@ class CellTracker:
                 self._divide(rt, fi, [high[j] for j in indices])
             matched.add(tid)
             claimed_high.update(indices)
-        for tid, indices in assign_corpse.items():
-            rt = by_id[tid]
-            self._extend(rt, fi, high[indices[0]])
-            matched.add(tid)
-            claimed_high.update(indices)
-        for tid, indices in assign_death.items():
-            rt = by_id[tid]
-            self._extend(rt, fi, high[indices[0]])
+        for tid, indices in [*assign_corpse.items(), *assign_death.items()]:
+            self._extend(by_id[tid], fi, high[indices[0]])
             matched.add(tid)
             claimed_high.update(indices)
 
         # Stage 2: whatever is still open and unmatched (current frame
         # misses and the whole memory bank) gets one shot at the
         # low-confidence detections of its own class.
-        remaining = [rt for rt in open_rts if rt.track_id not in matched]
+        remaining = [rt for rt in open_rts if rt.track.track_id not in matched]
         low_alive = [j for j, d in enumerate(low) if d.cell_class is CellClass.ALIVE]
         low_dead = [j for j, d in enumerate(low) if d.cell_class is CellClass.DEAD]
-        rem_living = [rt for rt in remaining if rt.cell_class is CellClass.ALIVE]
-        rem_dead = [rt for rt in remaining if rt.cell_class is CellClass.DEAD]
+        rem_living = [rt for rt in remaining if rt.last.cell_class is CellClass.ALIVE]
+        rem_dead = [rt for rt in remaining if rt.last.cell_class is CellClass.DEAD]
         assign_low = self._match(
             rem_living, low, low_alive, 1, gate_similarity=True
         )
@@ -445,8 +369,7 @@ class CellTracker:
             self._match(rem_dead, low, low_dead, 1, gate_similarity=True)
         )
         for tid, indices in assign_low.items():
-            rt = by_id[tid]
-            self._extend(rt, fi, low[indices[0]], Provenance.OBSERVED_LOW)
+            self._extend(by_id[tid], fi, low[indices[0]], Provenance.OBSERVED_LOW)
             matched.add(tid)
         self._update_matched()
 
@@ -459,7 +382,7 @@ class CellTracker:
         # matching attempts; one more and it is closed.  Divided tracks
         # closed this frame are among the matched.
         for rt in open_rts:
-            if rt.track_id in matched:
+            if rt.track.track_id in matched:
                 continue
             rt.lost_count += 1
             if rt.lost_count > self.config.memory_frames:
@@ -479,28 +402,15 @@ class CellTracker:
         """
         if not tracks or not det_indices:
             return {}
-        refs = [
-            TrackRef(
-                track_id=rt.track_id,
-                position=self._ref_position(rt),
-                embedding=rt.embedding,
-            )
-            for rt in tracks
-        ]
         subset = [dets[j] for j in det_indices]
         pairs = build_candidates(
-            refs, subset, self.config, gate_similarity=gate_similarity
+            tracks, subset, self.config, gate_similarity=gate_similarity
         )
         assignment = resolve_conflicts(pairs, caps)
         return {
             tid: [det_indices[j] for j in indices]
             for tid, indices in assignment.items()
         }
-
-    def _ref_position(self, rt: _Runtime) -> Point:
-        if rt.lost_count >= 1 and self.config.use_kalman:
-            return (float(rt.kf_mean[0]), float(rt.kf_mean[1]))
-        return rt.last_centroid
 
     def _predict_all(self, rts: list[_Runtime]) -> None:
         means = np.array([rt.kf_mean for rt in rts])
@@ -516,14 +426,15 @@ class CellTracker:
             return
         gap = range(rt.last_obs + 1, fi)
         state = KalmanState(mean=rt.anchor_mean, cov=rt.anchor_cov)
-        rt.entries.update(
+        last = rt.last
+        rt.track.entries.update(
             interpolate_gap(
                 state,
-                rt.box_size,
+                last.box[2:],
                 gap,
                 self.config,
                 anchor_after=anchor,
-                cell_class=rt.cell_class,
+                cell_class=last.cell_class,
             )
         )
 
@@ -534,20 +445,13 @@ class CellTracker:
         det: Detection,
         provenance: Provenance = Provenance.OBSERVED_HIGH,
     ) -> None:
-        if rt.cell_class is CellClass.DEAD and det.cell_class is CellClass.ALIVE:
+        if rt.last.cell_class is CellClass.DEAD and det.cell_class is CellClass.ALIVE:
             raise AssertionError("dead track offered a living detection")
         if rt.lost_count >= 1:
             self._fill_gap(rt, fi, det.centroid)
-        rt.entries[fi] = _entry_from_detection(det, provenance)
-        self._log_use(fi, det, f"track:{rt.track_id}")
-        if det.cell_class is CellClass.DEAD and rt.cell_class is CellClass.ALIVE:
-            rt.death_frame = fi
-        rt.cell_class = det.cell_class
+        rt.track.entries[fi] = _entry_from_detection(det, provenance)
+        self._log_use(fi, det, f"track:{rt.track.track_id}")
         rt.last_obs = fi
-        rt.last_centroid = det.centroid
-        x, y, w, h = det.box
-        rt.box_size = (w, h)
-        rt.embedding = det.embedding
         rt.lost_count = 0
         if self.config.use_kalman:
             self._pending_updates.append(rt)
@@ -564,7 +468,7 @@ class CellTracker:
         means, covs = batch_update(
             np.array([rt.kf_mean for rt in rts]),
             np.array([rt.kf_cov for rt in rts]),
-            np.array([rt.last_centroid for rt in rts]),
+            np.array([rt.last.centroid for rt in rts]),
             self.config.measurement_noise,
         )
         for k, rt in enumerate(rts):
@@ -579,20 +483,21 @@ class CellTracker:
                 float(np.mean([d.centroid[1] for d in dets])),
             )
             self._fill_gap(rt, fi, anchor)
-        rt.end_reason = EndReason.DIVISION
-        del self._open[rt.track_id]
-        self._done.append(rt)
+        track = rt.track
+        track.end_reason = EndReason.DIVISION
+        del self._open[track.track_id]
+        self._done.append(track)
         for det in dets:
-            child = self._new_track(fi, det, parent=rt.track_id)
-            rt.children.append(child.track_id)
+            child = self._new_track(fi, det, parent=track.track_id)
+            track.children.append(child.track.track_id)
 
     def _new_track(
         self, fi: int, det: Detection, parent: int | None = None
     ) -> _Runtime:
-        rt = _Runtime(self._next_id, fi, det, self.config, parent=parent)
+        tid = self._next_id
         self._next_id += 1
-        self._open[rt.track_id] = rt
-        self._log_use(fi, det, f"init:{rt.track_id}")
+        rt = self._open[tid] = _Runtime(tid, fi, det, self.config, parent=parent)
+        self._log_use(fi, det, f"init:{tid}")
         return rt
 
     def _log_use(self, fi: int, det: Detection, consumer: str) -> None:
@@ -601,14 +506,14 @@ class CellTracker:
             self.usage_log[fi].append((self._det_pos[id(det)], consumer))
 
     def _close(self, rt: _Runtime, reason: EndReason) -> None:
-        if rt.death_frame is not None:
+        track = rt.track
+        if track.death_event_frame() is not None:
             # A track that witnessed its death keeps that as its fate even
             # if the corpse is later lost.
-            rt.end_reason = EndReason.DEATH
-        else:
-            rt.end_reason = reason
-        del self._open[rt.track_id]
-        self._done.append(rt)
+            reason = EndReason.DEATH
+        track.end_reason = reason
+        del self._open[track.track_id]
+        self._done.append(track)
 
 
 def track_video(

@@ -140,6 +140,14 @@ class TestConfigLayering:
             build_configs(None, ["sim.frames=0"])
         with pytest.raises(UsageError):
             build_configs(None, ["tracker.tau_high=2.0"])
+        for item in (
+            "tracker.tau_dist=nan",
+            "tracker.memory_frames=nan",
+            "tracker.process_noise=inf",
+            "tracker.memory_frames=2.5",
+        ):
+            with pytest.raises(UsageError):
+                build_configs(None, [item])
 
 
 class TestSimulateCommand:
@@ -334,6 +342,30 @@ class TestExitCodes:
         empty.mkdir()
         args = ["ablate", str(empty), "--out", str(tmp_path / "o")]
         assert main(args) == 2
+
+    @pytest.fixture
+    def empty_gt_video(self, sim_dir, tmp_path):
+        """A video directory whose ground-truth forest has no tracks."""
+        video = tmp_path / "video"
+        video.mkdir()
+        (video / "detections.txt").write_bytes(
+            (sim_dir / "detections.txt").read_bytes()
+        )
+        frames = load_ground_truth(str(sim_dir / "gt")).meta.frames
+        save_forest(make_forest(frames=frames), str(video / "gt"))
+        return video
+
+    def test_evaluate_empty_ground_truth(self, empty_gt_video, tmp_path, capsys):
+        gt = str(empty_gt_video / "gt")
+        args = ["evaluate", gt, gt, "--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        assert "ground truth has no objects" in capsys.readouterr().err
+
+    def test_ablate_empty_ground_truth(self, empty_gt_video, tmp_path, capsys):
+        args = ["ablate", str(empty_gt_video), "--out", str(tmp_path / "o"),
+                "--no-sweep"]
+        assert main(args) == 2
+        assert "ground truth has no objects" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -165,6 +165,33 @@ class TestTrackerConfig:
         with pytest.raises(ValidationError):
             TrackerConfig(process_noise=0.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "tau_high",
+            "tau_low",
+            "tau_dist",
+            "tau_sim",
+            "appearance_weight",
+            "process_noise",
+            "measurement_noise",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_floats_must_be_finite(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TrackerConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["memory_frames", "max_daughters"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 3.0, True])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TrackerConfig(**{field: value})
+
+    def test_integral_floats_accepted(self):
+        cfg = TrackerConfig(tau_dist=40, process_noise=np.float64(2.0))
+        assert cfg.tau_dist == 40
+
 
 class TestTrackEntry:
     def test_interpolated_carries_nothing(self):

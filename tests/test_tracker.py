@@ -16,12 +16,7 @@ from celltrack import (
     save_forest,
     track_video,
 )
-from celltrack.tracker import (
-    CandidatePair,
-    TrackRef,
-    build_candidates,
-    resolve_conflicts,
-)
+from celltrack.tracker import _Runtime, build_candidates, resolve_conflicts
 from conftest import bx
 
 CFG = TrackerConfig()
@@ -38,9 +33,7 @@ def det(frame, cx, cy, conf=0.9, cls=CellClass.ALIVE, emb=(0.0, 0.0, 0.0, 0.0)):
 
 
 def ref(tid, cx, cy, emb=(0.0, 0.0, 0.0, 0.0)):
-    return TrackRef(
-        track_id=tid, position=(cx, cy), embedding=np.array(emb, dtype=float)
-    )
+    return _Runtime(tid, 0, det(0, cx, cy, emb=emb), CFG)
 
 
 def run(frames, config=CFG, **kw):
@@ -85,16 +78,15 @@ class TestBuildCandidates:
             [ref(1, 0, 0)], [det(0, 10, 0, emb=far_emb)], CFG, gate_similarity=False
         )
         assert len(pairs) == 1
-        assert pairs[0].similarity == pytest.approx(80.0)
+        assert pairs[0][0] == pytest.approx(pair_cost(80.0, 10.0, CFG))
 
     def test_cost_matches_pair_cost(self):
         emb = (10.0, 0.0, 0.0, 0.0)
         pairs = build_candidates([ref(1, 0, 0)], [det(0, 30, 40, emb=emb)], CFG)
         assert len(pairs) == 1
-        p = pairs[0]
-        assert p.distance == pytest.approx(50.0)
-        assert p.similarity == pytest.approx(10.0)
-        assert p.cost == pytest.approx(pair_cost(10.0, 50.0, CFG))
+        cost, tid, di = pairs[0]
+        assert (tid, di) == (1, 0)
+        assert cost == pytest.approx(pair_cost(10.0, 50.0, CFG))
 
     def test_embedding_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -109,9 +101,7 @@ class TestBuildCandidates:
 
 class TestResolveConflicts:
     def pair(self, tid, di, cost):
-        return CandidatePair(
-            track_id=tid, det_index=di, distance=0.0, similarity=0.0, cost=cost
-        )
+        return (cost, tid, di)
 
     def test_cheapest_wins(self):
         out = resolve_conflicts(
@@ -395,17 +385,6 @@ class TestMemoryBank:
         assert len(forest.tracks) == 2
         assert forest.tracks[1].end_reason is EndReason.LOST
 
-    def test_bank_contents(self):
-        engine = run([[det(0, 50, 50)], []])
-        bank = engine.memory_bank()
-        assert bank.max_frames == CFG.memory_frames
-        assert len(bank.entries) == 1
-        entry = bank.entries[0]
-        assert entry.track_id == 1
-        assert entry.frames_since_lost == 1
-        engine.step(2, [det(2, 52, 50)])
-        assert engine.memory_bank().entries == []
-
     def test_lost_death_keeps_death_reason(self):
         # A track that died, then lost its corpse, still ends as DEATH.
         frames = [
@@ -418,6 +397,28 @@ class TestMemoryBank:
         forest = run(frames, cfg).finalize()
         track = forest.tracks[1]
         assert track.end_reason is EndReason.DEATH
+        assert track.status is TrackStatus.DEAD
+
+    def test_born_dead_then_lost_ends_lost(self):
+        # A track born from a corpse never witnessed a death: losing it is
+        # a plain loss, though its entries make it a dead track.
+        frames = [[det(0, 50, 50, cls=CellClass.DEAD)], [], []]
+        cfg = TrackerConfig(memory_frames=1)
+        forest = run(frames, cfg).finalize()
+        track = forest.tracks[1]
+        assert track.end_reason is EndReason.LOST
+        assert track.status is TrackStatus.DEAD
+        assert track.death_event_frame() is None
+
+    def test_born_dead_open_at_end_ends_with_video(self):
+        frames = [
+            [det(0, 50, 50, cls=CellClass.DEAD)],
+            [det(1, 50, 50, cls=CellClass.DEAD)],
+        ]
+        forest = run(frames).finalize()
+        track = forest.tracks[1]
+        assert sorted(track.entries) == [0, 1]
+        assert track.end_reason is EndReason.END_OF_VIDEO
         assert track.status is TrackStatus.DEAD
 
 
