@@ -30,6 +30,7 @@ from .core import (
     Provenance,
     Track,
     ValidationError,
+    check_field_types,
 )
 
 __all__ = [
@@ -71,6 +72,7 @@ class AnalysisFilter:
     max_interdivision_frames: int = 100
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         for name in (
             "min_track_frames",
             "max_generation",

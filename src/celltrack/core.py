@@ -9,6 +9,7 @@ and treated as read-only afterwards.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -117,6 +118,36 @@ def _validate_box(box: Box) -> None:
         raise ValidationError(f"box must have positive extent, got {box!r}")
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What each config field annotation admits, keyed by the annotation's text
+# (the config modules postpone annotations, so ``Field.type`` is a string).
+_FIELD_RULES = {
+    # Comparing, not converting, keeps a huge int from raising OverflowError.
+    "float": (
+        "a finite number",
+        lambda v: isinstance(v, (int, float)) and abs(v) <= sys.float_info.max,
+    ),
+    "int": ("an integer", _is_int),
+    "int | None": ("an integer or None", lambda v: v is None or _is_int(v)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def check_field_types(config: object) -> None:
+    """Raise ``ValidationError`` unless every field of the dataclass
+    ``config`` holds a value its annotation admits: a finite number for
+    ``float``, an integer that is not a ``bool`` for ``int``, and so on."""
+    for f in fields(config):  # type: ignore[arg-type]
+        what, admits = _FIELD_RULES[f.type]  # type: ignore[index]
+        value = getattr(config, f.name)
+        if not admits(value):
+            raise ValidationError(f"{f.name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Detection:
     """One detector output on one frame.
@@ -178,21 +209,7 @@ class TrackerConfig:
     use_kalman: bool = True
 
     def __post_init__(self) -> None:
-        # ``f.type`` is the annotation's text (annotations are postponed).
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not (
-                isinstance(value, (int, float)) and math.isfinite(value)
-            ):
-                raise ValidationError(
-                    f"{f.name} must be a finite number, got {value!r}"
-                )
-            if f.type == "int" and (
-                isinstance(value, bool) or not isinstance(value, int)
-            ):
-                raise ValidationError(
-                    f"{f.name} must be an integer, got {value!r}"
-                )
+        check_field_types(self)
         if not (0.0 <= self.tau_low <= self.tau_high <= 1.0):
             raise ValidationError(
                 f"need 0 <= tau_low <= tau_high <= 1, got "

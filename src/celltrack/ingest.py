@@ -17,20 +17,24 @@ Two file kinds exist:
   (``track_id,frame,x,y,w,h,provenance,class``).
 
 Ground truth and tracker output use the identical forest format, so
-either side of an evaluation can come from either producer.  Floats are
-written with ``repr`` so that serialize -> load -> serialize is
-byte-stable.
+either side of an evaluation can come from either producer.  All three
+files go through one reader, ``_read``, and one writer, ``_write``.
+Every bad header or record raises ``ValidationError`` naming
+``<file>:<line>`` and the reason, as does text that is not UTF-8.
+Floats are written with ``repr`` so that serialize -> load -> serialize
+is byte-stable.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from .core import (
-    Box,
     CellClass,
     Detection,
     EndReason,
@@ -54,7 +58,7 @@ __all__ = [
     "forest_paths",
 ]
 
-_REQUIRED_HEADERS = ("frames", "width", "height", "embedding_dim")
+_HEADER_TYPES = {"frames": int, "width": float, "height": float, "embedding_dim": int}
 
 
 @dataclass
@@ -69,151 +73,140 @@ class DetectionFile:
         return [d for frame in self.frames for d in frame]
 
 
-def _fmt(value: float) -> str:
-    """Shortest round-tripping decimal form of a float."""
-    return repr(float(value))
+def _read(
+    path: str, n_fields: int | None = None
+) -> tuple[dict[str, Any], list[tuple[int, str]]]:
+    """Return a file's ``#key=value`` headers and its ``(lineno, line)`` records.
 
-
-def _parse_headers(lines: list[tuple[int, str]], path: str) -> dict[str, str]:
-    headers: dict[str, str] = {}
-    for lineno, line in lines:
-        body = line[1:].strip()
-        if "=" not in body:
-            raise ValidationError(f"{path}:{lineno}: malformed header {line!r}")
-        key, value = body.split("=", 1)
-        headers[key.strip()] = value.strip()
-    return headers
-
-
-def _split_lines(path: str) -> tuple[list[tuple[int, str]], list[tuple[int, str]]]:
-    """Return (header_lines, record_lines) with 1-based line numbers."""
-    header_lines: list[tuple[int, str]] = []
-    record_lines: list[tuple[int, str]] = []
+    Blank lines are skipped and every header must precede the first
+    record.  Numeric headers are converted.  With ``n_fields``, every
+    record must have that many comma-separated fields.  Records stay
+    unsplit until parsed: a split detection file takes several times the
+    memory of its lines.
+    """
+    headers: dict[str, Any] = {}
+    records: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if record_lines:
-                    raise ValidationError(
-                        f"{path}:{lineno}: header after first record"
-                    )
-                header_lines.append((lineno, line))
-            else:
-                record_lines.append((lineno, line))
-    return header_lines, record_lines
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                if line[0] != "#":
+                    if n_fields is not None and line.count(",") + 1 != n_fields:
+                        raise ValidationError(
+                            f"{path}:{lineno}: expected {n_fields} fields, "
+                            f"got {line.count(',') + 1}"
+                        )
+                    records.append((lineno, line))
+                elif records:
+                    raise ValidationError(f"{path}:{lineno}: header after first record")
+                else:
+                    key, eq, value = line[1:].partition("=")
+                    if not eq:
+                        raise ValidationError(
+                            f"{path}:{lineno}: malformed header {line!r}"
+                        )
+                    key = key.strip()
+                    try:
+                        headers[key] = _HEADER_TYPES.get(key, str)(value.strip())
+                    except ValueError as exc:
+                        raise ValidationError(
+                            f"{path}:{lineno}: non-numeric header value ({exc})"
+                        ) from None
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+    return headers, records
 
 
-def _meta_from_headers(headers: dict[str, str], path: str) -> tuple[VideoMeta, int]:
-    for key in _REQUIRED_HEADERS:
+def _meta(headers: dict[str, Any], path: str, required: tuple[str, ...]) -> VideoMeta:
+    """Build the ``VideoMeta`` of a file's headers, after checking ``required``."""
+    for key in required:
         if key not in headers:
             raise ValidationError(f"{path}: missing required header #{key}=")
-    try:
-        frames = int(headers["frames"])
-        width = float(headers["width"])
-        height = float(headers["height"])
-        dim = int(headers["embedding_dim"])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric header value ({exc})") from None
-    if frames <= 0:
-        raise ValidationError(f"{path}: frames must be positive, got {frames}")
-    if width <= 0 or height <= 0:
-        raise ValidationError(f"{path}: width/height must be positive")
-    if dim <= 0:
-        raise ValidationError(f"{path}: embedding_dim must be positive")
-    meta = VideoMeta(
+    return VideoMeta(
         video_id=headers.get("video_id", ""),
-        frames=frames,
-        width=width,
-        height=height,
+        frames=headers["frames"],
+        width=headers["width"],
+        height=headers["height"],
         dosage=headers.get("dosage", ""),
     )
-    return meta, dim
 
 
-def _parse_float(token: str, path: str, lineno: int, what: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise ValidationError(
-            f"{path}:{lineno}: non-numeric {what} {token!r}"
-        ) from None
+def _write(
+    path: str,
+    meta: VideoMeta | None,
+    records: Iterable[str],
+    embedding_dim: int | None = None,
+) -> None:
+    """Write ``meta`` as headers (none when ``None``), then one line per record."""
+    head = []
+    if meta is not None:
+        if meta.video_id:
+            head.append(f"#video_id={meta.video_id}")
+        head += [
+            f"#frames={meta.frames}",
+            f"#width={float(meta.width)!r}",
+            f"#height={float(meta.height)!r}",
+        ]
+        if embedding_dim is not None:
+            head.append(f"#embedding_dim={embedding_dim}")
+        if meta.dosage:
+            head.append(f"#dosage={meta.dosage}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([*head, *records]) + "\n")
 
 
 def load_detections(path: str) -> DetectionFile:
     """Parse a detection file, validating every record."""
-    header_lines, record_lines = _split_lines(path)
-    headers = _parse_headers(header_lines, path)
-    meta, dim = _meta_from_headers(headers, path)
+    headers, records = _read(path)
+    meta = _meta(headers, path, ("frames", "width", "height", "embedding_dim"))
+    dim = headers["embedding_dim"]
+    if meta.frames <= 0:
+        raise ValidationError(f"{path}: frames must be positive, got {meta.frames}")
+    if meta.width <= 0 or meta.height <= 0:
+        raise ValidationError(f"{path}: width/height must be positive")
+    if dim <= 0:
+        raise ValidationError(f"{path}: embedding_dim must be positive")
     frames: list[list[Detection]] = [[] for _ in range(meta.frames)]
-    for lineno, line in record_lines:
+    for lineno, line in records:
         parts = line.split(",")
-        if len(parts) != 7 + dim:
-            raise ValidationError(
-                f"{path}:{lineno}: expected {7 + dim} fields "
-                f"(embedding_dim={dim}), got {len(parts)}"
-            )
         try:
+            if len(parts) != 7 + dim:
+                raise ValidationError(
+                    f"expected {7 + dim} fields (embedding_dim={dim}), "
+                    f"got {len(parts)}"
+                )
             frame = int(parts[0])
-        except ValueError:
-            raise ValidationError(
-                f"{path}:{lineno}: non-integer frame {parts[0]!r}"
-            ) from None
-        if not (0 <= frame < meta.frames):
-            raise ValidationError(
-                f"{path}:{lineno}: frame {frame} outside [0, {meta.frames})"
-            )
-        box = tuple(
-            _parse_float(parts[i], path, lineno, "box field") for i in range(1, 5)
-        )
-        conf = _parse_float(parts[5], path, lineno, "confidence")
-        try:
-            cls = CellClass(parts[6])
-        except ValueError:
-            raise ValidationError(
-                f"{path}:{lineno}: unknown class {parts[6]!r}"
-            ) from None
-        emb = np.array(
-            [_parse_float(p, path, lineno, "embedding value") for p in parts[7:]],
-            dtype=float,
-        )
-        try:
+            if not 0 <= frame < meta.frames:
+                raise ValidationError(f"frame {frame} outside [0, {meta.frames})")
             det = Detection(
                 frame_index=frame,
-                box=box,  # type: ignore[arg-type]
-                confidence=conf,
-                cell_class=cls,
-                embedding=emb,
+                box=tuple(map(float, parts[1:5])),  # type: ignore[arg-type]
+                confidence=float(parts[5]),
+                cell_class=CellClass(parts[6]),
+                embedding=np.array(list(map(float, parts[7:]))),
                 source_id=lineno,
             )
-        except ValidationError as exc:
+        except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
         frames[frame].append(det)
     return DetectionFile(meta=meta, embedding_dim=dim, frames=frames)
 
 
 def save_detections(det_file: DetectionFile, path: str) -> None:
-    meta = det_file.meta
-    lines = []
-    if meta.video_id:
-        lines.append(f"#video_id={meta.video_id}")
-    lines.append(f"#frames={meta.frames}")
-    lines.append(f"#width={_fmt(meta.width)}")
-    lines.append(f"#height={_fmt(meta.height)}")
-    lines.append(f"#embedding_dim={det_file.embedding_dim}")
-    if meta.dosage:
-        lines.append(f"#dosage={meta.dosage}")
-    for frame_dets in det_file.frames:
-        for d in frame_dets:
-            x, y, w, h = d.box
-            emb = ",".join(_fmt(v) for v in d.embedding)
-            lines.append(
-                f"{d.frame_index},{_fmt(x)},{_fmt(y)},{_fmt(w)},{_fmt(h)},"
-                f"{_fmt(d.confidence)},{d.cell_class.value},{emb}"
-            )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    records = (
+        ",".join((
+            str(d.frame_index),
+            *map(repr, map(float, d.box)),
+            repr(float(d.confidence)),
+            d.cell_class.value,
+            *map(repr, d.embedding.tolist()),
+        ))
+        for frame_dets in det_file.frames
+        for d in frame_dets
+    )
+    _write(path, det_file.meta, records, det_file.embedding_dim)
 
 
 def partition_by_confidence(
@@ -249,17 +242,7 @@ def forest_paths(prefix: str) -> tuple[str, str]:
 def save_forest(forest: LineageForest, prefix: str) -> tuple[str, str]:
     """Write a forest to ``<prefix>_tracks.txt`` / ``<prefix>_entries.txt``."""
     tracks_path, entries_path = forest_paths(prefix)
-    meta = forest.meta
-    head = []
-    if meta.video_id:
-        head.append(f"#video_id={meta.video_id}")
-    head.append(f"#frames={meta.frames}")
-    head.append(f"#width={_fmt(meta.width)}")
-    head.append(f"#height={_fmt(meta.height)}")
-    if meta.dosage:
-        head.append(f"#dosage={meta.dosage}")
-
-    track_lines = list(head)
+    track_lines: list[str] = []
     entry_lines: list[str] = []
     for tid in sorted(forest.tracks):
         track = forest.tracks[tid]
@@ -270,15 +253,15 @@ def save_forest(forest: LineageForest, prefix: str) -> tuple[str, str]:
         )
         for f in sorted(track.entries):
             e = track.entries[f]
-            x, y, w, h = e.box
-            entry_lines.append(
-                f"{tid},{f},{_fmt(x)},{_fmt(y)},{_fmt(w)},{_fmt(h)},"
-                f"{e.provenance.value},{e.cell_class.value}"
-            )
-    with open(tracks_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(track_lines) + "\n")
-    with open(entries_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(entry_lines) + "\n")
+            entry_lines.append(",".join((
+                str(tid),
+                str(f),
+                *map(repr, map(float, e.box)),
+                e.provenance.value,
+                e.cell_class.value,
+            )))
+    _write(tracks_path, forest.meta, track_lines)
+    _write(entries_path, None, entry_lines)
     return tracks_path, entries_path
 
 
@@ -294,112 +277,44 @@ def load_forest(prefix: str, strict: bool = True) -> LineageForest:
     if not os.path.exists(entries_path):
         raise ValidationError(f"missing entries file {entries_path}")
 
-    header_lines, record_lines = _split_lines(tracks_path)
-    headers = _parse_headers(header_lines, tracks_path)
-    for key in ("frames", "width", "height"):
-        if key not in headers:
-            raise ValidationError(
-                f"{tracks_path}: missing required header #{key}="
-            )
-    try:
-        meta = VideoMeta(
-            video_id=headers.get("video_id", ""),
-            frames=int(headers["frames"]),
-            width=float(headers["width"]),
-            height=float(headers["height"]),
-            dosage=headers.get("dosage", ""),
-        )
-    except ValueError as exc:
-        raise ValidationError(f"{tracks_path}: bad header value ({exc})") from None
+    headers, records = _read(tracks_path, n_fields=5)
+    meta = _meta(headers, tracks_path, ("frames", "width", "height"))
+    spans: dict[int, tuple[int, int]] = {}
+    tracks: dict[int, Track] = {}
+    for lineno, line in records:
+        tid_s, start_s, end_s, parent_s, reason_s = line.split(",")
+        try:
+            tid, start, end = int(tid_s), int(start_s), int(end_s)
+            if tid in tracks:
+                raise ValidationError(f"duplicate track id {tid}")
+            if end < start:
+                raise ValidationError(f"end {end} before start {start}")
+            parent = int(parent_s) if parent_s else None
+            reason = EndReason(reason_s) if reason_s else None
+        except ValueError as exc:
+            raise ValidationError(f"{tracks_path}:{lineno}: {exc}") from None
+        spans[tid] = (start, end)
+        tracks[tid] = Track(track_id=tid, parent=parent, end_reason=reason)
 
-    declared: dict[int, tuple[int, int, int | None, EndReason | None]] = {}
-    for lineno, line in record_lines:
+    _, records = _read(entries_path, n_fields=8)
+    for lineno, line in records:
         parts = line.split(",")
-        if len(parts) != 5:
-            raise ValidationError(
-                f"{tracks_path}:{lineno}: expected 5 fields, got {len(parts)}"
-            )
         try:
-            tid = int(parts[0])
-            start = int(parts[1])
-            end = int(parts[2])
-        except ValueError:
-            raise ValidationError(
-                f"{tracks_path}:{lineno}: non-integer id/frame field"
-            ) from None
-        if tid in declared:
-            raise ValidationError(
-                f"{tracks_path}:{lineno}: duplicate track id {tid}"
+            tid, frame = int(parts[0]), int(parts[1])
+            if tid not in tracks:
+                raise ValidationError(f"entry for undeclared track {tid}")
+            entry = TrackEntry(
+                box=tuple(map(float, parts[2:6])),  # type: ignore[arg-type]
+                provenance=Provenance(parts[6]),
+                cell_class=CellClass(parts[7]),
             )
-        if end < start:
-            raise ValidationError(
-                f"{tracks_path}:{lineno}: end {end} before start {start}"
-            )
-        parent = None
-        if parts[3]:
-            try:
-                parent = int(parts[3])
-            except ValueError:
-                raise ValidationError(
-                    f"{tracks_path}:{lineno}: non-integer parent {parts[3]!r}"
-                ) from None
-        reason = None
-        if parts[4]:
-            try:
-                reason = EndReason(parts[4])
-            except ValueError:
-                raise ValidationError(
-                    f"{tracks_path}:{lineno}: unknown end_reason {parts[4]!r}"
-                ) from None
-        declared[tid] = (start, end, parent, reason)
-
-    tracks: dict[int, Track] = {
-        tid: Track(track_id=tid, parent=parent, end_reason=reason)
-        for tid, (_, _, parent, reason) in declared.items()
-    }
-
-    _, entry_records = _split_lines(entries_path)
-    for lineno, line in entry_records:
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise ValidationError(
-                f"{entries_path}:{lineno}: expected 8 fields, got {len(parts)}"
-            )
-        try:
-            tid = int(parts[0])
-            frame = int(parts[1])
-        except ValueError:
-            raise ValidationError(
-                f"{entries_path}:{lineno}: non-integer id/frame field"
-            ) from None
-        if tid not in tracks:
-            raise ValidationError(
-                f"{entries_path}:{lineno}: entry for undeclared track {tid}"
-            )
-        box = tuple(
-            _parse_float(parts[i], entries_path, lineno, "box field")
-            for i in range(2, 6)
-        )
-        try:
-            prov = Provenance(parts[6])
-            cls = CellClass(parts[7])
+            if frame in tracks[tid].entries:
+                raise ValidationError(f"duplicate entry for track {tid} frame {frame}")
         except ValueError as exc:
             raise ValidationError(f"{entries_path}:{lineno}: {exc}") from None
-        if frame in tracks[tid].entries:
-            raise ValidationError(
-                f"{entries_path}:{lineno}: duplicate entry for track {tid} "
-                f"frame {frame}"
-            )
-        try:
-            tracks[tid].entries[frame] = TrackEntry(
-                box=box,  # type: ignore[arg-type]
-                cell_class=cls,
-                provenance=prov,
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"{entries_path}:{lineno}: {exc}") from None
+        tracks[tid].entries[frame] = entry
 
-    for tid, (start, end, parent, _) in declared.items():
+    for tid, (start, end) in spans.items():
         track = tracks[tid]
         if not track.entries:
             raise ValidationError(f"{tracks_path}: track {tid} has no entries")
@@ -408,9 +323,9 @@ def load_forest(prefix: str, strict: bool = True) -> LineageForest:
                 f"track {tid}: declared span [{start}, {end}] does not match "
                 f"entries [{track.start_frame}, {track.last_frame}]"
             )
-        if parent is not None and parent not in tracks:
+        if track.parent is not None and track.parent not in tracks:
             raise ValidationError(
-                f"track {tid} references missing parent {parent}"
+                f"track {tid} references missing parent {track.parent}"
             )
 
     for tid, track in tracks.items():

@@ -33,6 +33,7 @@ from .core import (
     EndReason,
     ValidationError,
     VideoMeta,
+    check_field_types,
 )
 
 __all__ = [
@@ -97,6 +98,7 @@ class SimulationConfig:
     tau_low: float = 0.25
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.frames <= 0:
             raise ValidationError("frames must be positive")
         if not (0 <= self.treatment_frame < self.frames):

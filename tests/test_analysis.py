@@ -56,6 +56,15 @@ class TestAnalysisFilter:
         with pytest.raises(ValidationError):
             AnalysisFilter(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["min_track_frames", "max_generation", "max_interdivision_frames"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, 3.0, True])
+    def test_rejects_non_integers(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            AnalysisFilter(**{field: value})
+
 
 class TestGenerationIndex:
     def test_three_generations(self):

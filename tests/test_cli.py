@@ -145,6 +145,14 @@ class TestConfigLayering:
             "tracker.memory_frames=nan",
             "tracker.process_noise=inf",
             "tracker.memory_frames=2.5",
+            "sim.frames=20.5",
+            "sim.seed=1.5",
+            "sim.embedding_dim=2.5",
+            "sim.fade_frames=nan",
+            "sim.box_jitter_sigma=nan",
+            "analysis.max_generation=nan",
+            "tracker.use_kalman=2",
+            "tracker.tau_dist=" + "9" * 400,
         ):
             with pytest.raises(UsageError):
                 build_configs(None, [item])
@@ -321,6 +329,14 @@ class TestExitCodes:
         assert main(
             ["track", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")]
         ) == 2
+
+    def test_non_utf8_detections(self, sim_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes((sim_dir / "detections.txt").read_bytes() + b"0,\xff\n")
+        assert main(["track", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "bad.txt: not UTF-8" in err
+        assert "internal error" not in err
 
     def test_unknown_config_key(self, tmp_path):
         args = ["simulate", "--out", str(tmp_path / "o"),

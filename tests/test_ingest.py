@@ -1,14 +1,22 @@
 """File formats: detection tables, forest serialization, error reporting."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from celltrack import (
     CellClass,
     Detection,
     DetectionFile,
     EndReason,
+    LineageForest,
     Provenance,
+    Track,
+    TrackEntry,
     TrackerConfig,
     TrackStatus,
     ValidationError,
@@ -291,3 +299,245 @@ class TestForestIO:
             load_forest(prefix)
         back = load_forest(prefix, strict=False)
         assert back.tracks[2].parent == 1
+
+
+# ---------------------------------------------------------------------------
+# One malformed line per field: every rejection names <file>:<line>
+
+DET_LINES = [
+    "#frames=4",
+    "#width=64.0",
+    "#height=64.0",
+    "#embedding_dim=2",
+    "0,1.0,1.0,5.0,5.0,0.9,alive,0.5,0.25",
+]
+TRACK_LINES = ["#frames=3", "#width=64.0", "#height=64.0", "1,0,1,,end_of_video"]
+ENTRY_LINES = [
+    "1,0,1.0,1.0,5.0,5.0,high,alive",
+    "1,1,1.0,1.0,5.0,5.0,low,alive",
+]
+_FILES = {"d.txt": DET_LINES, "f_tracks.txt": TRACK_LINES, "f_entries.txt": ENTRY_LINES}
+
+
+@pytest.mark.parametrize(
+    "name, lineno, line, reason",
+    [
+        ("d.txt", 5, "x0,1.0,1.0,5.0,5.0,0.9,alive,0.5,0.25", "'x0'"),
+        ("d.txt", 5, "0,1.0,1.0,wide,5.0,0.9,alive,0.5,0.25", "'wide'"),
+        ("d.txt", 5, "0,1.0,1.0,5.0,5.0,sure,alive,0.5,0.25", "'sure'"),
+        ("d.txt", 5, "0,1.0,1.0,5.0,5.0,0.9,alive,0.5,zero", "'zero'"),
+        ("d.txt", 5, "0,1.0,1.0,5.0,-5.0,0.9,alive,0.5,0.25", "positive extent"),
+        ("d.txt", 5, "0,1.0,1.0,5.0,5.0,0.9,alive,0.5,nan", "non-finite"),
+        ("d.txt", 5, "0,1.0,1.0,5.0,5.0,0.9,alive,0.5", "expected 9 fields"),
+        ("d.txt", 2, "#width", "malformed header"),
+        ("d.txt", 4, "#embedding_dim=two", "'two'"),
+        ("f_tracks.txt", 4, "x1,0,1,,end_of_video", "'x1'"),
+        ("f_tracks.txt", 4, "1,s,1,,end_of_video", "'s'"),
+        ("f_tracks.txt", 4, "1,0,1,p,end_of_video", "'p'"),
+        ("f_tracks.txt", 4, "1,0,1,,vanished", "'vanished'"),
+        ("f_tracks.txt", 4, "1,1,0,,end_of_video", "end 0 before start 1"),
+        ("f_tracks.txt", 4, "1,0,1,end_of_video", "expected 5 fields"),
+        ("f_tracks.txt", 1, "#frames", "malformed header"),
+        ("f_tracks.txt", 1, "#frames=three", "'three'"),
+        ("f_entries.txt", 1, "e,0,1.0,1.0,5.0,5.0,high,alive", "'e'"),
+        ("f_entries.txt", 1, "1,f,1.0,1.0,5.0,5.0,high,alive", "'f'"),
+        ("f_entries.txt", 1, "1,0,1.0,tall,5.0,5.0,high,alive", "'tall'"),
+        ("f_entries.txt", 1, "1,0,1.0,1.0,5.0,5.0,guess,alive", "'guess'"),
+        ("f_entries.txt", 1, "1,0,1.0,1.0,5.0,5.0,high,zombie", "'zombie'"),
+        ("f_entries.txt", 1, "1,0,1.0,1.0,5.0,5.0,high", "expected 8 fields"),
+        ("f_entries.txt", 2, "1,0,1.0,1.0,5.0,5.0,low,alive", "duplicate entry"),
+    ],
+)
+def test_record_rejection_names_file_and_line(tmp_path, name, lineno, line, reason):
+    for fname, lines in _FILES.items():
+        lines = list(lines)
+        if fname == name:
+            lines[lineno - 1] = line
+        (tmp_path / fname).write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError) as err:
+        if name == "d.txt":
+            load_detections(str(tmp_path / name))
+        else:
+            load_forest(str(tmp_path / "f"))
+    assert f"{name}:{lineno}:" in str(err.value)
+    assert reason in str(err.value)
+
+
+def test_rejection_cases_start_from_valid_files(tmp_path):
+    for fname, lines in _FILES.items():
+        (tmp_path / fname).write_text("\n".join(lines) + "\n")
+    assert len(load_detections(str(tmp_path / "d.txt")).all_detections()) == 1
+    assert load_forest(str(tmp_path / "f")).tracks[1].span() == 2
+
+
+@pytest.mark.parametrize("name", ["d.txt", "f_tracks.txt", "f_entries.txt"])
+def test_non_utf8_is_validation_error(tmp_path, name):
+    for fname, lines in _FILES.items():
+        data = ("\n".join(lines) + "\n").encode()
+        if fname == name:
+            data = data[:-2] + b"\xff\n"  # inside the last record
+        (tmp_path / fname).write_bytes(data)
+    with pytest.raises(ValidationError, match=f"{name}: not UTF-8"):
+        if name == "d.txt":
+            load_detections(str(tmp_path / name))
+        else:
+            load_forest(str(tmp_path / "f"))
+
+
+# ---------------------------------------------------------------------------
+# Codec properties: save -> load -> save is byte-stable, and any one-line
+# mutation of a valid file is rejected.
+
+CODEC_SETTINGS = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+boxes = st.tuples(finite, finite, positive, positive)
+names = st.text(alphabet="abcXYZ019_-.", max_size=6)
+
+
+@st.composite
+def detection_files(draw):
+    dim = draw(st.integers(1, 8))
+    n_frames = draw(st.integers(1, 4))
+    frames = [
+        draw(st.lists(st.builds(
+            Detection,
+            frame_index=st.just(f),
+            box=boxes,
+            confidence=st.floats(-0.0, 1.0),
+            cell_class=st.sampled_from(CellClass),
+            embedding=st.lists(finite, min_size=dim, max_size=dim).map(np.array),
+        ), max_size=3))
+        for f in range(n_frames)
+    ]
+    meta = VideoMeta(
+        video_id=draw(names),
+        frames=n_frames,
+        width=draw(positive),
+        height=draw(positive),
+        dosage=draw(names),
+    )
+    return DetectionFile(meta=meta, embedding_dim=dim, frames=frames)
+
+
+@st.composite
+def forests(draw):
+    tracks: dict[int, Track] = {}
+    for tid in range(1, draw(st.integers(1, 4)) + 1):
+        rows = draw(st.lists(
+            st.tuples(boxes, st.sampled_from(CellClass), st.sampled_from(Provenance)),
+            min_size=1,
+            max_size=4,
+        ))
+        rows.sort(key=lambda r: r[1] is CellClass.DEAD)  # dead is absorbing
+        # Only an all-alive track may divide; a daughter starts right after.
+        parents = [
+            t for t in tracks.values()
+            if all(e.cell_class is CellClass.ALIVE for e in t.entries.values())
+        ]
+        parent = draw(st.sampled_from([None, *parents]))
+        start = draw(st.integers(0, 3)) if parent is None else parent.last_frame + 1
+        if parent is not None:
+            parent.children.append(tid)
+        tracks[tid] = Track(
+            track_id=tid,
+            entries={
+                start + i: TrackEntry(box=b, cell_class=c, provenance=p)
+                for i, (b, c, p) in enumerate(rows)
+            },
+            parent=None if parent is None else parent.track_id,
+            end_reason=draw(st.none() | st.sampled_from(EndReason)),
+        )
+    meta = VideoMeta(
+        video_id=draw(names),
+        frames=1 + max(t.last_frame for t in tracks.values()) + draw(st.integers(0, 2)),
+        width=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        height=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        dosage=draw(names),
+    )
+    return LineageForest(tracks=tracks, meta=meta)
+
+
+def _forest_bytes(prefix):
+    return tuple(Path(p).read_bytes() for p in (f"{prefix}_tracks.txt", f"{prefix}_entries.txt"))
+
+
+@CODEC_SETTINGS
+@given(detection_files())
+def test_detection_save_load_save_is_byte_stable(det_file):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = f"{tmp}/a.txt", f"{tmp}/b.txt"
+        save_detections(det_file, first)
+        save_detections(load_detections(first), second)
+        assert Path(first).read_bytes() == Path(second).read_bytes()
+
+
+@CODEC_SETTINGS
+@given(forests())
+def test_forest_save_load_save_is_byte_stable(forest):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_forest(forest, f"{tmp}/a")
+        save_forest(load_forest(f"{tmp}/a"), f"{tmp}/b")
+        assert _forest_bytes(f"{tmp}/a") == _forest_bytes(f"{tmp}/b")
+
+
+@st.composite
+def mutations(draw):
+    """A function that breaks one record line: drop or repeat a field, or
+    swap in a token no field accepts, or a byte that is not UTF-8."""
+    kind = draw(st.sampled_from(["drop", "repeat", "token", "byte"]))
+    pick = draw(st.integers(0, 10**6))
+    token = draw(names) + "@" + draw(names)
+    byte = draw(st.integers(0x80, 0xFF)).to_bytes(1, "big")
+
+    def mutate(line: bytes) -> bytes:
+        fields = line.split(b",")
+        i = pick % len(fields)
+        if kind == "drop":
+            del fields[i]
+        elif kind == "repeat":
+            fields.insert(i, fields[i])
+        elif kind == "token":
+            fields[i] = token.encode()
+        else:
+            j = pick % len(line)
+            return line[:j] + byte + line[j + 1:]
+        return b",".join(fields)
+
+    return mutate
+
+
+def _mutate_record(path, mutate, pick):
+    lines = Path(path).read_bytes().split(b"\n")
+    records = [i for i, ln in enumerate(lines) if ln and not ln.startswith(b"#")]
+    i = records[pick % len(records)]
+    lines[i] = mutate(lines[i])
+    Path(path).write_bytes(b"\n".join(lines))
+
+
+@CODEC_SETTINGS
+@given(detection_files(), mutations(), st.integers(0, 10**6))
+def test_mutated_detection_file_is_rejected(det_file, mutate, pick):
+    assume(det_file.all_detections())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/d.txt"
+        save_detections(det_file, path)
+        _mutate_record(path, mutate, pick)
+        with pytest.raises(ValidationError):
+            load_detections(path)
+
+
+@CODEC_SETTINGS
+@given(forests(), mutations(), st.integers(0, 10**6), st.booleans())
+def test_mutated_forest_is_rejected(forest, mutate, pick, in_tracks):
+    with tempfile.TemporaryDirectory() as tmp:
+        tracks_path, entries_path = save_forest(forest, f"{tmp}/f")
+        _mutate_record(tracks_path if in_tracks else entries_path, mutate, pick)
+        with pytest.raises(ValidationError):
+            load_forest(f"{tmp}/f")

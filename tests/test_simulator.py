@@ -61,6 +61,17 @@ class TestConfigValidation:
             {"post_treatment_division_factor": -1.0},
             {"division_prob": 1.5},
             {"death_prob": -0.2},
+            {"frames": 20.5},
+            {"seed": 1.5},
+            {"embedding_dim": 2.5},
+            {"initial_cells": True},
+            {"division_period": 2.5},
+            {"fade_frames": float("nan")},
+            {"box_jitter_sigma": float("nan")},
+            {"width": float("inf")},
+            {"height": 10**400},
+            {"drop_prob": "0.1"},
+            {"video_id": 7},
         ],
     )
     def test_rejects(self, kwargs):
