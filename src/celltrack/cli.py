@@ -26,9 +26,10 @@ import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import chain, groupby, repeat
 from pathlib import Path
 
-from . import __version__
+from . import __version__, metrics
 from .analysis import (
     AnalysisFilter,
     ancestor_descendant_correlation,
@@ -53,7 +54,7 @@ from .ingest import (
     save_detections,
     save_forest,
 )
-from .metrics import UndefinedMetricError, evaluate
+from .metrics import UndefinedMetricError, check_frame_range, evaluate
 from .simulator import SimulationConfig, corrupt, simulate
 from .tracker import track_video
 
@@ -62,8 +63,6 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
 _SWEEP_MEMORY = tuple(range(0, 16))
-
-_ABLATION_VARIANTS = ("full", "no_low_conf", "no_kalman", "neither")
 
 
 class UsageError(Exception):
@@ -101,7 +100,7 @@ def parse_scalar(text: str):
     return t
 
 
-def read_config_file(path: str) -> dict[str, object]:
+def read_config_file(path: str, parse=parse_scalar) -> dict[str, object]:
     values: dict[str, object] = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -114,7 +113,7 @@ def read_config_file(path: str) -> dict[str, object]:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
-        values[key.strip()] = parse_scalar(value)
+        values[key.strip()] = parse(value)
     return values
 
 
@@ -122,14 +121,14 @@ def _merge_settings(
     config_path: str | None, sets: list[str] | None
 ) -> dict[str, dict[str, object]]:
     """Split prefixed keys into per-section kwargs, validating names."""
-    flat: dict[str, object] = {}
+    flat: dict[str, str] = {}
     if config_path:
-        flat.update(read_config_file(config_path))
+        flat.update(read_config_file(config_path, parse=str.strip))
     for item in sets or []:
         if "=" not in item:
             raise UsageError(f"--set needs key=value, got {item!r}")
         key, _, value = item.partition("=")
-        flat[key.strip()] = parse_scalar(value)
+        flat[key.strip()] = value.strip()
 
     sections: dict[str, dict[str, object]] = {
         name: {} for name in _SECTIONS
@@ -144,10 +143,12 @@ def _merge_settings(
         cls = _SECTIONS.get(section)
         if cls is None:
             raise UsageError(f"unknown config section {section!r} in {key!r}")
-        names = {f.name for f in dataclasses.fields(cls)}
-        if field not in names:
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        if field not in types:
             raise UsageError(f"unknown config key {key!r}")
-        sections[section][field] = value
+        sections[section][field] = (
+            value if types[field] == "str" else parse_scalar(value)
+        )
     return sections
 
 
@@ -268,15 +269,6 @@ def cmd_simulate(args) -> int:
 # track
 
 
-def _track_file(
-    detections_path: str, tracker_cfg: TrackerConfig, out_prefix: str
-) -> LineageForest:
-    det_file = load_detections(detections_path)
-    forest = track_video(det_file.frames, config=tracker_cfg, meta=det_file.meta)
-    save_forest(forest, out_prefix)
-    return forest
-
-
 def cmd_track(args) -> int:
     tracker_cfg, sim_cfg, analysis_cfg = build_configs(args.config, args.set)
     out = _out_dir(args)
@@ -289,7 +281,9 @@ def cmd_track(args) -> int:
         sim_cfg,
         analysis_cfg,
     )
-    forest = _track_file(args.detections, tracker_cfg, str(out / "pred"))
+    det_file = load_detections(args.detections)
+    forest = track_video(det_file.frames, config=tracker_cfg, meta=det_file.meta)
+    save_forest(forest, str(out / "pred"))
     print(
         f"tracked {args.detections}: {len(forest.tracks)} tracks -> "
         f"{out / 'pred_tracks.txt'}"
@@ -336,18 +330,23 @@ def cmd_evaluate(args) -> int:
 # ablate
 
 
-def _variant_config(base: TrackerConfig, name: str) -> TrackerConfig:
-    if name == "full":
-        return base
-    if name == "no_low_conf":
-        # Raising the low threshold to the high one leaves stage two
-        # with nothing to work on.
-        return replace(base, tau_low=base.tau_high)
-    if name == "no_kalman":
-        return replace(base, use_kalman=False)
-    if name == "neither":
-        return replace(base, tau_low=base.tau_high, use_kalman=False)
-    raise ValueError(f"unknown variant {name!r}")
+def _ablation_configs(base: TrackerConfig, sweep: bool) -> list:
+    """``(kind, label, config)`` of each variant, then of each swept memory."""
+    # Raising the low threshold to the high one leaves stage two with
+    # nothing to work on.
+    no_low = replace(base, tau_low=base.tau_high)
+    variants = {
+        "full": base,
+        "no_low_conf": no_low,
+        "no_kalman": replace(base, use_kalman=False),
+        "neither": replace(no_low, use_kalman=False),
+    }
+    configs = [("variant", name, cfg) for name, cfg in variants.items()]
+    if sweep:
+        configs += [
+            ("memory", str(n), replace(base, memory_frames=n)) for n in _SWEEP_MEMORY
+        ]
+    return configs
 
 
 def _find_corpus(corpus_dir: str) -> list[Path]:
@@ -367,23 +366,24 @@ def _find_corpus(corpus_dir: str) -> list[Path]:
     return videos
 
 
-def _score_video(
-    video_dir: str, cfg: TrackerConfig
-) -> tuple[float, float, float]:
-    det_file = load_detections(str(Path(video_dir) / "detections.txt"))
-    forest = track_video(det_file.frames, config=cfg, meta=det_file.meta)
-    gt = load_ground_truth(str(Path(video_dir) / "gt"))
-    report = evaluate(forest, gt)
-    return report.det, report.lnk, report.tra
+def _ablate_job(video: Path, configs: list) -> list[tuple]:
+    """DET/LNK/TRA rows of each ``(kind, label, config)`` on one video.  The
+    configs share one parse: ``Detection`` is immutable and the tracker
+    copies each frame's list.  Scores go through ``metrics.`` so that
+    wrappers of that module's globals (the benchmark tracer) see them."""
+    det_file = load_detections(str(video / "detections.txt"))
+    gt = load_ground_truth(str(video / "gt"))
+    check_frame_range(det_file.meta, gt.meta)
+    gt_graph = metrics.build_graph(gt)
+    rows = []
+    for kind, label, cfg in configs:
+        forest = track_video(det_file.frames, config=cfg, meta=det_file.meta)
+        scores = metrics.det_lnk_tra(forest, gt_graph)
+        rows.append((kind, label, video.name, scores.det, scores.lnk, scores.tra))
+    return rows
 
 
-def _ablate_job(job: tuple[str, str, str, TrackerConfig]):
-    kind, label, video_dir, cfg = job
-    det, lnk, tra = _score_video(video_dir, cfg)
-    return kind, label, Path(video_dir).name, det, lnk, tra
-
-
-def _mean_std(values: list[float]) -> tuple[float, float]:
+def _mean_std(values: tuple[float, ...]) -> tuple[float, float]:
     if len(values) == 1:
         return values[0], 0.0
     return statistics.mean(values), statistics.stdev(values)
@@ -404,24 +404,14 @@ def cmd_ablate(args) -> int:
         extra={"sweep_memory": list(_SWEEP_MEMORY) if args.sweep else []},
     )
 
-    jobs: list[tuple[str, str, str, TrackerConfig]] = []
-    for name in _ABLATION_VARIANTS:
-        cfg = _variant_config(tracker_cfg, name)
-        for v in videos:
-            jobs.append(("variant", name, str(v), cfg))
-    if args.sweep:
-        for n in _SWEEP_MEMORY:
-            cfg = replace(tracker_cfg, memory_frames=n)
-            for v in videos:
-                jobs.append(("memory", str(n), str(v), cfg))
-
-    if args.workers > 1:
+    configs = _ablation_configs(tracker_cfg, args.sweep)
+    if args.workers > 1 and len(videos) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_ablate_job, jobs))
+            results = list(pool.map(_ablate_job, videos, repeat(configs)))
     else:
-        results = [_ablate_job(j) for j in jobs]
-
-    rows = sorted(results, key=lambda r: (r[0], r[1], r[2]))
+        results = [_ablate_job(v, configs) for v in videos]
+    # (kind, label, video) is unique, so the scores never decide the order.
+    rows = sorted(chain.from_iterable(results))
     with open(out / "ablation.csv", "w", encoding="utf-8") as fh:
         fh.write("kind,configuration,video,det,lnk,tra\n")
         for kind, label, video, det, lnk, tra in rows:
@@ -429,18 +419,16 @@ def cmd_ablate(args) -> int:
                 f"{kind},{label},{video},{det:.6f},{lnk:.6f},{tra:.6f}\n"
             )
 
-    summary: dict[tuple[str, str], list[tuple[float, float, float]]] = {}
-    for kind, label, _video, det, lnk, tra in rows:
-        summary.setdefault((kind, label), []).append((det, lnk, tra))
     with open(out / "ablation_summary.csv", "w", encoding="utf-8") as fh:
         fh.write(
             "kind,configuration,videos,det_mean,det_std,"
             "lnk_mean,lnk_std,tra_mean,tra_std\n"
         )
-        for (kind, label), triples in sorted(summary.items()):
-            det_m, det_s = _mean_std([t[0] for t in triples])
-            lnk_m, lnk_s = _mean_std([t[1] for t in triples])
-            tra_m, tra_s = _mean_std([t[2] for t in triples])
+        for (kind, label), group in groupby(rows, key=lambda r: r[:2]):
+            triples = [r[3:] for r in group]
+            (det_m, det_s), (lnk_m, lnk_s), (tra_m, tra_s) = map(
+                _mean_std, zip(*triples)
+            )
             fh.write(
                 f"{kind},{label},{len(triples)},{det_m:.6f},{det_s:.6f},"
                 f"{lnk_m:.6f},{lnk_s:.6f},{tra_m:.6f},{tra_s:.6f}\n"

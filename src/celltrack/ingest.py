@@ -124,6 +124,9 @@ def _meta(headers: dict[str, Any], path: str, required: tuple[str, ...]) -> Vide
     for key in required:
         if key not in headers:
             raise ValidationError(f"{path}: missing required header #{key}=")
+    for key in ("width", "height"):
+        if not np.isfinite(headers[key]):
+            raise ValidationError(f"{path}: #{key} must be finite, got {headers[key]}")
     return VideoMeta(
         video_id=headers.get("video_id", ""),
         frames=headers["frames"],

@@ -34,6 +34,7 @@ from .core import (
     Box,
     LineageForest,
     ValidationError,
+    VideoMeta,
 )
 
 __all__ = [
@@ -55,6 +56,7 @@ __all__ = [
     "motp",
     "idf1",
     "MetricReport",
+    "check_frame_range",
     "evaluate",
     "DEFAULT_ALPHAS",
 ]
@@ -763,6 +765,15 @@ class MetricReport:
         return out
 
 
+def check_frame_range(pred: VideoMeta, gt: VideoMeta) -> None:
+    """Raise ``ValidationError`` if both declare a frame count and they differ."""
+    if pred.frames and gt.frames and pred.frames != gt.frames:
+        raise ValidationError(
+            f"frame-range mismatch: prediction covers {pred.frames} "
+            f"frames, ground truth {gt.frames}"
+        )
+
+
 def evaluate(
     pred: LineageForest,
     gt: LineageForest,
@@ -774,15 +785,7 @@ def evaluate(
     MOTP is reported as 0.0 when no pair matches at the 0.5 threshold
     (the mean overlap is undefined there).
     """
-    if (
-        pred.meta.frames
-        and gt.meta.frames
-        and pred.meta.frames != gt.meta.frames
-    ):
-        raise ValidationError(
-            f"frame-range mismatch: prediction covers {pred.meta.frames} "
-            f"frames, ground truth {gt.meta.frames}"
-        )
+    check_frame_range(pred.meta, gt.meta)
     gt_graph = build_graph(gt)
     pred_graph = build_graph(pred, gt_graph.frames)
     scores = det_lnk_tra(pred_graph, gt_graph, weights)

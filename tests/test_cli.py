@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import celltrack.cli
 from celltrack import evaluate, load_forest, load_ground_truth, save_forest
 from celltrack.cli import (
     UsageError,
@@ -135,6 +136,17 @@ class TestConfigLayering:
         with pytest.raises(UsageError):
             build_configs(None, [item])
 
+    @pytest.mark.parametrize("value", ["10", "0", "1e3", "none", "true"])
+    def test_string_fields_keep_their_text(self, value, tmp_path):
+        _, sim, _ = build_configs(
+            None, [f"sim.dosage={value}", f"sim.video_id= {value} "]
+        )
+        assert sim.dosage == sim.video_id == value
+        path = tmp_path / "run.cfg"
+        path.write_text(f"sim.dosage = {value}  # comment\n")
+        _, sim, _ = build_configs(str(path), None)
+        assert sim.dosage == value
+
     def test_invalid_value_is_usage_error(self):
         with pytest.raises(UsageError):
             build_configs(None, ["sim.frames=0"])
@@ -194,6 +206,16 @@ class TestSimulateCommand:
         a = (corpus_dir / "video_000" / "gt_entries.txt").read_text()
         b = (corpus_dir / "video_001" / "gt_entries.txt").read_text()
         assert a != b
+
+    @pytest.mark.parametrize("dosage", ["10", "0"])
+    def test_numeric_looking_dosage_is_written(self, tmp_path, dosage):
+        out = tmp_path / "o"
+        args = ["simulate", "--out", str(out), *SMALL_SIM,
+                "--set", f"sim.dosage={dosage}"]
+        assert main(args) == 0
+        for name in ("gt_tracks.txt", "detections.txt"):
+            assert f"#dosage={dosage}\n" in (out / name).read_text()
+        assert load_ground_truth(str(out / "gt")).meta.dosage == dosage
 
     def test_rerun_is_byte_identical(self, sim_dir, tmp_path):
         again = tmp_path / "again"
@@ -281,6 +303,55 @@ class TestAblateCommand:
         assert len(rows) == 4
         # Zero-noise input: every variant tracks it perfectly.
         assert all(float(r["tra"]) == 1.0 for r in rows)
+
+    def test_workers_do_not_change_tables(self, corpus_dir, tmp_path):
+        tables = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            args = ["ablate", str(corpus_dir), "--out", str(out),
+                    "--workers", workers]
+            assert main(args) == 0
+            tables.append([
+                (out / name).read_bytes()
+                for name in ("ablation.csv", "ablation_summary.csv")
+            ])
+        assert tables[0] == tables[1]
+        rows = list(csv.DictReader(open(tmp_path / "workers1" / "ablation.csv")))
+        assert len(rows) == (4 + 16) * 2  # (variants + memory lengths) x videos
+
+    def test_full_rows_match_track_and_evaluate(self, corpus_dir, tmp_path):
+        out = tmp_path / "ablation"
+        assert main(["ablate", str(corpus_dir), "--out", str(out), "--no-sweep"]) == 0
+        full = {
+            r["video"]: r for r in csv.DictReader(open(out / "ablation.csv"))
+            if r["configuration"] == "full"
+        }
+        assert sorted(full) == ["video_000", "video_001"]
+        for name, row in full.items():
+            video = corpus_dir / name
+            tracked, scored = tmp_path / f"track_{name}", tmp_path / f"eval_{name}"
+            track = ["track", str(video / "detections.txt"), "--out", str(tracked)]
+            assert main(track) == 0
+            assert main(["evaluate", str(tracked / "pred"), str(video / "gt"),
+                         "--out", str(scored)]) == 0
+            flat = json.loads((scored / "metrics.json").read_text())
+            for key in ("det", "lnk", "tra"):
+                assert row[key] == f"{flat[key]:.6f}"
+
+    def test_each_video_parsed_once(self, corpus_dir, tmp_path, monkeypatch):
+        parsed = []
+        load = celltrack.cli.load_detections
+
+        def counting_load(path):
+            parsed.append(path)
+            return load(path)
+
+        monkeypatch.setattr(celltrack.cli, "load_detections", counting_load)
+        assert main(["ablate", str(corpus_dir), "--out", str(tmp_path / "o")]) == 0
+        assert sorted(parsed) == [
+            str(corpus_dir / name / "detections.txt")
+            for name in ("video_000", "video_001")
+        ]
 
     def test_sweep_flag_recorded(self, sim_dir, tmp_path):
         out = tmp_path / "swept"
@@ -382,6 +453,45 @@ class TestExitCodes:
                 "--no-sweep"]
         assert main(args) == 2
         assert "ground truth has no objects" in capsys.readouterr().err
+
+    def test_frame_range_mismatch(self, sim_dir, tmp_path, capsys):
+        video = tmp_path / "video"
+        video.mkdir()
+        text = (sim_dir / "detections.txt").read_text()
+        assert "#frames=20\n" in text
+        (video / "detections.txt").write_text(text.replace("#frames=20", "#frames=21"))
+        for name in ("gt_tracks.txt", "gt_entries.txt"):
+            (video / name).write_bytes((sim_dir / name).read_bytes())
+        message = "frame-range mismatch: prediction covers 21 frames, ground truth 20"
+        ablate = ["ablate", str(video), "--out", str(tmp_path / "a"), "--no-sweep"]
+        assert main(ablate) == 2
+        assert message in capsys.readouterr().err
+        track = ["track", str(video / "detections.txt"), "--out", str(tmp_path / "t")]
+        assert main(track) == 0
+        evaluate = ["evaluate", str(tmp_path / "t" / "pred"), str(video / "gt"),
+                    "--out", str(tmp_path / "e")]
+        assert main(evaluate) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, header", [("detections.txt", "#width"), ("gt_tracks.txt", "#height")]
+    )
+    def test_non_finite_size_header(self, sim_dir, tmp_path, capsys, name, header):
+        video = tmp_path / "video"
+        video.mkdir()
+        for fname in ("detections.txt", "gt_tracks.txt", "gt_entries.txt"):
+            text = (sim_dir / fname).read_text()
+            if fname == name:
+                assert f"{header}=256.0\n" in text
+                text = text.replace(f"{header}=256.0", f"{header}=nan")
+            (video / fname).write_text(text)
+        if name == "detections.txt":
+            args = ["track", str(video / name), "--out", str(tmp_path / "o")]
+        else:
+            gt = str(video / "gt")
+            args = ["evaluate", gt, gt, "--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        assert f"{video / name}: {header} must be finite" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -370,6 +370,25 @@ def test_rejection_cases_start_from_valid_files(tmp_path):
     assert load_forest(str(tmp_path / "f")).tracks[1].span() == 2
 
 
+@pytest.mark.parametrize("name", ["d.txt", "f_tracks.txt"])
+@pytest.mark.parametrize(
+    "header", ["#width=nan", "#width=inf", "#height=-inf", "#height=1e999"]
+)
+def test_non_finite_size_header_is_rejected(tmp_path, name, header):
+    for fname, lines in _FILES.items():
+        lines = list(lines)
+        if fname == name:
+            key = header.partition("=")[0]
+            lines = [header if ln.startswith(key + "=") else ln for ln in lines]
+        (tmp_path / fname).write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError) as err:
+        if name == "d.txt":
+            load_detections(str(tmp_path / name))
+        else:
+            load_forest(str(tmp_path / "f"))
+    assert f"{name}: {header.partition('=')[0]} must be finite" in str(err.value)
+
+
 @pytest.mark.parametrize("name", ["d.txt", "f_tracks.txt", "f_entries.txt"])
 def test_non_utf8_is_validation_error(tmp_path, name):
     for fname, lines in _FILES.items():
