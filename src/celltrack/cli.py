@@ -168,7 +168,7 @@ def build_configs(
 
 def write_manifest(
     out_dir: Path,
-    command: str,
+    args: argparse.Namespace,
     inputs: list[str],
     seed: int | None,
     tracker_cfg: TrackerConfig,
@@ -176,10 +176,14 @@ def write_manifest(
     analysis_cfg: AnalysisFilter,
     extra: dict | None = None,
 ) -> None:
+    """Record ``args.command``, its inputs (the ``--config`` file among
+    them), seed and effective configuration in ``manifest.json``."""
+    if args.config:
+        inputs = [*inputs, args.config]
     manifest = {
         "tool": "celltrack",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "seed": seed,
         "inputs": sorted(inputs),
         "output_dir": str(out_dir),
@@ -234,8 +238,8 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     write_manifest(
         out,
-        "simulate",
-        [args.config] if args.config else [],
+        args,
+        [],
         sim_cfg.seed,
         tracker_cfg,
         sim_cfg,
@@ -274,8 +278,8 @@ def cmd_track(args) -> int:
     out = _out_dir(args)
     write_manifest(
         out,
-        "track",
-        [args.detections] + ([args.config] if args.config else []),
+        args,
+        [args.detections],
         None,
         tracker_cfg,
         sim_cfg,
@@ -309,7 +313,7 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     write_manifest(
         out,
-        "evaluate",
+        args,
         [args.pred, args.gt],
         None,
         tracker_cfg,
@@ -395,8 +399,8 @@ def cmd_ablate(args) -> int:
     out = _out_dir(args)
     write_manifest(
         out,
-        "ablate",
-        [str(v) for v in videos] + ([args.config] if args.config else []),
+        args,
+        [str(v) for v in videos],
         None,
         tracker_cfg,
         sim_cfg,
@@ -450,7 +454,7 @@ def cmd_analyze(args) -> int:
     out = _out_dir(args)
     write_manifest(
         out,
-        "analyze",
+        args,
         list(args.forests),
         args.seed,
         tracker_cfg,

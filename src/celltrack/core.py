@@ -105,6 +105,8 @@ def iou(a: Box, b: Box) -> float:
         return 0.0
     inter = (ix2 - ix) * (iy2 - iy)
     union = aw * ah + bw * bh - inter
+    if union <= 0:
+        return 0.0
     # Rounding in x+w can push the ratio a hair past 1 for equal boxes.
     return min(inter / union, 1.0)
 
@@ -229,34 +231,19 @@ class TrackerConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrackEntry:
-    """State of one track on one frame.
+    """State of one track on one frame: exactly one record of an entries
+    file.
 
-    Interpolated entries are synthesized for frames the detector missed;
-    they carry no embedding and no confidence.  The centroid is always
-    derived from the box, never stored separately.
+    Interpolated entries are synthesized for frames the detector missed.
+    The centroid is always derived from the box, never stored separately.
     """
 
     box: Box
     cell_class: CellClass
     provenance: Provenance
-    embedding: np.ndarray | None = None
-    confidence: float | None = None
 
     def __post_init__(self) -> None:
         _validate_box(self.box)
-        if self.provenance is Provenance.INTERPOLATED:
-            if self.embedding is not None or self.confidence is not None:
-                raise ValidationError(
-                    "interpolated entries carry no embedding/confidence"
-                )
-        if self.confidence is not None and not (0.0 <= self.confidence <= 1.0):
-            raise ValidationError(
-                f"confidence {self.confidence!r} outside [0, 1]"
-            )
-        if self.embedding is not None:
-            emb = np.asarray(self.embedding, dtype=float)
-            emb.setflags(write=False)
-            object.__setattr__(self, "embedding", emb)
 
     @property
     def centroid(self) -> Point:

@@ -189,8 +189,16 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     areas_a = boxes_a[:, 2] * boxes_a[:, 3]
     areas_b = boxes_b[:, 2] * boxes_b[:, 3]
     union = areas_a[:, None] + areas_b[None, :] - inter
+    return _ratio(inter, union)
+
+
+def _ratio(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
+    """``inter / union`` capped at 1, and 0 where the union underflows to 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = inter / union
+    ratio[union <= 0] = 0.0
     # Rounding in x+w can push the ratio a hair past 1 for equal boxes.
-    return np.minimum(inter / union, 1.0)
+    return np.minimum(ratio, 1.0, out=ratio)
 
 
 def _center_cover_mapping(
@@ -233,8 +241,7 @@ def _center_cover_mapping(
         + (pred_boxes[:, 2] * pred_boxes[:, 3])[None, :]
         - inter
     )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        iou_tie = np.where(union > 0, inter / union, 0.0)
+    iou_tie = _ratio(inter, union)
     masked_inter = np.where(inside, inter, -1.0)
     top_inter = masked_inter.max(axis=1, keepdims=True)
     tied = inside & (masked_inter == top_inter)

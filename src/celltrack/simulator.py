@@ -139,7 +139,6 @@ class SimulatedCell:
     born_frame: int
     parent: int | None = None
     alive: bool = True
-    died_frame: int | None = None
     pair_id: int | None = None  # shared by sister pairs for growth noise
     entries: dict[int, TrackEntry] = field(default_factory=dict)
     children: list[int] = field(default_factory=list)
@@ -223,11 +222,7 @@ def simulate(config: SimulationConfig) -> SimulationResult:
             box = (x - w / 2.0, y - h / 2.0, w, h)
             cls = CellClass.ALIVE if cell.alive else CellClass.DEAD
             cell.entries[frame] = TrackEntry(
-                box=box,
-                cell_class=cls,
-                provenance=Provenance.OBSERVED_HIGH,
-                embedding=cell.latent.copy(),
-                confidence=1.0,
+                box=box, cell_class=cls, provenance=Provenance.OBSERVED_HIGH
             )
             detections.append(
                 Detection(
@@ -276,7 +271,6 @@ def simulate(config: SimulationConfig) -> SimulationResult:
                 and rng.random() < cfg.death_prob
             ):
                 cell.alive = False
-                cell.died_frame = frame + 1
                 continue
             # Plain motion, size walk, latent drift.
             step = rng.normal(0.0, cfg.motion_sigma, size=2)

@@ -25,13 +25,16 @@ Conflicts over detections are settled globally greedily: candidate pairs
 are consumed in order of ascending cost, ties broken by lower track id
 and then lower detection index.
 
-Each open track is the ``core.Track`` it is building, wrapped with the
+Each open track is the ``core.Track`` it is building, wrapped with its
+last matched ``Detection`` (the embedding the matcher compares) and the
 few values no entry records (frames lost, Kalman state); when the track
-closes, that same ``Track`` goes into the finalized forest.
+closes, that same ``Track`` goes into the finalized forest, holding
+exactly what its entries file will hold.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -88,18 +91,19 @@ def pair_cost(
 class _Runtime:
     """One open track: the ``Track`` being built plus its matcher state.
 
-    Everything a detection told us lives in ``track.entries``; the latest
-    observed one, ``entries[last_obs]``, supplies the position, box size,
-    embedding and class the matcher needs.  The rest is what no entry
-    records: ``lost_count``, the consecutive frames without a match; the
-    Kalman filter ``kf_mean``/``kf_cov``, predicted every frame; and the
-    ``anchor_mean``/``anchor_cov`` filter state at the last observation,
-    from which gaps are interpolated.  Without Kalman all four are None.
+    ``track.entries`` records what the forest keeps.  ``last``, the last
+    matched ``Detection``, supplies the position, box size, embedding and
+    class the matcher needs, and its ``frame_index`` is where a gap
+    starts.  The rest is: ``lost_count``, the consecutive frames without
+    a match; the Kalman filter ``kf_mean``/``kf_cov``, predicted every
+    frame; and the ``anchor_mean``/``anchor_cov`` filter state at the
+    last observation, from which gaps are interpolated.  Without Kalman
+    all four are None.
     """
 
     __slots__ = (
         "track",
-        "last_obs",
+        "last",
         "lost_count",
         "kf_mean",
         "kf_cov",
@@ -120,18 +124,13 @@ class _Runtime:
             entries={frame_index: _entry_from_detection(det)},
             parent=parent,
         )
-        self.last_obs = frame_index
+        self.last = det
         self.lost_count = 0
         self.kf_mean = self.kf_cov = None
         if config.use_kalman:
             state = kf_init(det.centroid, config)
             self.kf_mean, self.kf_cov = state.mean.copy(), state.cov.copy()
         self.anchor_mean, self.anchor_cov = self.kf_mean, self.kf_cov
-
-    @property
-    def last(self) -> TrackEntry:
-        """The latest observed entry."""
-        return self.track.entries[self.last_obs]
 
     @property
     def position(self) -> Point:
@@ -221,11 +220,7 @@ def _entry_from_detection(
     det: Detection, provenance: Provenance = Provenance.OBSERVED_HIGH
 ) -> TrackEntry:
     return TrackEntry(
-        box=det.box,
-        cell_class=det.cell_class,
-        provenance=provenance,
-        embedding=det.embedding,
-        confidence=det.confidence,
+        box=det.box, cell_class=det.cell_class, provenance=provenance
     )
 
 
@@ -422,11 +417,11 @@ class CellTracker:
 
     def _fill_gap(self, rt: _Runtime, fi: int, anchor: Point | None) -> None:
         """Interpolate the frames a lost track skipped before this match."""
-        if not self.config.use_kalman or fi <= rt.last_obs + 1:
-            return
-        gap = range(rt.last_obs + 1, fi)
-        state = KalmanState(mean=rt.anchor_mean, cov=rt.anchor_cov)
         last = rt.last
+        if not self.config.use_kalman or fi <= last.frame_index + 1:
+            return
+        gap = range(last.frame_index + 1, fi)
+        state = KalmanState(mean=rt.anchor_mean, cov=rt.anchor_cov)
         rt.track.entries.update(
             interpolate_gap(
                 state,
@@ -451,7 +446,7 @@ class CellTracker:
             self._fill_gap(rt, fi, det.centroid)
         rt.track.entries[fi] = _entry_from_detection(det, provenance)
         self._log_use(fi, det, f"track:{rt.track.track_id}")
-        rt.last_obs = fi
+        rt.last = det
         rt.lost_count = 0
         if self.config.use_kalman:
             self._pending_updates.append(rt)
@@ -526,5 +521,5 @@ def track_video(
     for fi, dets in enumerate(frames):
         engine.step(fi, dets)
     if meta is not None and meta.frames == 0:
-        meta.frames = len(frames)
+        meta = replace(meta, frames=len(frames))
     return engine.finalize(meta=meta)

@@ -416,7 +416,6 @@ def _entries_identical(a: LineageForest, b: LineageForest) -> bool:
                 ea.box != eb.box
                 or ea.cell_class is not eb.cell_class
                 or ea.provenance is not eb.provenance
-                or ea.confidence != eb.confidence
             ):
                 return False
     return True

@@ -218,8 +218,6 @@ class TestSizeSeries:
             box=t.entries[2].box,
             cell_class=CellClass.ALIVE,
             provenance=Provenance.INTERPOLATED,
-            embedding=None,
-            confidence=None,
         )
         frames, sizes = cell_size_series(t)
         assert frames == (0, 1, 3)
@@ -239,8 +237,6 @@ class TestSizeSeries:
                 box=t.entries[f].box,
                 cell_class=CellClass.ALIVE,
                 provenance=Provenance.INTERPOLATED,
-                embedding=None,
-                confidence=None,
             )
         assert track_mean_size(t) is None
 

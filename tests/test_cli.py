@@ -524,3 +524,25 @@ class TestManifestFirst:
         assert str(tmp_path / "gone.txt") in manifest["inputs"]
         assert manifest["seed"] is None
         assert "embedding_dim" not in manifest["config"]["tracker"]
+
+    @pytest.mark.parametrize(
+        "command", ["simulate", "track", "evaluate", "ablate", "analyze"]
+    )
+    def test_config_file_is_an_input(self, command, sim_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "sim.frames = 5\nsim.initial_cells = 2\nsim.treatment_frame = 2\n"
+        )
+        operands = {
+            "simulate": [],
+            "track": [str(sim_dir / "detections.txt")],
+            "evaluate": [str(sim_dir / "gt"), str(sim_dir / "gt")],
+            "ablate": [str(sim_dir), "--no-sweep"],
+            "analyze": [str(sim_dir / "gt")],
+        }[command]
+        out = tmp_path / "o"
+        argv = [command, *operands, "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert str(cfg) in manifest["inputs"]

@@ -1,6 +1,7 @@
 """Domain primitives: geometry helpers, validation, forest invariants."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -194,28 +195,17 @@ class TestTrackerConfig:
 
 
 class TestTrackEntry:
-    def test_interpolated_carries_nothing(self):
-        with pytest.raises(ValidationError):
+    def test_holds_exactly_the_entries_file_record(self):
+        assert [f.name for f in fields(TrackEntry)] == [
+            "box", "cell_class", "provenance",
+        ]
+        with pytest.raises(TypeError):
             TrackEntry(
                 box=(0, 0, 5, 5),
                 cell_class=CellClass.ALIVE,
-                provenance=Provenance.INTERPOLATED,
-                confidence=0.5,
-            )
-        with pytest.raises(ValidationError):
-            TrackEntry(
-                box=(0, 0, 5, 5),
-                cell_class=CellClass.ALIVE,
-                provenance=Provenance.INTERPOLATED,
+                provenance=Provenance.OBSERVED_HIGH,
                 embedding=np.zeros(3),
             )
-        entry = TrackEntry(
-            box=(0, 0, 5, 5),
-            cell_class=CellClass.ALIVE,
-            provenance=Provenance.INTERPOLATED,
-        )
-        assert entry.confidence is None
-        assert entry.embedding is None
 
 
 class TestTrack:

@@ -1,6 +1,7 @@
 """File formats: detection tables, forest serialization, error reporting."""
 
 import tempfile
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -15,18 +16,22 @@ from celltrack import (
     EndReason,
     LineageForest,
     Provenance,
+    SimulationConfig,
     Track,
     TrackEntry,
     TrackerConfig,
     TrackStatus,
     ValidationError,
     VideoMeta,
+    corrupt,
     load_detections,
     load_forest,
     load_ground_truth,
     partition_by_confidence,
     save_detections,
     save_forest,
+    simulate,
+    track_video,
 )
 from conftest import bx, make_forest, make_track
 
@@ -216,6 +221,37 @@ class TestForestIO:
                 assert got.entries[f].box == entry.box
                 assert got.entries[f].cell_class is entry.cell_class
                 assert got.entries[f].provenance is entry.provenance
+
+    def test_loaded_entries_equal_the_in_memory_ones(self, tmp_path):
+        # An in-memory forest holds exactly what its files hold: a tracked
+        # noisy video and its ground truth load back field for field.
+        cfg = SimulationConfig(
+            frames=40,
+            initial_cells=10,
+            death_prob=0.05,
+            treatment_frame=10,
+            box_jitter_sigma=1.0,
+            drop_prob=0.1,
+            fade_frames=4.0,
+            false_positive_rate=0.3,
+            embedding_noise_sigma=0.5,
+            seed=5,
+        )
+        sim = simulate(cfg)
+        pred = track_video(corrupt(sim.clean_frames, cfg), TrackerConfig())
+        provenances = set()
+        for name, forest in (("pred", pred), ("gt", sim.ground_truth)):
+            prefix = str(tmp_path / name)
+            save_forest(forest, prefix)
+            back = load_forest(prefix)
+            assert back.tracks.keys() == forest.tracks.keys()
+            for tid, track in forest.tracks.items():
+                loaded = back.tracks[tid].entries
+                assert loaded.keys() == track.entries.keys()
+                for f, entry in track.entries.items():
+                    assert astuple(loaded[f]) == astuple(entry)
+                    provenances.add(entry.provenance)
+        assert provenances == set(Provenance)
 
     def test_save_is_deterministic(self, tmp_path):
         forest = self.sample_forest()

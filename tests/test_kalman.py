@@ -147,8 +147,6 @@ class TestGapInterpolation:
             assert cx == pytest.approx(last[0] + 4.0 * i, abs=0.05)
             assert e.box[2:] == (8.0, 6.0)
             assert e.provenance is Provenance.INTERPOLATED
-            assert e.confidence is None
-            assert e.embedding is None
 
     def test_anchor_blending_rejoins_without_jump(self):
         # Re-identified 12 px off the dead-reckoned line: interpolated

@@ -45,7 +45,9 @@ from oracles import (
     brute_idf1,
     brute_mota,
     brute_motp,
+    center_match_frame,
     exhaustive_matching,
+    iou_scalar,
     random_instance,
 )
 
@@ -152,6 +154,14 @@ class TestIouMatrix:
         a = np.array([[0.0, 1.0, 1.0, 15.9]])
         assert iou_matrix(a, a)[0, 0] <= 1.0
 
+    def test_underflowing_union_is_zero(self):
+        # A valid box whose area underflows to 0: the oracle's rule.
+        tiny = (0.0, 0.0, 1e-200, 1e-200)
+        assert iou_scalar(tiny, tiny) == 0.0
+        assert iou(tiny, tiny) == 0.0
+        a = np.array([tiny])
+        assert iou_matrix(a, a).tolist() == [[0.0]]
+
 
 class TestCenterMatching:
     def match(self, gt_boxes, pred_boxes):
@@ -187,6 +197,19 @@ class TestCenterMatching:
     def test_exact_duplicate_goes_to_lowest_index(self):
         target = bx(50, 50)
         assert list(self.match([target], [target, target])) == [0]
+
+    def test_near_duplicate_tie_agrees_with_oracle(self):
+        # Both boxes cover all of the target; rounding puts one IoU a hair
+        # past 1, and capped at 1 the tie goes to the lower index.
+        target = (
+            912.7555772777217, 606.6357757671799,
+            36.745331488215925, 27.63762458180572,
+        )
+        wider = (*target[:2], 36.745331488215946, target[3])
+        preds = [wider, target]
+        assert list(self.match([target], preds)) == center_match_frame(
+            [target], preds
+        ) == [0]
 
     def test_boundary_center_counts_as_covered(self):
         # Target center at x=55 on the predictor's right edge.

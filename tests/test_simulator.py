@@ -134,7 +134,6 @@ class TestGenerativeModel:
                     d.frame_index
                 ]
                 assert entry.box == d.box
-                assert np.array_equal(entry.embedding, d.embedding)
 
     def test_population_accounting(self):
         cfg = SimulationConfig(

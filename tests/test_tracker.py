@@ -12,6 +12,7 @@ from celltrack import (
     TrackerConfig,
     TrackStatus,
     ValidationError,
+    VideoMeta,
     pair_cost,
     save_forest,
     track_video,
@@ -282,12 +283,10 @@ class TestDeathAndCorpses:
         ]
         forest = run(frames).finalize()
         assert len(forest.tracks) == 2
-        for track in forest.tracks.values():
-            e0 = track.entries[0].embedding
-            # Track entries carry the matched detection's embedding.
-            assert np.array_equal(
-                track.entries[1].embedding, e0
-            ) or np.allclose(track.entries[1].embedding, e0)
+        followed = {
+            (t.entries[0].box, t.entries[1].box) for t in forest.tracks.values()
+        }
+        assert followed == {(bx(40, 50), bx(49, 50)), (bx(60, 50), bx(51, 50))}
 
 
 class TestLowConfidence:
@@ -301,7 +300,6 @@ class TestLowConfidence:
         assert set(forest.tracks) == {1}
         entry = forest.tracks[1].entries[1]
         assert entry.provenance is Provenance.OBSERVED_LOW
-        assert entry.confidence == 0.3
 
     def test_low_confidence_never_starts_tracks(self):
         forest = run([[det(0, 50, 50, conf=0.3)], []]).finalize()
@@ -536,3 +534,12 @@ class TestEngineContracts:
         forest = track_video(frames)
         assert set(forest.tracks) == {1}
         assert forest.meta.frames == 2
+
+    def test_track_video_leaves_the_callers_meta_alone(self):
+        # One VideoMeta() reused for a 1-frame and then a 2-frame video:
+        # each forest counts its own frames and the caller's object keeps 0.
+        meta = VideoMeta()
+        one = track_video([[det(0, 50, 50)]], meta=meta)
+        two = track_video([[det(0, 50, 50)], [det(1, 52, 50)]], meta=meta)
+        assert (one.meta.frames, two.meta.frames, meta.frames) == (1, 2, 0)
+        assert two.tracks[1].last_frame == 1
