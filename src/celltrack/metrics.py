@@ -174,6 +174,13 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two (n, 4) box arrays in (x, y, w, h) form."""
     if boxes_a.size == 0 or boxes_b.size == 0:
         return np.zeros((boxes_a.shape[0], boxes_b.shape[0]))
+    return _ratio(*_inter_union(boxes_a, boxes_b))
+
+
+def _inter_union(
+    boxes_a: np.ndarray, boxes_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise intersection and union areas of two (n, 4) box arrays."""
     ax1, ay1 = boxes_a[:, 0], boxes_a[:, 1]
     ax2, ay2 = ax1 + boxes_a[:, 2], ay1 + boxes_a[:, 3]
     bx1, by1 = boxes_b[:, 0], boxes_b[:, 1]
@@ -189,7 +196,7 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     areas_a = boxes_a[:, 2] * boxes_a[:, 3]
     areas_b = boxes_b[:, 2] * boxes_b[:, 3]
     union = areas_a[:, None] + areas_b[None, :] - inter
-    return _ratio(inter, union)
+    return inter, union
 
 
 def _ratio(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
@@ -231,16 +238,7 @@ def _center_cover_mapping(
     )
     if not inside.any():
         return out
-    ix1 = np.maximum(gt_boxes[:, 0][:, None], px1[None, :])
-    iy1 = np.maximum(gt_boxes[:, 1][:, None], py1[None, :])
-    ix2 = np.minimum((gt_boxes[:, 0] + gt_boxes[:, 2])[:, None], px2[None, :])
-    iy2 = np.minimum((gt_boxes[:, 1] + gt_boxes[:, 3])[:, None], py2[None, :])
-    inter = np.clip(ix2 - ix1, 0.0, None) * np.clip(iy2 - iy1, 0.0, None)
-    union = (
-        (gt_boxes[:, 2] * gt_boxes[:, 3])[:, None]
-        + (pred_boxes[:, 2] * pred_boxes[:, 3])[None, :]
-        - inter
-    )
+    inter, union = _inter_union(gt_boxes, pred_boxes)
     iou_tie = _ratio(inter, union)
     masked_inter = np.where(inside, inter, -1.0)
     top_inter = masked_inter.max(axis=1, keepdims=True)

@@ -3,11 +3,11 @@
 Per frame the engine runs:
 
 1. confidence partition of the frame's detections (high / low / dropped);
-2. stage 1 — living tracks against high-confidence alive detections, and
-   dead tracks against high-confidence dead detections, both under the
-   spatial and appearance gates;
+2. stage 1 — every open track against the high-confidence detections of
+   its own class, under the spatial and appearance gates: living tracks
+   continue or divide onto living detections, corpses follow dead ones;
 3. death matching — living tracks left over from stage 1 against the
-   remaining high-confidence dead detections, spatial gate only;
+   high-confidence dead detections no corpse took, spatial gate only;
 4. stage 2 — still-unmatched tracks (including the memory bank) against
    low-confidence detections of their own class, re-identification only;
 5. new tracks from unclaimed high-confidence detections;
@@ -152,10 +152,11 @@ def build_candidates(
 ) -> list[tuple[float, int, int]]:
     """All ``(cost, track_id, det_index)`` pairs that survive the gates.
 
-    The spatial gate ``distance <= tau_dist`` always applies; the
-    appearance gate ``similarity <= tau_sim`` is skipped for death
-    matching, where appearance is unreliable but the cost still ranks
-    candidates.
+    The spatial gate ``distance <= tau_dist`` always applies.  The
+    appearance gate ``similarity <= tau_sim``, and with it the rule that
+    a track pairs only with detections of its own class, is skipped for
+    death matching, where appearance is unreliable but the cost still
+    ranks candidates.
     """
     if not tracks or not detections:
         return []
@@ -176,7 +177,9 @@ def build_candidates(
         )
     sim = np.abs(emb_t[ti] - emb_d[di]).sum(axis=1)
     if gate_similarity:
-        keep = sim <= config.tau_sim
+        dead_t = np.array([t.last.cell_class is CellClass.DEAD for t in tracks])
+        dead_d = np.array([d.cell_class is CellClass.DEAD for d in detections])
+        keep = (sim <= config.tau_sim) & (dead_t[ti] == dead_d[di])
         ti, di, sim = ti[keep], di[keep], sim[keep]
         if ti.size == 0:
             return []
@@ -273,9 +276,6 @@ class CellTracker:
         """Close everything still open and emit the lineage forest."""
         for rt in list(self._open.values()):
             self._close(rt, EndReason.END_OF_VIDEO)
-        for track in self._done:
-            track.entries = dict(sorted(track.entries.items()))
-            track.children.sort()
         if meta is None:
             meta = VideoMeta(frames=self._next_frame)
         forest = LineageForest(
@@ -297,75 +297,55 @@ class CellTracker:
         if cfg.use_kalman and open_rts:
             self._predict_all(open_rts)
 
-        living = [rt for rt in open_rts if rt.last.cell_class is CellClass.ALIVE]
-        dead = [rt for rt in open_rts if rt.last.cell_class is CellClass.DEAD]
-        high_alive = [j for j, d in enumerate(high) if d.cell_class is CellClass.ALIVE]
-        high_dead = [j for j, d in enumerate(high) if d.cell_class is CellClass.DEAD]
-
-        matched: set[int] = set()
-        claimed_high: set[int] = set()
-
-        # Stage 1: living tracks vs high-confidence alive detections.  A
-        # lost track may only divide when interpolation can reconnect the
+        # Stage 1: every open track vs the high-confidence detections of
+        # its own class.  A corpse follows one detection; a lost living
+        # track may only divide when interpolation can reconnect the
         # parent, otherwise it re-identifies a single detection.
         caps = {
             rt.track.track_id: (
                 cfg.max_daughters
-                if rt.lost_count == 0 or cfg.use_kalman
+                if rt.last.cell_class is CellClass.ALIVE
+                and (rt.lost_count == 0 or cfg.use_kalman)
                 else 1
             )
-            for rt in living
+            for rt in open_rts
         }
-        assign_living = self._match(
-            living, high, high_alive, caps, gate_similarity=True
-        )
-        # Corpse continuation: dead tracks follow dead detections, one each.
-        assign_corpse = self._match(
-            dead, high, high_dead, 1, gate_similarity=True
-        )
+        assign = self._match(open_rts, high, caps)
+        claimed_high = {j for indices in assign.values() for j in indices}
 
         # Death matching: living tracks that found no living detection vs
         # dead detections nobody continues.  Spatial gate only.
-        unmatched_living = [
-            rt for rt in living if rt.track.track_id not in assign_living
+        dying = [
+            rt
+            for rt in open_rts
+            if rt.last.cell_class is CellClass.ALIVE
+            and rt.track.track_id not in assign
         ]
-        corpse_taken = {j for js in assign_corpse.values() for j in js}
-        free_dead = [j for j in high_dead if j not in corpse_taken]
+        free_dead = [
+            j
+            for j, d in enumerate(high)
+            if d.cell_class is CellClass.DEAD and j not in claimed_high
+        ]
         assign_death = self._match(
-            unmatched_living, high, free_dead, 1, gate_similarity=False
+            dying, [high[j] for j in free_dead], 1, gate_similarity=False
         )
+        for tid, (k,) in assign_death.items():
+            assign[tid] = [free_dead[k]]
+            claimed_high.add(free_dead[k])
 
-        by_id = {rt.track.track_id: rt for rt in open_rts}
-        for tid, indices in assign_living.items():
-            rt = by_id[tid]
+        for tid, indices in assign.items():
             if len(indices) == 1:
-                self._extend(rt, fi, high[indices[0]])
+                self._extend(self._open[tid], fi, high[indices[0]])
             else:
-                self._divide(rt, fi, [high[j] for j in indices])
-            matched.add(tid)
-            claimed_high.update(indices)
-        for tid, indices in [*assign_corpse.items(), *assign_death.items()]:
-            self._extend(by_id[tid], fi, high[indices[0]])
-            matched.add(tid)
-            claimed_high.update(indices)
+                self._divide(self._open[tid], fi, [high[j] for j in indices])
 
         # Stage 2: whatever is still open and unmatched (current frame
         # misses and the whole memory bank) gets one shot at the
         # low-confidence detections of its own class.
-        remaining = [rt for rt in open_rts if rt.track.track_id not in matched]
-        low_alive = [j for j, d in enumerate(low) if d.cell_class is CellClass.ALIVE]
-        low_dead = [j for j, d in enumerate(low) if d.cell_class is CellClass.DEAD]
-        rem_living = [rt for rt in remaining if rt.last.cell_class is CellClass.ALIVE]
-        rem_dead = [rt for rt in remaining if rt.last.cell_class is CellClass.DEAD]
-        assign_low = self._match(
-            rem_living, low, low_alive, 1, gate_similarity=True
-        )
-        assign_low.update(
-            self._match(rem_dead, low, low_dead, 1, gate_similarity=True)
-        )
-        for tid, indices in assign_low.items():
-            self._extend(by_id[tid], fi, low[indices[0]], Provenance.OBSERVED_LOW)
-            matched.add(tid)
+        missed = [rt for rt in open_rts if rt.track.track_id not in assign]
+        assign_low = self._match(missed, low, 1)
+        for tid, (j,) in assign_low.items():
+            self._extend(self._open[tid], fi, low[j], Provenance.OBSERVED_LOW)
         self._update_matched()
 
         # Fresh tracks from high-confidence detections nobody claimed.
@@ -374,10 +354,9 @@ class CellTracker:
                 self._new_track(fi, det)
 
         # Memory aging: a track may miss up to memory_frames consecutive
-        # matching attempts; one more and it is closed.  Divided tracks
-        # closed this frame are among the matched.
-        for rt in open_rts:
-            if rt.track.track_id in matched:
+        # matching attempts; one more and it is closed.
+        for rt in missed:
+            if rt.track.track_id in assign_low:
                 continue
             rt.lost_count += 1
             if rt.lost_count > self.config.memory_frames:
@@ -387,25 +366,19 @@ class CellTracker:
         self,
         tracks: list[_Runtime],
         dets: list[Detection],
-        det_indices: list[int],
         caps: int | Mapping[int, int],
-        gate_similarity: bool,
+        gate_similarity: bool = True,
     ) -> dict[int, list[int]]:
-        """Gate + greedy-resolve a track pool against a detection subset.
+        """Gate + greedy-resolve a track pool against a detection list.
 
         Returns per-track lists of indices into ``dets``.
         """
-        if not tracks or not det_indices:
+        if not tracks or not dets:
             return {}
-        subset = [dets[j] for j in det_indices]
         pairs = build_candidates(
-            tracks, subset, self.config, gate_similarity=gate_similarity
+            tracks, dets, self.config, gate_similarity=gate_similarity
         )
-        assignment = resolve_conflicts(pairs, caps)
-        return {
-            tid: [det_indices[j] for j in indices]
-            for tid, indices in assignment.items()
-        }
+        return resolve_conflicts(pairs, caps)
 
     def _predict_all(self, rts: list[_Runtime]) -> None:
         means = np.array([rt.kf_mean for rt in rts])

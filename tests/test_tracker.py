@@ -1,5 +1,7 @@
 """Association engine: gating, conflicts, divisions, deaths, memory."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,18 @@ from celltrack import (
     Detection,
     EndReason,
     Provenance,
+    SimulationConfig,
     TrackerConfig,
     TrackStatus,
     ValidationError,
     VideoMeta,
     pair_cost,
+    corrupt,
     save_forest,
+    simulate,
     track_video,
 )
+from celltrack.cli import _ablation_configs
 from celltrack.tracker import _Runtime, build_candidates, resolve_conflicts
 from conftest import bx
 
@@ -268,7 +274,8 @@ class TestDeathAndCorpses:
         assert newborn.entries[2].cell_class is CellClass.ALIVE
 
     def test_corpse_continuation_prefers_similarity(self):
-        # Two corpses; embeddings disambiguate which track follows which.
+        # Two corpses; each is nearer the detection that looks like the
+        # other one, so only the embeddings give the right pairing.
         a = (0.0, 0.0, 0.0, 0.0)
         b = (30.0, 30.0, 0.0, 0.0)
         frames = [
@@ -277,8 +284,8 @@ class TestDeathAndCorpses:
                 det(0, 60, 50, cls=CellClass.DEAD, emb=b),
             ],
             [
-                det(1, 49, 50, cls=CellClass.DEAD, emb=a),
-                det(1, 51, 50, cls=CellClass.DEAD, emb=b),
+                det(1, 52, 50, cls=CellClass.DEAD, emb=a),
+                det(1, 48, 50, cls=CellClass.DEAD, emb=b),
             ],
         ]
         forest = run(frames).finalize()
@@ -286,7 +293,57 @@ class TestDeathAndCorpses:
         followed = {
             (t.entries[0].box, t.entries[1].box) for t in forest.tracks.values()
         }
-        assert followed == {(bx(40, 50), bx(49, 50)), (bx(60, 50), bx(51, 50))}
+        assert followed == {(bx(40, 50), bx(52, 50)), (bx(60, 50), bx(48, 50))}
+
+
+class TestStageOrder:
+    def test_continuation_comes_before_death(self):
+        # The dead detection is nearer, but a living track first looks for
+        # a living one; the dead detection starts a track of its own.
+        frames = [
+            [det(0, 50, 50)],
+            [det(1, 60, 50), det(1, 51, 50, cls=CellClass.DEAD)],
+        ]
+        forest = run(frames).finalize()
+        assert set(forest.tracks) == {1, 2}
+        assert forest.tracks[1].entries[1].box == bx(60, 50)
+        assert forest.tracks[1].entries[1].cell_class is CellClass.ALIVE
+        assert forest.tracks[2].start_frame == 1
+        assert forest.tracks[2].entries[1].box == bx(51, 50)
+
+    def test_corpse_continues_before_a_death(self):
+        # A corpse keeps its dead detection even though a living track
+        # sits nearer to it; the living track does not die onto it.
+        frames = [
+            [det(0, 50, 50, cls=CellClass.DEAD), det(0, 62, 50)],
+            [det(1, 58, 50, cls=CellClass.DEAD)],
+        ]
+        forest = run(frames).finalize()
+        assert set(forest.tracks) == {1, 2}
+        assert forest.tracks[1].entries[1].box == bx(58, 50)
+        assert list(forest.tracks[2].entries) == [0]
+        assert forest.tracks[2].death_event_frame() is None
+
+    def test_stage_two_keeps_each_class(self):
+        # After a missed frame each lost track takes the farther
+        # low-confidence detection of its own class, not the nearer one
+        # of the other class.
+        frames = [
+            [det(0, 50, 50), det(0, 70, 50, cls=CellClass.DEAD)],
+            [],
+            [
+                det(2, 64, 50, conf=0.3),
+                det(2, 56, 50, conf=0.3, cls=CellClass.DEAD),
+            ],
+        ]
+        forest = run(frames).finalize()
+        assert set(forest.tracks) == {1, 2}
+        living, corpse = forest.tracks[1].entries[2], forest.tracks[2].entries[2]
+        assert living.box == bx(64, 50)
+        assert living.cell_class is CellClass.ALIVE
+        assert corpse.box == bx(56, 50)
+        assert corpse.cell_class is CellClass.DEAD
+        assert living.provenance is corpse.provenance is Provenance.OBSERVED_LOW
 
 
 class TestLowConfidence:
@@ -543,3 +600,42 @@ class TestEngineContracts:
         two = track_video([[det(0, 50, 50)], [det(1, 52, 50)]], meta=meta)
         assert (one.meta.frames, two.meta.frames, meta.frames) == (1, 2, 0)
         assert two.tracks[1].last_frame == 1
+
+
+class TestGoldenForests:
+    """Saved forests of a small README-noise corpus under the four
+    ``ablate`` variants, pinned by digest: a refactor of the tracker
+    that changes any byte of any forest fails here."""
+
+    DIGESTS = {
+        "full": "2db5d6360be4ec71c5a3ce304c29618794e9ff5f5df7d8949b062a85fc3cc409",
+        "no_low_conf": "d9064b39d0be8647139ecc9d06a9ad08c4c2e1f77e45320d09e3c02463b331ea",
+        "no_kalman": "4e4c01fca10bcb3dada0f9f52f44fb6f838a15bfb4de532f61bcbf402f71714e",
+        "neither": "34cdb7a4ccb3e0519e46875ef199a8483d1e92fba16e1f5c2e7fa4faf53ef0e9",
+    }
+
+    def test_forest_bytes_unchanged(self, tmp_path):
+        videos = []
+        for seed in (1, 2, 3):
+            sim = SimulationConfig(
+                frames=40,
+                initial_cells=40,
+                treatment_frame=20,
+                death_prob=0.01,
+                box_jitter_sigma=2.0,
+                drop_prob=0.1,
+                false_positive_rate=0.5,
+                embedding_noise_sigma=1.4,
+                seed=seed,
+            )
+            videos.append(corrupt(simulate(sim).clean_frames, sim))
+        digests = {}
+        for _, name, config in _ablation_configs(TrackerConfig(), sweep=False):
+            digest = hashlib.sha256()
+            for v, frames in enumerate(videos):
+                prefix = str(tmp_path / f"{name}_{v}")
+                for path in save_forest(track_video(frames, config), prefix):
+                    with open(path, "rb") as fh:
+                        digest.update(fh.read())
+            digests[name] = digest.hexdigest()
+        assert digests == self.DIGESTS
