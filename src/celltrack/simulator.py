@@ -3,10 +3,13 @@
 ``simulate`` grows a population of cells with random-walk motion,
 drifting latent appearance vectors, divisions and (post-treatment)
 deaths, and emits both the exact lineage forest and per-frame clean
-detections.  Dead cells linger in place as dead-class detections rather
-than vanishing.  ``corrupt`` then degrades the clean detections the way
-a real detector would: jittered boxes, false positives, noisy
-embeddings, and confidence fades.
+detections.  Each cell writes its own ground-truth ``Track`` as it
+goes; a division ends the record there and hands it to the two
+daughters, whose tracks take it up on the next frame.  Dead cells
+linger in place as dead-class detections rather than vanishing.
+``corrupt`` then degrades the clean detections the way a real detector
+would: jittered boxes, false positives, noisy embeddings, and
+confidence fades.
 
 Fades are modeled per cell and stretched over consecutive frames —
 signals weaken for a stretch, they do not flicker frame by frame.  While
@@ -19,7 +22,7 @@ detections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,28 +129,44 @@ class SimulationConfig:
         for p in (self.division_prob, self.death_prob):
             if not (0.0 <= p <= 1.0):
                 raise ValidationError("event probabilities must lie in [0, 1]")
+        if self.division_period is not None and self.division_period < 1:
+            raise ValidationError(
+                f"division_period must be >= 1, got {self.division_period}"
+            )
+        for name in (
+            "motion_sigma",
+            "dead_motion_sigma",
+            "latent_drift_sigma",
+            "division_latent_sigma",
+            "size_walk_sigma",
+            "daughter_size_noise",
+            "box_jitter_sigma",
+            "embedding_noise_sigma",
+            "false_positive_rate",
+        ):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValidationError(f"{name} must be >= 0, got {value!r}")
 
 
 @dataclass(eq=False)
 class SimulatedCell:
-    """Live state of one simulated cell."""
+    """Model state of one simulated cell and the ground-truth ``Track`` it
+    writes: one entry per frame it is present, then its end reason.  A
+    division hands the record on: the daughters' ids go into
+    ``track.children`` and each daughter writes its own track from the
+    next frame."""
 
-    cell_id: int
+    track: Track
     position: np.ndarray  # centroid (2,)
     size: np.ndarray  # (w, h)
     latent: np.ndarray  # appearance vector
     born_frame: int
-    parent: int | None = None
     alive: bool = True
-    pair_id: int | None = None  # shared by sister pairs for growth noise
-    entries: dict[int, TrackEntry] = field(default_factory=dict)
-    children: list[int] = field(default_factory=list)
-    gone_frame: int | None = None  # frame the record stops (division)
 
 
 @dataclass(eq=False)
 class SimulationResult:
-    config: SimulationConfig
     ground_truth: LineageForest
     clean_frames: list[list[Detection]]
 
@@ -158,18 +177,29 @@ def _reflect(value: float, low: float, high: float) -> float:
     if span <= 0:
         return low
     v = (value - low) % (2 * span)
-    if v < 0:
-        v += 2 * span
     return low + (span - abs(v - span))
 
 
-def _division_probability(cfg: SimulationConfig, frame: int) -> float:
+def _initial_size(cfg: SimulationConfig, rng: np.random.Generator) -> np.ndarray:
+    """A fresh ``(w, h)``, each uniform over the initial size range."""
+    lo = max(4.0, cfg.initial_size_mean - cfg.initial_size_spread)
+    hi = cfg.initial_size_mean + cfg.initial_size_spread
+    return rng.uniform(lo, hi, size=2)
+
+
+def _divides(
+    cfg: SimulationConfig, rng: np.random.Generator, cell: SimulatedCell, frame: int
+) -> bool:
+    """The division rule: a fixed period, else one pulse frame, else a
+    draw at the division probability, scaled from treatment on."""
     if cfg.division_period is not None:
-        return 0.0
+        return frame - cell.born_frame + 1 >= cfg.division_period
+    if cfg.division_pulse_frame is not None:
+        return frame == cfg.division_pulse_frame
     p = cfg.division_prob
     if frame >= cfg.treatment_frame:
-        p = p * cfg.post_treatment_division_factor
-    return min(p, 1.0)
+        p *= cfg.post_treatment_division_factor
+    return rng.random() < p
 
 
 def simulate(config: SimulationConfig) -> SimulationResult:
@@ -184,44 +214,36 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     cfg = config
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     dim = cfg.embedding_dim
-    cells: dict[int, SimulatedCell] = {}
-    next_id = 1
-
-    def new_size() -> np.ndarray:
-        lo = max(4.0, cfg.initial_size_mean - cfg.initial_size_spread)
-        hi = cfg.initial_size_mean + cfg.initial_size_spread
-        return rng.uniform(lo, hi, size=2)
-
-    for _ in range(cfg.initial_cells):
-        size = new_size()
+    cells: list[SimulatedCell] = []  # cell id k at index k - 1
+    for cid in range(1, cfg.initial_cells + 1):
+        size = _initial_size(cfg, rng)
         pos = np.array(
             [
                 rng.uniform(size[0] / 2, cfg.width - size[0] / 2),
                 rng.uniform(size[1] / 2, cfg.height - size[1] / 2),
             ]
         )
-        cells[next_id] = SimulatedCell(
-            cell_id=next_id,
-            position=pos,
-            size=size,
-            latent=rng.uniform(-cfg.latent_range, cfg.latent_range, size=dim),
-            born_frame=0,
+        cells.append(
+            SimulatedCell(
+                track=Track(cid, end_reason=EndReason.END_OF_VIDEO),
+                position=pos,
+                size=size,
+                latent=rng.uniform(-cfg.latent_range, cfg.latent_range, size=dim),
+                born_frame=0,
+            )
         )
-        next_id += 1
 
     clean_frames: list[list[Detection]] = []
     for frame in range(cfg.frames):
-        # Record every present cell on this frame.
+        # Record every present cell (one that has not divided) on this frame.
+        present = [cell for cell in cells if not cell.track.children]
         detections: list[Detection] = []
-        for cid in sorted(cells):
-            cell = cells[cid]
-            if cell.gone_frame is not None:
-                continue
+        for cell in present:
             w, h = cell.size.tolist()
             x, y = cell.position.tolist()
             box = (x - w / 2.0, y - h / 2.0, w, h)
             cls = CellClass.ALIVE if cell.alive else CellClass.DEAD
-            cell.entries[frame] = TrackEntry(
+            cell.track.entries[frame] = TrackEntry(
                 box=box, cell_class=cls, provenance=Provenance.OBSERVED_HIGH
             )
             detections.append(
@@ -231,146 +253,54 @@ def simulate(config: SimulationConfig) -> SimulationResult:
                     confidence=1.0,
                     cell_class=cls,
                     embedding=cell.latent.copy(),
-                    source_id=cid,
+                    source_id=cell.track.track_id,
                 )
             )
         clean_frames.append(detections)
         if frame == cfg.frames - 1:
             break
 
-        # Advance to the next frame: events first, then motion.
+        # Advance to the next frame: events first, then motion.  Sisters
+        # share one growth draw, keyed by their parent's id.
         pair_growth: dict[int, float] = {}
-        division_prob = _division_probability(cfg, frame)
-        for cid in sorted(cells):
-            cell = cells[cid]
-            if cell.gone_frame is not None:
-                continue
+        for cell in present:
             if not cell.alive:
                 step = rng.normal(0.0, cfg.dead_motion_sigma, size=2)
                 cell.position = cell.position + step
-                cell.latent = cell.latent + rng.normal(
-                    0.0, cfg.latent_drift_sigma, size=dim
-                )
+            elif _divides(cfg, rng, cell, frame):
+                _divide_cell(cfg, rng, cells, cell, frame)
                 continue
-            age = frame - cell.born_frame + 1
-            divide = False
-            if cfg.division_period is not None:
-                divide = age >= cfg.division_period
-            elif cfg.division_pulse_frame is not None:
-                divide = frame == cfg.division_pulse_frame
-            else:
-                divide = rng.random() < division_prob
-            if divide:
-                _divide_cell(cfg, rng, cells, cell, frame, next_id)
-                cells[next_id].pair_id = cell.cell_id
-                cells[next_id + 1].pair_id = cell.cell_id
-                next_id += 2
-                continue
-            if (
-                frame >= cfg.treatment_frame
-                and rng.random() < cfg.death_prob
-            ):
+            elif frame >= cfg.treatment_frame and rng.random() < cfg.death_prob:
                 cell.alive = False
+                cell.track.end_reason = EndReason.DEATH
                 continue
-            # Plain motion, size walk, latent drift.
-            step = rng.normal(0.0, cfg.motion_sigma, size=2)
-            x, y = (cell.position + step).tolist()
-            half_w, half_h = (cell.size / 2).tolist()
-            cell.position = np.array(
-                [
-                    _reflect(x, half_w, cfg.width - half_w),
-                    _reflect(y, half_h, cfg.height - half_h),
-                ]
-            )
-            growth_own = rng.normal(0.0, cfg.size_walk_sigma)
-            w_share = cfg.sister_growth_weight
-            if w_share > 0.0 and cell.pair_id is not None:
-                if cell.pair_id not in pair_growth:
-                    pair_growth[cell.pair_id] = rng.normal(
-                        0.0, cfg.size_walk_sigma
-                    )
-                shared = pair_growth[cell.pair_id]
-                growth = math.sqrt(w_share) * shared + math.sqrt(
-                    1.0 - w_share
-                ) * growth_own
             else:
-                growth = growth_own
-            cell.size = np.maximum(cell.size + growth, 4.0)
+                # Plain motion and size walk; every cell that neither
+                # divided nor died then drifts in appearance.
+                step = rng.normal(0.0, cfg.motion_sigma, size=2)
+                x, y = (cell.position + step).tolist()
+                half_w, half_h = (cell.size / 2).tolist()
+                cell.position = np.array(
+                    [
+                        _reflect(x, half_w, cfg.width - half_w),
+                        _reflect(y, half_h, cfg.height - half_h),
+                    ]
+                )
+                growth = rng.normal(0.0, cfg.size_walk_sigma)
+                w_share = cfg.sister_growth_weight
+                pair = cell.track.parent
+                if w_share > 0.0 and pair is not None:
+                    if pair not in pair_growth:
+                        pair_growth[pair] = rng.normal(0.0, cfg.size_walk_sigma)
+                    growth = (
+                        math.sqrt(w_share) * pair_growth[pair]
+                        + math.sqrt(1.0 - w_share) * growth
+                    )
+                cell.size = np.maximum(cell.size + growth, 4.0)
             cell.latent = cell.latent + rng.normal(
                 0.0, cfg.latent_drift_sigma, size=dim
             )
 
-    forest = _forest_from_cells(cfg, cells)
-    return SimulationResult(
-        config=cfg, ground_truth=forest, clean_frames=clean_frames
-    )
-
-
-def _divide_cell(
-    cfg: SimulationConfig,
-    rng: np.random.Generator,
-    cells: dict[int, SimulatedCell],
-    parent: SimulatedCell,
-    frame: int,
-    next_id: int,
-) -> None:
-    """Replace ``parent`` by two daughters that appear on ``frame + 1``."""
-    parent.gone_frame = frame + 1
-    angle = rng.uniform(0.0, 2.0 * math.pi)
-    offset = (
-        np.array([math.cos(angle), math.sin(angle)])
-        * cfg.daughter_offset_frac
-        * float(parent.size[0])
-    )
-    for k in range(2):
-        if cfg.size_inheritance == "heritable":
-            size = parent.size * (
-                1.0 + rng.normal(0.0, cfg.daughter_size_noise, size=2)
-            )
-            size = np.maximum(size, 4.0)
-        else:
-            lo = max(4.0, cfg.initial_size_mean - cfg.initial_size_spread)
-            hi = cfg.initial_size_mean + cfg.initial_size_spread
-            size = rng.uniform(lo, hi, size=2)
-        pos = parent.position + (offset if k == 0 else -offset)
-        pos[0] = _reflect(pos[0], size[0] / 2, cfg.width - size[0] / 2)
-        pos[1] = _reflect(pos[1], size[1] / 2, cfg.height - size[1] / 2)
-        latent = parent.latent + rng.normal(
-            0.0, cfg.division_latent_sigma, size=cfg.embedding_dim
-        )
-        cid = next_id + k
-        cells[cid] = SimulatedCell(
-            cell_id=cid,
-            position=pos,
-            size=size,
-            latent=latent,
-            born_frame=frame + 1,
-            parent=parent.cell_id,
-        )
-        parent.children.append(cid)
-
-
-def _forest_from_cells(
-    cfg: SimulationConfig, cells: dict[int, SimulatedCell]
-) -> LineageForest:
-    tracks: dict[int, Track] = {}
-    for cid in sorted(cells):
-        cell = cells[cid]
-        if not cell.entries:
-            continue
-        if cell.children:
-            reason = EndReason.DIVISION
-        elif not cell.alive:
-            reason = EndReason.DEATH
-        else:
-            reason = EndReason.END_OF_VIDEO
-        tracks[cid] = Track(
-            track_id=cid,
-            entries=dict(sorted(cell.entries.items())),
-            parent=cell.parent,
-            children=sorted(cell.children),
-            end_reason=reason,
-        )
     meta = VideoMeta(
         video_id=cfg.video_id,
         frames=cfg.frames,
@@ -378,9 +308,58 @@ def _forest_from_cells(
         height=cfg.height,
         dosage=cfg.dosage,
     )
-    forest = LineageForest(tracks=tracks, meta=meta)
+    forest = LineageForest(
+        tracks={cell.track.track_id: cell.track for cell in cells}, meta=meta
+    )
     forest.validate()
-    return forest
+    return SimulationResult(ground_truth=forest, clean_frames=clean_frames)
+
+
+def _divide_cell(
+    cfg: SimulationConfig,
+    rng: np.random.Generator,
+    cells: list[SimulatedCell],
+    parent: SimulatedCell,
+    frame: int,
+) -> None:
+    """End ``parent``'s track and add two daughters that appear on
+    ``frame + 1``."""
+    parent.track.end_reason = EndReason.DIVISION
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    offset = (
+        np.array([math.cos(angle), math.sin(angle)])
+        * cfg.daughter_offset_frac
+        * float(parent.size[0])
+    )
+    for step in (offset, -offset):
+        if cfg.size_inheritance == "heritable":
+            size = parent.size * (
+                1.0 + rng.normal(0.0, cfg.daughter_size_noise, size=2)
+            )
+            size = np.maximum(size, 4.0)
+        else:
+            size = _initial_size(cfg, rng)
+        pos = parent.position + step
+        pos[0] = _reflect(pos[0], size[0] / 2, cfg.width - size[0] / 2)
+        pos[1] = _reflect(pos[1], size[1] / 2, cfg.height - size[1] / 2)
+        latent = parent.latent + rng.normal(
+            0.0, cfg.division_latent_sigma, size=cfg.embedding_dim
+        )
+        cid = len(cells) + 1
+        cells.append(
+            SimulatedCell(
+                track=Track(
+                    cid,
+                    parent=parent.track.track_id,
+                    end_reason=EndReason.END_OF_VIDEO,
+                ),
+                position=pos,
+                size=size,
+                latent=latent,
+                born_frame=frame + 1,
+            )
+        )
+        parent.track.children.append(cid)
 
 
 def corrupt(
@@ -405,8 +384,6 @@ def corrupt(
     exit_prob = 1.0 / cfg.fade_frames
 
     out: list[list[Detection]] = []
-    fp_sizes_lo = max(4.0, cfg.initial_size_mean - cfg.initial_size_spread)
-    fp_sizes_hi = cfg.initial_size_mean + cfg.initial_size_spread
     for frame_dets in clean_frames:
         frame_out: list[Detection] = []
         frame_index = frame_dets[0].frame_index if frame_dets else len(out)
@@ -449,8 +426,7 @@ def corrupt(
             )
         if cfg.false_positive_rate > 0.0:
             for _ in range(int(rng.poisson(cfg.false_positive_rate))):
-                w = rng.uniform(fp_sizes_lo, fp_sizes_hi)
-                h = rng.uniform(fp_sizes_lo, fp_sizes_hi)
+                w, h = _initial_size(cfg, rng).tolist()
                 cx = rng.uniform(w / 2, cfg.width - w / 2)
                 cy = rng.uniform(h / 2, cfg.height - h / 2)
                 frame_out.append(

@@ -156,7 +156,8 @@ def build_candidates(
     appearance gate ``similarity <= tau_sim``, and with it the rule that
     a track pairs only with detections of its own class, is skipped for
     death matching, where appearance is unreliable but the cost still
-    ranks candidates.
+    ranks candidates.  The class rule masks the spatial gate, so the
+    similarity is computed only for pairs that can still be kept.
     """
     if not tracks or not detections:
         return []
@@ -165,7 +166,12 @@ def build_candidates(
     dx = pos[:, 0:1] - cen[None, :, 0]
     dy = pos[:, 1:2] - cen[None, :, 1]
     dist = np.hypot(dx, dy)
-    ti, di = np.nonzero(dist <= config.tau_dist)
+    near = dist <= config.tau_dist
+    if gate_similarity:
+        dead_t = np.array([t.last.cell_class is CellClass.DEAD for t in tracks])
+        dead_d = np.array([d.cell_class is CellClass.DEAD for d in detections])
+        near &= dead_t[:, None] == dead_d[None, :]
+    ti, di = np.nonzero(near)
     if ti.size == 0:
         return []
     emb_t = np.array([t.last.embedding for t in tracks])
@@ -177,9 +183,7 @@ def build_candidates(
         )
     sim = np.abs(emb_t[ti] - emb_d[di]).sum(axis=1)
     if gate_similarity:
-        dead_t = np.array([t.last.cell_class is CellClass.DEAD for t in tracks])
-        dead_d = np.array([d.cell_class is CellClass.DEAD for d in detections])
-        keep = (sim <= config.tau_sim) & (dead_t[ti] == dead_d[di])
+        keep = sim <= config.tau_sim
         ti, di, sim = ti[keep], di[keep], sim[keep]
         if ti.size == 0:
             return []

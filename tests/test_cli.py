@@ -419,6 +419,14 @@ class TestExitCodes:
                 "--set", "sim.frames=0"]
         assert main(args) == 2
 
+    def test_negative_noise_scale(self, tmp_path, capsys):
+        args = ["simulate", "--out", str(tmp_path / "o"),
+                "--set", "sim.motion_sigma=-1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "motion_sigma must be >= 0" in err
+        assert "internal error" not in err
+
     def test_missing_forest_prefix(self, tmp_path):
         args = ["evaluate", str(tmp_path / "a"), str(tmp_path / "b"),
                 "--out", str(tmp_path / "o")]

@@ -1,5 +1,7 @@
 """Generative model and detector-corruption behavior."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from celltrack import (
     simulate,
     track_video,
 )
+from celltrack.cli import _simulate_one
 
 
 def dets_equal(a, b) -> bool:
@@ -72,6 +75,17 @@ class TestConfigValidation:
             {"height": 10**400},
             {"drop_prob": "0.1"},
             {"video_id": 7},
+            {"motion_sigma": -1.0},
+            {"dead_motion_sigma": -0.1},
+            {"latent_drift_sigma": -0.1},
+            {"division_latent_sigma": -0.1},
+            {"size_walk_sigma": -0.1},
+            {"daughter_size_noise": -0.1},
+            {"box_jitter_sigma": -0.1},
+            {"embedding_noise_sigma": -0.1},
+            {"false_positive_rate": -0.1},
+            {"division_period": 0},
+            {"division_period": -3},
         ],
     )
     def test_rejects(self, kwargs):
@@ -399,3 +413,56 @@ class TestOracleRoundTrip:
         report = evaluate(pred, res.ground_truth)
         assert report.hota == pytest.approx(1.0, abs=1e-12)
         assert report.idf1 == 1.0
+
+
+class TestGoldenOutputs:
+    """Everything ``celltrack simulate`` writes for a few small configs,
+    pinned by digest, plus the in-memory track, entry and child order of
+    the ground truth: a refactor of the simulator that changes any byte
+    or any order fails here."""
+
+    CONFIGS = {
+        # Random division scaled after treatment, deaths, heritable sizes,
+        # shared sister growth, and every corruption at once.
+        "random": dict(
+            frames=30, width=300.0, height=300.0, initial_cells=8,
+            division_prob=0.05, death_prob=0.05, treatment_frame=12,
+            post_treatment_division_factor=2.5, sister_growth_weight=0.5,
+            box_jitter_sigma=1.5, drop_prob=0.2, fade_frames=3.0,
+            false_positive_rate=1.0, embedding_noise_sigma=0.7, seed=31,
+        ),
+        # Synchronous waves, independent daughter sizes, strong sister
+        # growth; false positives draw sizes from the same range.
+        "period": dict(
+            frames=24, width=400.0, height=400.0, initial_cells=3,
+            division_period=7, treatment_frame=20,
+            size_inheritance="independent", sister_growth_weight=0.8,
+            false_positive_rate=2.0, seed=32,
+        ),
+        # One division pulse followed by deaths; every detection fades,
+        # half of them into the low-confidence band.
+        "pulse": dict(
+            frames=20, width=250.0, height=250.0, initial_cells=5,
+            division_pulse_frame=4, death_prob=0.1, treatment_frame=8,
+            sister_growth_weight=1.0, drop_prob=1.0, fade_miss_fraction=0.5,
+            box_jitter_sigma=0.5, seed=33,
+        ),
+    }
+
+    DIGESTS = {
+        "random": "e06a8a5f9662dd2df072c858a36ad4f34432472f293d57ac280a3e95e842b308",
+        "period": "8638c4b51868c1006b4dd7e0dea1c74fa41553c551eab483ec4baef724b7939b",
+        "pulse": "eb43d74285f77086e83c8effc68a84acd1523da8c3c888aa6a7b7ea64441e185",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_outputs_unchanged(self, name, tmp_path):
+        cfg = SimulationConfig(**self.CONFIGS[name])
+        _simulate_one(cfg, str(tmp_path))
+        digest = hashlib.sha256()
+        for fname in ("gt_tracks.txt", "gt_entries.txt", "clean.txt",
+                      "detections.txt"):
+            digest.update((tmp_path / fname).read_bytes())
+        for tid, t in simulate(cfg).ground_truth.tracks.items():
+            digest.update(repr((tid, t.children, list(t.entries))).encode())
+        assert digest.hexdigest() == self.DIGESTS[name]
