@@ -54,10 +54,8 @@ from .analysis import (
     AnalysisFilter,
     ancestor_descendant_correlation,
     cell_size_series,
-    division_profiles,
     event_rates,
     generation_index,
-    interdivision_times,
     pearson,
     sister_correlation,
 )
@@ -115,10 +113,8 @@ __all__ = [
     "AnalysisFilter",
     "ancestor_descendant_correlation",
     "cell_size_series",
-    "division_profiles",
     "event_rates",
     "generation_index",
-    "interdivision_times",
     "pearson",
     "sister_correlation",
 ]

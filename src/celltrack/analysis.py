@@ -9,8 +9,8 @@ Five analyses, each a pure function of (forest, filter, seed):
 * per-lineage event timelines with stratified subsampling.
 
 Cell size is box area (w*h).  Correlations use each track's mean
-observed size unless told otherwise.  Generations count from 0 at the
-roots.  All outputs are plain data; CSV writers live at the bottom.
+observed size.  Generations count from 0 at the roots.  All outputs
+are plain data; CSV writers live at the bottom.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .core import (
     CellClass,
     EndReason,
     LineageForest,
-    Provenance,
     Track,
     ValidationError,
     check_field_types,
@@ -52,9 +51,7 @@ __all__ = [
     "ancestor_descendant_correlation",
     "sister_correlation",
     "interdivision_records",
-    "interdivision_times",
     "summarize_durations",
-    "division_profiles",
     "write_event_rates_csv",
     "write_inheritance_csv",
     "write_sister_csv",
@@ -114,8 +111,9 @@ class EventRates:
 
     ``population[f]`` counts tracks whose span covers frame ``f``;
     ``alive[f]`` counts tracks with an alive-class entry at ``f``.
-    Rates divide the per-bin event count by the mean alive count over
-    the bin's frames (0.0 when the bin is empty of cells).
+    ``mean_alive[b]`` is the mean of ``alive`` over bin ``b``'s frames
+    (the last bin may be shorter).  Rates divide the per-bin event
+    count by it (0.0 when the bin is empty of cells).
     """
 
     bin_size: int
@@ -126,56 +124,60 @@ class EventRates:
     death_rate: tuple[float, ...]
     population: tuple[int, ...]
     alive: tuple[int, ...]
+    mean_alive: tuple[float, ...]
 
 
 def event_rates(forest: LineageForest, bin_size: int = 10) -> EventRates:
     if bin_size <= 0:
         raise ValidationError("bin_size must be positive")
-    if not forest.tracks:
-        return EventRates(bin_size, (), (), (), (), (), (), ())
-    n_frames = max(t.last_frame for t in forest.tracks.values()) + 1
+    tracks = list(forest.tracks.values())
+    if not tracks:
+        return EventRates(bin_size, (), (), (), (), (), (), (), ())
+    n_frames = max(t.last_frame for t in tracks) + 1
     population = np.zeros(n_frames, dtype=int)
-    alive = np.zeros(n_frames, dtype=int)
-    division_frames: list[int] = []
-    death_events: list[int] = []
-    for track in forest.tracks.values():
+    for track in tracks:
         population[track.start_frame : track.last_frame + 1] += 1
-        for frame, entry in track.entries.items():
-            if entry.cell_class is CellClass.ALIVE:
-                alive[frame] += 1
-        if track.children:
-            # One division event, placed where the daughters appear.
-            division_frames.append(track.last_frame + 1)
-        death = track.death_event_frame()
-        if death is not None:
-            death_events.append(death)
+    alive_frames = [
+        frame
+        for track in tracks
+        for frame, entry in track.entries.items()
+        if entry.cell_class is CellClass.ALIVE
+    ]
+    alive = np.bincount(np.array(alive_frames, dtype=int), minlength=n_frames)
+    starts = np.arange(0, n_frames, bin_size)
+    mean_alive = np.add.reduceat(alive, starts) / np.diff(starts, append=n_frames)
 
-    n_bins = (n_frames + bin_size - 1) // bin_size
-    div_counts = np.zeros(n_bins, dtype=int)
-    death_counts = np.zeros(n_bins, dtype=int)
-    for f in division_frames:
-        if f < n_frames:
-            div_counts[f // bin_size] += 1
-    for f in death_events:
-        death_counts[f // bin_size] += 1
-    div_rate = []
-    death_rate = []
-    for b in range(n_bins):
-        chunk = alive[b * bin_size : (b + 1) * bin_size]
-        mean_alive = float(chunk.mean()) if chunk.size else 0.0
-        div_rate.append(div_counts[b] / mean_alive if mean_alive > 0 else 0.0)
-        death_rate.append(
-            death_counts[b] / mean_alive if mean_alive > 0 else 0.0
+    def per_bin(frames: list[int]) -> np.ndarray:
+        return np.bincount(
+            np.array(frames, dtype=int) // bin_size, minlength=starts.size
         )
+
+    def rate(counts: np.ndarray) -> tuple[float, ...]:
+        out = np.zeros(starts.size)
+        np.divide(counts, mean_alive, out=out, where=mean_alive > 0)
+        return tuple(out.tolist())
+
+    # One division event, placed where the daughters appear.
+    divisions = per_bin(
+        [
+            t.last_frame + 1
+            for t in tracks
+            if t.children and t.last_frame + 1 < n_frames
+        ]
+    )
+    deaths = per_bin(
+        [f for t in tracks if (f := t.death_event_frame()) is not None]
+    )
     return EventRates(
         bin_size=bin_size,
-        bin_starts=tuple(b * bin_size for b in range(n_bins)),
-        divisions=tuple(int(c) for c in div_counts),
-        deaths=tuple(int(c) for c in death_counts),
-        division_rate=tuple(div_rate),
-        death_rate=tuple(death_rate),
-        population=tuple(int(c) for c in population),
-        alive=tuple(int(c) for c in alive),
+        bin_starts=tuple(starts.tolist()),
+        divisions=tuple(divisions.tolist()),
+        deaths=tuple(deaths.tolist()),
+        division_rate=rate(divisions),
+        death_rate=rate(deaths),
+        population=tuple(population.tolist()),
+        alive=tuple(alive.tolist()),
+        mean_alive=tuple(mean_alive.tolist()),
     )
 
 
@@ -188,26 +190,14 @@ def cell_size_series(track: Track) -> tuple[tuple[int, ...], tuple[float, ...]]:
 
     Interpolated entries carry no measured box and are skipped.
     """
-    frames: list[int] = []
-    sizes: list[float] = []
-    for frame in sorted(track.entries):
-        entry = track.entries[frame]
-        if entry.provenance is Provenance.INTERPOLATED:
-            continue
-        frames.append(frame)
-        sizes.append(entry.box[2] * entry.box[3])
-    return tuple(frames), tuple(sizes)
+    frames = track.observed_frames()
+    boxes = [track.entries[f].box for f in frames]
+    return tuple(frames), tuple(box[2] * box[3] for box in boxes)
 
 
-def track_mean_size(track: Track, summary: str = "mean") -> float | None:
+def track_mean_size(track: Track) -> float | None:
     _, sizes = cell_size_series(track)
-    if not sizes:
-        return None
-    if summary == "mean":
-        return float(np.mean(sizes))
-    if summary == "median":
-        return float(np.median(sizes))
-    raise ValidationError(f"unknown size summary {summary!r}")
+    return float(np.mean(sizes)) if sizes else None
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
@@ -249,21 +239,19 @@ class InheritanceReport:
     by_gap: dict[int, CorrelationStat]
 
 
-def _ancestor_at(
-    forest: LineageForest, tid: int, gens: dict[int, int], target_gen: int
-) -> int | None:
-    cur: int | None = tid
-    while cur is not None and gens[cur] > target_gen:
-        cur = forest.tracks[cur].parent
-    if cur is not None and gens[cur] == target_gen:
-        return cur
-    return None
+def _correlations(values: dict) -> dict:
+    """``CorrelationStat`` of each key's (x, y) pairs, in key order; keys
+    whose correlation is undefined are left out."""
+    out = {}
+    for key in sorted(values):
+        r = pearson(*zip(*values[key]))
+        if r is not None:
+            out[key] = CorrelationStat(n=len(values[key]), r=r)
+    return out
 
 
 def ancestor_descendant_correlation(
-    forest: LineageForest,
-    filt: AnalysisFilter | None = None,
-    summary: str = "mean",
+    forest: LineageForest, filt: AnalysisFilter | None = None
 ) -> InheritanceReport:
     filt = filt or AnalysisFilter()
     gens = generation_index(forest)
@@ -271,42 +259,31 @@ def ancestor_descendant_correlation(
     for tid, track in forest.tracks.items():
         if track.span() < filt.min_track_frames:
             continue
-        s = track_mean_size(track, summary)
+        s = track_mean_size(track)
         if s is not None:
             sizes[tid] = s
 
+    # One walk up each descendant's parent chain; generations fall by
+    # one per step, so each ancestor generation is met once.
     pair_values: dict[tuple[int, int], list[tuple[float, float]]] = {}
     for tid, size in sizes.items():
         g = gens[tid]
-        if g < 2 or g > filt.max_generation:
+        if g > filt.max_generation:
             continue
-        for anc_gen in range(1, g):
-            anc = _ancestor_at(forest, tid, gens, anc_gen)
-            if anc is None or anc not in sizes:
-                continue
-            pair_values.setdefault((anc_gen, g), []).append(
-                (sizes[anc], size)
-            )
+        anc = forest.tracks[tid].parent
+        while anc is not None and gens[anc] >= 1:
+            if anc in sizes:
+                pair_values.setdefault((gens[anc], g), []).append(
+                    (sizes[anc], size)
+                )
+            anc = forest.tracks[anc].parent
 
-    by_pair: dict[tuple[int, int], CorrelationStat] = {}
     gap_values: dict[int, list[tuple[float, float]]] = {}
-    for key in sorted(pair_values):
-        pairs = pair_values[key]
-        gap_values.setdefault(key[1] - key[0], []).extend(pairs)
-        if len(pairs) < 2:
-            continue
-        r = pearson([p[0] for p in pairs], [p[1] for p in pairs])
-        if r is not None:
-            by_pair[key] = CorrelationStat(n=len(pairs), r=r)
-    by_gap: dict[int, CorrelationStat] = {}
-    for gap in sorted(gap_values):
-        pairs = gap_values[gap]
-        if len(pairs) < 2:
-            continue
-        r = pearson([p[0] for p in pairs], [p[1] for p in pairs])
-        if r is not None:
-            by_gap[gap] = CorrelationStat(n=len(pairs), r=r)
-    return InheritanceReport(by_pair=by_pair, by_gap=by_gap)
+    for (anc_gen, g), pairs in sorted(pair_values.items()):
+        gap_values.setdefault(g - anc_gen, []).extend(pairs)
+    return InheritanceReport(
+        by_pair=_correlations(pair_values), by_gap=_correlations(gap_values)
+    )
 
 
 @dataclass(frozen=True)
@@ -335,16 +312,11 @@ def sister_correlation(
             continue
         a, b = sorted(track.children)
         ta, tb = forest.tracks[a], forest.tracks[b]
-        if (
-            ta.span() < filt.min_track_frames
-            or tb.span() < filt.min_track_frames
-        ):
+        if min(ta.span(), tb.span()) < filt.min_track_frames:
             continue
-        fa, sa = cell_size_series(ta)
-        fb, sb = cell_size_series(tb)
-        da = dict(zip(fa, sa))
-        db = dict(zip(fb, sb))
-        common = sorted(set(da) & set(db))
+        da = dict(zip(*cell_size_series(ta)))
+        db = dict(zip(*cell_size_series(tb)))
+        common = sorted(da.keys() & db.keys())
         if len(common) < 2:
             continue
         r = pearson([da[f] for f in common], [db[f] for f in common])
@@ -429,12 +401,6 @@ def summarize_durations(
     }
 
 
-def interdivision_times(
-    forest: LineageForest, filt: AnalysisFilter | None = None
-) -> dict[tuple[str, int], DurationStats]:
-    return summarize_durations(interdivision_records(forest, filt))
-
-
 # ---------------------------------------------------------------------------
 # Division profiles
 
@@ -486,9 +452,7 @@ def eligible_profiles(forest: LineageForest) -> list[DivisionProfile]:
         leaf = forest.tracks[path[-1]]
         if leaf.end_reason not in (EndReason.DEATH, EndReason.END_OF_VIDEO):
             continue
-        events: list[tuple[int, str]] = []
-        for tid in path[:-1]:
-            events.append((forest.tracks[tid].last_frame, "division"))
+        events = [(forest.tracks[t].last_frame, "division") for t in path[:-1]]
         death = leaf.death_event_frame()
         if death is not None:
             events.append((death, "death"))
@@ -544,168 +508,141 @@ def sample_profiles(
     return sampled
 
 
-def division_profiles(
-    forest: LineageForest, sample_size: int = 300, seed: int = 0
-) -> list[DivisionProfile]:
-    return sample_profiles(eligible_profiles(forest), sample_size, seed)
-
-
 # ---------------------------------------------------------------------------
 # CSV output
 
 
-def _open_writer(path: str | Path):
-    handle = open(path, "w", newline="")
-    return handle, csv.writer(handle)
+def _write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_event_rates_csv(
     path: str | Path, groups: Sequence[tuple[str, EventRates]]
 ) -> None:
     """One row per (group label, bin); labels are dosage or video tags."""
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(
+    _write_csv(
+        path,
+        [
+            "group",
+            "bin_start",
+            "bin_end",
+            "divisions",
+            "deaths",
+            "division_rate",
+            "death_rate",
+            "mean_alive",
+        ],
+        (
             [
-                "group",
-                "bin_start",
-                "bin_end",
-                "divisions",
-                "deaths",
-                "division_rate",
-                "death_rate",
-                "mean_alive",
+                label,
+                start,
+                start + rates.bin_size - 1,
+                rates.divisions[i],
+                rates.deaths[i],
+                f"{rates.division_rate[i]:.6f}",
+                f"{rates.death_rate[i]:.6f}",
+                f"{rates.mean_alive[i]:.3f}",
             ]
-        )
-        for label, rates in groups:
-            for i, start in enumerate(rates.bin_starts):
-                end = start + rates.bin_size - 1
-                chunk = rates.alive[start : start + rates.bin_size]
-                mean_alive = sum(chunk) / len(chunk) if chunk else 0.0
-                writer.writerow(
-                    [
-                        label,
-                        start,
-                        end,
-                        rates.divisions[i],
-                        rates.deaths[i],
-                        f"{rates.division_rate[i]:.6f}",
-                        f"{rates.death_rate[i]:.6f}",
-                        f"{mean_alive:.3f}",
-                    ]
-                )
+            for label, rates in groups
+            for i, start in enumerate(rates.bin_starts)
+        ),
+    )
 
 
 def write_inheritance_csv(
     path: str | Path, groups: Sequence[tuple[str, InheritanceReport]]
 ) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(
-            [
-                "group",
-                "kind",
-                "ancestor_generation",
-                "descendant_generation",
-                "generation_gap",
-                "pairs",
-                "pearson_r",
-            ]
-        )
-        for label, report in groups:
-            for (anc, desc), stat in sorted(report.by_pair.items()):
-                writer.writerow(
-                    [
-                        label,
-                        "pair",
-                        anc,
-                        desc,
-                        desc - anc,
-                        stat.n,
-                        f"{stat.r:.6f}",
-                    ]
-                )
-            for gap, stat in sorted(report.by_gap.items()):
-                writer.writerow(
-                    [label, "gap", "", "", gap, stat.n, f"{stat.r:.6f}"]
-                )
+    rows = []
+    for label, report in groups:
+        for (anc, desc), stat in sorted(report.by_pair.items()):
+            rows.append(
+                [label, "pair", anc, desc, desc - anc, stat.n, f"{stat.r:.6f}"]
+            )
+        for gap, stat in sorted(report.by_gap.items()):
+            rows.append([label, "gap", "", "", gap, stat.n, f"{stat.r:.6f}"])
+    _write_csv(
+        path,
+        [
+            "group",
+            "kind",
+            "ancestor_generation",
+            "descendant_generation",
+            "generation_gap",
+            "pairs",
+            "pearson_r",
+        ],
+        rows,
+    )
 
 
 def write_sister_csv(
     path: str | Path, groups: Sequence[tuple[str, list[SisterPair]]]
 ) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(
-            [
-                "group",
-                "generation",
-                "track_a",
-                "track_b",
-                "overlap_frames",
-                "pearson_r",
-            ]
-        )
-        for label, pairs in groups:
-            for p in pairs:
-                writer.writerow(
-                    [
-                        label,
-                        p.generation,
-                        p.track_a,
-                        p.track_b,
-                        p.overlap,
-                        f"{p.r:.6f}",
-                    ]
-                )
+    _write_csv(
+        path,
+        [
+            "group",
+            "generation",
+            "track_a",
+            "track_b",
+            "overlap_frames",
+            "pearson_r",
+        ],
+        (
+            [label, p.generation, p.track_a, p.track_b, p.overlap, f"{p.r:.6f}"]
+            for label, pairs in groups
+            for p in pairs
+        ),
+    )
 
 
 def write_interdivision_csv(
     path: str | Path, stats: dict[tuple[str, int], DurationStats]
 ) -> None:
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(
-            ["dosage", "generation", "cycles", "mean_frames", "median_frames"]
-        )
-        for (dosage, gen), stat in sorted(stats.items()):
-            writer.writerow(
-                [dosage, gen, stat.n, f"{stat.mean:.3f}", f"{stat.median:.3f}"]
-            )
+    _write_csv(
+        path,
+        ["dosage", "generation", "cycles", "mean_frames", "median_frames"],
+        (
+            [dosage, gen, stat.n, f"{stat.mean:.3f}", f"{stat.median:.3f}"]
+            for (dosage, gen), stat in sorted(stats.items())
+        ),
+    )
 
 
 def write_profiles_csv(
     path: str | Path, groups: Sequence[tuple[str, list[DivisionProfile]]]
 ) -> None:
     """Long format: one row per event of each sampled lineage line."""
-    handle, writer = _open_writer(path)
-    with handle:
-        writer.writerow(
+    _write_csv(
+        path,
+        [
+            "group",
+            "video",
+            "profile",
+            "root_track",
+            "leaf_track",
+            "divisions",
+            "event_index",
+            "frame",
+            "kind",
+        ],
+        (
             [
-                "group",
-                "video",
-                "profile",
-                "root_track",
-                "leaf_track",
-                "divisions",
-                "event_index",
-                "frame",
-                "kind",
+                label,
+                prof.video,
+                i,
+                prof.tracks[0],
+                prof.tracks[-1],
+                prof.divisions,
+                j,
+                frame,
+                kind,
             ]
-        )
-        for label, profiles in groups:
-            for i, prof in enumerate(profiles):
-                for j, (frame, kind) in enumerate(prof.events):
-                    writer.writerow(
-                        [
-                            label,
-                            prof.video,
-                            i,
-                            prof.tracks[0],
-                            prof.tracks[-1],
-                            prof.divisions,
-                            j,
-                            frame,
-                            kind,
-                        ]
-                    )
+            for label, profiles in groups
+            for i, prof in enumerate(profiles)
+            for j, (frame, kind) in enumerate(prof.events)
+        ),
+    )

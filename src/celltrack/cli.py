@@ -28,6 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from itertools import chain, groupby, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__, metrics
 from .analysis import (
@@ -45,7 +46,7 @@ from .analysis import (
     write_profiles_csv,
     write_sister_csv,
 )
-from .core import LineageForest, TrackerConfig, ValidationError
+from .core import TrackerConfig, ValidationError
 from .ingest import (
     DetectionFile,
     load_detections,
@@ -100,8 +101,9 @@ def parse_scalar(text: str):
     return t
 
 
-def read_config_file(path: str, parse=parse_scalar) -> dict[str, object]:
-    values: dict[str, object] = {}
+def read_config_file(path: str) -> dict[str, str]:
+    """The file's ``key = value`` lines as stripped text, comments dropped."""
+    values: dict[str, str] = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -113,7 +115,7 @@ def read_config_file(path: str, parse=parse_scalar) -> dict[str, object]:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
-        values[key.strip()] = parse(value)
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -123,7 +125,7 @@ def _merge_settings(
     """Split prefixed keys into per-section kwargs, validating names."""
     flat: dict[str, str] = {}
     if config_path:
-        flat.update(read_config_file(config_path, parse=str.strip))
+        flat.update(read_config_file(config_path))
     for item in sets or []:
         if "=" not in item:
             raise UsageError(f"--set needs key=value, got {item!r}")
@@ -152,32 +154,35 @@ def _merge_settings(
     return sections
 
 
-def build_configs(
-    config_path: str | None, sets: list[str] | None
-) -> tuple[TrackerConfig, SimulationConfig, AnalysisFilter]:
+class Configs(NamedTuple):
+    """The effective configuration, one value per section."""
+
+    tracker: TrackerConfig
+    sim: SimulationConfig
+    analysis: AnalysisFilter
+
+
+def build_configs(config_path: str | None, sets: list[str] | None) -> Configs:
     sections = _merge_settings(config_path, sets)
     try:
-        return (
-            TrackerConfig(**sections["tracker"]),
-            SimulationConfig(**sections["sim"]),
-            AnalysisFilter(**sections["analysis"]),
+        return Configs(
+            **{name: cls(**sections[name]) for name, cls in _SECTIONS.items()}
         )
     except (ValidationError, TypeError) as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
 
 
 def write_manifest(
-    out_dir: Path,
     args: argparse.Namespace,
+    configs: Configs,
     inputs: list[str],
-    seed: int | None,
-    tracker_cfg: TrackerConfig,
-    sim_cfg: SimulationConfig,
-    analysis_cfg: AnalysisFilter,
+    seed: int | None = None,
     extra: dict | None = None,
-) -> None:
-    """Record ``args.command``, its inputs (the ``--config`` file among
-    them), seed and effective configuration in ``manifest.json``."""
+) -> Path:
+    """Create the output directory and record ``args.command``, its inputs
+    (the ``--config`` file among them), seed and effective configuration
+    in its ``manifest.json``; return the directory."""
+    out = Path(args.out)
     if args.config:
         inputs = [*inputs, args.config]
     manifest = {
@@ -186,24 +191,14 @@ def write_manifest(
         "command": args.command,
         "seed": seed,
         "inputs": sorted(inputs),
-        "output_dir": str(out_dir),
-        "config": {
-            "tracker": dataclasses.asdict(tracker_cfg),
-            "sim": dataclasses.asdict(sim_cfg),
-            "analysis": dataclasses.asdict(analysis_cfg),
-        },
+        "output_dir": str(out),
+        "config": {k: dataclasses.asdict(v) for k, v in configs._asdict().items()},
+        **(extra or {}),
     }
-    if extra:
-        manifest.update(extra)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -232,33 +227,20 @@ def _simulate_one(sim_cfg: SimulationConfig, dir_str: str) -> str:
 
 
 def cmd_simulate(args) -> int:
-    tracker_cfg, sim_cfg, analysis_cfg = build_configs(args.config, args.set)
+    configs = build_configs(args.config, args.set)
     if args.seed is not None:
-        sim_cfg = replace(sim_cfg, seed=args.seed)
-    out = _out_dir(args)
-    write_manifest(
-        out,
-        args,
-        [],
-        sim_cfg.seed,
-        tracker_cfg,
-        sim_cfg,
-        analysis_cfg,
-        extra={"count": args.count},
-    )
-    jobs: list[tuple[SimulationConfig, str]] = []
+        configs = configs._replace(sim=replace(configs.sim, seed=args.seed))
+    sim_cfg = configs.sim
+    out = write_manifest(args, configs, [], sim_cfg.seed, {"count": args.count})
     if args.count == 1:
         vid = sim_cfg.video_id or "video_000"
-        jobs.append((replace(sim_cfg, video_id=vid), str(out)))
+        jobs = [(replace(sim_cfg, video_id=vid), str(out))]
     else:
-        for i in range(args.count):
-            name = f"video_{i:03d}"
-            jobs.append(
-                (
-                    replace(sim_cfg, seed=sim_cfg.seed + i, video_id=name),
-                    str(out / name),
-                )
-            )
+        names = [f"video_{i:03d}" for i in range(args.count)]
+        jobs = [
+            (replace(sim_cfg, seed=sim_cfg.seed + i, video_id=name), str(out / name))
+            for i, name in enumerate(names)
+        ]
     if args.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             list(pool.map(_simulate_one, *zip(*jobs)))
@@ -274,19 +256,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_track(args) -> int:
-    tracker_cfg, sim_cfg, analysis_cfg = build_configs(args.config, args.set)
-    out = _out_dir(args)
-    write_manifest(
-        out,
-        args,
-        [args.detections],
-        None,
-        tracker_cfg,
-        sim_cfg,
-        analysis_cfg,
-    )
+    configs = build_configs(args.config, args.set)
+    out = write_manifest(args, configs, [args.detections])
     det_file = load_detections(args.detections)
-    forest = track_video(det_file.frames, config=tracker_cfg, meta=det_file.meta)
+    forest = track_video(det_file.frames, config=configs.tracker, meta=det_file.meta)
     save_forest(forest, str(out / "pred"))
     print(
         f"tracked {args.detections}: {len(forest.tracks)} tracks -> "
@@ -309,17 +282,8 @@ def _write_report(out: Path, flat: dict[str, float]) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    tracker_cfg, sim_cfg, analysis_cfg = build_configs(args.config, args.set)
-    out = _out_dir(args)
-    write_manifest(
-        out,
-        args,
-        [args.pred, args.gt],
-        None,
-        tracker_cfg,
-        sim_cfg,
-        analysis_cfg,
-    )
+    configs = build_configs(args.config, args.set)
+    out = write_manifest(args, configs, [args.pred, args.gt])
     pred = load_forest(args.pred, strict=False)
     gt = load_ground_truth(args.gt)
     report = evaluate(pred, gt)
@@ -394,26 +358,18 @@ def _mean_std(values: tuple[float, ...]) -> tuple[float, float]:
 
 
 def cmd_ablate(args) -> int:
-    tracker_cfg, sim_cfg, analysis_cfg = build_configs(args.config, args.set)
+    configs = build_configs(args.config, args.set)
     videos = _find_corpus(args.corpus)
-    out = _out_dir(args)
-    write_manifest(
-        out,
-        args,
-        [str(v) for v in videos],
-        None,
-        tracker_cfg,
-        sim_cfg,
-        analysis_cfg,
-        extra={"sweep_memory": list(_SWEEP_MEMORY) if args.sweep else []},
+    sweep = list(_SWEEP_MEMORY) if args.sweep else []
+    out = write_manifest(
+        args, configs, [str(v) for v in videos], extra={"sweep_memory": sweep}
     )
-
-    configs = _ablation_configs(tracker_cfg, args.sweep)
+    variants = _ablation_configs(configs.tracker, args.sweep)
     if args.workers > 1 and len(videos) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_ablate_job, videos, repeat(configs)))
+            results = list(pool.map(_ablate_job, videos, repeat(variants)))
     else:
-        results = [_ablate_job(v, configs) for v in videos]
+        results = [_ablate_job(v, variants) for v in videos]
     # (kind, label, video) is unique, so the scores never decide the order.
     rows = sorted(chain.from_iterable(results))
     with open(out / "ablation.csv", "w", encoding="utf-8") as fh:
@@ -450,60 +406,47 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    tracker_cfg, sim_cfg, analysis_cfg = build_configs(args.config, args.set)
-    out = _out_dir(args)
-    write_manifest(
-        out,
-        args,
-        list(args.forests),
-        args.seed,
-        tracker_cfg,
-        sim_cfg,
-        analysis_cfg,
-        extra={"sample_size": args.sample_size},
+    configs = build_configs(args.config, args.set)
+    filt = configs.analysis
+    out = write_manifest(
+        args, configs, args.forests, args.seed, {"sample_size": args.sample_size}
     )
-    forests = [load_forest(prefix, strict=False) for prefix in args.forests]
-
-    def label(forest: LineageForest) -> str:
-        meta = forest.meta
-        return meta.dosage or meta.video_id or "all"
-
-    rate_groups = [(label(f), event_rates(f)) for f in forests]
-    write_event_rates_csv(out / "event_rates.csv", rate_groups)
-
-    inh_groups = [
-        (label(f), ancestor_descendant_correlation(f, analysis_cfg))
-        for f in forests
-    ]
-    write_inheritance_csv(out / "size_inheritance.csv", inh_groups)
-
-    sis_groups = [
-        (label(f), sister_correlation(f, analysis_cfg)) for f in forests
-    ]
-    write_sister_csv(out / "sister_correlation.csv", sis_groups)
-
-    records = []
-    for f in forests:
-        records.extend(interdivision_records(f, analysis_cfg))
+    rates, inheritance, sisters, records = [], [], [], []
+    pooled: dict[str, list] = {}
+    for prefix in args.forests:
+        forest = load_forest(prefix, strict=False)
+        label = forest.meta.dosage or forest.meta.video_id or "all"
+        rates.append((label, event_rates(forest)))
+        inheritance.append((label, ancestor_descendant_correlation(forest, filt)))
+        sisters.append((label, sister_correlation(forest, filt)))
+        records.extend(interdivision_records(forest, filt))
+        pooled.setdefault(label, []).extend(eligible_profiles(forest))
+    write_event_rates_csv(out / "event_rates.csv", rates)
+    write_inheritance_csv(out / "size_inheritance.csv", inheritance)
+    write_sister_csv(out / "sister_correlation.csv", sisters)
     write_interdivision_csv(
         out / "interdivision.csv", summarize_durations(records)
     )
-
-    pooled: dict[str, list] = {}
-    for f in forests:
-        pooled.setdefault(label(f), []).extend(eligible_profiles(f))
     seed = args.seed if args.seed is not None else 0
     profile_groups = [
         (key, sample_profiles(pooled[key], args.sample_size, seed))
         for key in sorted(pooled)
     ]
     write_profiles_csv(out / "division_profiles.csv", profile_groups)
-    print(f"analyzed {len(forests)} forest(s) -> {out}")
+    print(f"analyzed {len(args.forests)} forest(s) -> {out}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
+
+
+def positive_int(text: str) -> int:
+    """Argparse type of the count flags: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -526,12 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="override one config key (repeatable)",
         )
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=positive_int, default=1)
 
     p = sub.add_parser("simulate", help="generate synthetic videos")
     common(p)
     p.add_argument(
-        "--count", type=int, default=1, help="number of videos to generate"
+        "--count", type=positive_int, default=1, help="number of videos to generate"
     )
     p.add_argument("--seed", type=int, default=None, help="video seed")
     p.set_defaults(func=cmd_simulate)
@@ -561,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="lineage analyses over forests")
     common(p)
     p.add_argument("forests", nargs="+", help="forest file prefixes")
-    p.add_argument("--sample-size", type=int, default=300)
+    p.add_argument("--sample-size", type=positive_int, default=300)
     p.add_argument("--seed", type=int, default=None, help="profile sampling seed")
     p.set_defaults(func=cmd_analyze)
 
@@ -573,12 +516,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        ValidationError, UndefinedMetricError, FileNotFoundError, OSError
-    ) as exc:
+    except (UsageError, ValidationError, UndefinedMetricError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive

@@ -106,8 +106,6 @@ class SimulationConfig:
             raise ValidationError("frames must be positive")
         if not (0 <= self.treatment_frame < self.frames):
             raise ValidationError("treatment_frame must lie inside the video")
-        if self.width <= 0 or self.height <= 0:
-            raise ValidationError("field of view must have positive size")
         if self.initial_cells <= 0:
             raise ValidationError("initial_cells must be positive")
         if self.embedding_dim <= 0:
@@ -133,7 +131,19 @@ class SimulationConfig:
             raise ValidationError(
                 f"division_period must be >= 1, got {self.division_period}"
             )
+        pulse = self.division_pulse_frame
+        if pulse is not None and not (0 <= pulse < self.frames - 1):
+            raise ValidationError(
+                f"division_pulse_frame must lie in [0, frames - 1), got {pulse}"
+            )
+        if not (0.0 <= self.tau_low <= self.tau_high <= 1.0):
+            raise ValidationError(
+                "tau_low and tau_high must satisfy "
+                "0 <= tau_low <= tau_high <= 1"
+            )
         for name in (
+            "initial_size_spread",
+            "latent_range",
             "motion_sigma",
             "dead_motion_sigma",
             "latent_drift_sigma",
@@ -147,6 +157,19 @@ class SimulationConfig:
             value = getattr(self, name)
             if value < 0:
                 raise ValidationError(f"{name} must be >= 0, got {value!r}")
+        # Initial sizes are drawn from [max(4, mean - spread), mean + spread]
+        # and must fit inside the field of view.
+        largest = self.initial_size_mean + self.initial_size_spread
+        if largest < 4.0:
+            raise ValidationError(
+                "initial_size_mean + initial_size_spread must be >= 4, "
+                f"got {largest!r}"
+            )
+        if min(self.width, self.height) < largest:
+            raise ValidationError(
+                "width and height must be >= initial_size_mean + "
+                f"initial_size_spread ({largest!r})"
+            )
 
 
 @dataclass(eq=False)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -82,7 +83,7 @@ class TestConfigFiles:
             "tracker.memory_frames = 7\n"
         )
         values = read_config_file(str(path))
-        assert values == {"sim.frames": 30, "tracker.memory_frames": 7}
+        assert values == {"sim.frames": "30", "tracker.memory_frames": "7"}
 
     def test_missing_equals(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -427,6 +428,32 @@ class TestExitCodes:
         assert "motion_sigma must be >= 0" in err
         assert "internal error" not in err
 
+    def test_simulator_range_rule(self, tmp_path, capsys):
+        args = ["simulate", "--out", str(tmp_path / "o"),
+                "--set", "sim.initial_size_spread=-20"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "initial_size_spread must be >= 0" in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--count", "0"],
+            ["simulate", "--count", "-2"],
+            ["analyze", "GT", "--sample-size", "0"],
+            ["track", "d.txt", "--workers", "0"],
+        ],
+    )
+    def test_count_flags_must_be_positive(self, argv, sim_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = [str(sim_dir / "gt") if a == "GT" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()  # no manifest, no table
+
     def test_missing_forest_prefix(self, tmp_path):
         args = ["evaluate", str(tmp_path / "a"), str(tmp_path / "b"),
                 "--out", str(tmp_path / "o")]
@@ -540,13 +567,18 @@ class TestManifestFirst:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "sim.frames = 5\nsim.initial_cells = 2\nsim.treatment_frame = 2\n"
+            "tracker.memory_frames = 3\nanalysis.max_generation = 2\n"
         )
-        operands = {
-            "simulate": [],
-            "track": [str(sim_dir / "detections.txt")],
-            "evaluate": [str(sim_dir / "gt"), str(sim_dir / "gt")],
-            "ablate": [str(sim_dir), "--no-sweep"],
-            "analyze": [str(sim_dir / "gt")],
+        operands, seed, extra = {
+            "simulate": (["--seed", "6"], 6, {"count": 1}),
+            "track": ([str(sim_dir / "detections.txt")], None, {}),
+            "evaluate": ([str(sim_dir / "gt"), str(sim_dir / "gt")], None, {}),
+            "ablate": ([str(sim_dir), "--no-sweep"], None, {"sweep_memory": []}),
+            "analyze": (
+                [str(sim_dir / "gt"), "--seed", "4", "--sample-size", "7"],
+                4,
+                {"sample_size": 7},
+            ),
         }[command]
         out = tmp_path / "o"
         argv = [command, *operands, "--config", str(cfg), "--out", str(out)]
@@ -554,3 +586,20 @@ class TestManifestFirst:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == command
         assert str(cfg) in manifest["inputs"]
+        assert manifest["seed"] == seed
+        assert set(manifest) == {
+            "tool", "version", "command", "seed", "inputs", "output_dir",
+            "config", *extra,
+        }
+        assert {k: manifest[k] for k in extra} == extra
+
+        tracker, sim, analysis = build_configs(str(cfg), None)
+        if command == "simulate":
+            sim = replace(sim, seed=6)
+        assert manifest["config"] == json.loads(json.dumps({
+            "tracker": asdict(tracker), "sim": asdict(sim),
+            "analysis": asdict(analysis),
+        }))
+        assert manifest["config"]["tracker"]["memory_frames"] == 3
+        assert manifest["config"]["sim"]["frames"] == 5
+        assert manifest["config"]["analysis"]["max_generation"] == 2

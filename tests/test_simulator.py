@@ -86,6 +86,18 @@ class TestConfigValidation:
             {"false_positive_rate": -0.1},
             {"division_period": 0},
             {"division_period": -3},
+            {"initial_size_spread": -20.0},
+            {"initial_size_mean": -100.0},
+            {"initial_size_mean": 2.0, "initial_size_spread": 1.0},
+            {"latent_range": -1.0},
+            {"width": 1.0},
+            {"height": 37.0},
+            {"tau_low": 0.9},
+            {"tau_high": 1.5},
+            {"tau_low": -0.1},
+            {"division_pulse_frame": -1},
+            {"division_pulse_frame": 59},
+            {"division_pulse_frame": 99},
         ],
     )
     def test_rejects(self, kwargs):
