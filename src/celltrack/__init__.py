@@ -21,15 +21,12 @@ from .core import (
     ValidationError,
     VideoMeta,
     centroid,
-    embedding_l1,
-    euclidean_distance,
     iou,
 )
 from .ingest import (
     DetectionFile,
     load_detections,
     load_forest,
-    load_ground_truth,
     partition_by_confidence,
     save_detections,
     save_forest,
@@ -38,7 +35,6 @@ from .kalman import KalmanState, interpolate_gap, kf_init, kf_predict, kf_update
 from .tracker import CellTracker, pair_cost, track_video
 from .metrics import (
     AOGMCounts,
-    AOGMWeights,
     MetricReport,
     TrackingGraph,
     build_graph,
@@ -77,13 +73,10 @@ __all__ = [
     "ValidationError",
     "VideoMeta",
     "centroid",
-    "embedding_l1",
-    "euclidean_distance",
     "iou",
     "DetectionFile",
     "load_detections",
     "load_forest",
-    "load_ground_truth",
     "partition_by_confidence",
     "save_detections",
     "save_forest",
@@ -96,7 +89,6 @@ __all__ = [
     "pair_cost",
     "track_video",
     "AOGMCounts",
-    "AOGMWeights",
     "MetricReport",
     "TrackingGraph",
     "build_graph",

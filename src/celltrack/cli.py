@@ -51,7 +51,6 @@ from .ingest import (
     DetectionFile,
     load_detections,
     load_forest,
-    load_ground_truth,
     save_detections,
     save_forest,
 )
@@ -285,7 +284,7 @@ def cmd_evaluate(args) -> int:
     configs = build_configs(args.config, args.set)
     out = write_manifest(args, configs, [args.pred, args.gt])
     pred = load_forest(args.pred, strict=False)
-    gt = load_ground_truth(args.gt)
+    gt = load_forest(args.gt)
     report = evaluate(pred, gt)
     flat = report.to_flat()
     _write_report(out, flat)
@@ -340,7 +339,7 @@ def _ablate_job(video: Path, configs: list) -> list[tuple]:
     copies each frame's list.  Scores go through ``metrics.`` so that
     wrappers of that module's globals (the benchmark tracer) see them."""
     det_file = load_detections(str(video / "detections.txt"))
-    gt = load_ground_truth(str(video / "gt"))
+    gt = load_forest(str(video / "gt"))
     check_frame_range(det_file.meta, gt.meta)
     gt_graph = metrics.build_graph(gt)
     rows = []

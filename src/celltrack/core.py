@@ -24,8 +24,6 @@ __all__ = [
     "Box",
     "Point",
     "centroid",
-    "euclidean_distance",
-    "embedding_l1",
     "iou",
     "Detection",
     "TrackerConfig",
@@ -76,21 +74,6 @@ def centroid(box: Box) -> Point:
     """Center point of a box."""
     x, y, w, h = box
     return (x + w / 2.0, y + h / 2.0)
-
-
-def euclidean_distance(p: Point, q: Point) -> float:
-    return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
-def embedding_l1(a: np.ndarray, b: np.ndarray) -> float:
-    """L1 distance between two embedding vectors of equal length."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValidationError(
-            f"embedding shape mismatch: {a.shape} vs {b.shape}"
-        )
-    return float(np.abs(a - b).sum())
 
 
 def iou(a: Box, b: Box) -> float:

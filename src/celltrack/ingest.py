@@ -52,7 +52,6 @@ __all__ = [
     "load_detections",
     "save_detections",
     "partition_by_confidence",
-    "load_ground_truth",
     "load_forest",
     "save_forest",
     "forest_paths",
@@ -340,8 +339,3 @@ def load_forest(prefix: str, strict: bool = True) -> LineageForest:
     forest = LineageForest(tracks=tracks, meta=meta)
     forest.validate(require_coverage=strict, require_adjacency=strict)
     return forest
-
-
-def load_ground_truth(prefix: str) -> LineageForest:
-    """Load a ground-truth forest (strict validation)."""
-    return load_forest(prefix, strict=True)

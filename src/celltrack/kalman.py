@@ -142,18 +142,18 @@ def kf_update(
 
 
 def interpolate_gap(
-    state: KalmanState,
+    mean: np.ndarray,
     size: tuple[float, float],
     gap_frames: Sequence[int],
-    config: TrackerConfig,
     anchor_after: Point | None = None,
     cell_class: CellClass = CellClass.ALIVE,
 ) -> dict[int, TrackEntry]:
     """Synthesize entries for frames a track was unobserved.
 
-    ``state`` is the filter state at the last observed frame (post
-    update).  The filter is rolled forward one predict per gap frame;
-    when ``anchor_after`` gives the re-identified position on the frame
+    ``mean`` is the filter mean (cx, cy, vx, vy) at the last observed
+    frame (post update), rolled forward one predict per gap frame; the
+    covariance never moves the mean of a predict, so it is not needed.
+    When ``anchor_after`` gives the re-identified position on the frame
     right after the gap, the predictions are blended linearly toward it
     so the track rejoins the new observation without a jump.  Returned
     boxes have ``size``, the last observed (width, height).
@@ -164,13 +164,13 @@ def interpolate_gap(
         return {}
     w, h = size
     positions: list[np.ndarray] = []
-    rolling = state
+    rolling = mean
     for _ in gap_frames:
-        rolling = kf_predict(rolling, config)
-        positions.append(rolling.mean[:2].copy())
+        rolling = rolling @ _F.T
+        positions.append(rolling[:2])
     if anchor_after is not None:
-        rolling = kf_predict(rolling, config)
-        residual = np.array(anchor_after) - rolling.mean[:2]
+        rolling = rolling @ _F.T
+        residual = np.array(anchor_after) - rolling[:2]
         k = len(gap_frames)
         for i in range(k):
             positions[i] = positions[i] + residual * ((i + 1) / (k + 1))

@@ -16,7 +16,9 @@ parent->daughter division edges):
   one-to-one box matching that maximizes total IoU subject to
   ``iou >= alpha``.
 
-Both families are invariant to track relabeling and deterministic.
+The scoring protocol is fixed by the constants below, as the metric
+definitions fix it.  Both families are invariant to track relabeling
+and deterministic.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .core import (
 
 __all__ = [
     "UndefinedMetricError",
-    "AOGMWeights",
     "AOGMCounts",
     "CtcScores",
     "TrackingGraph",
@@ -64,24 +65,21 @@ __all__ = [
 LINK = "link"
 PARENT = "parent"
 
-# IoU threshold grid for HOTA: 0.05, 0.10, ..., 0.95.
+# AOGM edit weights of the Cell Tracking Challenge (Matula et al., PLoS
+# ONE 2015): node split, false negative, false positive; edge deletion,
+# addition, semantics change.
+NODE_SPLIT_WEIGHT, FALSE_NEGATIVE_WEIGHT, FALSE_POSITIVE_WEIGHT = 5.0, 10.0, 1.0
+EDGE_DELETE_WEIGHT, EDGE_ADD_WEIGHT, EDGE_CHANGE_WEIGHT = 1.0, 1.5, 1.0
+
+# HOTA's IoU threshold grid (Luiten et al., IJCV 2021): 0.05, 0.10, ..., 0.95.
 DEFAULT_ALPHAS: tuple[float, ...] = tuple(i / 20 for i in range(1, 20))
+
+# The IoU threshold of MOTA, MOTP and IDF1.
+MOT_ALPHA = 0.5
 
 
 class UndefinedMetricError(ValueError):
     """A metric has no defined value on this input (e.g. empty support)."""
-
-
-@dataclass(frozen=True)
-class AOGMWeights:
-    """Edit-operation weights; defaults are the conventional ones."""
-
-    node_split: float = 5.0
-    false_negative: float = 10.0
-    false_positive: float = 1.0
-    edge_delete: float = 1.0
-    edge_add: float = 1.5
-    edge_change: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -115,13 +113,6 @@ class TrackingGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def nodes_per_track(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for ids in self.frame_ids:
-            for tid in ids:
-                counts[tid] = counts.get(tid, 0) + 1
-        return counts
 
 
 def build_graph(forest: LineageForest, frames: int | None = None) -> TrackingGraph:
@@ -440,20 +431,17 @@ def aogm_counts(gt: TrackingGraph, pred: TrackingGraph) -> AOGMCounts:
     )
 
 
-def aogm_penalty(
-    counts: AOGMCounts, weights: AOGMWeights | None = None, ops: str = "all"
-) -> float:
+def aogm_penalty(counts: AOGMCounts, ops: str = "all") -> float:
     """Weighted edit cost; ``ops`` restricts to "nodes" or "edges"."""
-    w = weights or AOGMWeights()
     nodes = (
-        w.node_split * counts.node_splits
-        + w.false_negative * counts.false_negatives
-        + w.false_positive * counts.false_positives
+        NODE_SPLIT_WEIGHT * counts.node_splits
+        + FALSE_NEGATIVE_WEIGHT * counts.false_negatives
+        + FALSE_POSITIVE_WEIGHT * counts.false_positives
     )
     edges = (
-        w.edge_delete * counts.edge_deletions
-        + w.edge_add * counts.edge_additions
-        + w.edge_change * counts.edge_changes
+        EDGE_DELETE_WEIGHT * counts.edge_deletions
+        + EDGE_ADD_WEIGHT * counts.edge_additions
+        + EDGE_CHANGE_WEIGHT * counts.edge_changes
     )
     if ops == "all":
         return nodes + edges
@@ -479,9 +467,7 @@ class CtcScores:
 
 
 def det_lnk_tra(
-    pred: LineageForest | TrackingGraph,
-    gt: LineageForest | TrackingGraph,
-    weights: AOGMWeights | None = None,
+    pred: LineageForest | TrackingGraph, gt: LineageForest | TrackingGraph
 ) -> CtcScores:
     """DET / LNK / TRA of a prediction against ground truth.
 
@@ -489,18 +475,15 @@ def det_lnk_tra(
     the cost of building the ground-truth graph from nothing, restricted
     to node operations (DET), edge operations (LNK), or both (TRA).
     """
-    w = weights or AOGMWeights()
     gt_graph, pred_graph = _graphs(pred, gt)
     n_gt = gt_graph.node_count
-    if n_gt == 0:
-        raise UndefinedMetricError("ground truth has no objects")
     e_gt = gt_graph.edge_count
     counts = aogm_counts(gt_graph, pred_graph)
-    det = _normalized(aogm_penalty(counts, w, "nodes"), n_gt * w.false_negative)
-    lnk = _normalized(aogm_penalty(counts, w, "edges"), e_gt * w.edge_add)
+    det = _normalized(aogm_penalty(counts, "nodes"), n_gt * FALSE_NEGATIVE_WEIGHT)
+    lnk = _normalized(aogm_penalty(counts, "edges"), e_gt * EDGE_ADD_WEIGHT)
     tra = _normalized(
-        aogm_penalty(counts, w, "all"),
-        n_gt * w.false_negative + e_gt * w.edge_add,
+        aogm_penalty(counts, "all"),
+        n_gt * FALSE_NEGATIVE_WEIGHT + e_gt * EDGE_ADD_WEIGHT,
     )
     return CtcScores(det=det, lnk=lnk, tra=tra, counts=counts)
 
@@ -514,7 +497,6 @@ class HotaScores:
     hota: float
     det_a: float
     ass_a: float
-    alphas: tuple[float, ...]
     hota_alpha: tuple[float, ...]
     det_a_alpha: tuple[float, ...]
     ass_a_alpha: tuple[float, ...]
@@ -523,24 +505,24 @@ class HotaScores:
 class FramePairs:
     """Every frame's overlapping (gt, pred) box pairs, for one evaluation pass.
 
-    Each frame's IoU matrix is computed once, and the pairs with
-    ``iou >= floor`` are kept, flattened over frames in (frame, gt
-    index, pred index) order.  Rows and columns number the ground-truth
-    and predicted nodes in frame order, and map to dense track codes
-    (indices into the sorted track ids).  HOTA, MOTA, MOTP and IDF1 all
-    read their pairs from here, and each threshold's matching is
-    computed once and shared.
+    Each frame's IoU matrix is computed once, and the pairs with IoU at
+    or above the lowest threshold, ``DEFAULT_ALPHAS[0]``, are kept,
+    flattened over frames in (frame, gt index, pred index) order.  Rows
+    and columns number the ground-truth and predicted nodes in frame
+    order (``n_rows`` and ``n_cols`` are the two node counts), and map
+    to dense track codes (indices into the sorted track ids).  HOTA,
+    MOTA, MOTP and IDF1 all read their pairs from here, and each
+    threshold's matching is computed once and shared.
     """
 
-    def __init__(self, gt: TrackingGraph, pred: TrackingGraph, floor: float) -> None:
-        self.floor = floor
+    def __init__(self, gt: TrackingGraph, pred: TrackingGraph) -> None:
         rows = [np.zeros(0, dtype=np.intp)]
         cols = [np.zeros(0, dtype=np.intp)]
         ious = [np.zeros(0)]
         self.n_rows = self.n_cols = 0
         for f in range(gt.frames):
             frame = iou_matrix(gt.frame_boxes[f], pred.frame_boxes[f])
-            r, c = np.nonzero(frame >= floor)
+            r, c = np.nonzero(frame >= DEFAULT_ALPHAS[0])
             rows.append(r + self.n_rows)
             cols.append(c + self.n_cols)
             ious.append(frame[r, c])
@@ -560,8 +542,6 @@ class FramePairs:
 
     def eligible(self, alpha: float) -> np.ndarray:
         """Indices of the pairs with ``iou >= alpha``."""
-        if alpha < self.floor:
-            raise ValueError(f"threshold {alpha} is below the pair floor {self.floor}")
         return np.flatnonzero(self.ious >= alpha)
 
     def matches(self, alpha: float) -> np.ndarray:
@@ -582,49 +562,54 @@ class FramePairs:
 def _graphs(
     pred: LineageForest | TrackingGraph, gt: LineageForest | TrackingGraph
 ) -> tuple[TrackingGraph, TrackingGraph]:
-    """(gt, pred) as graphs; a prediction forest spans the ground truth's frames."""
+    """(gt, pred) as graphs; a prediction forest spans the ground truth's frames.
+
+    The input check of every metric: ``ValidationError`` when the graphs
+    span different frame counts, ``UndefinedMetricError`` when the ground
+    truth has no objects.
+    """
     gt_graph = gt if isinstance(gt, TrackingGraph) else build_graph(gt)
     pred_graph = (
         pred if isinstance(pred, TrackingGraph) else build_graph(pred, gt_graph.frames)
     )
+    if gt_graph.frames != pred_graph.frames:
+        raise ValidationError(
+            f"frame count mismatch: gt {gt_graph.frames} vs pred {pred_graph.frames}"
+        )
+    if gt_graph.node_count == 0:
+        raise UndefinedMetricError("ground truth has no objects")
     return gt_graph, pred_graph
 
 
 def hota(
     pred: LineageForest | TrackingGraph,
     gt: LineageForest | TrackingGraph,
-    alphas: tuple[float, ...] = DEFAULT_ALPHAS,
     *,
     pairs: FramePairs | None = None,
 ) -> HotaScores:
     """HOTA with its detection and association factors.
 
-    Per threshold alpha, frames are matched one-to-one maximizing total
-    IoU over pairs with ``iou >= alpha``; DetA is TP / (TP + FN + FP)
-    and AssA averages, over true-positive detections, the Jaccard index
-    between the ground-truth and predicted trajectories they join.  The
-    headline numbers average over the threshold grid.
+    Per threshold alpha of ``DEFAULT_ALPHAS``, frames are matched
+    one-to-one maximizing total IoU over pairs with ``iou >= alpha``;
+    DetA is TP / (TP + FN + FP) and AssA averages, over true-positive
+    detections, the Jaccard index between the ground-truth and predicted
+    trajectories they join.  The headline numbers average over the
+    threshold grid.
 
-    ``pairs``, when given, is the evaluation pass of these two graphs
-    (with a floor at or below every alpha), shared with other metrics.
+    ``pairs``, when given, is the evaluation pass of these two graphs,
+    shared with other metrics; ``pred`` and ``gt`` are then not read.
     """
-    gt_graph, pred_graph = _graphs(pred, gt)
-    if gt_graph.frames != pred_graph.frames:
-        raise ValidationError("frame count mismatch")
-    if gt_graph.node_count == 0:
-        raise UndefinedMetricError("ground truth has no objects")
-    if pairs is None:
-        pairs = FramePairs(gt_graph, pred_graph, min(alphas, default=1.0))
+    pairs = pairs or FramePairs(*_graphs(pred, gt))
     gt_sizes = np.bincount(pairs.gt_track)
     pred_sizes = np.bincount(pairs.pred_track)
     n_pred_tracks = pairs.pred_tracks.size
-    gt_total = gt_graph.node_count
-    pred_total = pred_graph.node_count
+    gt_total = pairs.n_rows
+    pred_total = pairs.n_cols
 
     h_list: list[float] = []
     d_list: list[float] = []
     a_list: list[float] = []
-    for alpha in alphas:
+    for alpha in DEFAULT_ALPHAS:
         kept = pairs.matches(alpha)
         tp = int(kept.size)
         det_a = tp / (gt_total + pred_total - tp) if gt_total + pred_total else 0.0
@@ -649,7 +634,6 @@ def hota(
         hota=float(np.mean(h_list)),
         det_a=float(np.mean(d_list)),
         ass_a=float(np.mean(a_list)),
-        alphas=tuple(alphas),
         hota_alpha=tuple(h_list),
         det_a_alpha=tuple(d_list),
         ass_a_alpha=tuple(a_list),
@@ -659,21 +643,16 @@ def hota(
 def mota(
     pred: LineageForest | TrackingGraph,
     gt: LineageForest | TrackingGraph,
-    alpha: float = 0.5,
     *,
     pairs: FramePairs | None = None,
 ) -> float:
-    """1 - (FN + FP + IDSW) / |GT| at the given IoU threshold."""
-    gt_graph, pred_graph = _graphs(pred, gt)
-    if gt_graph.node_count == 0:
-        raise UndefinedMetricError("ground truth has no objects")
-    if pairs is None:
-        pairs = FramePairs(gt_graph, pred_graph, alpha)
-    kept = pairs.matches(alpha)
-    gt_total = gt_graph.node_count
+    """1 - (FN + FP + IDSW) / |GT| at IoU threshold ``MOT_ALPHA``."""
+    pairs = pairs or FramePairs(*_graphs(pred, gt))
+    kept = pairs.matches(MOT_ALPHA)
+    gt_total = pairs.n_rows
     tp = int(kept.size)
     fn = gt_total - tp
-    fp = pred_graph.node_count - tp
+    fp = pairs.n_cols - tp
     # An identity switch is a ground-truth track matched to another
     # prediction than at its previous match.
     g, p = pairs.track_codes(kept)
@@ -686,14 +665,12 @@ def mota(
 def motp(
     pred: LineageForest | TrackingGraph,
     gt: LineageForest | TrackingGraph,
-    alpha: float = 0.5,
     *,
     pairs: FramePairs | None = None,
 ) -> float:
-    """Mean IoU over matched pairs; undefined without any match."""
-    if pairs is None:
-        pairs = FramePairs(*_graphs(pred, gt), alpha)
-    kept = pairs.matches(alpha)
+    """Mean IoU over the pairs matched at ``MOT_ALPHA``; undefined without any."""
+    pairs = pairs or FramePairs(*_graphs(pred, gt))
+    kept = pairs.matches(MOT_ALPHA)
     if kept.size == 0:
         raise UndefinedMetricError("no matched pairs at this threshold")
     return float(np.mean(pairs.ious[kept]))
@@ -702,29 +679,24 @@ def motp(
 def idf1(
     pred: LineageForest | TrackingGraph,
     gt: LineageForest | TrackingGraph,
-    alpha: float = 0.5,
     *,
     pairs: FramePairs | None = None,
 ) -> float:
     """Identity F1: optimal trajectory pairing, then detection-level F1.
 
     Trajectories are paired one-to-one to maximize the number of frames
-    where the paired tracks overlap with ``iou >= alpha``; those frames
-    are the identity true positives.
+    where the paired tracks overlap with ``iou >= MOT_ALPHA``; those
+    frames are the identity true positives.
     """
-    gt_graph, pred_graph = _graphs(pred, gt)
-    if gt_graph.node_count == 0:
-        raise UndefinedMetricError("ground truth has no objects")
-    if pairs is None:
-        pairs = FramePairs(gt_graph, pred_graph, alpha)
+    pairs = pairs or FramePairs(*_graphs(pred, gt))
     overlap = np.zeros((pairs.gt_tracks.size, pairs.pred_tracks.size))
-    np.add.at(overlap, pairs.track_codes(pairs.eligible(alpha)), 1.0)
+    np.add.at(overlap, pairs.track_codes(pairs.eligible(MOT_ALPHA)), 1.0)
     idtp = 0.0
     if overlap.size:
         ri, ci = linear_sum_assignment(overlap, maximize=True)
         idtp = float(overlap[ri, ci].sum())
-    idfn = gt_graph.node_count - idtp
-    idfp = pred_graph.node_count - idtp
+    idfn = pairs.n_rows - idtp
+    idfp = pairs.n_cols - idtp
     return 2.0 * idtp / (2.0 * idtp + idfp + idfn)
 
 
@@ -744,7 +716,6 @@ class MetricReport:
     motp: float
     idf1: float
     counts: AOGMCounts
-    alphas: tuple[float, ...]
     hota_alpha: tuple[float, ...]
 
     def to_flat(self) -> dict[str, float]:
@@ -765,7 +736,7 @@ class MetricReport:
             "aogm_edge_additions": float(self.counts.edge_additions),
             "aogm_edge_changes": float(self.counts.edge_changes),
         }
-        for alpha, value in zip(self.alphas, self.hota_alpha):
+        for alpha, value in zip(DEFAULT_ALPHAS, self.hota_alpha):
             out[f"hota_alpha_{alpha:.2f}"] = value
         return out
 
@@ -779,25 +750,19 @@ def check_frame_range(pred: VideoMeta, gt: VideoMeta) -> None:
         )
 
 
-def evaluate(
-    pred: LineageForest,
-    gt: LineageForest,
-    weights: AOGMWeights | None = None,
-    alphas: tuple[float, ...] = DEFAULT_ALPHAS,
-) -> MetricReport:
+def evaluate(pred: LineageForest, gt: LineageForest) -> MetricReport:
     """Compute the full metric suite for one video.
 
     MOTP is reported as 0.0 when no pair matches at the 0.5 threshold
     (the mean overlap is undefined there).
     """
     check_frame_range(pred.meta, gt.meta)
-    gt_graph = build_graph(gt)
-    pred_graph = build_graph(pred, gt_graph.frames)
-    scores = det_lnk_tra(pred_graph, gt_graph, weights)
-    # One pass of IoU pairs serves every threshold, including MOTA, MOTP
-    # and IDF1's 0.5, whose matching HOTA has computed when 0.5 is an alpha.
-    pairs = FramePairs(gt_graph, pred_graph, min([*alphas, 0.5]))
-    h = hota(pred_graph, gt_graph, alphas, pairs=pairs)
+    gt_graph, pred_graph = _graphs(pred, gt)
+    scores = det_lnk_tra(pred_graph, gt_graph)
+    # One pass of IoU pairs serves every threshold; MOTA and MOTP reuse
+    # HOTA's matching at 0.5.
+    pairs = FramePairs(gt_graph, pred_graph)
+    h = hota(pred_graph, gt_graph, pairs=pairs)
     try:
         motp_value = motp(pred_graph, gt_graph, pairs=pairs)
     except UndefinedMetricError:
@@ -813,6 +778,5 @@ def evaluate(
         motp=motp_value,
         idf1=idf1(pred_graph, gt_graph, pairs=pairs),
         counts=scores.counts,
-        alphas=h.alphas,
         hota_alpha=h.hota_alpha,
     )

@@ -132,6 +132,8 @@ class SimulationConfig:
                 f"division_period must be >= 1, got {self.division_period}"
             )
         pulse = self.division_pulse_frame
+        if pulse is not None and self.division_period is not None:
+            raise ValidationError("set division_period or division_pulse_frame, not both")
         if pulse is not None and not (0 <= pulse < self.frames - 1):
             raise ValidationError(
                 f"division_pulse_frame must lie in [0, frames - 1), got {pulse}"
@@ -213,8 +215,9 @@ def _initial_size(cfg: SimulationConfig, rng: np.random.Generator) -> np.ndarray
 def _divides(
     cfg: SimulationConfig, rng: np.random.Generator, cell: SimulatedCell, frame: int
 ) -> bool:
-    """The division rule: a fixed period, else one pulse frame, else a
-    draw at the division probability, scaled from treatment on."""
+    """The division rule: a fixed period or one pulse frame (the config
+    allows at most one), else a draw at the division probability,
+    scaled from treatment on."""
     if cfg.division_period is not None:
         return frame - cell.born_frame + 1 >= cfg.division_period
     if cfg.division_pulse_frame is not None:

@@ -54,7 +54,6 @@ from .core import (
 )
 from .ingest import partition_by_confidence
 from .kalman import (
-    KalmanState,
     batch_predict,
     batch_update,
     interpolate_gap,
@@ -96,9 +95,9 @@ class _Runtime:
     class the matcher needs, and its ``frame_index`` is where a gap
     starts.  The rest is: ``lost_count``, the consecutive frames without
     a match; the Kalman filter ``kf_mean``/``kf_cov``, predicted every
-    frame; and the ``anchor_mean``/``anchor_cov`` filter state at the
-    last observation, from which gaps are interpolated.  Without Kalman
-    all four are None.
+    frame; and ``anchor_mean``, the filter mean at the last observation,
+    from which gaps are interpolated.  Without Kalman all three are
+    None.
     """
 
     __slots__ = (
@@ -108,7 +107,6 @@ class _Runtime:
         "kf_mean",
         "kf_cov",
         "anchor_mean",
-        "anchor_cov",
     )
 
     def __init__(
@@ -130,7 +128,7 @@ class _Runtime:
         if config.use_kalman:
             state = kf_init(det.centroid, config)
             self.kf_mean, self.kf_cov = state.mean.copy(), state.cov.copy()
-        self.anchor_mean, self.anchor_cov = self.kf_mean, self.kf_cov
+        self.anchor_mean = self.kf_mean
 
     @property
     def position(self) -> Point:
@@ -398,13 +396,11 @@ class CellTracker:
         if not self.config.use_kalman or fi <= last.frame_index + 1:
             return
         gap = range(last.frame_index + 1, fi)
-        state = KalmanState(mean=rt.anchor_mean, cov=rt.anchor_cov)
         rt.track.entries.update(
             interpolate_gap(
-                state,
+                rt.anchor_mean,
                 last.box[2:],
                 gap,
-                self.config,
                 anchor_after=anchor,
                 cell_class=last.cell_class,
             )
@@ -445,7 +441,7 @@ class CellTracker:
         )
         for k, rt in enumerate(rts):
             rt.kf_mean = rt.anchor_mean = means[k]
-            rt.kf_cov = rt.anchor_cov = covs[k]
+            rt.kf_cov = covs[k]
         rts.clear()
 
     def _divide(self, rt: _Runtime, fi: int, dets: list[Detection]) -> None:

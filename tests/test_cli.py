@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import celltrack.cli
-from celltrack import evaluate, load_forest, load_ground_truth, save_forest
+from celltrack import evaluate, load_forest, save_forest
 from celltrack.cli import (
     UsageError,
     build_configs,
@@ -185,7 +185,7 @@ class TestSimulateCommand:
         assert manifest["count"] == 1
 
     def test_ground_truth_loads(self, sim_dir):
-        forest = load_ground_truth(str(sim_dir / "gt"))
+        forest = load_forest(str(sim_dir / "gt"))
         assert forest.meta.frames == 20
         assert forest.meta.video_id == "video_000"
         roots = [t for t in forest.tracks.values() if t.parent is None]
@@ -200,7 +200,7 @@ class TestSimulateCommand:
             video = corpus_dir / name
             assert (video / "detections.txt").exists()
             assert (video / "gt_tracks.txt").exists()
-            forest = load_ground_truth(str(video / "gt"))
+            forest = load_forest(str(video / "gt"))
             assert forest.meta.video_id == name
 
     def test_per_video_seeds_differ(self, corpus_dir):
@@ -216,7 +216,7 @@ class TestSimulateCommand:
         assert main(args) == 0
         for name in ("gt_tracks.txt", "detections.txt"):
             assert f"#dosage={dosage}\n" in (out / name).read_text()
-        assert load_ground_truth(str(out / "gt")).meta.dosage == dosage
+        assert load_forest(str(out / "gt")).meta.dosage == dosage
 
     def test_rerun_is_byte_identical(self, sim_dir, tmp_path):
         again = tmp_path / "again"
@@ -257,7 +257,7 @@ class TestTrackCommand:
 
         # The written report matches a direct library evaluation.
         pred = load_forest(str(tracked / "pred"), strict=False)
-        gt = load_ground_truth(str(sim_dir / "gt"))
+        gt = load_forest(str(sim_dir / "gt"))
         report = evaluate(pred, gt)
         assert flat["hota"] == pytest.approx(report.hota, abs=1e-12)
         assert flat["idf1"] == report.idf1
@@ -436,6 +436,15 @@ class TestExitCodes:
         assert "initial_size_spread must be >= 0" in err
         assert "internal error" not in err
 
+    def test_division_period_with_pulse(self, tmp_path, capsys):
+        args = ["simulate", "--out", str(tmp_path / "o"),
+                "--set", "sim.division_period=6",
+                "--set", "sim.division_pulse_frame=2"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "division_period or division_pulse_frame, not both" in err
+        assert "internal error" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -473,7 +482,7 @@ class TestExitCodes:
         (video / "detections.txt").write_bytes(
             (sim_dir / "detections.txt").read_bytes()
         )
-        frames = load_ground_truth(str(sim_dir / "gt")).meta.frames
+        frames = load_forest(str(sim_dir / "gt")).meta.frames
         save_forest(make_forest(frames=frames), str(video / "gt"))
         return video
 

@@ -19,8 +19,6 @@ from celltrack import (
     TrackerConfig,
     ValidationError,
     centroid,
-    embedding_l1,
-    euclidean_distance,
     iou,
 )
 from conftest import bx, make_forest, make_track
@@ -35,9 +33,6 @@ def boxes_strategy():
 class TestGeometry:
     def test_centroid(self):
         assert centroid((0.0, 0.0, 10.0, 20.0)) == (5.0, 10.0)
-
-    def test_euclidean_distance(self):
-        assert euclidean_distance((0, 0), (3, 4)) == 5.0
 
     def test_iou_identical(self):
         assert iou((1.0, 2.0, 8.0, 8.0), (1.0, 2.0, 8.0, 8.0)) == 1.0
@@ -68,15 +63,6 @@ class TestGeometry:
         # float-exact, never above 1.
         assert iou(a, a) == pytest.approx(1.0, abs=1e-12)
         assert iou(a, a) <= 1.0
-
-    def test_embedding_l1(self):
-        a = np.array([1.0, -2.0, 3.0])
-        b = np.array([0.0, 0.0, 0.0])
-        assert embedding_l1(a, b) == 6.0
-
-    def test_embedding_l1_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            embedding_l1(np.zeros(3), np.zeros(4))
 
 
 class TestDetection:

@@ -26,7 +26,6 @@ from celltrack import (
     corrupt,
     load_detections,
     load_forest,
-    load_ground_truth,
     partition_by_confidence,
     save_detections,
     save_forest,
@@ -277,8 +276,6 @@ class TestForestIO:
         open(entries_path, "w").write("\n".join(lines) + "\n")
         with pytest.raises(ValidationError):
             load_forest(prefix)
-        with pytest.raises(ValidationError):
-            load_ground_truth(prefix)
 
     def test_span_mismatch(self, tmp_path):
         forest = self.sample_forest()

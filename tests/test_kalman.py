@@ -135,11 +135,11 @@ class TestGapInterpolation:
 
     def test_empty_gap(self):
         state, _ = self.settled_state()
-        assert interpolate_gap(state, (8.0, 8.0), [], CFG) == {}
+        assert interpolate_gap(state.mean, (8.0, 8.0), []) == {}
 
     def test_pure_prediction_without_anchor(self):
         state, last = self.settled_state(velocity=(4.0, 0.0))
-        entries = interpolate_gap(state, (8.0, 6.0), [21, 22, 23], CFG)
+        entries = interpolate_gap(state.mean, (8.0, 6.0), [21, 22, 23])
         assert sorted(entries) == [21, 22, 23]
         for i, frame in enumerate([21, 22, 23], start=1):
             e = entries[frame]
@@ -154,7 +154,7 @@ class TestGapInterpolation:
         state, last = self.settled_state(velocity=(4.0, 0.0))
         gap = [21, 22, 23]
         anchor = (last[0] + 4.0 * 4, 12.0)
-        entries = interpolate_gap(state, (8.0, 8.0), gap, CFG, anchor_after=anchor)
+        entries = interpolate_gap(state.mean, (8.0, 8.0), gap, anchor_after=anchor)
         cys = [entries[f].box[1] + entries[f].box[3] / 2.0 for f in gap]
         expected = [12.0 * (i / 4.0) for i in (1, 2, 3)]
         assert cys == pytest.approx(expected, abs=0.2)
@@ -162,6 +162,6 @@ class TestGapInterpolation:
     def test_cell_class_propagates(self):
         state, _ = self.settled_state()
         entries = interpolate_gap(
-            state, (8.0, 8.0), [21], CFG, cell_class=CellClass.DEAD
+            state.mean, (8.0, 8.0), [21], cell_class=CellClass.DEAD
         )
         assert entries[21].cell_class is CellClass.DEAD

@@ -4,7 +4,9 @@ Reference numbers in this file were computed with the exhaustive
 implementations in ``oracles.py`` and then frozen as literals.
 """
 
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,7 +32,6 @@ from celltrack import (
     track_video,
 )
 from celltrack.metrics import (
-    AOGMWeights,
     DEFAULT_ALPHAS,
     UndefinedMetricError,
     aogm_counts,
@@ -122,10 +123,6 @@ class TestGraphBuilding:
             evaluate(bad, good)
         with pytest.raises(ValidationError, match="negative frame"):
             evaluate(good, bad)
-
-    def test_nodes_per_track(self):
-        g = build_graph(self.forest())
-        assert g.nodes_per_track() == {1: 2, 2: 2, 3: 2}
 
 
 class TestIouMatrix:
@@ -470,12 +467,11 @@ class TestEditCounts:
             edge_additions=5,
             edge_changes=6,
         )
-        w = AOGMWeights()
-        assert aogm_penalty(counts, w, "nodes") == 5 + 20 + 3
-        assert aogm_penalty(counts, w, "edges") == 4 + 7.5 + 6
-        assert aogm_penalty(counts, w, "all") == 45.5
+        assert aogm_penalty(counts, "nodes") == 5 + 20 + 3
+        assert aogm_penalty(counts, "edges") == 4 + 7.5 + 6
+        assert aogm_penalty(counts, "all") == 45.5
         with pytest.raises(ValueError):
-            aogm_penalty(counts, w, "bogus")
+            aogm_penalty(counts, "bogus")
 
 
 class TestHota:
@@ -517,7 +513,9 @@ class TestHota:
         pred = track_video(corrupt(res.clean_frames, cfg), TrackerConfig())
         pred.meta.frames = cfg.frames
         g, p = build_graph(res.ground_truth), build_graph(pred, cfg.frames)
-        gt_sizes, pred_sizes = g.nodes_per_track(), p.nodes_per_track()
+        gt_sizes, pred_sizes = (
+            Counter(np.concatenate(graph.frame_ids).tolist()) for graph in (g, p)
+        )
         want = []
         for alpha in DEFAULT_ALPHAS:
             counts: dict[tuple[int, int], int] = {}
@@ -602,6 +600,14 @@ class TestClearMetrics:
         gt = make_forest(make_track(1, 0, [B] * 2), frames=2)
         pred = LineageForest(tracks={}, meta=gt.meta)
         assert idf1(pred, gt) == 0.0
+
+    @pytest.mark.parametrize("metric", [mota, motp, idf1])
+    @pytest.mark.parametrize("pred_frames", [1, 3])
+    def test_frame_count_mismatch_rejected(self, metric, pred_frames):
+        gt = build_graph(make_forest(make_track(1, 0, [B] * 2), frames=2))
+        pred = build_graph(make_forest(make_track(101, 0, [B]), frames=pred_frames))
+        with pytest.raises(ValidationError, match="frame count mismatch"):
+            metric(pred, gt)
 
 
 class TestInvariances:
@@ -705,3 +711,56 @@ class TestEvaluateReport:
         pred = make_forest(make_track(101, 0, [B]), frames=3)
         with pytest.raises(ValidationError):
             evaluate(pred, gt)
+
+
+class TestGoldenScores:
+    """Every score of a small noisy corpus, pinned by digest: a change to
+    the scoring protocol (an AOGM weight, the HOTA threshold grid, the
+    0.5 IoU threshold) or to the rounding of any sum fails here."""
+
+    DIGEST = "a10471502fa78d979aeecb018a06633c0746222a3beed5ab1582e248116e7842"
+
+    @staticmethod
+    def cases():
+        for seed in (4, 5, 6):
+            sim = SimulationConfig(
+                frames=30, initial_cells=30, treatment_frame=15,
+                death_prob=0.02, box_jitter_sigma=2.0, drop_prob=0.15,
+                false_positive_rate=1.0, embedding_noise_sigma=1.0, seed=seed,
+            )
+            res = simulate(sim)
+            dets = corrupt(res.clean_frames, sim)
+            for config in (
+                TrackerConfig(),
+                TrackerConfig(use_kalman=False),
+                TrackerConfig(tau_low=0.45, tau_high=0.45),
+            ):
+                pred = track_video(dets, config)
+                pred.meta.frames = sim.frames
+                yield pred, res.ground_truth
+        # No prediction overlaps the truth at IoU 0.5: MOTP reads 0.0.
+        gt = make_forest(make_track(1, 0, [bx(50, 50)] * 3), frames=3)
+        yield make_forest(make_track(7, 0, [bx(57, 50)] * 3), frames=3), gt
+
+    def test_scores_unchanged(self):
+        digest = hashlib.sha256()
+        motps = []
+        for pred, gt in self.cases():
+            report = evaluate(pred, gt)
+            h = hota(pred, gt)
+            s = det_lnk_tra(pred, gt)
+            try:
+                standalone_motp = motp(pred, gt)
+            except UndefinedMetricError:
+                standalone_motp = None
+            motps.append(report.motp)
+            values = (
+                sorted(report.to_flat().items()),
+                (h.hota, h.det_a, h.ass_a),
+                (h.hota_alpha, h.det_a_alpha, h.ass_a_alpha),
+                (mota(pred, gt), standalone_motp, idf1(pred, gt)),
+                (s.det, s.lnk, s.tra, s.counts),
+            )
+            digest.update(repr(values).encode())
+        assert motps[-1] == 0.0 and min(motps[:-1]) > 0.5
+        assert digest.hexdigest() == self.DIGEST

@@ -98,6 +98,7 @@ class TestConfigValidation:
             {"division_pulse_frame": -1},
             {"division_pulse_frame": 59},
             {"division_pulse_frame": 99},
+            {"division_period": 6, "division_pulse_frame": 2},
         ],
     )
     def test_rejects(self, kwargs):
