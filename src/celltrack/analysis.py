@@ -513,7 +513,7 @@ def sample_profiles(
 
 
 def _write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)

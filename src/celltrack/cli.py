@@ -440,12 +440,21 @@ def cmd_analyze(args) -> int:
 # Argument parsing
 
 
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
 def positive_int(text: str) -> int:
     """Argparse type of the count flags: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    """Argparse type of ``--seed``: an integer >= 0."""
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--count", type=positive_int, default=1, help="number of videos to generate"
     )
-    p.add_argument("--seed", type=int, default=None, help="video seed")
+    p.add_argument("--seed", type=non_negative_int, default=None, help="video seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("track", help="run the tracker on a detection file")
@@ -504,7 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("forests", nargs="+", help="forest file prefixes")
     p.add_argument("--sample-size", type=positive_int, default=300)
-    p.add_argument("--seed", type=int, default=None, help="profile sampling seed")
+    p.add_argument(
+        "--seed", type=non_negative_int, default=None, help="profile sampling seed"
+    )
     p.set_defaults(func=cmd_analyze)
 
     return parser

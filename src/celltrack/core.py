@@ -113,7 +113,9 @@ _FIELD_RULES = {
     # Comparing, not converting, keeps a huge int from raising OverflowError.
     "float": (
         "a finite number",
-        lambda v: isinstance(v, (int, float)) and abs(v) <= sys.float_info.max,
+        lambda v: isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max,
     ),
     "int": ("an integer", _is_int),
     "int | None": ("an integer or None", lambda v: v is None or _is_int(v)),

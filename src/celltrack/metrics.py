@@ -16,9 +16,10 @@ parent->daughter division edges):
   one-to-one box matching that maximizes total IoU subject to
   ``iou >= alpha``.
 
-The scoring protocol is fixed by the constants below, as the metric
-definitions fix it.  Both families are invariant to track relabeling
-and deterministic.
+Both read one pass, ``FramePairs``, that computes each frame's box
+intersections once.  The scoring protocol is fixed by the constants
+below, as the metric definitions fix it.  Both families are invariant
+to track relabeling and deterministic.
 """
 
 from __future__ import annotations
@@ -163,8 +164,6 @@ def build_graph(forest: LineageForest, frames: int | None = None) -> TrackingGra
 
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two (n, 4) box arrays in (x, y, w, h) form."""
-    if boxes_a.size == 0 or boxes_b.size == 0:
-        return np.zeros((boxes_a.shape[0], boxes_b.shape[0]))
     return _ratio(*_inter_union(boxes_a, boxes_b))
 
 
@@ -182,7 +181,7 @@ def _inter_union(
     ih = np.minimum(ay2[:, None], by2[None, :]) - np.maximum(
         ay1[:, None], by1[None, :]
     )
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     inter[(iw <= 0) | (ih <= 0)] = 0.0
     areas_a = boxes_a[:, 2] * boxes_a[:, 3]
     areas_b = boxes_b[:, 2] * boxes_b[:, 3]
@@ -200,9 +199,10 @@ def _ratio(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
 
 
 def _center_cover_mapping(
-    gt_boxes: np.ndarray, pred_boxes: np.ndarray
+    gt_boxes: np.ndarray, pred_boxes: np.ndarray, inter: np.ndarray, ious: np.ndarray
 ) -> np.ndarray:
-    """Covered-center assignment for one frame.
+    """Covered-center assignment for one frame, from its pairwise (gt, pred)
+    intersection areas ``inter`` and IoUs ``ious``.
 
     Returns, per ground-truth node, the index of the prediction whose box
     contains the ground-truth box center with the largest intersection
@@ -213,10 +213,8 @@ def _center_cover_mapping(
     Several ground-truth nodes may map to one prediction; that surfaces
     as node splits in the edit counts.
     """
-    m = gt_boxes.shape[0]
-    out = np.full(m, -1, dtype=int)
-    if m == 0 or pred_boxes.shape[0] == 0:
-        return out
+    if pred_boxes.shape[0] == 0:
+        return np.full(gt_boxes.shape[0], -1, dtype=int)
     cx = gt_boxes[:, 0] + gt_boxes[:, 2] / 2.0
     cy = gt_boxes[:, 1] + gt_boxes[:, 3] / 2.0
     px1, py1 = pred_boxes[:, 0], pred_boxes[:, 1]
@@ -227,19 +225,12 @@ def _center_cover_mapping(
         & (cy[:, None] >= py1[None, :])
         & (cy[:, None] <= py2[None, :])
     )
-    if not inside.any():
-        return out
-    inter, union = _inter_union(gt_boxes, pred_boxes)
-    iou_tie = _ratio(inter, union)
-    masked_inter = np.where(inside, inter, -1.0)
-    top_inter = masked_inter.max(axis=1, keepdims=True)
-    tied = inside & (masked_inter == top_inter)
-    masked_iou = np.where(tied, iou_tie, -1.0)
-    top_iou = masked_iou.max(axis=1, keepdims=True)
-    best = tied & (masked_iou == top_iou)
-    rows = inside.any(axis=1)
-    out[rows] = np.argmax(best[rows], axis=1)
-    return out
+    masked = np.where(inside, inter, -1.0)
+    tied = inside & (masked == masked.max(axis=1, keepdims=True))
+    # IoUs are >= 0, so the top IoU among the tied lies on a tied pair.
+    masked = np.where(tied, ious, -1.0)
+    best = np.argmax(masked == masked.max(axis=1, keepdims=True), axis=1)
+    return np.where(inside.any(axis=1), best, -1)
 
 
 def _unique_best(
@@ -350,7 +341,8 @@ def match_frame_objects(
     gt_boxes = np.asarray(gt_boxes, dtype=float).reshape(-1, 4)
     pred_boxes = np.asarray(pred_boxes, dtype=float).reshape(-1, 4)
     if criterion == "center":
-        return _center_cover_mapping(gt_boxes, pred_boxes)
+        inter, union = _inter_union(gt_boxes, pred_boxes)
+        return _center_cover_mapping(gt_boxes, pred_boxes, inter, _ratio(inter, union))
     if criterion == "iou":
         ious = iou_matrix(gt_boxes, pred_boxes)
         rows, cols = np.nonzero(ious >= alpha)
@@ -360,10 +352,97 @@ def match_frame_objects(
 
 
 # ---------------------------------------------------------------------------
+# The evaluation pass
+
+
+class FramePairs:
+    """The one evaluation pass over two graphs of equal frame count.
+
+    Each frame's (gt, pred) intersections are computed once.  ``cover``
+    holds each frame's covered-center assignment (DET / LNK / TRA); the
+    pairs with IoU >= ``DEFAULT_ALPHAS[0]`` (HOTA, MOTA, MOTP, IDF1) are
+    flattened over frames in (frame, gt index, pred index) order.  Rows
+    and columns number the ground-truth and predicted nodes in frame
+    order (``n_rows`` and ``n_cols`` are the two node counts), and map to
+    dense track codes (indices into the sorted track ids).  Each
+    threshold's matching is computed once and shared.
+    """
+
+    def __init__(self, gt: TrackingGraph, pred: TrackingGraph) -> None:
+        if gt.frames != pred.frames:
+            raise ValidationError(
+                f"frame count mismatch: gt {gt.frames} vs pred {pred.frames}"
+            )
+        self.gt, self.pred = gt, pred
+        self.cover: list[np.ndarray] = []
+        rows = [np.zeros(0, dtype=np.intp)]
+        cols = [np.zeros(0, dtype=np.intp)]
+        ious = [np.zeros(0)]
+        self.n_rows = self.n_cols = 0
+        for gt_boxes, pred_boxes in zip(gt.frame_boxes, pred.frame_boxes):
+            inter, union = _inter_union(gt_boxes, pred_boxes)
+            frame = _ratio(inter, union)
+            self.cover.append(_center_cover_mapping(gt_boxes, pred_boxes, inter, frame))
+            r, c = np.nonzero(frame >= DEFAULT_ALPHAS[0])
+            rows.append(r + self.n_rows)
+            cols.append(c + self.n_cols)
+            ious.append(frame[r, c])
+            self.n_rows += frame.shape[0]
+            self.n_cols += frame.shape[1]
+            # Free this frame's matrices before the next frame's are built.
+            del inter, union, frame
+        self.rows = np.concatenate(rows)
+        self.cols = np.concatenate(cols)
+        self.ious = np.concatenate(ious)
+        empty = [np.zeros(0, dtype=int)]
+        self.gt_tracks, self.gt_track = np.unique(
+            np.concatenate(empty + gt.frame_ids), return_inverse=True
+        )
+        self.pred_tracks, self.pred_track = np.unique(
+            np.concatenate(empty + pred.frame_ids), return_inverse=True
+        )
+        self._matches: dict[float, np.ndarray] = {}
+
+    def eligible(self, alpha: float) -> np.ndarray:
+        """Indices of the pairs with ``iou >= alpha``."""
+        return np.flatnonzero(self.ious >= alpha)
+
+    def matches(self, alpha: float) -> np.ndarray:
+        """Indices of the pairs matched at ``alpha``, in (frame, gt index) order."""
+        if alpha not in self._matches:
+            idx = self.eligible(alpha)
+            kept = _max_iou_pairs(
+                self.rows[idx], self.cols[idx], self.ious[idx], self.n_rows, self.n_cols
+            )
+            self._matches[alpha] = idx[kept]
+        return self._matches[alpha]
+
+    def track_codes(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(gt, pred) track codes of the pairs ``idx``."""
+        return self.gt_track[self.rows[idx]], self.pred_track[self.cols[idx]]
+
+
+def _graphs(
+    pred: LineageForest | TrackingGraph, gt: LineageForest | TrackingGraph
+) -> tuple[TrackingGraph, TrackingGraph]:
+    """(gt, pred) as graphs; a prediction forest spans the ground truth's
+    frames.  ``UndefinedMetricError`` when the ground truth has no objects."""
+    gt_graph = gt if isinstance(gt, TrackingGraph) else build_graph(gt)
+    pred_graph = (
+        pred if isinstance(pred, TrackingGraph) else build_graph(pred, gt_graph.frames)
+    )
+    if gt_graph.node_count == 0:
+        raise UndefinedMetricError("ground truth has no objects")
+    return gt_graph, pred_graph
+
+
+# ---------------------------------------------------------------------------
 # Graph-edit scores
 
 
-def aogm_counts(gt: TrackingGraph, pred: TrackingGraph) -> AOGMCounts:
+def aogm_counts(
+    gt: TrackingGraph, pred: TrackingGraph, *, pairs: FramePairs | None = None
+) -> AOGMCounts:
     """Count the edit operations turning ``pred`` into ``gt``.
 
     Nodes: ground-truth nodes without a covering prediction are
@@ -373,23 +452,20 @@ def aogm_counts(gt: TrackingGraph, pred: TrackingGraph) -> AOGMCounts:
     between its mapped endpoints — exactly once, matching semantics
     preferred, a semantics change when only the wrong kind is there, an
     addition otherwise.  Prediction edges serving no ground-truth edge
-    are deletions.
+    are deletions.  ``pairs``, when given, is the evaluation pass of
+    these two graphs.
     """
-    if gt.frames != pred.frames:
-        raise ValidationError(
-            f"frame count mismatch: gt {gt.frames} vs pred {pred.frames}"
-        )
+    pairs = pairs or FramePairs(gt, pred)
     ns = fn = fp = 0
     mapping: dict[Node, Node] = {}
-    for f in range(gt.frames):
+    for f, assigned in enumerate(pairs.cover):
         gt_ids = gt.frame_ids[f]
         pred_ids = pred.frame_ids[f]
-        assigned = _center_cover_mapping(gt.frame_boxes[f], pred.frame_boxes[f])
         covered = assigned >= 0
         hits = np.bincount(assigned[covered], minlength=pred_ids.size)
         fn += int(assigned.size - np.count_nonzero(covered))
         fp += int(np.count_nonzero(hits == 0))
-        ns += int(np.clip(hits - 1, 0, None).sum())
+        ns += int(np.maximum(hits - 1, 0).sum())
         mapping.update(
             zip(
                 zip(gt_ids[covered].tolist(), repeat(f)),
@@ -467,18 +543,22 @@ class CtcScores:
 
 
 def det_lnk_tra(
-    pred: LineageForest | TrackingGraph, gt: LineageForest | TrackingGraph
+    pred: LineageForest | TrackingGraph,
+    gt: LineageForest | TrackingGraph,
+    *,
+    pairs: FramePairs | None = None,
 ) -> CtcScores:
     """DET / LNK / TRA of a prediction against ground truth.
 
     Each score is ``1 - min(penalty, empty) / empty`` where ``empty`` is
     the cost of building the ground-truth graph from nothing, restricted
     to node operations (DET), edge operations (LNK), or both (TRA).
+    ``pairs`` is shared as in ``hota``.
     """
-    gt_graph, pred_graph = _graphs(pred, gt)
-    n_gt = gt_graph.node_count
-    e_gt = gt_graph.edge_count
-    counts = aogm_counts(gt_graph, pred_graph)
+    pairs = pairs or FramePairs(*_graphs(pred, gt))
+    n_gt = pairs.n_rows
+    e_gt = pairs.gt.edge_count
+    counts = aogm_counts(pairs.gt, pairs.pred, pairs=pairs)
     det = _normalized(aogm_penalty(counts, "nodes"), n_gt * FALSE_NEGATIVE_WEIGHT)
     lnk = _normalized(aogm_penalty(counts, "edges"), e_gt * EDGE_ADD_WEIGHT)
     tra = _normalized(
@@ -500,85 +580,6 @@ class HotaScores:
     hota_alpha: tuple[float, ...]
     det_a_alpha: tuple[float, ...]
     ass_a_alpha: tuple[float, ...]
-
-
-class FramePairs:
-    """Every frame's overlapping (gt, pred) box pairs, for one evaluation pass.
-
-    Each frame's IoU matrix is computed once, and the pairs with IoU at
-    or above the lowest threshold, ``DEFAULT_ALPHAS[0]``, are kept,
-    flattened over frames in (frame, gt index, pred index) order.  Rows
-    and columns number the ground-truth and predicted nodes in frame
-    order (``n_rows`` and ``n_cols`` are the two node counts), and map
-    to dense track codes (indices into the sorted track ids).  HOTA,
-    MOTA, MOTP and IDF1 all read their pairs from here, and each
-    threshold's matching is computed once and shared.
-    """
-
-    def __init__(self, gt: TrackingGraph, pred: TrackingGraph) -> None:
-        rows = [np.zeros(0, dtype=np.intp)]
-        cols = [np.zeros(0, dtype=np.intp)]
-        ious = [np.zeros(0)]
-        self.n_rows = self.n_cols = 0
-        for f in range(gt.frames):
-            frame = iou_matrix(gt.frame_boxes[f], pred.frame_boxes[f])
-            r, c = np.nonzero(frame >= DEFAULT_ALPHAS[0])
-            rows.append(r + self.n_rows)
-            cols.append(c + self.n_cols)
-            ious.append(frame[r, c])
-            self.n_rows += frame.shape[0]
-            self.n_cols += frame.shape[1]
-        self.rows = np.concatenate(rows)
-        self.cols = np.concatenate(cols)
-        self.ious = np.concatenate(ious)
-        empty = [np.zeros(0, dtype=int)]
-        self.gt_tracks, self.gt_track = np.unique(
-            np.concatenate(empty + gt.frame_ids), return_inverse=True
-        )
-        self.pred_tracks, self.pred_track = np.unique(
-            np.concatenate(empty + pred.frame_ids), return_inverse=True
-        )
-        self._matches: dict[float, np.ndarray] = {}
-
-    def eligible(self, alpha: float) -> np.ndarray:
-        """Indices of the pairs with ``iou >= alpha``."""
-        return np.flatnonzero(self.ious >= alpha)
-
-    def matches(self, alpha: float) -> np.ndarray:
-        """Indices of the pairs matched at ``alpha``, in (frame, gt index) order."""
-        if alpha not in self._matches:
-            idx = self.eligible(alpha)
-            kept = _max_iou_pairs(
-                self.rows[idx], self.cols[idx], self.ious[idx], self.n_rows, self.n_cols
-            )
-            self._matches[alpha] = idx[kept]
-        return self._matches[alpha]
-
-    def track_codes(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(gt, pred) track codes of the pairs ``idx``."""
-        return self.gt_track[self.rows[idx]], self.pred_track[self.cols[idx]]
-
-
-def _graphs(
-    pred: LineageForest | TrackingGraph, gt: LineageForest | TrackingGraph
-) -> tuple[TrackingGraph, TrackingGraph]:
-    """(gt, pred) as graphs; a prediction forest spans the ground truth's frames.
-
-    The input check of every metric: ``ValidationError`` when the graphs
-    span different frame counts, ``UndefinedMetricError`` when the ground
-    truth has no objects.
-    """
-    gt_graph = gt if isinstance(gt, TrackingGraph) else build_graph(gt)
-    pred_graph = (
-        pred if isinstance(pred, TrackingGraph) else build_graph(pred, gt_graph.frames)
-    )
-    if gt_graph.frames != pred_graph.frames:
-        raise ValidationError(
-            f"frame count mismatch: gt {gt_graph.frames} vs pred {pred_graph.frames}"
-        )
-    if gt_graph.node_count == 0:
-        raise UndefinedMetricError("ground truth has no objects")
-    return gt_graph, pred_graph
 
 
 def hota(
@@ -757,14 +758,13 @@ def evaluate(pred: LineageForest, gt: LineageForest) -> MetricReport:
     (the mean overlap is undefined there).
     """
     check_frame_range(pred.meta, gt.meta)
-    gt_graph, pred_graph = _graphs(pred, gt)
-    scores = det_lnk_tra(pred_graph, gt_graph)
-    # One pass of IoU pairs serves every threshold; MOTA and MOTP reuse
-    # HOTA's matching at 0.5.
-    pairs = FramePairs(gt_graph, pred_graph)
-    h = hota(pred_graph, gt_graph, pairs=pairs)
+    # One overlap pass serves every score; MOTA and MOTP reuse HOTA's
+    # matching at 0.5.
+    pairs = FramePairs(*_graphs(pred, gt))
+    scores = det_lnk_tra(pred, gt, pairs=pairs)
+    h = hota(pred, gt, pairs=pairs)
     try:
-        motp_value = motp(pred_graph, gt_graph, pairs=pairs)
+        motp_value = motp(pred, gt, pairs=pairs)
     except UndefinedMetricError:
         motp_value = 0.0
     return MetricReport(
@@ -774,9 +774,9 @@ def evaluate(pred: LineageForest, gt: LineageForest) -> MetricReport:
         hota=h.hota,
         det_a=h.det_a,
         ass_a=h.ass_a,
-        mota=mota(pred_graph, gt_graph, pairs=pairs),
+        mota=mota(pred, gt, pairs=pairs),
         motp=motp_value,
-        idf1=idf1(pred_graph, gt_graph, pairs=pairs),
+        idf1=idf1(pred, gt, pairs=pairs),
         counts=scores.counts,
         hota_alpha=h.hota_alpha,
     )

@@ -104,6 +104,8 @@ class SimulationConfig:
         check_field_types(self)
         if self.frames <= 0:
             raise ValidationError("frames must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not (0 <= self.treatment_frame < self.frames):
             raise ValidationError("treatment_frame must lie inside the video")
         if self.initial_cells <= 0:

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -385,6 +388,27 @@ class TestAnalyzeCommand:
         profiles = list(csv.DictReader(open(out / "division_profiles.csv")))
         assert profiles  # every gt lineage line ends at a real outcome
 
+    def test_tables_are_utf8_under_an_ascii_locale(self, tmp_path):
+        video = tmp_path / "video"
+        args = ["simulate", "--out", str(video), "--set", "sim.dosage=10\u00b5M"]
+        assert main(args + SMALL_SIM) == 0
+        src = Path(celltrack.cli.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUTF8"}
+        env.update(
+            LC_ALL="C",
+            PYTHONCOERCECLOCALE="0",
+            PYTHONPATH=os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")])),
+        )
+        out = tmp_path / "analysis"
+        run = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "celltrack.cli", "analyze",
+             str(video / "gt"), "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        rates = (out / "event_rates.csv").read_text(encoding="utf-8")
+        assert "10\u00b5M" in rates
+
     def test_lineage_deeper_than_recursion_limit(self, tmp_path):
         prefix = str(tmp_path / "chain")
         save_forest(make_forest(*make_chain(1500)), prefix)
@@ -462,6 +486,39 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
         assert not out.exists()  # no manifest, no table
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--seed", "-1"],
+            ["simulate", "--count", "3", "--seed", "-2"],
+            ["analyze", "GT", "--seed", "-1", "--sample-size", "1"],
+        ],
+    )
+    def test_seed_flag_must_be_non_negative(self, argv, sim_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = [str(sim_dir / "gt") if a == "GT" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_sim_seed(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", "--out", str(out), "--set", "sim.seed=-3"]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err
+        assert "internal error" not in err
+        assert not out.exists()
+
+    def test_float_setting_rejects_boolean(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "t"
+        args = ["track", str(sim_dir / "detections.txt"), "--out", str(out),
+                "--set", "tracker.tau_dist=true"]
+        assert main(args) == 2
+        assert "tau_dist must be a finite number, got True" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_forest_prefix(self, tmp_path):
         args = ["evaluate", str(tmp_path / "a"), str(tmp_path / "b"),

@@ -164,7 +164,7 @@ class TestTrackerConfig:
             "measurement_noise",
         ],
     )
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, False])
     def test_floats_must_be_finite(self, field, value):
         with pytest.raises(ValidationError, match=field):
             TrackerConfig(**{field: value})

@@ -31,8 +31,10 @@ from celltrack import (
     simulate,
     track_video,
 )
+import celltrack.metrics
 from celltrack.metrics import (
     DEFAULT_ALPHAS,
+    FramePairs,
     UndefinedMetricError,
     aogm_counts,
     aogm_penalty,
@@ -711,6 +713,50 @@ class TestEvaluateReport:
         pred = make_forest(make_track(101, 0, [B]), frames=3)
         with pytest.raises(ValidationError):
             evaluate(pred, gt)
+
+
+class TestEvaluationPass:
+    """Both scorer families read one overlap pass per (pred, gt) pair."""
+
+    def test_one_overlap_computation_per_frame(self, monkeypatch):
+        calls = []
+        inter_union = celltrack.metrics._inter_union
+
+        def counted(gt_boxes, pred_boxes):
+            calls.append((gt_boxes.shape[0], pred_boxes.shape[0]))
+            return inter_union(gt_boxes, pred_boxes)
+
+        monkeypatch.setattr(celltrack.metrics, "_inter_union", counted)
+        gt = make_forest(
+            make_track(1, 0, [bx(50, 50)] * 2, children=[2, 3]),
+            make_track(2, 2, [bx(40, 50)] * 3, parent=1),
+            make_track(3, 2, [bx(60, 50)] * 2, parent=1),
+            frames=5,
+        )
+        pred = relabel(gt)
+        pred.tracks[999] = make_track(999, 1, [bx(300, 300)] * 3)
+        evaluate(pred, gt)
+        assert calls == [(1, 1), (1, 2), (2, 3), (2, 3), (1, 1)]
+
+    def test_shared_pass_gives_standalone_counts(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            gt, pred, frames = random_instance(rng)
+            gt_graph, pred_graph = build_graph(gt, frames), build_graph(pred, frames)
+            pairs = FramePairs(gt_graph, pred_graph)
+            shared = det_lnk_tra(pred_graph, gt_graph, pairs=pairs)
+            standalone = det_lnk_tra(pred, gt)
+            assert shared.counts == standalone.counts
+            assert (shared.det, shared.lnk, shared.tra) == (
+                standalone.det, standalone.lnk, standalone.tra
+            )
+            assert aogm_counts(gt_graph, pred_graph, pairs=pairs) == standalone.counts
+
+    def test_frame_count_checked_once_in_the_pass(self):
+        g2 = build_graph(make_forest(make_track(1, 0, [B]), frames=2))
+        g3 = build_graph(make_forest(make_track(1, 0, [B]), frames=3))
+        with pytest.raises(ValidationError, match="frame count mismatch: gt 2 vs pred 3"):
+            FramePairs(g2, g3)
 
 
 class TestGoldenScores:

@@ -99,6 +99,8 @@ class TestConfigValidation:
             {"division_pulse_frame": 59},
             {"division_pulse_frame": 99},
             {"division_period": 6, "division_pulse_frame": 2},
+            {"seed": -1},
+            {"motion_sigma": True},
         ],
     )
     def test_rejects(self, kwargs):
