@@ -21,7 +21,6 @@ from .core import (
     ValidationError,
     VideoMeta,
     centroid,
-    iou,
 )
 from .ingest import (
     DetectionFile,
@@ -73,7 +72,6 @@ __all__ = [
     "ValidationError",
     "VideoMeta",
     "centroid",
-    "iou",
     "DetectionFile",
     "load_detections",
     "load_forest",

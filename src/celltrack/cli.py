@@ -9,8 +9,9 @@ Configuration comes from three layers, later ones winning: built-in
 defaults, a flat ``key = value`` config file (``--config``), and
 ``--set key=value`` flags.  Keys are prefixed by the dataclass they
 feed: ``tracker.``, ``sim.``, or ``analysis.`` (for example
-``tracker.memory_frames = 5``).  Lines starting with ``#`` are
-comments.
+``tracker.memory_frames = 5``).  A ``#`` at the start of a line or
+after whitespace starts a comment that runs to the end of the line;
+any other ``#`` is part of the value (``sim.dosage = 10uM#2``).
 
 Exit codes: 0 success, 2 usage or input problems (including a ground
 truth with no objects, on which the scores are undefined), 1 anything
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -100,6 +102,9 @@ def parse_scalar(text: str):
     return t
 
 
+_COMMENT = re.compile(r"(^|\s)#.*")
+
+
 def read_config_file(path: str) -> dict[str, str]:
     """The file's ``key = value`` lines as stripped text, comments dropped."""
     values: dict[str, str] = {}
@@ -108,7 +113,7 @@ def read_config_file(path: str) -> dict[str, str]:
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw).strip()
         if not line:
             continue
         if "=" not in line:

@@ -24,7 +24,6 @@ __all__ = [
     "Box",
     "Point",
     "centroid",
-    "iou",
     "Detection",
     "TrackerConfig",
     "TrackEntry",
@@ -74,24 +73,6 @@ def centroid(box: Box) -> Point:
     """Center point of a box."""
     x, y, w, h = box
     return (x + w / 2.0, y + h / 2.0)
-
-
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes; 0.0 when disjoint."""
-    ax, ay, aw, ah = a
-    bx, by, bw, bh = b
-    ix = max(ax, bx)
-    iy = max(ay, by)
-    ix2 = min(ax + aw, bx + bw)
-    iy2 = min(ay + ah, by + bh)
-    if ix2 <= ix or iy2 <= iy:
-        return 0.0
-    inter = (ix2 - ix) * (iy2 - iy)
-    union = aw * ah + bw * bh - inter
-    if union <= 0:
-        return 0.0
-    # Rounding in x+w can push the ratio a hair past 1 for equal boxes.
-    return min(inter / union, 1.0)
 
 
 def _validate_box(box: Box) -> None:
@@ -261,11 +242,6 @@ class Track:
     @property
     def last_frame(self) -> int:
         return max(self.entries)
-
-    @property
-    def cell_class(self) -> CellClass:
-        """Current class: the class of the most recent entry."""
-        return self.entries[self.last_frame].cell_class
 
     def death_event_frame(self) -> int | None:
         """First dead frame of a track that was alive before, else None."""

@@ -68,9 +68,6 @@ class DetectionFile:
     embedding_dim: int
     frames: list[list[Detection]] = field(default_factory=list)
 
-    def all_detections(self) -> list[Detection]:
-        return [d for frame in self.frames for d in frame]
-
 
 def _read(
     path: str, n_fields: int | None = None
@@ -213,23 +210,20 @@ def save_detections(det_file: DetectionFile, path: str) -> None:
 
 def partition_by_confidence(
     detections: list[Detection], config: TrackerConfig
-) -> tuple[list[Detection], list[Detection], list[Detection]]:
-    """Split detections into (high, low, discarded) by confidence.
+) -> tuple[list[Detection], list[Detection]]:
+    """Split detections into (high, low) by confidence.
 
     ``conf >= tau_high`` is high, ``tau_low <= conf < tau_high`` is low,
     anything below ``tau_low`` is discarded.
     """
     high: list[Detection] = []
     low: list[Detection] = []
-    discarded: list[Detection] = []
     for det in detections:
         if det.confidence >= config.tau_high:
             high.append(det)
         elif det.confidence >= config.tau_low:
             low.append(det)
-        else:
-            discarded.append(det)
-    return high, low, discarded
+    return high, low
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +281,9 @@ def load_forest(prefix: str, strict: bool = True) -> LineageForest:
         tid_s, start_s, end_s, parent_s, reason_s = line.split(",")
         try:
             tid, start, end = int(tid_s), int(start_s), int(end_s)
+            # Scoring holds track ids in int64 arrays.
+            if not -(2**63) <= tid < 2**63:
+                raise ValidationError(f"track id {tid} outside the signed 64-bit range")
             if tid in tracks:
                 raise ValidationError(f"duplicate track id {tid}")
             if end < start:

@@ -47,7 +47,6 @@ __all__ = [
     "TrackingGraph",
     "build_graph",
     "iou_matrix",
-    "match_frame_objects",
     "FramePairs",
     "aogm_counts",
     "aogm_penalty",
@@ -323,32 +322,6 @@ def _max_iou_pairs(
         chosen = pair_at[ri, ci]
         keep.append(chosen[chosen >= 0])
     return np.sort(np.concatenate(keep))
-
-
-def match_frame_objects(
-    gt_boxes: np.ndarray,
-    pred_boxes: np.ndarray,
-    criterion: str = "center",
-    alpha: float = 0.5,
-) -> np.ndarray | list[tuple[int, int]]:
-    """Frame-level correspondence between ground truth and prediction.
-
-    ``criterion="center"`` applies the covered-center rule and returns a
-    per-ground-truth array of prediction indices (-1 for unmatched);
-    ``criterion="iou"`` returns the one-to-one (gt, pred) index pairs of
-    the total-IoU-maximizing assignment under ``iou >= alpha``.
-    """
-    gt_boxes = np.asarray(gt_boxes, dtype=float).reshape(-1, 4)
-    pred_boxes = np.asarray(pred_boxes, dtype=float).reshape(-1, 4)
-    if criterion == "center":
-        inter, union = _inter_union(gt_boxes, pred_boxes)
-        return _center_cover_mapping(gt_boxes, pred_boxes, inter, _ratio(inter, union))
-    if criterion == "iou":
-        ious = iou_matrix(gt_boxes, pred_boxes)
-        rows, cols = np.nonzero(ious >= alpha)
-        keep = _max_iou_pairs(rows, cols, ious[rows, cols], *ious.shape)
-        return list(zip(rows[keep].tolist(), cols[keep].tolist()))
-    raise ValueError(f"unknown matching criterion {criterion!r}")
 
 
 # ---------------------------------------------------------------------------

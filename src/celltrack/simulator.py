@@ -106,6 +106,10 @@ class SimulationConfig:
             raise ValidationError("frames must be positive")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        # Both become header lines of the written files.
+        for name in ("video_id", "dosage"):
+            if any(c in getattr(self, name) for c in "\r\n"):
+                raise ValidationError(f"{name} must not contain a line break")
         if not (0 <= self.treatment_frame < self.frames):
             raise ValidationError("treatment_frame must lie inside the video")
         if self.initial_cells <= 0:

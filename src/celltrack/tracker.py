@@ -232,7 +232,7 @@ def _entry_from_detection(
 class CellTracker:
     """Stateful engine; feed frames in order, then finalize."""
 
-    def __init__(self, config: TrackerConfig | None = None, record_usage: bool = False):
+    def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
         self._open: dict[int, _Runtime] = {}
         # Closed tracks in closing order, which is the forest's key order.
@@ -241,11 +241,6 @@ class CellTracker:
         self._next_frame = 0
         self._dim: int | None = None
         self._pending_updates: list[_Runtime] = []
-        self.record_usage = record_usage
-        # frame -> list of (index into the frame's detection list, consumer)
-        self.usage_log: dict[int, list[tuple[int, str]]] = {}
-        # id(detection) -> its index in the current frame, when recording
-        self._det_pos: dict[int, int] | None = None
 
     # -- public API ---------------------------------------------------------
 
@@ -268,9 +263,6 @@ class CellTracker:
                     f"embedding length changed from {self._dim} to "
                     f"{det.embedding.size} at frame {frame_index}"
                 )
-        if self.record_usage:
-            self._det_pos = {id(d): i for i, d in enumerate(detections)}
-            self.usage_log[frame_index] = []
         self._process(frame_index, list(detections))
         self._next_frame += 1
 
@@ -293,7 +285,7 @@ class CellTracker:
 
     def _process(self, fi: int, detections: list[Detection]) -> None:
         cfg = self.config
-        high, low, _ = partition_by_confidence(detections, cfg)
+        high, low = partition_by_confidence(detections, cfg)
 
         open_rts = list(self._open.values())
         if cfg.use_kalman and open_rts:
@@ -418,7 +410,6 @@ class CellTracker:
         if rt.lost_count >= 1:
             self._fill_gap(rt, fi, det.centroid)
         rt.track.entries[fi] = _entry_from_detection(det, provenance)
-        self._log_use(fi, det, f"track:{rt.track.track_id}")
         rt.last = det
         rt.lost_count = 0
         if self.config.use_kalman:
@@ -465,13 +456,7 @@ class CellTracker:
         tid = self._next_id
         self._next_id += 1
         rt = self._open[tid] = _Runtime(tid, fi, det, self.config, parent=parent)
-        self._log_use(fi, det, f"init:{tid}")
         return rt
-
-    def _log_use(self, fi: int, det: Detection, consumer: str) -> None:
-        """Note that ``det`` became an entry, when usage is being recorded."""
-        if self._det_pos is not None:
-            self.usage_log[fi].append((self._det_pos[id(det)], consumer))
 
     def _close(self, rt: _Runtime, reason: EndReason) -> None:
         track = rt.track

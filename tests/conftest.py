@@ -7,11 +7,13 @@ from typing import Sequence
 from celltrack import (
     Box,
     CellClass,
+    Detection,
     EndReason,
     LineageForest,
     Provenance,
     Track,
     TrackEntry,
+    TrackerConfig,
     VideoMeta,
 )
 
@@ -87,3 +89,38 @@ def make_forest(
         dosage=dosage,
     )
     return LineageForest(tracks={t.track_id: t for t in tracks}, meta=meta)
+
+
+def assert_detections_used_at_most_once(
+    forest: LineageForest,
+    frames: Sequence[Sequence[Detection]],
+    config: TrackerConfig,
+) -> None:
+    """Every observed entry of ``forest`` is one detection of its frame,
+    and no detection is used twice.
+
+    An entry is traced to its detection by box, so each frame's detection
+    boxes must be distinct.  The entry must carry that detection's class,
+    and its provenance must name the detection's confidence band:
+    ``tau_high`` and above is high, ``[tau_low, tau_high)`` is low, and
+    below ``tau_low`` the detection may not be used at all.
+    """
+    assert forest.meta.frames == len(frames)
+    for fi, dets in enumerate(frames):
+        index = {d.box: i for i, d in enumerate(dets)}
+        assert len(index) == len(dets), f"frame {fi}: detection boxes repeat"
+        used = []
+        for track in forest.tracks.values():
+            entry = track.entries.get(fi)
+            if entry is None or entry.provenance is Provenance.INTERPOLATED:
+                continue
+            assert entry.box in index, f"frame {fi}: track {track.track_id} box"
+            used.append(index[entry.box])
+            det = dets[used[-1]]
+            assert entry.cell_class is det.cell_class
+            if det.confidence >= config.tau_high:
+                assert entry.provenance is Provenance.OBSERVED_HIGH
+            else:
+                assert config.tau_low <= det.confidence
+                assert entry.provenance is Provenance.OBSERVED_LOW
+        assert len(used) == len(set(used)), f"frame {fi}: a detection used twice"

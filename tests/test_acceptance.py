@@ -26,7 +26,6 @@ from celltrack import (
     AnalysisFilter,
     CellClass,
     LineageForest,
-    Provenance,
     SimulationConfig,
     TrackerConfig,
     ancestor_descendant_correlation,
@@ -44,8 +43,8 @@ from celltrack import (
 from celltrack.analysis import interdivision_records
 from celltrack.kalman import kf_init, kf_predict, kf_update
 from celltrack.metrics import DEFAULT_ALPHAS, UndefinedMetricError, aogm_penalty
-from celltrack.tracker import CellTracker, pair_cost
-from conftest import bx, make_forest, make_track
+from celltrack.tracker import pair_cost
+from conftest import assert_detections_used_at_most_once, bx, make_forest, make_track
 from oracles import (
     brute_det_lnk_tra,
     brute_hota,
@@ -429,10 +428,7 @@ def test_criterion_6_invariants():
             cfg = random_sim_config(rng, i)
             dets = corrupt(simulate(cfg).clean_frames, cfg)
 
-            engine = CellTracker(tracker_cfg, record_usage=True)
-            for fi, frame in enumerate(dets):
-                engine.step(fi, frame)
-            forest = engine.finalize()
+            forest = track_video(dets, tracker_cfg)
 
             # Bit-identical rerun.
             assert _entries_identical(forest, track_video(dets, tracker_cfg))
@@ -452,18 +448,8 @@ def test_criterion_6_invariants():
                 for c in t.children:
                     assert forest.tracks[c].start_frame == t.last_frame + 1
 
-            # Each detection consumed at most once per frame, and every
-            # observed entry logged as a use.
-            assert sorted(engine.usage_log) == list(range(len(dets)))
-            for fi, uses in engine.usage_log.items():
-                indexes = [d for d, _kind in uses]
-                assert len(indexes) == len(set(indexes))
-                observed = sum(
-                    fi in t.entries
-                    and t.entries[fi].provenance is not Provenance.INTERPOLATED
-                    for t in forest.tracks.values()
-                )
-                assert len(indexes) == observed
+            # Each observed entry is one detection, used at most once.
+            assert_detections_used_at_most_once(forest, dets, tracker_cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,19 @@ class TestConfigFiles:
         with pytest.raises(UsageError, match="bad.cfg:1"):
             read_config_file(str(path))
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "sim.dosage = 10uM#2\n"
+            "sim.video_id = a#b\t# tab before the comment\n"
+            "   # indented comment\n"
+        )
+        values = read_config_file(str(path))
+        assert values == {"sim.dosage": "10uM#2", "sim.video_id": "a#b"}
+        from_file = build_configs(str(path), None).sim
+        from_flags = build_configs(None, ["sim.dosage=10uM#2", "sim.video_id=a#b"]).sim
+        assert from_file == from_flags
+
     def test_unreadable_file(self):
         with pytest.raises(UsageError):
             read_config_file("/nonexistent/run.cfg")
@@ -519,6 +532,31 @@ class TestExitCodes:
         assert main(args) == 2
         assert "tau_dist must be a finite number, got True" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("item", ["sim.video_id=a\nb", "sim.dosage=1\ruM"])
+    def test_line_break_in_header_text(self, item, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", "--out", str(out), "--set", item]) == 2
+        err = capsys.readouterr().err
+        assert "must not contain a line break" in err
+        assert "internal error" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tid, code", [(2**63 - 1, 0), (2**63, 2), (10**20, 2)])
+    def test_track_id_beyond_int64(self, tid, code, tmp_path, capsys):
+        (tmp_path / "f_tracks.txt").write_text(
+            f"#frames=2\n#width=64.0\n#height=64.0\n{tid},0,1,,end_of_video\n"
+        )
+        (tmp_path / "f_entries.txt").write_text(
+            f"{tid},0,1.0,1.0,5.0,5.0,high,alive\n{tid},1,1.0,1.0,5.0,5.0,high,alive\n"
+        )
+        prefix = str(tmp_path / "f")
+        args = ["evaluate", prefix, prefix, "--out", str(tmp_path / "o")]
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        if code:
+            assert f"f_tracks.txt:4: track id {tid} outside the signed 64-bit range" in err
 
     def test_missing_forest_prefix(self, tmp_path):
         args = ["evaluate", str(tmp_path / "a"), str(tmp_path / "b"),

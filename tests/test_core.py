@@ -19,9 +19,14 @@ from celltrack import (
     TrackerConfig,
     ValidationError,
     centroid,
-    iou,
 )
+from celltrack.metrics import iou_matrix
 from conftest import bx, make_forest, make_track
+
+
+def pair_iou(a, b) -> float:
+    """IoU of two boxes, as the scorers compute it."""
+    return float(iou_matrix(np.array([a], dtype=float), np.array([b], dtype=float))[0, 0])
 
 
 def boxes_strategy():
@@ -35,34 +40,34 @@ class TestGeometry:
         assert centroid((0.0, 0.0, 10.0, 20.0)) == (5.0, 10.0)
 
     def test_iou_identical(self):
-        assert iou((1.0, 2.0, 8.0, 8.0), (1.0, 2.0, 8.0, 8.0)) == 1.0
+        assert pair_iou((1.0, 2.0, 8.0, 8.0), (1.0, 2.0, 8.0, 8.0)) == 1.0
 
     def test_iou_disjoint(self):
-        assert iou((0, 0, 5, 5), (10, 10, 5, 5)) == 0.0
+        assert pair_iou((0, 0, 5, 5), (10, 10, 5, 5)) == 0.0
 
     def test_iou_touching_edges_is_zero(self):
-        assert iou((0, 0, 5, 5), (5, 0, 5, 5)) == 0.0
+        assert pair_iou((0, 0, 5, 5), (5, 0, 5, 5)) == 0.0
 
     def test_iou_half_shift(self):
         # Two 10x10 boxes offset by 5: intersection 50, union 150.
-        assert iou((0, 0, 10, 10), (5, 0, 10, 10)) == pytest.approx(1 / 3)
+        assert pair_iou((0, 0, 10, 10), (5, 0, 10, 10)) == pytest.approx(1 / 3)
 
     def test_iou_contained(self):
         # 4x4 inside 10x10: intersection 16, union 100.
-        assert iou((0, 0, 10, 10), (3, 3, 4, 4)) == pytest.approx(0.16)
+        assert pair_iou((0, 0, 10, 10), (3, 3, 4, 4)) == pytest.approx(0.16)
 
     @given(boxes_strategy(), boxes_strategy())
     def test_iou_symmetric_and_bounded(self, a, b):
-        v = iou(a, b)
-        assert v == iou(b, a)
+        v = pair_iou(a, b)
+        assert v == pair_iou(b, a)
         assert 0.0 <= v <= 1.0
 
     @given(boxes_strategy())
     def test_iou_self_is_one(self, a):
         # x + w then - x can lose a couple of ulps, so self-IoU is only
         # float-exact, never above 1.
-        assert iou(a, a) == pytest.approx(1.0, abs=1e-12)
-        assert iou(a, a) <= 1.0
+        assert pair_iou(a, a) == pytest.approx(1.0, abs=1e-12)
+        assert pair_iou(a, a) <= 1.0
 
 
 class TestDetection:
@@ -214,7 +219,6 @@ class TestTrack:
             ],
         )
         assert t.death_event_frame() == 2
-        assert t.cell_class is CellClass.DEAD
 
     def test_death_event_needs_prior_life(self):
         # A track that is dead from its first frame records no event.

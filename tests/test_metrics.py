@@ -25,7 +25,6 @@ from celltrack import (
     evaluate,
     hota,
     idf1,
-    iou,
     mota,
     motp,
     simulate,
@@ -35,11 +34,11 @@ import celltrack.metrics
 from celltrack.metrics import (
     DEFAULT_ALPHAS,
     FramePairs,
+    TrackingGraph,
     UndefinedMetricError,
     aogm_counts,
     aogm_penalty,
     iou_matrix,
-    match_frame_objects,
 )
 from conftest import bx, make_forest, make_track
 from oracles import (
@@ -55,6 +54,25 @@ from oracles import (
 )
 
 B = bx(50, 50)
+
+
+def frame_pairs(gt_boxes, pred_boxes) -> FramePairs:
+    """The evaluation pass of a one-frame video holding these boxes."""
+
+    def graph(boxes):
+        boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+        return TrackingGraph(
+            frames=1, frame_ids=[np.arange(len(boxes))], frame_boxes=[boxes]
+        )
+
+    return FramePairs(graph(gt_boxes), graph(pred_boxes))
+
+
+def iou_matches(gt_boxes, pred_boxes, alpha) -> list[tuple[int, int]]:
+    """The frame's (gt index, pred index) pairs matched at IoU threshold ``alpha``."""
+    pairs = frame_pairs(gt_boxes, pred_boxes)
+    idx = pairs.matches(alpha)
+    return list(zip(pairs.rows[idx].tolist(), pairs.cols[idx].tolist()))
 
 
 def relabel(forest: LineageForest, offset: int = 500) -> LineageForest:
@@ -142,7 +160,7 @@ class TestIouMatrix:
         for i in range(6):
             for j in range(4):
                 assert mat[i, j] == pytest.approx(
-                    iou(tuple(a[i]), tuple(b[j])), abs=1e-12
+                    iou_scalar(tuple(a[i]), tuple(b[j])), abs=1e-12
                 )
 
     def test_empty(self):
@@ -157,18 +175,13 @@ class TestIouMatrix:
         # A valid box whose area underflows to 0: the oracle's rule.
         tiny = (0.0, 0.0, 1e-200, 1e-200)
         assert iou_scalar(tiny, tiny) == 0.0
-        assert iou(tiny, tiny) == 0.0
         a = np.array([tiny])
         assert iou_matrix(a, a).tolist() == [[0.0]]
 
 
 class TestCenterMatching:
     def match(self, gt_boxes, pred_boxes):
-        return match_frame_objects(
-            np.array(gt_boxes, dtype=float).reshape(-1, 4),
-            np.array(pred_boxes, dtype=float).reshape(-1, 4),
-            criterion="center",
-        )
+        return frame_pairs(gt_boxes, pred_boxes).cover[0]
 
     def test_simple_containment(self):
         out = self.match([bx(50, 50)], [bx(80, 80), bx(51, 51)])
@@ -228,24 +241,12 @@ class TestIouMatchingCriterion:
         # one-to-one and maximizes the summed IoU.
         gt = [bx(50, 50), bx(60, 50)]
         pred = [bx(51, 50), bx(61, 50)]
-        pairs = match_frame_objects(
-            np.array(gt), np.array(pred), criterion="iou", alpha=0.5
-        )
-        assert pairs == [(0, 0), (1, 1)]
+        assert iou_matches(gt, pred, 0.5) == [(0, 0), (1, 1)]
 
     def test_alpha_gate(self):
         gt = [bx(50, 50)]
         pred = [bx(58, 50)]  # IoU = 2/18
-        assert (
-            match_frame_objects(
-                np.array(gt), np.array(pred), criterion="iou", alpha=0.5
-            )
-            == []
-        )
-
-    def test_unknown_criterion(self):
-        with pytest.raises(ValueError):
-            match_frame_objects(np.zeros((1, 4)), np.zeros((1, 4)), criterion="x")
+        assert iou_matches(gt, pred, 0.5) == []
 
     def test_agrees_with_exhaustive_search(self):
         # Boxes crowd a small field, so low thresholds join neighbours
@@ -265,7 +266,7 @@ class TestIouMatchingCriterion:
                 lone &= eligible.sum(0, keepdims=True) == 1
                 single += int(lone.any())
                 multi += int((eligible.sum(1) > 1).any() or (eligible.sum(0) > 1).any())
-                got = match_frame_objects(gt, pred, criterion="iou", alpha=alpha)
+                got = iou_matches(gt, pred, alpha)
                 want = exhaustive_matching(
                     [tuple(b) for b in gt], [tuple(b) for b in pred], alpha
                 )
@@ -309,7 +310,7 @@ class TestIouMatchingCriterion:
             for alpha in DEFAULT_ALPHAS[::2]:
                 row_tops = (ious == ious.max(axis=1, keepdims=True)) & (ious >= alpha)
                 ties += int((row_tops.sum(axis=1) > 1).any())
-                got = match_frame_objects(gt, pred, criterion="iou", alpha=alpha)
+                got = iou_matches(gt, pred, alpha)
                 assert got == per_component(ious, alpha), (alpha, gt.tolist(), pred.tolist())
         assert ties > 50
 
@@ -522,9 +523,7 @@ class TestHota:
         for alpha in DEFAULT_ALPHAS:
             counts: dict[tuple[int, int], int] = {}
             for f in range(g.frames):
-                for gi, pi in match_frame_objects(
-                    g.frame_boxes[f], p.frame_boxes[f], criterion="iou", alpha=alpha
-                ):
+                for gi, pi in iou_matches(g.frame_boxes[f], p.frame_boxes[f], alpha):
                     key = (int(g.frame_ids[f][gi]), int(p.frame_ids[f][pi]))
                     counts[key] = counts.get(key, 0) + 1
             acc = 0.0

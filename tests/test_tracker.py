@@ -24,7 +24,7 @@ from celltrack import (
 )
 from celltrack.cli import _ablation_configs
 from celltrack.tracker import _Runtime, build_candidates, resolve_conflicts
-from conftest import bx
+from conftest import assert_detections_used_at_most_once, bx
 
 CFG = TrackerConfig()
 
@@ -43,8 +43,8 @@ def ref(tid, cx, cy, emb=(0.0, 0.0, 0.0, 0.0)):
     return _Runtime(tid, 0, det(0, cx, cy, emb=emb), CFG)
 
 
-def run(frames, config=CFG, **kw):
-    engine = CellTracker(config, **kw)
+def run(frames, config=CFG):
+    engine = CellTracker(config)
     for fi, dets in enumerate(frames):
         engine.step(fi, dets)
     return engine
@@ -541,22 +541,9 @@ class TestEngineContracts:
         assert open(p1[1]).read() == open(p2[1]).read()
 
     def test_detections_consumed_at_most_once(self):
-        engine = CellTracker(record_usage=True)
         frames = self.noisy_frames(seed=3)
-        for fi, dets in enumerate(frames):
-            engine.step(fi, dets)
-        forest = engine.finalize()
-        assert sorted(engine.usage_log) == list(range(len(frames)))
-        for fi, uses in engine.usage_log.items():
-            indices = [i for i, _ in uses]
-            assert len(indices) == len(set(indices))
-            # Complete: every observed entry was logged as a use.
-            observed = sum(
-                fi in t.entries
-                and t.entries[fi].provenance is not Provenance.INTERPOLATED
-                for t in forest.tracks.values()
-            )
-            assert len(indices) == observed
+        forest = run(frames).finalize()
+        assert_detections_used_at_most_once(forest, frames, CFG)
 
     def test_frames_must_arrive_in_order(self):
         engine = CellTracker()
