@@ -307,9 +307,7 @@ class LineageForest:
             if not track.entries:
                 raise ValidationError(f"track {tid} has no entries")
             frames = sorted(track.entries)
-            if frames[0] < 0 or (
-                self.meta.frames and frames[-1] >= self.meta.frames
-            ):
+            if frames[0] < 0 or frames[-1] >= self.meta.frames:
                 raise ValidationError(
                     f"track {tid} has entries outside the video frame range"
                 )

@@ -16,9 +16,11 @@ Two file kinds exist:
   and ``<prefix>_entries.txt`` holds one record per track-frame
   (``track_id,frame,x,y,w,h,provenance,class``).
 
-Ground truth and tracker output use the identical forest format, so
-either side of an evaluation can come from either producer.  All three
-files go through one reader, ``_read``, and one writer, ``_write``.
+Both kinds declare ``frames >= 1``, and every record lies in
+``[0, frames)``.  Ground truth and tracker output use the identical
+forest format, so either side of an evaluation can come from either
+producer.  All three files go through one reader, ``_read``, and one
+writer, ``_write``.
 Every bad header or record raises ``ValidationError`` naming
 ``<file>:<line>`` and the reason, as does text that is not UTF-8.
 Floats are written with ``repr`` so that serialize -> load -> serialize
@@ -116,10 +118,13 @@ def _read(
 
 
 def _meta(headers: dict[str, Any], path: str, required: tuple[str, ...]) -> VideoMeta:
-    """Build the ``VideoMeta`` of a file's headers, after checking ``required``."""
+    """Build the ``VideoMeta`` of a file's headers, after checking ``required``
+    and that ``frames`` is positive."""
     for key in required:
         if key not in headers:
             raise ValidationError(f"{path}: missing required header #{key}=")
+    if headers["frames"] <= 0:
+        raise ValidationError(f"{path}: frames must be positive, got {headers['frames']}")
     for key in ("width", "height"):
         if not np.isfinite(headers[key]):
             raise ValidationError(f"{path}: #{key} must be finite, got {headers[key]}")
@@ -161,8 +166,6 @@ def load_detections(path: str) -> DetectionFile:
     headers, records = _read(path)
     meta = _meta(headers, path, ("frames", "width", "height", "embedding_dim"))
     dim = headers["embedding_dim"]
-    if meta.frames <= 0:
-        raise ValidationError(f"{path}: frames must be positive, got {meta.frames}")
     if meta.width <= 0 or meta.height <= 0:
         raise ValidationError(f"{path}: width/height must be positive")
     if dim <= 0:

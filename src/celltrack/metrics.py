@@ -33,12 +33,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .core import (
-    Box,
-    LineageForest,
-    ValidationError,
-    VideoMeta,
-)
+from .core import Box, LineageForest, ValidationError
 
 __all__ = [
     "UndefinedMetricError",
@@ -57,7 +52,6 @@ __all__ = [
     "motp",
     "idf1",
     "MetricReport",
-    "check_frame_range",
     "evaluate",
     "DEFAULT_ALPHAS",
 ]
@@ -115,14 +109,11 @@ class TrackingGraph:
         return len(self.edges)
 
 
-def build_graph(forest: LineageForest, frames: int | None = None) -> TrackingGraph:
-    """Flatten a lineage forest into its tracking graph."""
-    if frames is None:
-        frames = forest.meta.frames
-        if frames <= 0:
-            frames = 1 + max(
-                (t.last_frame for t in forest.tracks.values()), default=-1
-            )
+def build_graph(forest: LineageForest) -> TrackingGraph:
+    """Flatten a lineage forest into its tracking graph over
+    ``forest.meta.frames`` frames.  An entry outside them raises
+    ``ValidationError``: a forest built in memory may be unvalidated."""
+    frames = forest.meta.frames
     frame_ids: list[list[int]] = [[] for _ in range(frames)]
     frame_boxes: list[list[Box]] = [[] for _ in range(frames)]
     edges: dict[tuple[Node, Node], str] = {}
@@ -398,12 +389,10 @@ class FramePairs:
 def _graphs(
     pred: LineageForest | TrackingGraph, gt: LineageForest | TrackingGraph
 ) -> tuple[TrackingGraph, TrackingGraph]:
-    """(gt, pred) as graphs; a prediction forest spans the ground truth's
-    frames.  ``UndefinedMetricError`` when the ground truth has no objects."""
+    """(gt, pred) as graphs, each forest built over its own declared frames.
+    ``UndefinedMetricError`` when the ground truth has no objects."""
     gt_graph = gt if isinstance(gt, TrackingGraph) else build_graph(gt)
-    pred_graph = (
-        pred if isinstance(pred, TrackingGraph) else build_graph(pred, gt_graph.frames)
-    )
+    pred_graph = pred if isinstance(pred, TrackingGraph) else build_graph(pred)
     if gt_graph.node_count == 0:
         raise UndefinedMetricError("ground truth has no objects")
     return gt_graph, pred_graph
@@ -715,22 +704,12 @@ class MetricReport:
         return out
 
 
-def check_frame_range(pred: VideoMeta, gt: VideoMeta) -> None:
-    """Raise ``ValidationError`` if both declare a frame count and they differ."""
-    if pred.frames and gt.frames and pred.frames != gt.frames:
-        raise ValidationError(
-            f"frame-range mismatch: prediction covers {pred.frames} "
-            f"frames, ground truth {gt.frames}"
-        )
-
-
 def evaluate(pred: LineageForest, gt: LineageForest) -> MetricReport:
     """Compute the full metric suite for one video.
 
     MOTP is reported as 0.0 when no pair matches at the 0.5 threshold
     (the mean overlap is undefined there).
     """
-    check_frame_range(pred.meta, gt.meta)
     # One overlap pass serves every score; MOTA and MOTP reuse HOTA's
     # matching at 0.5.
     pairs = FramePairs(*_graphs(pred, gt))

@@ -174,11 +174,6 @@ def build_candidates(
         return []
     emb_t = np.array([t.last.embedding for t in tracks])
     emb_d = np.array([d.embedding for d in detections])
-    if emb_t.shape[1] != emb_d.shape[1]:
-        raise ValidationError(
-            f"embedding length mismatch: tracks {emb_t.shape[1]} vs "
-            f"detections {emb_d.shape[1]}"
-        )
     sim = np.abs(emb_t[ti] - emb_d[di]).sum(axis=1)
     if gate_similarity:
         keep = sim <= config.tau_sim
@@ -267,13 +262,16 @@ class CellTracker:
         self._next_frame += 1
 
     def finalize(self, meta: VideoMeta | None = None) -> LineageForest:
-        """Close everything still open and emit the lineage forest."""
+        """Close everything still open and emit the lineage forest.
+
+        The forest carries ``meta`` with ``frames`` set to the number of
+        frames fed, whatever ``meta`` declared.
+        """
         for rt in list(self._open.values()):
             self._close(rt, EndReason.END_OF_VIDEO)
-        if meta is None:
-            meta = VideoMeta(frames=self._next_frame)
         forest = LineageForest(
-            tracks={track.track_id: track for track in self._done}, meta=meta
+            tracks={track.track_id: track for track in self._done},
+            meta=replace(meta or VideoMeta(), frames=self._next_frame),
         )
         forest.validate(
             require_coverage=self.config.use_kalman,
@@ -474,10 +472,12 @@ def track_video(
     config: TrackerConfig | None = None,
     meta: VideoMeta | None = None,
 ) -> LineageForest:
-    """Track a whole video (list of per-frame detection lists)."""
+    """Track a whole video (list of per-frame detection lists).
+
+    The forest declares ``len(frames)`` frames and takes the rest of its
+    metadata from ``meta``.
+    """
     engine = CellTracker(config)
     for fi, dets in enumerate(frames):
         engine.step(fi, dets)
-    if meta is not None and meta.frames == 0:
-        meta = replace(meta, frames=len(frames))
     return engine.finalize(meta=meta)

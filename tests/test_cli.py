@@ -558,6 +558,24 @@ class TestExitCodes:
         if code:
             assert f"f_tracks.txt:4: track id {tid} outside the signed 64-bit range" in err
 
+    @pytest.mark.parametrize("role", ["gt", "pred", "analyze"])
+    def test_forest_declaring_no_frames(self, role, sim_dir, tmp_path, capsys):
+        # The frame count is never inferred from the entries.
+        (tmp_path / "z_tracks.txt").write_text(
+            "#frames=0\n#width=64.0\n#height=64.0\n1,50,50,,end_of_video\n"
+        )
+        (tmp_path / "z_entries.txt").write_text("1,50,1.0,1.0,5.0,5.0,high,alive\n")
+        bad, good = str(tmp_path / "z"), str(sim_dir / "gt")
+        out = ["--out", str(tmp_path / "o")]
+        args = {
+            "gt": ["evaluate", good, bad, *out],
+            "pred": ["evaluate", bad, good, *out],
+            "analyze": ["analyze", bad, *out],
+        }[role]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'z_tracks.txt'}: frames must be positive, got 0" in err
+
     def test_missing_forest_prefix(self, tmp_path):
         args = ["evaluate", str(tmp_path / "a"), str(tmp_path / "b"),
                 "--out", str(tmp_path / "o")]
@@ -601,7 +619,7 @@ class TestExitCodes:
         (video / "detections.txt").write_text(text.replace("#frames=20", "#frames=21"))
         for name in ("gt_tracks.txt", "gt_entries.txt"):
             (video / name).write_bytes((sim_dir / name).read_bytes())
-        message = "frame-range mismatch: prediction covers 21 frames, ground truth 20"
+        message = "frame count mismatch: gt 20 vs pred 21"
         ablate = ["ablate", str(video), "--out", str(tmp_path / "a"), "--no-sweep"]
         assert main(ablate) == 2
         assert message in capsys.readouterr().err

@@ -289,6 +289,12 @@ class TestForestValidation:
         with pytest.raises(ValidationError):
             forest.validate()
 
+    def test_zero_frames_admit_no_entry(self):
+        forest = make_forest(make_track(1, 0, [bx(10, 10)]), frames=0)
+        with pytest.raises(ValidationError, match="outside the video frame range"):
+            forest.validate()
+        make_forest(frames=0).validate()
+
     def test_dead_is_absorbing(self):
         t = make_track(
             1,

@@ -124,14 +124,9 @@ class TestGraphBuilding:
         assert g.node_count == 3
         assert set(g.edges) == {((1, 0), (1, 1))}
 
-    def test_frames_inferred_without_meta(self):
-        forest = make_forest(make_track(1, 0, [B] * 3))
-        forest.meta.frames = 0
-        assert build_graph(forest).frames == 3
-
     def test_track_beyond_declared_frames(self):
         with pytest.raises(ValidationError):
-            build_graph(make_forest(make_track(1, 0, [B] * 3)), frames=2)
+            build_graph(make_forest(make_track(1, 0, [B] * 3), frames=2))
 
     def test_entry_at_negative_frame(self):
         # A list index of -1 would file the entry under the last frame.
@@ -515,7 +510,7 @@ class TestHota:
         res = simulate(cfg)
         pred = track_video(corrupt(res.clean_frames, cfg), TrackerConfig())
         pred.meta.frames = cfg.frames
-        g, p = build_graph(res.ground_truth), build_graph(pred, cfg.frames)
+        g, p = build_graph(res.ground_truth), build_graph(pred)
         gt_sizes, pred_sizes = (
             Counter(np.concatenate(graph.frame_ids).tolist()) for graph in (g, p)
         )
@@ -741,7 +736,7 @@ class TestEvaluationPass:
         rng = np.random.default_rng(12)
         for _ in range(30):
             gt, pred, frames = random_instance(rng)
-            gt_graph, pred_graph = build_graph(gt, frames), build_graph(pred, frames)
+            gt_graph, pred_graph = build_graph(gt), build_graph(pred)
             pairs = FramePairs(gt_graph, pred_graph)
             shared = det_lnk_tra(pred_graph, gt_graph, pairs=pairs)
             standalone = det_lnk_tra(pred, gt)

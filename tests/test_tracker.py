@@ -1,6 +1,7 @@
 """Association engine: gating, conflicts, divisions, deaths, memory."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,8 +40,8 @@ def det(frame, cx, cy, conf=0.9, cls=CellClass.ALIVE, emb=(0.0, 0.0, 0.0, 0.0)):
     )
 
 
-def ref(tid, cx, cy, emb=(0.0, 0.0, 0.0, 0.0)):
-    return _Runtime(tid, 0, det(0, cx, cy, emb=emb), CFG)
+def ref(tid, cx, cy):
+    return _Runtime(tid, 0, det(0, cx, cy), CFG)
 
 
 def run(frames, config=CFG):
@@ -94,12 +95,6 @@ class TestBuildCandidates:
         cost, tid, di = pairs[0]
         assert (tid, di) == (1, 0)
         assert cost == pytest.approx(pair_cost(10.0, 50.0, CFG))
-
-    def test_embedding_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            build_candidates(
-                [ref(1, 0, 0, emb=(0.0, 0.0))], [det(0, 10, 0)], CFG
-            )
 
     def test_empty_inputs(self):
         assert build_candidates([], [det(0, 0, 0)], CFG) == []
@@ -587,6 +582,14 @@ class TestEngineContracts:
         two = track_video([[det(0, 50, 50)], [det(1, 52, 50)]], meta=meta)
         assert (one.meta.frames, two.meta.frames, meta.frames) == (1, 2, 0)
         assert two.tracks[1].last_frame == 1
+
+    def test_track_video_declares_the_frames_fed(self):
+        # A prefix of a longer video declares the frames it was given.
+        frames = [[det(f, 50 + f, 50)] for f in range(5)]
+        meta = VideoMeta(video_id="v", frames=5, width=64.0, height=64.0)
+        forest = track_video(frames[:3], meta=meta)
+        assert forest.meta == replace(meta, frames=3)
+        assert meta.frames == 5
 
 
 class TestGoldenForests:
