@@ -107,7 +107,8 @@ def generation_index(forest: LineageForest) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class EventRates:
-    """Binned division/death counts and rates plus the population curve.
+    """Binned division/death counts and rates plus the population curve,
+    over every frame the forest declares (``meta.frames``).
 
     ``population[f]`` counts tracks whose span covers frame ``f``;
     ``alive[f]`` counts tracks with an alive-class entry at ``f``.
@@ -131,9 +132,7 @@ def event_rates(forest: LineageForest, bin_size: int = 10) -> EventRates:
     if bin_size <= 0:
         raise ValidationError("bin_size must be positive")
     tracks = list(forest.tracks.values())
-    if not tracks:
-        return EventRates(bin_size, (), (), (), (), (), (), (), ())
-    n_frames = max(t.last_frame for t in tracks) + 1
+    n_frames = forest.meta.frames
     population = np.zeros(n_frames, dtype=int)
     for track in tracks:
         population[track.start_frame : track.last_frame + 1] += 1
@@ -363,7 +362,7 @@ def interdivision_records(
     """
     filt = filt or AnalysisFilter()
     gens = generation_index(forest)
-    dosage = forest.meta.dosage if forest.meta else ""
+    dosage = forest.meta.dosage
     out: list[InterdivisionRecord] = []
     for tid in sorted(forest.tracks):
         track = forest.tracks[tid]
@@ -447,7 +446,7 @@ def eligible_profiles(forest: LineageForest) -> list[DivisionProfile]:
     the line was not followed to a real outcome.
     """
     profiles: list[DivisionProfile] = []
-    video = forest.meta.video_id if forest.meta else ""
+    video = forest.meta.video_id
     for path in _leaf_paths(forest):
         leaf = forest.tracks[path[-1]]
         if leaf.end_reason not in (EndReason.DEATH, EndReason.END_OF_VIDEO):

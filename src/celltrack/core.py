@@ -77,9 +77,11 @@ def centroid(box: Box) -> Point:
 
 def _validate_box(box: Box) -> None:
     x, y, w, h = box
-    for v in (x, y, w, h):
+    # A NaN or inf coordinate shows in a far edge.  An IoU union adds two
+    # areas, so twice the area must be finite too, or IoU(box, box) is NaN.
+    for v in (x + w, y + h, 2.0 * w * h):
         if not math.isfinite(v):
-            raise ValidationError(f"non-finite box coordinate in {box!r}")
+            raise ValidationError(f"non-finite box edge or area in {box!r}")
     if w <= 0 or h <= 0:
         raise ValidationError(f"box must have positive extent, got {box!r}")
 

@@ -15,8 +15,8 @@ Fades are modeled per cell and stretched over consecutive frames —
 signals weaken for a stretch, they do not flicker frame by frame.  While
 faded, a detection's confidence drops either below the discard threshold
 (a miss) or into the low-confidence band (recoverable by the second
-matching stage); ``drop_prob`` sets the long-run fraction of degraded
-detections.
+matching stage), both taken from ``TrackerConfig``'s defaults;
+``drop_prob`` sets the long-run fraction of degraded detections.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .core import (
     LineageForest,
     Provenance,
     Track,
+    TrackerConfig,
     TrackEntry,
     EndReason,
     ValidationError,
@@ -47,10 +48,28 @@ __all__ = [
     "corrupt",
 ]
 
+# The cell model's calibration.  The latent geometry is sized against the
+# tracker's similarity gate (L1 <= 65): at 32 dimensions, unrelated cells
+# sit near 256, aunts/cousins drift past the gate within a few frames of
+# separation, while same-cell frame pairs (~10) and parent-to-daughter
+# pairs (~25) stay far inside it.
+MOTION_SIGMA = 2.0  # sd of a living cell's per-frame step on each axis, px
+DEAD_MOTION_SIGMA = 0.3
+LATENT_RANGE = 12.0  # founders' latents are uniform in +-LATENT_RANGE
+LATENT_DRIFT_SIGMA = 0.4
+DIVISION_LATENT_SIGMA = 0.9
+INITIAL_SIZE_MEAN = 30.0  # initial sides are uniform in MEAN +- SPREAD
+INITIAL_SIZE_SPREAD = 8.0
+SIZE_WALK_SIGMA = 0.05
+DAUGHTER_OFFSET_FRAC = 0.35  # daughters' offset from the parent, in its widths
+_LARGEST_INITIAL_SIDE = INITIAL_SIZE_MEAN + INITIAL_SIZE_SPREAD
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Everything the generative model and the corruption model need."""
+    """The settings of one simulated experiment.  The cell model's
+    calibration is the module constants above, and fades use the default
+    ``TrackerConfig`` confidence bands."""
 
     # Geometry and duration
     frames: int = 234
@@ -61,26 +80,11 @@ class SimulationConfig:
     video_id: str = ""
     dosage: str = ""
 
-    # Motion and appearance.  The latent geometry is sized against the
-    # tracker's similarity gate (L1 <= 65): at 32 dimensions, unrelated
-    # cells sit near 256, aunts/cousins drift past the gate within a few
-    # frames of separation, while same-cell frame pairs (~10) and
-    # parent-to-daughter pairs (~25) stay far inside it.
-    motion_sigma: float = 2.0
-    dead_motion_sigma: float = 0.3
+    # Appearance and cell size
     embedding_dim: int = 32
-    latent_range: float = 12.0
-    latent_drift_sigma: float = 0.4
-    division_latent_sigma: float = 0.9
-
-    # Cell size
-    initial_size_mean: float = 30.0
-    initial_size_spread: float = 8.0
-    size_walk_sigma: float = 0.05
     size_inheritance: str = "heritable"  # or "independent"
     daughter_size_noise: float = 0.01
     sister_growth_weight: float = 0.0
-    daughter_offset_frac: float = 0.35
 
     # Event model
     division_prob: float = 0.004
@@ -97,8 +101,6 @@ class SimulationConfig:
     fade_miss_fraction: float = 0.5
     false_positive_rate: float = 0.0
     embedding_noise_sigma: float = 0.0
-    tau_high: float = 0.45
-    tau_low: float = 0.25
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -144,19 +146,7 @@ class SimulationConfig:
             raise ValidationError(
                 f"division_pulse_frame must lie in [0, frames - 1), got {pulse}"
             )
-        if not (0.0 <= self.tau_low <= self.tau_high <= 1.0):
-            raise ValidationError(
-                "tau_low and tau_high must satisfy "
-                "0 <= tau_low <= tau_high <= 1"
-            )
         for name in (
-            "initial_size_spread",
-            "latent_range",
-            "motion_sigma",
-            "dead_motion_sigma",
-            "latent_drift_sigma",
-            "division_latent_sigma",
-            "size_walk_sigma",
             "daughter_size_noise",
             "box_jitter_sigma",
             "embedding_noise_sigma",
@@ -165,18 +155,10 @@ class SimulationConfig:
             value = getattr(self, name)
             if value < 0:
                 raise ValidationError(f"{name} must be >= 0, got {value!r}")
-        # Initial sizes are drawn from [max(4, mean - spread), mean + spread]
-        # and must fit inside the field of view.
-        largest = self.initial_size_mean + self.initial_size_spread
-        if largest < 4.0:
+        if min(self.width, self.height) < _LARGEST_INITIAL_SIDE:
             raise ValidationError(
-                "initial_size_mean + initial_size_spread must be >= 4, "
-                f"got {largest!r}"
-            )
-        if min(self.width, self.height) < largest:
-            raise ValidationError(
-                "width and height must be >= initial_size_mean + "
-                f"initial_size_spread ({largest!r})"
+                "width and height must be >= the largest initial cell "
+                f"side ({_LARGEST_INITIAL_SIDE!r})"
             )
 
 
@@ -211,11 +193,11 @@ def _reflect(value: float, low: float, high: float) -> float:
     return low + (span - abs(v - span))
 
 
-def _initial_size(cfg: SimulationConfig, rng: np.random.Generator) -> np.ndarray:
+def _initial_size(rng: np.random.Generator) -> np.ndarray:
     """A fresh ``(w, h)``, each uniform over the initial size range."""
-    lo = max(4.0, cfg.initial_size_mean - cfg.initial_size_spread)
-    hi = cfg.initial_size_mean + cfg.initial_size_spread
-    return rng.uniform(lo, hi, size=2)
+    return rng.uniform(
+        INITIAL_SIZE_MEAN - INITIAL_SIZE_SPREAD, _LARGEST_INITIAL_SIDE, size=2
+    )
 
 
 def _divides(
@@ -248,7 +230,7 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     dim = cfg.embedding_dim
     cells: list[SimulatedCell] = []  # cell id k at index k - 1
     for cid in range(1, cfg.initial_cells + 1):
-        size = _initial_size(cfg, rng)
+        size = _initial_size(rng)
         pos = np.array(
             [
                 rng.uniform(size[0] / 2, cfg.width - size[0] / 2),
@@ -260,7 +242,7 @@ def simulate(config: SimulationConfig) -> SimulationResult:
                 track=Track(cid, end_reason=EndReason.END_OF_VIDEO),
                 position=pos,
                 size=size,
-                latent=rng.uniform(-cfg.latent_range, cfg.latent_range, size=dim),
+                latent=rng.uniform(-LATENT_RANGE, LATENT_RANGE, size=dim),
                 born_frame=0,
             )
         )
@@ -297,7 +279,7 @@ def simulate(config: SimulationConfig) -> SimulationResult:
         pair_growth: dict[int, float] = {}
         for cell in present:
             if not cell.alive:
-                step = rng.normal(0.0, cfg.dead_motion_sigma, size=2)
+                step = rng.normal(0.0, DEAD_MOTION_SIGMA, size=2)
                 cell.position = cell.position + step
             elif _divides(cfg, rng, cell, frame):
                 _divide_cell(cfg, rng, cells, cell, frame)
@@ -309,7 +291,7 @@ def simulate(config: SimulationConfig) -> SimulationResult:
             else:
                 # Plain motion and size walk; every cell that neither
                 # divided nor died then drifts in appearance.
-                step = rng.normal(0.0, cfg.motion_sigma, size=2)
+                step = rng.normal(0.0, MOTION_SIGMA, size=2)
                 x, y = (cell.position + step).tolist()
                 half_w, half_h = (cell.size / 2).tolist()
                 cell.position = np.array(
@@ -318,20 +300,18 @@ def simulate(config: SimulationConfig) -> SimulationResult:
                         _reflect(y, half_h, cfg.height - half_h),
                     ]
                 )
-                growth = rng.normal(0.0, cfg.size_walk_sigma)
+                growth = rng.normal(0.0, SIZE_WALK_SIGMA)
                 w_share = cfg.sister_growth_weight
                 pair = cell.track.parent
                 if w_share > 0.0 and pair is not None:
                     if pair not in pair_growth:
-                        pair_growth[pair] = rng.normal(0.0, cfg.size_walk_sigma)
+                        pair_growth[pair] = rng.normal(0.0, SIZE_WALK_SIGMA)
                     growth = (
                         math.sqrt(w_share) * pair_growth[pair]
                         + math.sqrt(1.0 - w_share) * growth
                     )
                 cell.size = np.maximum(cell.size + growth, 4.0)
-            cell.latent = cell.latent + rng.normal(
-                0.0, cfg.latent_drift_sigma, size=dim
-            )
+            cell.latent = cell.latent + rng.normal(0.0, LATENT_DRIFT_SIGMA, size=dim)
 
     meta = VideoMeta(
         video_id=cfg.video_id,
@@ -360,7 +340,7 @@ def _divide_cell(
     angle = rng.uniform(0.0, 2.0 * math.pi)
     offset = (
         np.array([math.cos(angle), math.sin(angle)])
-        * cfg.daughter_offset_frac
+        * DAUGHTER_OFFSET_FRAC
         * float(parent.size[0])
     )
     for step in (offset, -offset):
@@ -370,12 +350,12 @@ def _divide_cell(
             )
             size = np.maximum(size, 4.0)
         else:
-            size = _initial_size(cfg, rng)
+            size = _initial_size(rng)
         pos = parent.position + step
         pos[0] = _reflect(pos[0], size[0] / 2, cfg.width - size[0] / 2)
         pos[1] = _reflect(pos[1], size[1] / 2, cfg.height - size[1] / 2)
         latent = parent.latent + rng.normal(
-            0.0, cfg.division_latent_sigma, size=cfg.embedding_dim
+            0.0, DIVISION_LATENT_SIGMA, size=cfg.embedding_dim
         )
         cid = len(cells) + 1
         cells.append(
@@ -403,8 +383,12 @@ def corrupt(
     (same values, fresh Detection objects).  Each true detection keeps
     its identity through per-cell fade states; false positives carry
     isotropic-normal embeddings that sit far from every real latent.
+    A faded detection's confidence falls below the default
+    ``TrackerConfig.tau_low`` (a miss) or in [tau_low, tau_high) (the
+    low-confidence band); false positives score in [tau_low, 1).
     """
     cfg = config
+    bands = TrackerConfig()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     faded: set[int] = set()
     if cfg.drop_prob >= 1.0:
@@ -432,9 +416,9 @@ def corrupt(
             confidence = det.confidence
             if cid in faded:
                 if rng.random() < cfg.fade_miss_fraction:
-                    confidence = rng.uniform(0.0, cfg.tau_low)
+                    confidence = rng.uniform(0.0, bands.tau_low)
                 else:
-                    confidence = rng.uniform(cfg.tau_low, cfg.tau_high)
+                    confidence = rng.uniform(bands.tau_low, bands.tau_high)
             x, y, w, h = det.box
             if cfg.box_jitter_sigma > 0.0:
                 jitter = rng.normal(0.0, cfg.box_jitter_sigma, size=4)
@@ -458,14 +442,14 @@ def corrupt(
             )
         if cfg.false_positive_rate > 0.0:
             for _ in range(int(rng.poisson(cfg.false_positive_rate))):
-                w, h = _initial_size(cfg, rng).tolist()
+                w, h = _initial_size(rng).tolist()
                 cx = rng.uniform(w / 2, cfg.width - w / 2)
                 cy = rng.uniform(h / 2, cfg.height - h / 2)
                 frame_out.append(
                     Detection(
                         frame_index=frame_index,
                         box=(cx - w / 2, cy - h / 2, w, h),
-                        confidence=rng.uniform(cfg.tau_low, 1.0),
+                        confidence=rng.uniform(bands.tau_low, 1.0),
                         cell_class=CellClass.ALIVE,
                         embedding=rng.normal(0.0, 1.0, size=cfg.embedding_dim),
                         source_id=None,

@@ -211,6 +211,14 @@ class TestEventRates:
         r = event_rates(LineageForest(tracks={}), bin_size=5)
         assert r.bin_starts == ()
 
+    def test_bins_cover_declared_frames(self):
+        # A cell alive over frames 0-4 of a 40-frame video fills half of
+        # bin 0 and none of the three later bins.
+        r = event_rates(make_forest(make_track(1, 0, [bx(50, 50)] * 5), frames=40))
+        assert r.bin_starts == (0, 10, 20, 30)
+        assert r.population == (1,) * 5 + (0,) * 35
+        assert r.mean_alive == (0.5, 0.0, 0.0, 0.0)
+
     def test_bad_bin_size(self):
         with pytest.raises(ValidationError):
             event_rates(self.forest(), bin_size=0)

@@ -459,19 +459,35 @@ class TestExitCodes:
 
     def test_negative_noise_scale(self, tmp_path, capsys):
         args = ["simulate", "--out", str(tmp_path / "o"),
-                "--set", "sim.motion_sigma=-1"]
+                "--set", "sim.box_jitter_sigma=-1"]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert "motion_sigma must be >= 0" in err
+        assert "box_jitter_sigma must be >= 0" in err
         assert "internal error" not in err
 
     def test_simulator_range_rule(self, tmp_path, capsys):
         args = ["simulate", "--out", str(tmp_path / "o"),
-                "--set", "sim.initial_size_spread=-20"]
+                "--set", "sim.width=30"]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert "initial_size_spread must be >= 0" in err
+        assert "width and height must be >= the largest initial cell side" in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "motion_sigma", "dead_motion_sigma", "latent_range",
+            "latent_drift_sigma", "division_latent_sigma", "initial_size_mean",
+            "initial_size_spread", "size_walk_sigma", "daughter_offset_frac",
+            "tau_high", "tau_low",
+        ],
+    )
+    def test_calibration_is_not_a_setting(self, key, tmp_path, capsys):
+        # The simulator's calibration and fade bands are fixed in code.
+        out = tmp_path / "o"
+        assert main(["simulate", "--out", str(out), "--set", f"sim.{key}=1"]) == 2
+        assert f"unknown config key 'sim.{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_division_period_with_pulse(self, tmp_path, capsys):
         args = ["simulate", "--out", str(tmp_path / "o"),

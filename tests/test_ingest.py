@@ -1,5 +1,6 @@
 """File formats: detection tables, forest serialization, error reporting."""
 
+import math
 import tempfile
 from dataclasses import astuple
 from itertools import chain
@@ -361,6 +362,8 @@ _FILES = {"d.txt": DET_LINES, "f_tracks.txt": TRACK_LINES, "f_entries.txt": ENTR
         ("d.txt", 5, "0,1.0,1.0,5.0,5.0,0.9,alive,0.5,zero", "'zero'"),
         ("d.txt", 5, "0,1.0,1.0,5.0,-5.0,0.9,alive,0.5,0.25", "positive extent"),
         ("d.txt", 5, "0,1.0,1.0,5.0,5.0,0.9,alive,0.5,nan", "non-finite"),
+        ("d.txt", 5, "0,1.0,1e308,5.0,1e308,0.9,alive,0.5,0.25", "box edge"),
+        ("d.txt", 5, "0,1.0,1.0,1e200,1e200,0.9,alive,0.5,0.25", "area"),
         ("d.txt", 5, "0,1.0,1.0,5.0,5.0,0.9,alive,0.5", "expected 9 fields"),
         ("d.txt", 2, "#width", "malformed header"),
         ("d.txt", 4, "#embedding_dim=two", "'two'"),
@@ -380,6 +383,7 @@ _FILES = {"d.txt": DET_LINES, "f_tracks.txt": TRACK_LINES, "f_entries.txt": ENTR
         ("f_entries.txt", 1, "1,0,1.0,1.0,5.0,5.0,guess,alive", "'guess'"),
         ("f_entries.txt", 1, "1,0,1.0,1.0,5.0,5.0,high,zombie", "'zombie'"),
         ("f_entries.txt", 1, "1,0,1.0,1.0,5.0,5.0,high", "expected 8 fields"),
+        ("f_entries.txt", 1, "1,0,1e308,0.0,1e308,5.0,high,alive", "box edge"),
         ("f_entries.txt", 2, "1,0,1.0,1.0,5.0,5.0,low,alive", "duplicate entry"),
     ],
 )
@@ -451,7 +455,10 @@ CODEC_SETTINGS = settings(
 )
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-boxes = st.tuples(finite, finite, positive, positive)
+# A box's far edges and doubled area must be finite too (core._validate_box).
+boxes = st.tuples(finite, finite, positive, positive).filter(
+    lambda b: all(map(math.isfinite, (b[0] + b[2], b[1] + b[3], 2.0 * b[2] * b[3])))
+)
 names = st.text(alphabet="abcXYZ019_-.", max_size=6)
 
 

@@ -75,32 +75,20 @@ class TestConfigValidation:
             {"height": 10**400},
             {"drop_prob": "0.1"},
             {"video_id": 7},
-            {"motion_sigma": -1.0},
-            {"dead_motion_sigma": -0.1},
-            {"latent_drift_sigma": -0.1},
-            {"division_latent_sigma": -0.1},
-            {"size_walk_sigma": -0.1},
             {"daughter_size_noise": -0.1},
             {"box_jitter_sigma": -0.1},
             {"embedding_noise_sigma": -0.1},
             {"false_positive_rate": -0.1},
             {"division_period": 0},
             {"division_period": -3},
-            {"initial_size_spread": -20.0},
-            {"initial_size_mean": -100.0},
-            {"initial_size_mean": 2.0, "initial_size_spread": 1.0},
-            {"latent_range": -1.0},
             {"width": 1.0},
             {"height": 37.0},
-            {"tau_low": 0.9},
-            {"tau_high": 1.5},
-            {"tau_low": -0.1},
             {"division_pulse_frame": -1},
             {"division_pulse_frame": 59},
             {"division_pulse_frame": 99},
             {"division_period": 6, "division_pulse_frame": 2},
             {"seed": -1},
-            {"motion_sigma": True},
+            {"box_jitter_sigma": True},
         ],
     )
     def test_rejects(self, kwargs):
@@ -287,6 +275,10 @@ class TestGenerativeModel:
         assert count >= 2
 
 
+# ``corrupt`` fades confidences into the tracker's default bands.
+BANDS = TrackerConfig()
+
+
 class TestCorruption:
     def clean(self, **overrides):
         cfg = SimulationConfig(
@@ -313,7 +305,7 @@ class TestCorruption:
         frames, cfg = self.clean(drop_prob=1.0, fade_miss_fraction=1.0)
         for frame in corrupt(frames, cfg):
             for d in frame:
-                assert d.confidence < cfg.tau_low
+                assert d.confidence < BANDS.tau_low
 
     def test_fade_confidence_bands(self):
         # miss fraction 0 keeps every faded detection in the low band
@@ -321,7 +313,7 @@ class TestCorruption:
         frames, cfg = self.clean(drop_prob=1.0, fade_miss_fraction=0.0)
         for frame in corrupt(frames, cfg):
             for d in frame:
-                assert cfg.tau_low <= d.confidence < cfg.tau_high
+                assert BANDS.tau_low <= d.confidence < BANDS.tau_high
 
     def test_fade_fraction_near_stationary_level(self):
         cfg = SimulationConfig(
@@ -333,7 +325,7 @@ class TestCorruption:
         noisy = corrupt(frames, cfg)
         total = sum(len(f) for f in noisy)
         faded = sum(
-            1 for f in noisy for d in f if d.confidence < cfg.tau_low
+            1 for f in noisy for d in f if d.confidence < BANDS.tau_low
         )
         assert 0.10 < faded / total < 0.30
 
@@ -348,7 +340,7 @@ class TestCorruption:
         runs = []
         for frame in noisy:
             for d in frame:
-                low = d.confidence < cfg.tau_low
+                low = d.confidence < BANDS.tau_low
                 if low:
                     state[d.source_id] = state.get(d.source_id, 0) + 1
                 elif state.get(d.source_id):
@@ -383,7 +375,7 @@ class TestCorruption:
         per_frame = len(fps) / len(noisy)
         assert per_frame == pytest.approx(2.0, rel=0.35)
         for d in fps:
-            assert cfg.tau_low <= d.confidence < 1.0
+            assert BANDS.tau_low <= d.confidence < 1.0
             assert d.cell_class is CellClass.ALIVE
             x, y, w, h = d.box
             assert 0.0 <= x and x + w <= cfg.width
