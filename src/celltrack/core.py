@@ -75,6 +75,12 @@ def centroid(box: Box) -> Point:
     return (x + w / 2.0, y + h / 2.0)
 
 
+# Largest relative error of a box's size as its edges give it back,
+# ``(x + w) - x`` against ``w``.  A box whose size is lost to rounding at
+# its position (``x = 1e200, w = 5``) would not overlap itself.
+SIZE_ROUNDING = 1e-9
+
+
 def _validate_box(box: Box) -> None:
     x, y, w, h = box
     # A NaN or inf coordinate shows in a far edge.  An IoU union adds two
@@ -84,6 +90,28 @@ def _validate_box(box: Box) -> None:
             raise ValidationError(f"non-finite box edge or area in {box!r}")
     if w <= 0 or h <= 0:
         raise ValidationError(f"box must have positive extent, got {box!r}")
+    if (
+        abs(x + w - x - w) > SIZE_ROUNDING * w
+        or abs(y + h - y - h) > SIZE_ROUNDING * h
+    ):
+        raise ValidationError(f"box size lost to rounding at its position in {box!r}")
+
+
+def valid_boxes(boxes: np.ndarray) -> np.ndarray:
+    """Row mask of an ``n x 4`` array of ``(x, y, w, h)``: True where
+    ``_validate_box`` accepts the row."""
+    x, y, w, h = boxes.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        far_x, far_y = x + w, y + h
+        return (
+            np.isfinite(far_x)
+            & np.isfinite(far_y)
+            & np.isfinite(2.0 * w * h)
+            & (w > 0)
+            & (h > 0)
+            & (np.abs(far_x - x - w) <= SIZE_ROUNDING * w)
+            & (np.abs(far_y - y - h) <= SIZE_ROUNDING * h)
+        )
 
 
 def _is_int(value: object) -> bool:
@@ -150,6 +178,30 @@ class Detection:
         emb.setflags(write=False)
         object.__setattr__(self, "embedding", emb)
 
+    @classmethod
+    def trusted(
+        cls,
+        frame_index: int,
+        box: Box,
+        confidence: float,
+        cell_class: CellClass,
+        embedding: np.ndarray,
+        source_id: int | None = None,
+    ) -> Detection:
+        """A detection from fields its caller has already checked against
+        ``__post_init__``'s rules, which it skips: ``embedding`` must be a
+        read-only 1-d float array."""
+        det = object.__new__(cls)
+        det.__dict__.update(
+            frame_index=frame_index,
+            box=box,
+            confidence=confidence,
+            cell_class=cell_class,
+            embedding=embedding,
+            source_id=source_id,
+        )
+        return det
+
     @property
     def centroid(self) -> Point:
         return centroid(self.box)
@@ -212,6 +264,16 @@ class TrackEntry:
 
     def __post_init__(self) -> None:
         _validate_box(self.box)
+
+    @classmethod
+    def trusted(
+        cls, box: Box, cell_class: CellClass, provenance: Provenance
+    ) -> TrackEntry:
+        """An entry whose ``box`` its caller has already validated; skips
+        ``__post_init__``."""
+        entry = object.__new__(cls)
+        entry.__dict__.update(box=box, cell_class=cell_class, provenance=provenance)
+        return entry
 
     @property
     def centroid(self) -> Point:

@@ -23,6 +23,12 @@ producer.  All three files go through one reader, ``_read``, and one
 writer, ``_write``.
 Every bad header or record raises ``ValidationError`` naming
 ``<file>:<line>`` and the reason, as does text that is not UTF-8.
+The loaders read a file's records as columns with ``np.loadtxt`` and
+check each rule as one array expression.  Only when a record cannot be
+read or breaks a rule do they re-read the records one at a time, with
+Python's ``int``/``float``, to name the first bad one.  numpy reads a
+subset of the numbers Python does, with equal values, and a detection's
+frame is read with Python's ``int``, so both paths load the same files.
 Floats are written with ``repr`` so that serialize -> load -> serialize
 is byte-stable.
 """
@@ -30,7 +36,7 @@ is byte-stable.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -47,6 +53,7 @@ from .core import (
     TrackerConfig,
     ValidationError,
     VideoMeta,
+    valid_boxes,
 )
 
 __all__ = [
@@ -60,6 +67,11 @@ __all__ = [
 ]
 
 _HEADER_TYPES = {"frames": int, "width": float, "height": float, "embedding_dim": int}
+# The column parsers read an enum field as the index of its member.
+_CLASSES = tuple(CellClass)
+_PROVENANCES = tuple(Provenance)
+_CLASS_INDEX = {c.value: float(i) for i, c in enumerate(_CLASSES)}
+_PROVENANCE_INDEX = {p.value: float(i) for i, p in enumerate(_PROVENANCES)}
 
 
 @dataclass
@@ -161,6 +173,75 @@ def _write(
         fh.write("\n".join([*head, *records]) + "\n")
 
 
+def _columns(
+    lines: tuple[str, ...],
+    dtype: type,
+    usecols: list[int] | None = None,
+    converters: dict[int, Callable[[str], float]] | None = None,
+) -> np.ndarray:
+    """The ``usecols`` fields (default: all) of every line as one 2-d array.
+
+    ``converters`` maps a column to the function that reads it instead of
+    numpy.  Raises ``ValueError`` on a field that cannot be read, on a line
+    short of a used column and, without ``usecols``, on lines of unequal
+    field counts.  ``lines`` must not be empty, or numpy warns.
+    """
+    return np.loadtxt(
+        lines,
+        dtype=dtype,
+        delimiter=",",
+        comments=None,
+        usecols=usecols,
+        converters=converters,
+        ndmin=2,
+    )
+
+
+def _detection_columns(
+    records: list[tuple[int, str]], n_frames: int, dim: int
+) -> list[list[Detection]] | None:
+    """The records' detections grouped per frame, or ``None`` when a record
+    breaks a rule or cannot be read."""
+    linenos, lines = zip(*records)
+    try:
+        # Python's ``int`` reads the frame, as in the per-record loop; no
+        # int that rounds to a float in [0, n_frames) lies outside it.
+        values = _columns(
+            lines, np.float64, converters={0: int, 6: _CLASS_INDEX.__getitem__}
+        )
+    except ValueError:
+        return None
+    if values.shape[1] != 7 + dim:
+        return None
+    values.setflags(write=False)
+    frame, boxes, conf, embeddings = (
+        values[:, 0], values[:, 1:5], values[:, 5], values[:, 7:]
+    )
+    ok = (
+        (frame >= 0)
+        & (frame < n_frames)
+        & valid_boxes(boxes)
+        & (conf >= 0.0)
+        & (conf <= 1.0)
+        & np.isfinite(embeddings).all(axis=1)
+    )
+    if not ok.all():
+        return None
+    frames: list[list[Detection]] = [[] for _ in range(n_frames)]
+    # Columns become flat lists: a list per row would leave as many more
+    # objects for the garbage collector to scan.
+    for f, box, c, cls, emb, lineno in zip(
+        frame.astype(np.intp).tolist(),
+        zip(*boxes.T.tolist()),
+        conf.tolist(),
+        map(_CLASSES.__getitem__, values[:, 6].astype(np.intp).tolist()),
+        embeddings,
+        linenos,
+    ):
+        frames[f].append(Detection.trusted(f, box, c, cls, emb, lineno))
+    return frames
+
+
 def load_detections(path: str) -> DetectionFile:
     """Parse a detection file, validating every record."""
     headers, records = _read(path)
@@ -170,7 +251,18 @@ def load_detections(path: str) -> DetectionFile:
         raise ValidationError(f"{path}: width/height must be positive")
     if dim <= 0:
         raise ValidationError(f"{path}: embedding_dim must be positive")
-    frames: list[list[Detection]] = [[] for _ in range(meta.frames)]
+    frames = _detection_columns(records, meta.frames, dim) if records else None
+    if frames is None:
+        frames = _detection_records(path, records, meta.frames, dim)
+    return DetectionFile(meta=meta, embedding_dim=dim, frames=frames)
+
+
+def _detection_records(
+    path: str, records: list[tuple[int, str]], n_frames: int, dim: int
+) -> list[list[Detection]]:
+    """The records' detections grouped per frame, parsed one record at a
+    time; raises ``ValidationError`` naming the first bad record."""
+    frames: list[list[Detection]] = [[] for _ in range(n_frames)]
     for lineno, line in records:
         parts = line.split(",")
         try:
@@ -180,8 +272,8 @@ def load_detections(path: str) -> DetectionFile:
                     f"got {len(parts)}"
                 )
             frame = int(parts[0])
-            if not 0 <= frame < meta.frames:
-                raise ValidationError(f"frame {frame} outside [0, {meta.frames})")
+            if not 0 <= frame < n_frames:
+                raise ValidationError(f"frame {frame} outside [0, {n_frames})")
             det = Detection(
                 frame_index=frame,
                 box=tuple(map(float, parts[1:5])),  # type: ignore[arg-type]
@@ -193,7 +285,7 @@ def load_detections(path: str) -> DetectionFile:
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
         frames[frame].append(det)
-    return DetectionFile(meta=meta, embedding_dim=dim, frames=frames)
+    return frames
 
 
 def save_detections(det_file: DetectionFile, path: str) -> None:
@@ -264,6 +356,60 @@ def save_forest(forest: LineageForest, prefix: str) -> tuple[str, str]:
     return tracks_path, entries_path
 
 
+def _entry_columns(records: list[tuple[int, str]], tracks: dict[int, Track]) -> bool:
+    """Add every entries record to its track and return True, or add none
+    and return False when a record breaks a rule or cannot be read."""
+    lines = tuple(line for _, line in records)
+    try:
+        ids = _columns(lines, np.int64, [0, 1])
+        values = _columns(
+            lines,
+            np.float64,
+            [2, 3, 4, 5, 6, 7],
+            {6: _PROVENANCE_INDEX.__getitem__, 7: _CLASS_INDEX.__getitem__},
+        )
+    except ValueError:
+        return False
+    tid, frame = ids.T
+    boxes = values[:, :4]
+    by_key = np.lexsort((frame, tid))
+    repeated = (np.diff(tid[by_key]) == 0) & (np.diff(frame[by_key]) == 0)
+    declared = np.isin(tid, np.fromiter(tracks, dtype=np.int64, count=len(tracks)))
+    if repeated.any() or not (declared & valid_boxes(boxes)).all():
+        return False
+    provenances, classes = values[:, 4:].T.astype(np.intp).tolist()
+    for t, f, box, prov, cls in zip(
+        tid.tolist(), frame.tolist(), zip(*boxes.T.tolist()), provenances, classes
+    ):
+        tracks[t].entries[f] = TrackEntry.trusted(
+            box, _CLASSES[cls], _PROVENANCES[prov]
+        )
+    return True
+
+
+def _entry_records(
+    path: str, records: list[tuple[int, str]], tracks: dict[int, Track]
+) -> None:
+    """Add every entries record to its track, parsed one record at a time;
+    raises ``ValidationError`` naming the first bad record."""
+    for lineno, line in records:
+        parts = line.split(",")
+        try:
+            tid, frame = int(parts[0]), int(parts[1])
+            if tid not in tracks:
+                raise ValidationError(f"entry for undeclared track {tid}")
+            entry = TrackEntry(
+                box=tuple(map(float, parts[2:6])),  # type: ignore[arg-type]
+                provenance=Provenance(parts[6]),
+                cell_class=CellClass(parts[7]),
+            )
+            if frame in tracks[tid].entries:
+                raise ValidationError(f"duplicate entry for track {tid} frame {frame}")
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        tracks[tid].entries[frame] = entry
+
+
 def load_forest(prefix: str, strict: bool = True) -> LineageForest:
     """Load a forest from its file pair and validate structure.
 
@@ -299,22 +445,8 @@ def load_forest(prefix: str, strict: bool = True) -> LineageForest:
         tracks[tid] = Track(track_id=tid, parent=parent, end_reason=reason)
 
     _, records = _read(entries_path, n_fields=8)
-    for lineno, line in records:
-        parts = line.split(",")
-        try:
-            tid, frame = int(parts[0]), int(parts[1])
-            if tid not in tracks:
-                raise ValidationError(f"entry for undeclared track {tid}")
-            entry = TrackEntry(
-                box=tuple(map(float, parts[2:6])),  # type: ignore[arg-type]
-                provenance=Provenance(parts[6]),
-                cell_class=CellClass(parts[7]),
-            )
-            if frame in tracks[tid].entries:
-                raise ValidationError(f"duplicate entry for track {tid} frame {frame}")
-        except ValueError as exc:
-            raise ValidationError(f"{entries_path}:{lineno}: {exc}") from None
-        tracks[tid].entries[frame] = entry
+    if not (records and _entry_columns(records, tracks)):
+        _entry_records(entries_path, records, tracks)
 
     for tid, (start, end) in spans.items():
         track = tracks[tid]

@@ -29,9 +29,6 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .core import Box, LineageForest, ValidationError
 
@@ -55,6 +52,28 @@ __all__ = [
     "evaluate",
     "DEFAULT_ALPHAS",
 ]
+
+# scipy is imported on first use: only scoring needs it, and importing it
+# takes longer than importing the rest of the package.
+
+
+def linear_sum_assignment(cost: np.ndarray, maximize: bool = False):
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost, maximize=maximize)
+
+
+def coo_matrix(*args, **kwargs):
+    from scipy.sparse import coo_matrix as matrix
+
+    return matrix(*args, **kwargs)
+
+
+def connected_components(graph, directed: bool = True):
+    from scipy.sparse.csgraph import connected_components as components
+
+    return components(graph, directed=directed)
+
 
 LINK = "link"
 PARENT = "parent"

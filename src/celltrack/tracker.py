@@ -219,9 +219,8 @@ def resolve_conflicts(
 def _entry_from_detection(
     det: Detection, provenance: Provenance = Provenance.OBSERVED_HIGH
 ) -> TrackEntry:
-    return TrackEntry(
-        box=det.box, cell_class=det.cell_class, provenance=provenance
-    )
+    # A detection's box was validated when the detection was made.
+    return TrackEntry.trusted(det.box, det.cell_class, provenance)
 
 
 class CellTracker:

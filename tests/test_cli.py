@@ -422,6 +422,29 @@ class TestAnalyzeCommand:
         rates = (out / "event_rates.csv").read_text(encoding="utf-8")
         assert "10\u00b5M" in rates
 
+    def test_scipy_is_imported_only_to_score(self, sim_dir, tmp_path):
+        src = Path(celltrack.cli.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        track = ["track", str(sim_dir / "detections.txt"), "--out", str(tmp_path / "t")]
+        analyze = ["analyze", str(sim_dir / "gt"), "--out", str(tmp_path / "a")]
+        evaluate = ["evaluate", str(tmp_path / "t" / "pred"), str(sim_dir / "gt"),
+                    "--out", str(tmp_path / "e")]
+        script = (
+            "import sys\n"
+            "from celltrack.cli import main\n"
+            "assert 'scipy' not in sys.modules\n"
+            f"assert main({track!r}) == 0\n"
+            f"assert main({analyze!r}) == 0\n"
+            "assert 'scipy' not in sys.modules, 'track or analyze imported scipy'\n"
+            f"assert main({evaluate!r}) == 0\n"
+            "assert 'scipy' in sys.modules\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+
     def test_lineage_deeper_than_recursion_limit(self, tmp_path):
         prefix = str(tmp_path / "chain")
         save_forest(make_forest(*make_chain(1500)), prefix)
@@ -557,6 +580,16 @@ class TestExitCodes:
         assert "must not contain a line break" in err
         assert "internal error" not in err
         assert not out.exists()
+
+    def test_box_size_lost_to_rounding(self, tmp_path, capsys):
+        det = tmp_path / "d.txt"
+        det.write_text(
+            "#frames=2\n#width=64.0\n#height=64.0\n#embedding_dim=1\n"
+            "0,1e200,1.0,5.0,5.0,0.9,alive,0.5\n1,1e200,1.0,5.0,5.0,0.9,alive,0.5\n"
+        )
+        assert main(["track", str(det), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "d.txt:5: box size lost to rounding at its position" in err
 
     @pytest.mark.parametrize("tid, code", [(2**63 - 1, 0), (2**63, 2), (10**20, 2)])
     def test_track_id_beyond_int64(self, tid, code, tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Domain primitives: geometry helpers, validation, forest invariants."""
 
 import math
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -110,6 +110,21 @@ class TestDetection:
         with pytest.raises(ValidationError):
             self.make(box=(0.0, math.nan, 10.0, 10.0))
 
+    @pytest.mark.parametrize(
+        "box", [(1e200, 0.0, 5.0, 5.0), (0.0, -1e200, 5.0, 5.0), (1.0, 0.0, 1e-300, 5.0)]
+    )
+    def test_size_lost_to_rounding(self, box):
+        # x + w == x: the box would not overlap itself.
+        with pytest.raises(ValidationError, match="size lost to rounding"):
+            self.make(box=box)
+
+    def test_trusted_holds_the_same_fields(self):
+        d = self.make(source_id=3)
+        t = Detection.trusted(0, d.box, d.confidence, d.cell_class, d.embedding, 3)
+        assert [getattr(t, f.name) for f in fields(Detection)] == [
+            getattr(d, f.name) for f in fields(Detection)
+        ]
+
     def test_empty_embedding(self):
         with pytest.raises(ValidationError):
             self.make(embedding=np.zeros(0))
@@ -186,6 +201,14 @@ class TestTrackerConfig:
 
 
 class TestTrackEntry:
+    def test_size_lost_to_rounding(self):
+        with pytest.raises(ValidationError, match="size lost to rounding"):
+            TrackEntry((1e200, 0.0, 5.0, 5.0), CellClass.ALIVE, Provenance.OBSERVED_HIGH)
+
+    def test_trusted_holds_the_same_fields(self):
+        args = ((1.0, 2.0, 5.0, 5.0), CellClass.DEAD, Provenance.INTERPOLATED)
+        assert astuple(TrackEntry.trusted(*args)) == astuple(TrackEntry(*args))
+
     def test_holds_exactly_the_entries_file_record(self):
         assert [f.name for f in fields(TrackEntry)] == [
             "box", "cell_class", "provenance",

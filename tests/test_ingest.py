@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from celltrack import (
@@ -34,6 +34,8 @@ from celltrack import (
     simulate,
     track_video,
 )
+from celltrack import ingest
+from celltrack.core import _validate_box, valid_boxes
 from conftest import bx, make_forest, make_track
 
 
@@ -86,6 +88,7 @@ class TestDetectionIO:
             assert reread.confidence == orig.confidence
             assert reread.cell_class is orig.cell_class
             assert np.array_equal(reread.embedding, orig.embedding)
+            assert not reread.embedding.flags.writeable
 
     def test_source_id_is_line_number(self, tmp_path):
         path = write_detfile(
@@ -384,6 +387,8 @@ _FILES = {"d.txt": DET_LINES, "f_tracks.txt": TRACK_LINES, "f_entries.txt": ENTR
         ("f_entries.txt", 1, "1,0,1.0,1.0,5.0,5.0,high,zombie", "'zombie'"),
         ("f_entries.txt", 1, "1,0,1.0,1.0,5.0,5.0,high", "expected 8 fields"),
         ("f_entries.txt", 1, "1,0,1e308,0.0,1e308,5.0,high,alive", "box edge"),
+        ("d.txt", 5, "0,1e200,1.0,5.0,5.0,0.9,alive,0.5,0.25", "lost to rounding"),
+        ("f_entries.txt", 1, "1,0,1.0,1e200,5.0,5.0,high,alive", "lost to rounding"),
         ("f_entries.txt", 2, "1,0,1.0,1.0,5.0,5.0,low,alive", "duplicate entry"),
     ],
 )
@@ -407,6 +412,79 @@ def test_rejection_cases_start_from_valid_files(tmp_path):
         (tmp_path / fname).write_text("\n".join(lines) + "\n")
     assert sum(map(len, load_detections(str(tmp_path / "d.txt")).frames)) == 1
     assert load_forest(str(tmp_path / "f")).tracks[1].span() == 2
+
+
+def _loaded(name, tmp_path):
+    """What loading the sample files gives: ``("ok", fields of every
+    detection or track)`` or ``("error", message)``."""
+    try:
+        if name == "d.txt":
+            df = load_detections(str(tmp_path / name))
+            return "ok", [
+                (d.frame_index, d.box, d.confidence, d.cell_class,
+                 d.embedding.tolist(), d.source_id)
+                for d in chain(*df.frames)
+            ]
+        forest = load_forest(str(tmp_path / "f"))
+        return "ok", {
+            tid: (t.parent, t.end_reason, t.children,
+                  [(f, astuple(e)) for f, e in t.entries.items()])
+            for tid, t in forest.tracks.items()
+        }
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize(
+    "name, lineno, line, kind",
+    [
+        # Python reads these numbers and numpy does not.
+        ("d.txt", 5, "0,1_0.0,1.0,5.0,5.0,0.9,alive,0.5,0.25", "ok"),
+        ("d.txt", 5, "\u0661,1.0,1.0,5.0,5.0,0.9,alive,0.5,0.25", "ok"),
+        ("f_entries.txt", 1, "1,\u0660,1_0.0,1.0,5.0,5.0,high,alive", "ok"),
+        # Both read these.
+        ("d.txt", 5, "0,1.0,1.0, 20.0 ,5.0,0.9,alive,0.5,0.25", "ok"),
+        ("d.txt", 5, "+3,1.0,1.0,5.0,5.0,0.9,alive,-0,+0.25", "ok"),
+        ("f_entries.txt", 1, "+1,-0,1.0,1.0, 20.0 ,5.0,high,alive", "ok"),
+        # Both reject these.
+        ("d.txt", 5, "+4,1.0,1.0,5.0,5.0,0.9,alive,0.5,0.25", "error"),
+        ("d.txt", 5, "1.0,1.0,1.0,5.0,5.0,0.9,alive,0.5,0.25", "error"),
+        ("d.txt", 5, "0,1.0,1.0,5.0,5.0,nan,alive,0.5,0.25", "error"),
+        ("d.txt", 5, "0,0x10,1.0,5.0,5.0,0.9,alive,0.5,0.25", "error"),
+        ("d.txt", 5, "0,1.0,1.0,5.0,5.0,0.9, alive,0.5,0.25", "error"),
+        ("d.txt", 5, "9223372036854775808,1.0,1.0,5.0,5.0,0.9,alive,0.5,0.25", "error"),
+        ("f_entries.txt", 1, "9223372036854775808,0,1.0,1.0,5.0,5.0,high,alive", "error"),
+        ("f_entries.txt", 1, "1,0,1.0,1.0,5.0,inf,high,alive", "error"),
+    ],
+)
+def test_column_and_record_paths_agree(tmp_path, monkeypatch, name, lineno, line, kind):
+    for fname, lines in _FILES.items():
+        lines = list(lines)
+        if fname == name:
+            lines[lineno - 1] = line
+        (tmp_path / fname).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    loaded = _loaded(name, tmp_path)
+    assert loaded[0] == kind, loaded
+    monkeypatch.setattr(ingest, "_detection_columns", lambda *args: None)
+    monkeypatch.setattr(ingest, "_entry_columns", lambda *args: False)
+    assert _loaded(name, tmp_path) == loaded
+
+
+@pytest.mark.parametrize("name", ["d.txt", "f_tracks.txt"])
+def test_valid_records_load_by_columns(tmp_path, monkeypatch, name):
+    def per_record(*args):
+        raise AssertionError("a valid file fell back to the per-record loop")
+
+    for fname, lines in _FILES.items():
+        (tmp_path / fname).write_text("\n".join(lines) + "\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(ingest, "_detection_columns", lambda *args: None)
+        patch.setattr(ingest, "_entry_columns", lambda *args: False)
+        by_records = _loaded(name, tmp_path)
+    assert by_records[0] == "ok"
+    monkeypatch.setattr(ingest, "_detection_records", per_record)
+    monkeypatch.setattr(ingest, "_entry_records", per_record)
+    assert _loaded(name, tmp_path) == by_records
 
 
 @pytest.mark.parametrize("name", ["d.txt", "f_tracks.txt"])
@@ -455,9 +533,27 @@ CODEC_SETTINGS = settings(
 )
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-# A box's far edges and doubled area must be finite too (core._validate_box).
-boxes = st.tuples(finite, finite, positive, positive).filter(
-    lambda b: all(map(math.isfinite, (b[0] + b[2], b[1] + b[3], 2.0 * b[2] * b[3])))
+
+
+def box_rule(b):
+    """core._validate_box on a box of positive size: finite far edges and
+    doubled area, and a size that survives rounding at its position."""
+    x, y, w, h = b
+    return (
+        all(map(math.isfinite, (x + w, y + h, 2.0 * w * h)))
+        and abs(x + w - x - w) <= 1e-9 * w
+        and abs(y + h - y - h) <= 1e-9 * h
+    )
+
+
+# A position is drawn in units of its box's size, within a million sizes
+# of the origin: most positions far from their size lose it to rounding,
+# and filtering them out would reject most draws.
+offset = st.floats(-1e6, 1e6)
+boxes = (
+    st.tuples(offset, offset, positive, positive)
+    .map(lambda b: (b[0] * b[2], b[1] * b[3], b[2], b[3]))
+    .filter(box_rule)
 )
 names = st.text(alphabet="abcXYZ019_-.", max_size=6)
 
@@ -523,6 +619,28 @@ def forests(draw):
         dosage=draw(names),
     )
     return LineageForest(tracks=tracks, meta=meta)
+
+
+edge_values = st.sampled_from(
+    [0.0, -0.0, 5e-324, 1.0, 5.0, 2.0**53, 1e200, 1e308, -1e308, math.inf, math.nan]
+)
+any_value = st.floats() | edge_values
+
+
+@CODEC_SETTINGS
+@given(st.tuples(any_value, any_value, any_value, any_value))
+@example((1.0, 1e308, 5.0, 1e308))  # far edge overflows
+@example((1.0, 1.0, 1e200, 1e200))  # doubled area overflows
+@example((1e200, 0.0, 5.0, 5.0))  # size lost to rounding
+@example((2.0**53, 0.0, 1.0, 1.0))  # size rounds by more than 1e-9
+@example((2.0**52, 0.0, 1.0, 1.0))  # exact
+def test_column_box_check_matches_validate_box(box):
+    try:
+        _validate_box(box)
+        accepted = True
+    except ValidationError:
+        accepted = False
+    assert valid_boxes(np.array([box])).tolist() == [accepted]
 
 
 def _forest_bytes(prefix):
