@@ -329,6 +329,12 @@ class Track:
         return self.last_frame - self.start_frame + 1
 
 
+# Most frames a video may declare.  Readers and scorers hold one slot per
+# declared frame, so a header such as ``#frames=1000000000`` would exhaust
+# memory before any record is read.
+MAX_FRAMES = 10**6
+
+
 @dataclass
 class VideoMeta:
     """Per-video header data carried by detection and track files."""

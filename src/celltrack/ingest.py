@@ -16,8 +16,8 @@ Two file kinds exist:
   and ``<prefix>_entries.txt`` holds one record per track-frame
   (``track_id,frame,x,y,w,h,provenance,class``).
 
-Both kinds declare ``frames >= 1``, and every record lies in
-``[0, frames)``.  Ground truth and tracker output use the identical
+Both kinds declare ``1 <= frames <= MAX_FRAMES``, and every record lies
+in ``[0, frames)``.  Ground truth and tracker output use the identical
 forest format, so either side of an evaluation can come from either
 producer.  All three files go through one reader, ``_read``, and one
 writer, ``_write``.
@@ -43,6 +43,7 @@ from typing import Any
 import numpy as np
 
 from .core import (
+    MAX_FRAMES,
     CellClass,
     Detection,
     EndReason,
@@ -131,12 +132,16 @@ def _read(
 
 def _meta(headers: dict[str, Any], path: str, required: tuple[str, ...]) -> VideoMeta:
     """Build the ``VideoMeta`` of a file's headers, after checking ``required``
-    and that ``frames`` is positive."""
+    and that ``frames`` lies in ``[1, MAX_FRAMES]``."""
     for key in required:
         if key not in headers:
             raise ValidationError(f"{path}: missing required header #{key}=")
     if headers["frames"] <= 0:
         raise ValidationError(f"{path}: frames must be positive, got {headers['frames']}")
+    if headers["frames"] > MAX_FRAMES:
+        raise ValidationError(
+            f"{path}: frames must be at most {MAX_FRAMES}, got {headers['frames']}"
+        )
     for key in ("width", "height"):
         if not np.isfinite(headers[key]):
             raise ValidationError(f"{path}: #{key} must be finite, got {headers[key]}")

@@ -16,17 +16,21 @@ parent->daughter division edges):
   one-to-one box matching that maximizes total IoU subject to
   ``iou >= alpha``.
 
-Both read one pass, ``FramePairs``, that computes each frame's box
-intersections once.  The scoring protocol is fixed by the constants
-below, as the metric definitions fix it.  Both families are invariant
-to track relabeling and deterministic.
+Both read one sparse pass, ``FramePairs``.  Over all frames at once it
+sorts the predicted boxes by (frame, left edge), takes for each
+ground-truth box the closed window of predictions in its frame whose
+x-extents may meet it, and computes each such pair's intersection, IoU
+and covered-center test once.  A pair outside the window neither
+overlaps nor covers a center, so every score equals the one full
+per-frame matrices give.  The scoring protocol is fixed by the
+constants below, as the metric definitions fix it.  Both families are
+invariant to track relabeling and deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -75,8 +79,8 @@ def connected_components(graph, directed: bool = True):
     return components(graph, directed=directed)
 
 
-LINK = "link"
-PARENT = "parent"
+# Edge kind codes of ``TrackingGraph.kinds``.
+LINK, PARENT = 0, 1
 
 # AOGM edit weights of the Cell Tracking Challenge (Matula et al., PLoS
 # ONE 2015): node split, false negative, false positive; edge deletion,
@@ -107,25 +111,32 @@ class AOGMCounts:
     edge_changes: int = 0
 
 
-Node = tuple[int, int]  # (track_id, frame)
-
-
 @dataclass(eq=False)
 class TrackingGraph:
-    """Frame-indexed node arrays plus typed edges for one forest."""
+    """One forest as flat node arrays plus typed edge arrays.
+
+    Node ``i`` is the box ``boxes[i]`` of track ``ids[i]`` at frame
+    ``node_frames[i]``; nodes run in (frame, track id) order.  Edge ``k``
+    joins node ``src[k]`` to node ``dst[k]`` and has kind ``kinds[k]``:
+    ``LINK`` between consecutive frames of one track, ``PARENT`` from a
+    track's last node to a daughter's first.
+    """
 
     frames: int
-    frame_ids: list[np.ndarray] = field(default_factory=list)
-    frame_boxes: list[np.ndarray] = field(default_factory=list)
-    edges: dict[tuple[Node, Node], str] = field(default_factory=dict)
+    node_frames: np.ndarray
+    ids: np.ndarray
+    boxes: np.ndarray
+    src: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    dst: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    kinds: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int8))
 
     @property
     def node_count(self) -> int:
-        return sum(ids.size for ids in self.frame_ids)
+        return self.ids.size
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.src.size
 
 
 def build_graph(forest: LineageForest) -> TrackingGraph:
@@ -133,68 +144,76 @@ def build_graph(forest: LineageForest) -> TrackingGraph:
     ``forest.meta.frames`` frames.  An entry outside them raises
     ``ValidationError``: a forest built in memory may be unvalidated."""
     frames = forest.meta.frames
-    frame_ids: list[list[int]] = [[] for _ in range(frames)]
-    frame_boxes: list[list[Box]] = [[] for _ in range(frames)]
-    edges: dict[tuple[Node, Node], str] = {}
+    node_frames: list[int] = []
+    ids: list[int] = []
+    boxes: list[Box] = []
+    ends: dict[int, tuple[int, int]] = {}  # track id -> first and last node
     for tid in sorted(forest.tracks):
         entries = forest.tracks[tid].entries
         entry_frames = sorted(entries)
-        if entry_frames and entry_frames[-1] >= frames:
+        if not entry_frames:
+            continue
+        if entry_frames[-1] >= frames:
             raise ValidationError(
                 f"track {tid} extends to frame {entry_frames[-1]}, "
                 f"beyond the declared {frames} frames"
             )
-        if entry_frames and entry_frames[0] < 0:
+        if entry_frames[0] < 0:
             raise ValidationError(
                 f"track {tid} has an entry at negative frame {entry_frames[0]}"
             )
-        for f in entry_frames:
-            frame_ids[f].append(tid)
-            frame_boxes[f].append(entries[f].box)
-        for a, b in zip(entry_frames, entry_frames[1:]):
-            if b == a + 1:
-                edges[((tid, a), (tid, b))] = LINK
-    for tid in sorted(forest.tracks):
-        track = forest.tracks[tid]
-        for child_id in track.children:
-            child = forest.tracks[child_id]
-            edges[
-                ((tid, track.last_frame), (child_id, child.start_frame))
-            ] = PARENT
+        ends[tid] = (len(ids), len(ids) + len(entry_frames) - 1)
+        node_frames += entry_frames
+        ids += [tid] * len(entry_frames)
+        boxes += [entries[f].box for f in entry_frames]
+    node_frames_arr = np.array(node_frames, dtype=np.int64)
+    ids_arr = np.array(ids, dtype=np.int64)
+    # Nodes are in track order here: a link joins neighbours one frame apart.
+    link = np.flatnonzero(
+        (ids_arr[1:] == ids_arr[:-1]) & (np.diff(node_frames_arr) == 1)
+    )
+    # A child listed twice still makes one division edge.
+    division = np.array(
+        [
+            (ends[tid][1], ends[child][0])
+            for tid in sorted(forest.tracks)
+            for child in dict.fromkeys(forest.tracks[tid].children)
+        ],
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    # Tracks run in id order, so a stable sort by frame gives (frame, id).
+    order = np.argsort(node_frames_arr, kind="stable")
+    rank = np.argsort(order)
     return TrackingGraph(
         frames=frames,
-        frame_ids=[np.array(ids, dtype=int) for ids in frame_ids],
-        frame_boxes=[
-            np.array(boxes, dtype=float).reshape(-1, 4) for boxes in frame_boxes
-        ],
-        edges=edges,
+        node_frames=node_frames_arr[order],
+        ids=ids_arr[order],
+        boxes=np.array(boxes, dtype=float).reshape(-1, 4)[order],
+        src=rank[np.concatenate([link, division[:, 0]])],
+        dst=rank[np.concatenate([link + 1, division[:, 1]])],
+        kinds=np.repeat(
+            np.array([LINK, PARENT], dtype=np.int8), [link.size, len(division)]
+        ),
     )
 
 
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two (n, 4) box arrays in (x, y, w, h) form."""
-    return _ratio(*_inter_union(boxes_a, boxes_b))
+    return _ratio(*_inter_union(boxes_a[:, None], boxes_b[None, :]))
 
 
 def _inter_union(
     boxes_a: np.ndarray, boxes_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise intersection and union areas of two (n, 4) box arrays."""
-    ax1, ay1 = boxes_a[:, 0], boxes_a[:, 1]
-    ax2, ay2 = ax1 + boxes_a[:, 2], ay1 + boxes_a[:, 3]
-    bx1, by1 = boxes_b[:, 0], boxes_b[:, 1]
-    bx2, by2 = bx1 + boxes_b[:, 2], by1 + boxes_b[:, 3]
-    iw = np.minimum(ax2[:, None], bx2[None, :]) - np.maximum(
-        ax1[:, None], bx1[None, :]
-    )
-    ih = np.minimum(ay2[:, None], by2[None, :]) - np.maximum(
-        ay1[:, None], by1[None, :]
-    )
+    """Intersection and union areas of boxes ``boxes_a`` and ``boxes_b``,
+    (x, y, w, h) on the last axis; the leading axes broadcast."""
+    ax1, ay1, aw, ah = np.moveaxis(boxes_a, -1, 0)
+    bx1, by1, bw, bh = np.moveaxis(boxes_b, -1, 0)
+    iw = np.minimum(ax1 + aw, bx1 + bw) - np.maximum(ax1, bx1)
+    ih = np.minimum(ay1 + ah, by1 + bh) - np.maximum(ay1, by1)
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     inter[(iw <= 0) | (ih <= 0)] = 0.0
-    areas_a = boxes_a[:, 2] * boxes_a[:, 3]
-    areas_b = boxes_b[:, 2] * boxes_b[:, 3]
-    union = areas_a[:, None] + areas_b[None, :] - inter
+    union = aw * ah + bw * bh - inter
     return inter, union
 
 
@@ -207,39 +226,38 @@ def _ratio(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
     return np.minimum(ratio, 1.0, out=ratio)
 
 
-def _center_cover_mapping(
-    gt_boxes: np.ndarray, pred_boxes: np.ndarray, inter: np.ndarray, ious: np.ndarray
-) -> np.ndarray:
-    """Covered-center assignment for one frame, from its pairwise (gt, pred)
-    intersection areas ``inter`` and IoUs ``ious``.
+def _touching_pairs(
+    gt: TrackingGraph, pred: TrackingGraph
+) -> tuple[np.ndarray, np.ndarray]:
+    """(gt node, pred node) pairs of one frame whose closed x-extents may meet.
 
-    Returns, per ground-truth node, the index of the prediction whose box
-    contains the ground-truth box center with the largest intersection
-    area, or -1 when no box covers it.  Intersection ties are broken by
-    IoU — when a small box sits wholly inside a larger one, both cover
-    the small ground truth completely, and the snugger box is the right
-    partner — and remaining ties go to the lowest prediction index.
-    Several ground-truth nodes may map to one prediction; that surfaces
-    as node splits in the edit counts.
+    Predictions are sorted by (frame, x1).  A ground-truth node's window
+    starts at the first prediction of its frame whose running maximum of
+    x2 reaches the node's x1, and ends after the last one whose x1 is at
+    most the node's x2.  Every pair that overlaps, touches, or has the
+    ground-truth center inside the prediction lies in it.  Coordinates
+    enter the search only as ranks, so (frame, rank) is one exact integer
+    key.
     """
-    if pred_boxes.shape[0] == 0:
-        return np.full(gt_boxes.shape[0], -1, dtype=int)
-    cx = gt_boxes[:, 0] + gt_boxes[:, 2] / 2.0
-    cy = gt_boxes[:, 1] + gt_boxes[:, 3] / 2.0
-    px1, py1 = pred_boxes[:, 0], pred_boxes[:, 1]
-    px2, py2 = px1 + pred_boxes[:, 2], py1 + pred_boxes[:, 3]
-    inside = (
-        (cx[:, None] >= px1[None, :])
-        & (cx[:, None] <= px2[None, :])
-        & (cy[:, None] >= py1[None, :])
-        & (cy[:, None] <= py2[None, :])
+    px1 = pred.boxes[:, 0]
+    order = np.lexsort((px1, pred.node_frames))
+    x1s, x1_rank = np.unique(px1[order], return_inverse=True)
+    x2s, x2_rank = np.unique(px1[order] + pred.boxes[order, 2], return_inverse=True)
+    frame_key = pred.node_frames[order] * (pred.node_count + 1)
+    starts = frame_key + x1_rank
+    reach = np.maximum.accumulate(frame_key + x2_rank)
+    gx1 = gt.boxes[:, 0]
+    gt_key = gt.node_frames * (pred.node_count + 1)
+    lo = np.searchsorted(reach, gt_key + np.searchsorted(x2s, gx1, side="left"))
+    hi = np.searchsorted(
+        starts, gt_key + np.searchsorted(x1s, gx1 + gt.boxes[:, 2], side="right")
     )
-    masked = np.where(inside, inter, -1.0)
-    tied = inside & (masked == masked.max(axis=1, keepdims=True))
-    # IoUs are >= 0, so the top IoU among the tied lies on a tied pair.
-    masked = np.where(tied, ious, -1.0)
-    best = np.argmax(masked == masked.max(axis=1, keepdims=True), axis=1)
-    return np.where(inside.any(axis=1), best, -1)
+    counts = np.maximum(hi - lo, 0)
+    gt_nodes = np.repeat(np.arange(gt.node_count), counts)
+    # The k-th pair of a node's run holds sorted prediction lo + k.
+    run_start = np.cumsum(counts) - counts
+    slots = np.arange(gt_nodes.size) + np.repeat(lo - run_start, counts)
+    return gt_nodes, order[slots]
 
 
 def _unique_best(
@@ -341,12 +359,23 @@ def _max_iou_pairs(
 class FramePairs:
     """The one evaluation pass over two graphs of equal frame count.
 
-    Each frame's (gt, pred) intersections are computed once.  ``cover``
-    holds each frame's covered-center assignment (DET / LNK / TRA); the
-    pairs with IoU >= ``DEFAULT_ALPHAS[0]`` (HOTA, MOTA, MOTP, IDF1) are
-    flattened over frames in (frame, gt index, pred index) order.  Rows
-    and columns number the ground-truth and predicted nodes in frame
-    order (``n_rows`` and ``n_cols`` are the two node counts), and map to
+    The pass reads only the (gt, pred) pairs of a frame that
+    ``_touching_pairs`` finds, and computes each one's intersection, IoU
+    and covered-center test once, with the expressions ``iou_matrix``
+    uses.  Rows and columns number the ground-truth and predicted nodes
+    in frame order (``n_rows`` and ``n_cols`` are the two node counts).
+
+    ``cover`` maps each ground-truth node to the predicted node of its
+    frame whose box contains the ground-truth box center (edges
+    included) with the largest intersection area, or -1 when none does.
+    Intersection ties go to the larger IoU — when a small box sits wholly
+    inside a larger one, both cover the small ground truth completely,
+    and the snugger box is the right partner — and remaining ties to the
+    lowest predicted node.  Several ground-truth nodes may map to one
+    prediction; that surfaces as node splits in the edit counts.
+
+    The pairs with IoU >= ``DEFAULT_ALPHAS[0]`` (HOTA, MOTA, MOTP, IDF1)
+    are ``rows``/``cols``/``ious`` in (frame, gt, pred) order, and map to
     dense track codes (indices into the sorted track ids).  Each
     threshold's matching is computed once and shared.
     """
@@ -357,33 +386,33 @@ class FramePairs:
                 f"frame count mismatch: gt {gt.frames} vs pred {pred.frames}"
             )
         self.gt, self.pred = gt, pred
-        self.cover: list[np.ndarray] = []
-        rows = [np.zeros(0, dtype=np.intp)]
-        cols = [np.zeros(0, dtype=np.intp)]
-        ious = [np.zeros(0)]
-        self.n_rows = self.n_cols = 0
-        for gt_boxes, pred_boxes in zip(gt.frame_boxes, pred.frame_boxes):
-            inter, union = _inter_union(gt_boxes, pred_boxes)
-            frame = _ratio(inter, union)
-            self.cover.append(_center_cover_mapping(gt_boxes, pred_boxes, inter, frame))
-            r, c = np.nonzero(frame >= DEFAULT_ALPHAS[0])
-            rows.append(r + self.n_rows)
-            cols.append(c + self.n_cols)
-            ious.append(frame[r, c])
-            self.n_rows += frame.shape[0]
-            self.n_cols += frame.shape[1]
-            # Free this frame's matrices before the next frame's are built.
-            del inter, union, frame
-        self.rows = np.concatenate(rows)
-        self.cols = np.concatenate(cols)
-        self.ious = np.concatenate(ious)
-        empty = [np.zeros(0, dtype=int)]
-        self.gt_tracks, self.gt_track = np.unique(
-            np.concatenate(empty + gt.frame_ids), return_inverse=True
+        self.n_rows, self.n_cols = gt.node_count, pred.node_count
+        g, p = _touching_pairs(gt, pred)
+        gt_boxes, pred_boxes = gt.boxes[g], pred.boxes[p]
+        inter, union = _inter_union(gt_boxes, pred_boxes)
+        ious = _ratio(inter, union)
+
+        cx = gt_boxes[:, 0] + gt_boxes[:, 2] / 2.0
+        cy = gt_boxes[:, 1] + gt_boxes[:, 3] / 2.0
+        px1, py1 = pred_boxes[:, 0], pred_boxes[:, 1]
+        inside = np.flatnonzero(
+            (cx >= px1)
+            & (cx <= px1 + pred_boxes[:, 2])
+            & (cy >= py1)
+            & (cy <= py1 + pred_boxes[:, 3])
         )
-        self.pred_tracks, self.pred_track = np.unique(
-            np.concatenate(empty + pred.frame_ids), return_inverse=True
-        )
+        ranked = inside[
+            np.lexsort((p[inside], -ious[inside], -inter[inside], g[inside]))
+        ]
+        _, best = np.unique(g[ranked], return_index=True)
+        self.cover = np.full(self.n_rows, -1, dtype=np.intp)
+        self.cover[g[ranked[best]]] = p[ranked[best]]
+
+        kept = np.flatnonzero(ious >= DEFAULT_ALPHAS[0])
+        kept = kept[np.lexsort((p[kept], g[kept]))]
+        self.rows, self.cols, self.ious = g[kept], p[kept], ious[kept]
+        self.gt_tracks, self.gt_track = np.unique(gt.ids, return_inverse=True)
+        self.pred_tracks, self.pred_track = np.unique(pred.ids, return_inverse=True)
         self._matches: dict[float, np.ndarray] = {}
 
     def eligible(self, alpha: float) -> np.ndarray:
@@ -429,62 +458,39 @@ def aogm_counts(
     Nodes: ground-truth nodes without a covering prediction are
     additions (FN); predictions covering nothing are deletions (FP); a
     prediction covering k > 1 ground-truth nodes needs k - 1 splits.
-    Edges: each ground-truth edge is served by the prediction edge
-    between its mapped endpoints — exactly once, matching semantics
-    preferred, a semantics change when only the wrong kind is there, an
-    addition otherwise.  Prediction edges serving no ground-truth edge
-    are deletions.  ``pairs``, when given, is the evaluation pass of
-    these two graphs.
+    Edges: a ground-truth edge maps to the prediction edge between the
+    predictions covering its endpoints.  The ground-truth edges that map
+    to one existing prediction edge form a group, and that edge serves
+    exactly one of them: as it stands when some edge of the group has
+    the same kind, as a semantics change otherwise.  Every other
+    ground-truth edge is an addition, and the prediction edges serving
+    no group are deletions.  ``pairs``, when given, is the evaluation
+    pass of these two graphs.
     """
     pairs = pairs or FramePairs(gt, pred)
-    ns = fn = fp = 0
-    mapping: dict[Node, Node] = {}
-    for f, assigned in enumerate(pairs.cover):
-        gt_ids = gt.frame_ids[f]
-        pred_ids = pred.frame_ids[f]
-        covered = assigned >= 0
-        hits = np.bincount(assigned[covered], minlength=pred_ids.size)
-        fn += int(assigned.size - np.count_nonzero(covered))
-        fp += int(np.count_nonzero(hits == 0))
-        ns += int(np.maximum(hits - 1, 0).sum())
-        mapping.update(
-            zip(
-                zip(gt_ids[covered].tolist(), repeat(f)),
-                zip(pred_ids[assigned[covered]].tolist(), repeat(f)),
-            )
-        )
+    cover = pairs.cover
+    covered = cover >= 0
+    hits = np.bincount(cover[covered], minlength=pred.node_count)
 
-    used: set[tuple[Node, Node]] = set()
-    deferred: list[tuple[Node, Node] | None] = []
-    ea = ec = 0
-    for (ga, gb), kind in gt.edges.items():
-        pa = mapping.get(ga)
-        pb = mapping.get(gb)
-        if pa is None or pb is None or pa == pb:
-            ea += 1
-            continue
-        pkey = (pa, pb)
-        pkind = pred.edges.get(pkey)
-        if pkind == kind and pkey not in used:
-            used.add(pkey)
-        elif pkind is None:
-            ea += 1
-        else:
-            deferred.append(pkey)
-    for pkey in deferred:
-        if pkey is not None and pkey not in used:
-            used.add(pkey)
-            ec += 1
-        else:
-            ea += 1
-    ed = len(pred.edges) - len(used)
+    # Key each edge by its (source, target) prediction nodes.
+    n = pred.node_count
+    src, dst = cover[gt.src], cover[gt.dst]
+    mapped = (src >= 0) & (dst >= 0) & (src != dst)
+    keys = src[mapped] * n + dst[mapped]
+    pred_keys = pred.src * n + pred.dst
+    by_key = np.argsort(pred_keys)
+    slot = np.searchsorted(pred_keys, keys, sorter=by_key)
+    found = slot < pred_keys.size
+    found[found] = pred_keys[by_key[slot[found]]] == keys[found]
+    same = gt.kinds[mapped][found] == pred.kinds[by_key[slot[found]]]
+    groups, group = np.unique(keys[found], return_inverse=True)
     return AOGMCounts(
-        node_splits=ns,
-        false_negatives=fn,
-        false_positives=fp,
-        edge_deletions=ed,
-        edge_additions=ea,
-        edge_changes=ec,
+        node_splits=int(np.maximum(hits - 1, 0).sum()),
+        false_negatives=int(cover.size - np.count_nonzero(covered)),
+        false_positives=int(np.count_nonzero(hits == 0)),
+        edge_deletions=pred.edge_count - groups.size,
+        edge_additions=gt.edge_count - groups.size,
+        edge_changes=groups.size - np.unique(group[same]).size,
     )
 
 

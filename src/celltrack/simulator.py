@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_FRAMES,
     CellClass,
     Detection,
     LineageForest,
@@ -106,6 +107,10 @@ class SimulationConfig:
         check_field_types(self)
         if self.frames <= 0:
             raise ValidationError("frames must be positive")
+        if self.frames > MAX_FRAMES:
+            raise ValidationError(
+                f"frames must be at most {MAX_FRAMES}, got {self.frames}"
+            )
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         # Both become header lines of the written files.

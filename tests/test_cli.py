@@ -625,6 +625,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'z_tracks.txt'}: frames must be positive, got 0" in err
 
+    @pytest.mark.parametrize("role", ["track", "gt", "pred", "analyze"])
+    def test_absurd_frame_count(self, role, sim_dir, tmp_path, capsys):
+        # Readers hold one slot per declared frame: without the ceiling a
+        # single-record file exhausts memory and exits 1.
+        (tmp_path / "z_tracks.txt").write_text(
+            "#frames=1000000000\n#width=64.0\n#height=64.0\n1,0,0,,end_of_video\n"
+        )
+        (tmp_path / "z_entries.txt").write_text("1,0,1.0,1.0,5.0,5.0,high,alive\n")
+        (tmp_path / "z.txt").write_text(
+            "#frames=1000000000\n#width=64.0\n#height=64.0\n#embedding_dim=1\n"
+            "0,1.0,1.0,5.0,5.0,0.9,alive,0.5\n"
+        )
+        bad, good = str(tmp_path / "z"), str(sim_dir / "gt")
+        out = ["--out", str(tmp_path / "o")]
+        args, path = {
+            "track": (["track", bad + ".txt", *out], "z.txt"),
+            "gt": (["evaluate", good, bad, *out], "z_tracks.txt"),
+            "pred": (["evaluate", bad, good, *out], "z_tracks.txt"),
+            "analyze": (["analyze", bad, *out], "z_tracks.txt"),
+        }[role]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert (
+            f"{tmp_path / path}: frames must be at most 1000000, got 1000000000" in err
+        )
+
     def test_missing_forest_prefix(self, tmp_path):
         args = ["evaluate", str(tmp_path / "a"), str(tmp_path / "b"),
                 "--out", str(tmp_path / "o")]

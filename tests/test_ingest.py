@@ -35,7 +35,7 @@ from celltrack import (
     track_video,
 )
 from celltrack import ingest
-from celltrack.core import _validate_box, valid_boxes
+from celltrack.core import MAX_FRAMES, _validate_box, valid_boxes
 from conftest import bx, make_forest, make_track
 
 
@@ -104,6 +104,19 @@ class TestDetectionIO:
         path.write_text("#frames=2\n#width=10\n#height=10\n")
         with pytest.raises(ValidationError, match="embedding_dim"):
             load_detections(str(path))
+
+    def test_frame_ceiling(self):
+        # Both file kinds read their headers through _meta; checked there,
+        # the boundary needs no file of a million empty frames.
+        headers = {"frames": MAX_FRAMES, "width": 64.0, "height": 64.0}
+        required = ("frames", "width", "height")
+        assert ingest._meta(headers, "v.txt", required).frames == MAX_FRAMES
+        headers["frames"] = MAX_FRAMES + 1
+        with pytest.raises(
+            ValidationError,
+            match=f"v.txt: frames must be at most {MAX_FRAMES}, got {MAX_FRAMES + 1}",
+        ):
+            ingest._meta(headers, "v.txt", required)
 
     def test_wrong_field_count(self, tmp_path):
         path = write_detfile(tmp_path / "d.txt", ["0,1.0,1.0,5.0,5.0,0.9,alive,0.0"])

@@ -10,6 +10,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
@@ -33,6 +35,8 @@ from celltrack import (
 import celltrack.metrics
 from celltrack.metrics import (
     DEFAULT_ALPHAS,
+    LINK,
+    PARENT,
     FramePairs,
     TrackingGraph,
     UndefinedMetricError,
@@ -42,6 +46,7 @@ from celltrack.metrics import (
 )
 from conftest import bx, make_forest, make_track
 from oracles import (
+    brute_aogm_counts,
     brute_det_lnk_tra,
     brute_hota,
     brute_idf1,
@@ -56,16 +61,33 @@ from oracles import (
 B = bx(50, 50)
 
 
+def node_graph(frames, node_frames, boxes) -> TrackingGraph:
+    """Edgeless graph whose node ``i`` is ``boxes[i]`` at ``node_frames[i]``
+    (in frame order), as track ``i``."""
+    node_frames = np.asarray(node_frames, dtype=np.int64).reshape(-1)
+    return TrackingGraph(
+        frames=frames,
+        node_frames=node_frames,
+        ids=np.arange(node_frames.size),
+        boxes=np.asarray(boxes, dtype=float).reshape(-1, 4),
+    )
+
+
 def frame_pairs(gt_boxes, pred_boxes) -> FramePairs:
     """The evaluation pass of a one-frame video holding these boxes."""
+    return FramePairs(
+        *(node_graph(1, np.zeros(len(b)), b) for b in (gt_boxes, pred_boxes))
+    )
 
-    def graph(boxes):
-        boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
-        return TrackingGraph(
-            frames=1, frame_ids=[np.arange(len(boxes))], frame_boxes=[boxes]
-        )
 
-    return FramePairs(graph(gt_boxes), graph(pred_boxes))
+def edge_kinds(g: TrackingGraph) -> dict:
+    """The graph's edges as ``{((track, frame), (track, frame)): kind}``."""
+    names = {LINK: "link", PARENT: "parent"}
+    node = list(zip(g.ids.tolist(), g.node_frames.tolist()))
+    return {
+        (node[s], node[d]): names[k]
+        for s, d, k in zip(g.src.tolist(), g.dst.tolist(), g.kinds.tolist())
+    }
 
 
 def iou_matches(gt_boxes, pred_boxes, alpha) -> list[tuple[int, int]]:
@@ -109,20 +131,27 @@ class TestGraphBuilding:
         assert g.node_count == 6
         # 3 within-track links + 2 division edges.
         assert g.edge_count == 5
-        kinds = sorted(g.edges.values())
+        kinds = sorted(edge_kinds(g).values())
         assert kinds == ["link", "link", "link", "parent", "parent"]
 
     def test_parent_edges_span_division(self):
         g = build_graph(self.forest())
-        assert g.edges[((1, 1), (2, 2))] == "parent"
-        assert g.edges[((1, 1), (3, 2))] == "parent"
+        assert edge_kinds(g)[((1, 1), (2, 2))] == "parent"
+        assert edge_kinds(g)[((1, 1), (3, 2))] == "parent"
 
     def test_gap_breaks_link_chain(self):
         t = make_track(1, 0, [B] * 4)
         del t.entries[2]
         g = build_graph(make_forest(t, frames=4))
         assert g.node_count == 3
-        assert set(g.edges) == {((1, 0), (1, 1))}
+        assert set(edge_kinds(g)) == {((1, 0), (1, 1))}
+
+    def test_child_listed_twice_is_one_edge(self):
+        forest = self.forest()
+        forest.tracks[1].children.append(2)
+        g = build_graph(forest)
+        assert g.edge_count == 5
+        assert edge_kinds(g) == edge_kinds(build_graph(self.forest()))
 
     def test_track_beyond_declared_frames(self):
         with pytest.raises(ValidationError):
@@ -176,7 +205,7 @@ class TestIouMatrix:
 
 class TestCenterMatching:
     def match(self, gt_boxes, pred_boxes):
-        return frame_pairs(gt_boxes, pred_boxes).cover[0]
+        return frame_pairs(gt_boxes, pred_boxes).cover
 
     def test_simple_containment(self):
         out = self.match([bx(50, 50)], [bx(80, 80), bx(51, 51)])
@@ -454,6 +483,58 @@ class TestEditCounts:
         with pytest.raises(ValidationError):
             aogm_counts(g1, g2)
 
+    def test_counts_match_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            gt, pred, frames = random_instance(rng)
+            c = aogm_counts(build_graph(gt), build_graph(pred))
+            want = brute_aogm_counts(gt, pred, frames)
+            assert (
+                c.node_splits,
+                c.false_negatives,
+                c.false_positives,
+                c.edge_deletions,
+                c.edge_additions,
+                c.edge_changes,
+            ) == tuple(want[k] for k in ("ns", "fn", "fp", "ed", "ea", "ec"))
+
+    @pytest.mark.parametrize(
+        "divides, ea, ec",
+        [
+            # Two links map onto the one predicted link: one is served as
+            # it stands, the other is an addition.
+            (False, 1, 0),
+            # Two division edges map onto the one predicted link: one is a
+            # semantics change, the other an addition.
+            (True, 1, 1),
+        ],
+    )
+    def test_two_gt_edges_onto_one_pred_edge(self, divides, ea, ec):
+        if divides:
+            gt = make_forest(
+                make_track(1, 0, [bx(50, 50)], children=[2, 3]),
+                make_track(2, 1, [bx(45, 50)], parent=1),
+                make_track(3, 1, [bx(55, 50)], parent=1),
+                frames=2,
+            )
+            boxes = [bx(50, 50), bx(50, 50, 40, 40)]
+        else:
+            gt = make_forest(
+                make_track(1, 0, [bx(45, 50)] * 2),
+                make_track(2, 0, [bx(55, 50)] * 2),
+                frames=2,
+            )
+            boxes = [bx(50, 50, 40, 40)] * 2
+        # One predicted track whose big box covers both cells of frame 1.
+        pred = make_forest(make_track(101, 0, boxes), frames=2)
+        c = aogm_counts(build_graph(gt), build_graph(pred))
+        assert (c.edge_deletions, c.edge_additions, c.edge_changes) == (0, ea, ec)
+        assert c.node_splits == (1 if divides else 2)
+        want = brute_aogm_counts(gt, pred, 2)
+        assert (want["ed"], want["ea"], want["ec"], want["ns"]) == (
+            0, ea, ec, c.node_splits
+        )
+
     def test_penalty_weights(self):
         from celltrack import AOGMCounts
 
@@ -511,15 +592,14 @@ class TestHota:
         pred = track_video(corrupt(res.clean_frames, cfg), TrackerConfig())
         pred.meta.frames = cfg.frames
         g, p = build_graph(res.ground_truth), build_graph(pred)
-        gt_sizes, pred_sizes = (
-            Counter(np.concatenate(graph.frame_ids).tolist()) for graph in (g, p)
-        )
+        gt_sizes, pred_sizes = (Counter(graph.ids.tolist()) for graph in (g, p))
         want = []
         for alpha in DEFAULT_ALPHAS:
             counts: dict[tuple[int, int], int] = {}
             for f in range(g.frames):
-                for gi, pi in iou_matches(g.frame_boxes[f], p.frame_boxes[f], alpha):
-                    key = (int(g.frame_ids[f][gi]), int(p.frame_ids[f][pi]))
+                gf, pf = g.node_frames == f, p.node_frames == f
+                for gi, pi in iou_matches(g.boxes[gf], p.boxes[pf], alpha):
+                    key = (int(g.ids[gf][gi]), int(p.ids[pf][pi]))
                     counts[key] = counts.get(key, 0) + 1
             acc = 0.0
             for (gid, pid), c in counts.items():
@@ -709,15 +789,41 @@ class TestEvaluateReport:
             evaluate(pred, gt)
 
 
+@st.composite
+def videos(draw):
+    """Per frame, (gt boxes, pred boxes) on a coarse grid, so that edges
+    touch, centers fall on edges and intersections tie; some predictions
+    repeat a ground-truth box, and some videos sit 1e6 box sizes out."""
+    origin = draw(st.sampled_from([0.0, 3e6]))
+    unit = draw(st.sampled_from([1.0, 0.1]))
+    cell = st.tuples(
+        st.integers(0, 12), st.integers(0, 12), st.integers(1, 6), st.integers(1, 6)
+    )
+    video = []
+    for _ in range(draw(st.integers(1, 4))):
+        gt = draw(st.lists(cell, max_size=6))
+        pred = draw(st.lists(cell, max_size=6))
+        if gt:
+            pred += draw(st.lists(st.sampled_from(gt), max_size=2))
+        video.append(
+            tuple(
+                [(origin + x * unit, origin + y * unit, w * unit, h * unit)
+                 for x, y, w, h in side]
+                for side in (gt, pred)
+            )
+        )
+    return video
+
+
 class TestEvaluationPass:
     """Both scorer families read one overlap pass per (pred, gt) pair."""
 
-    def test_one_overlap_computation_per_frame(self, monkeypatch):
+    def test_one_overlap_computation_over_touching_pairs(self, monkeypatch):
         calls = []
         inter_union = celltrack.metrics._inter_union
 
         def counted(gt_boxes, pred_boxes):
-            calls.append((gt_boxes.shape[0], pred_boxes.shape[0]))
+            calls.append(gt_boxes.shape)
             return inter_union(gt_boxes, pred_boxes)
 
         monkeypatch.setattr(celltrack.metrics, "_inter_union", counted)
@@ -730,7 +836,10 @@ class TestEvaluationPass:
         pred = relabel(gt)
         pred.tracks[999] = make_track(999, 1, [bx(300, 300)] * 3)
         evaluate(pred, gt)
-        assert calls == [(1, 1), (1, 2), (2, 3), (2, 3), (1, 1)]
+        # One call over all frames.  A gap of 10 parts the daughters' boxes,
+        # so each frame pairs every box with its own copy only: 7 of the 16
+        # (gt, pred) pairs of full per-frame matrices.
+        assert calls == [(7, 4)]
 
     def test_shared_pass_gives_standalone_counts(self):
         rng = np.random.default_rng(12)
@@ -751,6 +860,41 @@ class TestEvaluationPass:
         g3 = build_graph(make_forest(make_track(1, 0, [B]), frames=3))
         with pytest.raises(ValidationError, match="frame count mismatch: gt 2 vs pred 3"):
             FramePairs(g2, g3)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(videos())
+    @example([([(0.0, 0.0, 4.0, 4.0)], [(4.0, 0.0, 4.0, 4.0), (-4.0, -4.0, 4.0, 4.0)])])
+    @example([([(0.0, 0.0, 4.0, 4.0)], [(2.0, 0.0, 4.0, 4.0), (-2.0, -2.0, 4.0, 4.0)])])
+    @example(
+        [([(1.0, 1.0, 2.0, 2.0)], [(-1.0, -1.0, 6.0, 6.0), (0.0, 0.0, 4.0, 4.0)] * 2)]
+    )
+    @example([([], [(0.0, 0.0, 2.0, 2.0)]), ([(0.0, 0.0, 2.0, 2.0)], []), ([], [])])
+    @example([([(3e6, 3e6, 3.0, 3.0)], [(3e6 + 1.5, 3e6, 3.0, 3.0), (3e6, 3e6, 3.0, 3.0)])])
+    def test_sparse_pass_equals_full_matrices(self, video):
+        # Examples: boxes touching at an edge and at a corner; a center on
+        # a predicted box's edge; nested boxes of equal intersection, each
+        # twice; frames empty on either side; boxes 1e6 sizes out.
+        def graph(side):
+            frames = [f for f, boxes in enumerate(side) for _ in boxes]
+            return node_graph(len(video), frames, [b for boxes in side for b in boxes])
+
+        pairs = FramePairs(graph([g for g, _ in video]), graph([p for _, p in video]))
+        cover, want = [], []
+        row = col = 0
+        for gt_boxes, pred_boxes in video:
+            cover += [
+                -1 if j < 0 else col + j for j in center_match_frame(gt_boxes, pred_boxes)
+            ]
+            for i, g in enumerate(gt_boxes):
+                for j, p in enumerate(pred_boxes):
+                    iou = iou_scalar(g, p)
+                    if iou >= DEFAULT_ALPHAS[0]:
+                        want.append((row + i, col + j, iou))
+            row += len(gt_boxes)
+            col += len(pred_boxes)
+        assert pairs.cover.tolist() == cover
+        got = zip(pairs.rows.tolist(), pairs.cols.tolist(), pairs.ious.tolist())
+        assert list(got) == want
 
 
 class TestGoldenScores:

@@ -19,6 +19,7 @@ from celltrack import (
     track_video,
 )
 from celltrack.cli import _simulate_one
+from celltrack.core import MAX_FRAMES
 
 
 def dets_equal(a, b) -> bool:
@@ -96,6 +97,15 @@ class TestConfigValidation:
         base.update(kwargs)
         with pytest.raises(ValidationError):
             SimulationConfig(**base)
+
+    def test_frame_ceiling(self):
+        # simulate never writes a file the loaders refuse.
+        assert SimulationConfig(frames=MAX_FRAMES).frames == MAX_FRAMES
+        with pytest.raises(
+            ValidationError,
+            match=f"frames must be at most {MAX_FRAMES}, got {MAX_FRAMES + 1}",
+        ):
+            SimulationConfig(frames=MAX_FRAMES + 1)
 
 
 class TestGenerativeModel:
