@@ -146,7 +146,14 @@ def check_field_types(config: object) -> None:
             raise ValidationError(f"{f.name} must be {what}, got {value!r}")
 
 
-@dataclass(frozen=True, eq=False)
+def _slot_setters(cls: type) -> tuple:
+    """The slot setters of a slotted dataclass's fields, in field order.
+    ``trusted`` constructors fill a frozen record through them: straight
+    into its slots, with no instance dict and no per-field name lookup."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Detection:
     """One detector output on one frame.
 
@@ -192,14 +199,13 @@ class Detection:
         ``__post_init__``'s rules, which it skips: ``embedding`` must be a
         read-only 1-d float array."""
         det = object.__new__(cls)
-        det.__dict__.update(
-            frame_index=frame_index,
-            box=box,
-            confidence=confidence,
-            cell_class=cell_class,
-            embedding=embedding,
-            source_id=source_id,
-        )
+        set_frame, set_box, set_conf, set_class, set_emb, set_id = _DETECTION_SLOTS
+        set_frame(det, frame_index)
+        set_box(det, box)
+        set_conf(det, confidence)
+        set_class(det, cell_class)
+        set_emb(det, embedding)
+        set_id(det, source_id)
         return det
 
     @property
@@ -249,7 +255,7 @@ class TrackerConfig:
             raise ValidationError("noise variances must be positive")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TrackEntry:
     """State of one track on one frame: exactly one record of an entries
     file.
@@ -272,12 +278,19 @@ class TrackEntry:
         """An entry whose ``box`` its caller has already validated; skips
         ``__post_init__``."""
         entry = object.__new__(cls)
-        entry.__dict__.update(box=box, cell_class=cell_class, provenance=provenance)
+        set_box, set_class, set_provenance = _ENTRY_SLOTS
+        set_box(entry, box)
+        set_class(entry, cell_class)
+        set_provenance(entry, provenance)
         return entry
 
     @property
     def centroid(self) -> Point:
         return centroid(self.box)
+
+
+_DETECTION_SLOTS = _slot_setters(Detection)
+_ENTRY_SLOTS = _slot_setters(TrackEntry)
 
 
 @dataclass(eq=False)

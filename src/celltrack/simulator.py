@@ -17,6 +17,12 @@ faded, a detection's confidence drops either below the discard threshold
 (a miss) or into the low-confidence band (recoverable by the second
 matching stage), both taken from ``TrackerConfig``'s defaults;
 ``drop_prob`` sets the long-run fraction of degraded detections.
+
+A seed gives the same bytes; the per-cell draw order is the contract.
+Each frame, one loop draws every cell's random numbers in id order, and
+then the cells' positions, sizes and latents (arrays indexed by cell id
+- 1) advance at once.  ``corrupt`` draws per detection in frame order.
+Clean and noisy embeddings are read-only rows of their frame's array.
 """
 
 from __future__ import annotations
@@ -39,11 +45,11 @@ from .core import (
     ValidationError,
     VideoMeta,
     check_field_types,
+    valid_boxes,
 )
 
 __all__ = [
     "SimulationConfig",
-    "SimulatedCell",
     "SimulationResult",
     "simulate",
     "corrupt",
@@ -168,34 +174,19 @@ class SimulationConfig:
 
 
 @dataclass(eq=False)
-class SimulatedCell:
-    """Model state of one simulated cell and the ground-truth ``Track`` it
-    writes: one entry per frame it is present, then its end reason.  A
-    division hands the record on: the daughters' ids go into
-    ``track.children`` and each daughter writes its own track from the
-    next frame."""
-
-    track: Track
-    position: np.ndarray  # centroid (2,)
-    size: np.ndarray  # (w, h)
-    latent: np.ndarray  # appearance vector
-    born_frame: int
-    alive: bool = True
-
-
-@dataclass(eq=False)
 class SimulationResult:
     ground_truth: LineageForest
     clean_frames: list[list[Detection]]
 
 
-def _reflect(value: float, low: float, high: float) -> float:
-    """Bounce a coordinate back into [low, high]."""
-    span = high - low
-    if span <= 0:
-        return low
-    v = (value - low) % (2 * span)
-    return low + (span - abs(v - span))
+def _reflect(values: np.ndarray, half: np.ndarray, extent: np.ndarray) -> np.ndarray:
+    """Bounce box centers back into [half, extent - half], per row and
+    axis; a box wider than the field sits at ``half``."""
+    span = (extent - half) - half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = (values - half) % (2 * span)
+        bounced = half + (span - np.abs(v - span))
+    return np.where(span > 0, bounced, half)
 
 
 def _initial_size(rng: np.random.Generator) -> np.ndarray:
@@ -205,14 +196,38 @@ def _initial_size(rng: np.random.Generator) -> np.ndarray:
     )
 
 
+def _detections(
+    frame_indices: list[int], boxes: np.ndarray, confidences: list[float],
+    classes: list[CellClass], embeddings: np.ndarray, ids: list[int | None],
+) -> list[Detection]:
+    """One frame's detections from its columns.  The columns are checked
+    at once, as ``Detection`` checks one record, and a bad row raises that
+    row's ``ValidationError``; then every record takes the trusted path,
+    with a read-only row of ``embeddings`` as its embedding."""
+    conf = np.array(confidences, dtype=float)
+    ok = valid_boxes(boxes) & (conf >= 0.0) & (conf <= 1.0)
+    ok &= np.isfinite(embeddings).all(axis=1)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        Detection(
+            frame_indices[i], tuple(boxes[i].tolist()), confidences[i],
+            classes[i], embeddings[i], ids[i],
+        )
+    embeddings.setflags(write=False)
+    return list(map(
+        Detection.trusted, frame_indices, zip(*boxes.T.tolist()), confidences,
+        classes, embeddings, ids,
+    ))
+
+
 def _divides(
-    cfg: SimulationConfig, rng: np.random.Generator, cell: SimulatedCell, frame: int
+    cfg: SimulationConfig, rng: np.random.Generator, age: int, frame: int
 ) -> bool:
-    """The division rule: a fixed period or one pulse frame (the config
-    allows at most one), else a draw at the division probability,
-    scaled from treatment on."""
+    """The division rule for a cell present for ``age`` frames: a fixed
+    period or one pulse frame (the config allows at most one), else a
+    draw at the division probability, scaled from treatment on."""
     if cfg.division_period is not None:
-        return frame - cell.born_frame + 1 >= cfg.division_period
+        return age >= cfg.division_period
     if cfg.division_pulse_frame is not None:
         return frame == cfg.division_pulse_frame
     p = cfg.division_prob
@@ -233,81 +248,82 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     cfg = config
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     dim = cfg.embedding_dim
-    cells: list[SimulatedCell] = []  # cell id k at index k - 1
+    extent = np.array([cfg.width, cfg.height])
+    classes = (CellClass.DEAD, CellClass.ALIVE)
+    # Cell state, cell id k at row k - 1.
+    tracks: list[Track] = []
+    positions, sizes, latents = [], [], []
     for cid in range(1, cfg.initial_cells + 1):
         size = _initial_size(rng)
-        pos = np.array(
-            [
-                rng.uniform(size[0] / 2, cfg.width - size[0] / 2),
-                rng.uniform(size[1] / 2, cfg.height - size[1] / 2),
-            ]
-        )
-        cells.append(
-            SimulatedCell(
-                track=Track(cid, end_reason=EndReason.END_OF_VIDEO),
-                position=pos,
-                size=size,
-                latent=rng.uniform(-LATENT_RANGE, LATENT_RANGE, size=dim),
-                born_frame=0,
-            )
-        )
+        half = size / 2
+        positions.append((rng.uniform(half[0], cfg.width - half[0]),
+                          rng.uniform(half[1], cfg.height - half[1])))
+        sizes.append(size)
+        latents.append(rng.uniform(-LATENT_RANGE, LATENT_RANGE, size=dim))
+        tracks.append(Track(cid, end_reason=EndReason.END_OF_VIDEO))
+    position, size, latent = np.array(positions), np.array(sizes), np.array(latents)
+    alive = np.ones(len(tracks), dtype=bool)
+    present = np.arange(len(tracks))  # rows of cells that have not divided
 
     clean_frames: list[list[Detection]] = []
     for frame in range(cfg.frames):
-        # Record every present cell (one that has not divided) on this frame.
-        present = [cell for cell in cells if not cell.track.children]
-        detections: list[Detection] = []
-        for cell in present:
-            w, h = cell.size.tolist()
-            x, y = cell.position.tolist()
-            box = (x - w / 2.0, y - h / 2.0, w, h)
-            cls = CellClass.ALIVE if cell.alive else CellClass.DEAD
-            cell.track.entries[frame] = TrackEntry(
-                box=box, cell_class=cls, provenance=Provenance.OBSERVED_HIGH
-            )
-            detections.append(
-                Detection(
-                    frame_index=frame,
-                    box=box,
-                    confidence=1.0,
-                    cell_class=cls,
-                    embedding=cell.latent.copy(),
-                    source_id=cell.track.track_id,
-                )
+        # Record every present cell on this frame.
+        boxes = np.concatenate(
+            [position[present] - size[present] / 2.0, size[present]], axis=1
+        )
+        ids = (present + 1).tolist()
+        is_alive = alive[present].tolist()
+        detections = _detections(
+            [frame] * len(ids), boxes, [1.0] * len(ids),
+            list(map(classes.__getitem__, is_alive)), latent[present], ids,
+        )
+        for det, track in zip(detections, map(tracks.__getitem__, present.tolist())):
+            track.entries[frame] = TrackEntry.trusted(
+                det.box, det.cell_class, Provenance.OBSERVED_HIGH
             )
         clean_frames.append(detections)
         if frame == cfg.frames - 1:
             break
 
-        # Advance to the next frame: events first, then motion.  Sisters
+        # Advance to the next frame.  The loop draws each cell's random
+        # numbers in a fixed order (events first, then motion); the arrays
+        # then move every stepped (dead or moving) cell at once.  Sisters
         # share one growth draw, keyed by their parent's id.
+        stepped, steps, drifts, growths = [], [], [], []
+        divided, angles, daughter_sizes, daughter_drifts = [], [], [], []
         pair_growth: dict[int, float] = {}
-        for cell in present:
-            if not cell.alive:
-                step = rng.normal(0.0, DEAD_MOTION_SIGMA, size=2)
-                cell.position = cell.position + step
-            elif _divides(cfg, rng, cell, frame):
-                _divide_cell(cfg, rng, cells, cell, frame)
+        w_share = cfg.sister_growth_weight
+        for row, (cid, live) in enumerate(zip(ids, is_alive)):
+            track = tracks[cid - 1]
+            if not live:
+                steps.append(rng.normal(0.0, DEAD_MOTION_SIGMA, size=2))
+            elif _divides(cfg, rng, len(track.entries), frame):
+                track.end_reason = EndReason.DIVISION
+                divided.append(row)
+                angles.append(rng.uniform(0.0, 2.0 * math.pi))
+                for _ in range(2):
+                    daughter_sizes.append(
+                        rng.normal(0.0, cfg.daughter_size_noise, size=2)
+                        if cfg.size_inheritance == "heritable"
+                        else _initial_size(rng)
+                    )
+                    daughter_drifts.append(
+                        rng.normal(0.0, DIVISION_LATENT_SIGMA, size=dim)
+                    )
+                    daughter = len(tracks) + 1
+                    tracks.append(
+                        Track(daughter, parent=cid, end_reason=EndReason.END_OF_VIDEO)
+                    )
+                    track.children.append(daughter)
                 continue
             elif frame >= cfg.treatment_frame and rng.random() < cfg.death_prob:
-                cell.alive = False
-                cell.track.end_reason = EndReason.DEATH
+                alive[cid - 1] = False
+                track.end_reason = EndReason.DEATH
                 continue
             else:
-                # Plain motion and size walk; every cell that neither
-                # divided nor died then drifts in appearance.
-                step = rng.normal(0.0, MOTION_SIGMA, size=2)
-                x, y = (cell.position + step).tolist()
-                half_w, half_h = (cell.size / 2).tolist()
-                cell.position = np.array(
-                    [
-                        _reflect(x, half_w, cfg.width - half_w),
-                        _reflect(y, half_h, cfg.height - half_h),
-                    ]
-                )
+                steps.append(rng.normal(0.0, MOTION_SIGMA, size=2))
                 growth = rng.normal(0.0, SIZE_WALK_SIGMA)
-                w_share = cfg.sister_growth_weight
-                pair = cell.track.parent
+                pair = track.parent
                 if w_share > 0.0 and pair is not None:
                     if pair not in pair_growth:
                         pair_growth[pair] = rng.normal(0.0, SIZE_WALK_SIGMA)
@@ -315,68 +331,47 @@ def simulate(config: SimulationConfig) -> SimulationResult:
                         math.sqrt(w_share) * pair_growth[pair]
                         + math.sqrt(1.0 - w_share) * growth
                     )
-                cell.size = np.maximum(cell.size + growth, 4.0)
-            cell.latent = cell.latent + rng.normal(0.0, LATENT_DRIFT_SIGMA, size=dim)
+                growths.append(growth)
+            # Every cell that neither divided nor died drifts in appearance.
+            stepped.append(row)
+            drifts.append(rng.normal(0.0, LATENT_DRIFT_SIGMA, size=dim))
+
+        if stepped:
+            rows = present[stepped]
+            moving = alive[rows]
+            moved = position[rows] + np.array(steps)
+            rows_m = rows[moving]
+            moved[moving] = _reflect(moved[moving], size[rows_m] / 2, extent)
+            position[rows] = moved
+            size[rows_m] = np.maximum(size[rows_m] + np.array(growths)[:, None], 4.0)
+            latent[rows] = latent[rows] + np.array(drifts)
+        if divided:
+            # Two daughters per parent, offset to either side of it.
+            parents = np.repeat(present[divided], 2)
+            unit = np.array([[math.cos(a), math.sin(a)] for a in angles])
+            offset = unit * DAUGHTER_OFFSET_FRAC * size[present[divided], :1]
+            step = np.stack([offset, -offset], axis=1).reshape(-1, 2)
+            new_size = np.array(daughter_sizes)
+            if cfg.size_inheritance == "heritable":
+                new_size = np.maximum(size[parents] * (1.0 + new_size), 4.0)
+            new_position = _reflect(position[parents] + step, new_size / 2, extent)
+            new_latent = latent[parents] + np.array(daughter_drifts)
+            first = len(position)
+            position = np.concatenate([position, new_position])
+            size = np.concatenate([size, new_size])
+            latent = np.concatenate([latent, new_latent])
+            alive = np.concatenate([alive, np.ones(len(parents), dtype=bool)])
+            keep = np.ones(len(present), dtype=bool)
+            keep[divided] = False
+            present = np.concatenate([present[keep], np.arange(first, len(position))])
 
     meta = VideoMeta(
-        video_id=cfg.video_id,
-        frames=cfg.frames,
-        width=cfg.width,
-        height=cfg.height,
-        dosage=cfg.dosage,
+        video_id=cfg.video_id, frames=cfg.frames, width=cfg.width,
+        height=cfg.height, dosage=cfg.dosage,
     )
-    forest = LineageForest(
-        tracks={cell.track.track_id: cell.track for cell in cells}, meta=meta
-    )
+    forest = LineageForest(tracks={t.track_id: t for t in tracks}, meta=meta)
     forest.validate()
     return SimulationResult(ground_truth=forest, clean_frames=clean_frames)
-
-
-def _divide_cell(
-    cfg: SimulationConfig,
-    rng: np.random.Generator,
-    cells: list[SimulatedCell],
-    parent: SimulatedCell,
-    frame: int,
-) -> None:
-    """End ``parent``'s track and add two daughters that appear on
-    ``frame + 1``."""
-    parent.track.end_reason = EndReason.DIVISION
-    angle = rng.uniform(0.0, 2.0 * math.pi)
-    offset = (
-        np.array([math.cos(angle), math.sin(angle)])
-        * DAUGHTER_OFFSET_FRAC
-        * float(parent.size[0])
-    )
-    for step in (offset, -offset):
-        if cfg.size_inheritance == "heritable":
-            size = parent.size * (
-                1.0 + rng.normal(0.0, cfg.daughter_size_noise, size=2)
-            )
-            size = np.maximum(size, 4.0)
-        else:
-            size = _initial_size(rng)
-        pos = parent.position + step
-        pos[0] = _reflect(pos[0], size[0] / 2, cfg.width - size[0] / 2)
-        pos[1] = _reflect(pos[1], size[1] / 2, cfg.height - size[1] / 2)
-        latent = parent.latent + rng.normal(
-            0.0, DIVISION_LATENT_SIGMA, size=cfg.embedding_dim
-        )
-        cid = len(cells) + 1
-        cells.append(
-            SimulatedCell(
-                track=Track(
-                    cid,
-                    parent=parent.track.track_id,
-                    end_reason=EndReason.END_OF_VIDEO,
-                ),
-                position=pos,
-                size=size,
-                latent=latent,
-                born_frame=frame + 1,
-            )
-        )
-        parent.track.children.append(cid)
 
 
 def corrupt(
@@ -386,11 +381,15 @@ def corrupt(
 
     With all noise parameters at zero the input comes back unchanged
     (same values, fresh Detection objects).  Each true detection keeps
-    its identity through per-cell fade states; false positives carry
-    isotropic-normal embeddings that sit far from every real latent.
-    A faded detection's confidence falls below the default
+    its identity through per-cell fade states; detections without a
+    ``source_id`` never fade.  False positives carry isotropic-normal
+    embeddings that sit far from every real latent, and the frame index
+    of the frame's first detection, else of the frame's position.  A
+    faded detection's confidence falls below the default
     ``TrackerConfig.tau_low`` (a miss) or in [tau_low, tau_high) (the
     low-confidence band); false positives score in [tau_low, 1).
+    Embeddings are ``config.embedding_dim`` long, as ``simulate`` makes
+    them; each output embedding is a read-only row of its frame's array.
     """
     cfg = config
     bands = TrackerConfig()
@@ -406,8 +405,8 @@ def corrupt(
 
     out: list[list[Detection]] = []
     for frame_dets in clean_frames:
-        frame_out: list[Detection] = []
-        frame_index = frame_dets[0].frame_index if frame_dets else len(out)
+        # Draw per detection in frame order, then degrade the frame's columns.
+        confidences, jitters, noises = [], [], []
         for det in frame_dets:
             cid = det.source_id
             if cid is not None:
@@ -424,41 +423,41 @@ def corrupt(
                     confidence = rng.uniform(0.0, bands.tau_low)
                 else:
                     confidence = rng.uniform(bands.tau_low, bands.tau_high)
-            x, y, w, h = det.box
+            confidences.append(confidence)
             if cfg.box_jitter_sigma > 0.0:
-                jitter = rng.normal(0.0, cfg.box_jitter_sigma, size=4)
-                x, y = x + jitter[0], y + jitter[1]
-                w = max(1.0, w + jitter[2])
-                h = max(1.0, h + jitter[3])
-            emb = det.embedding
+                jitters.append(rng.normal(0.0, cfg.box_jitter_sigma, size=4))
             if cfg.embedding_noise_sigma > 0.0:
-                emb = emb + rng.normal(
-                    0.0, cfg.embedding_noise_sigma, size=emb.shape
+                noises.append(
+                    rng.normal(0.0, cfg.embedding_noise_sigma, size=cfg.embedding_dim)
                 )
-            frame_out.append(
-                Detection(
-                    frame_index=det.frame_index,
-                    box=(x, y, w, h),
-                    confidence=confidence,
-                    cell_class=det.cell_class,
-                    embedding=np.asarray(emb, dtype=float).copy(),
-                    source_id=det.source_id,
-                )
-            )
+        frame_indices = [det.frame_index for det in frame_dets]
+        boxes = [det.box for det in frame_dets]
+        classes = [det.cell_class for det in frame_dets]
+        embeddings = [det.embedding for det in frame_dets]
+        ids = [det.source_id for det in frame_dets]
         if cfg.false_positive_rate > 0.0:
+            frame_index = frame_indices[0] if frame_dets else len(out)
             for _ in range(int(rng.poisson(cfg.false_positive_rate))):
                 w, h = _initial_size(rng).tolist()
                 cx = rng.uniform(w / 2, cfg.width - w / 2)
                 cy = rng.uniform(h / 2, cfg.height - h / 2)
-                frame_out.append(
-                    Detection(
-                        frame_index=frame_index,
-                        box=(cx - w / 2, cy - h / 2, w, h),
-                        confidence=rng.uniform(bands.tau_low, 1.0),
-                        cell_class=CellClass.ALIVE,
-                        embedding=rng.normal(0.0, 1.0, size=cfg.embedding_dim),
-                        source_id=None,
-                    )
-                )
-        out.append(frame_out)
+                frame_indices.append(frame_index)
+                boxes.append((cx - w / 2, cy - h / 2, w, h))
+                confidences.append(rng.uniform(bands.tau_low, 1.0))
+                classes.append(CellClass.ALIVE)
+                embeddings.append(rng.normal(0.0, 1.0, size=cfg.embedding_dim))
+                ids.append(None)
+        boxes = np.array(boxes, dtype=float).reshape(-1, 4)
+        embeddings = np.array(embeddings, dtype=float)
+        embeddings = embeddings.reshape(len(boxes), cfg.embedding_dim)
+        n = len(frame_dets)
+        if jitters:
+            jitter = np.array(jitters)
+            boxes[:n, :2] += jitter[:, :2]
+            boxes[:n, 2:] = np.maximum(boxes[:n, 2:] + jitter[:, 2:], 1.0)
+        if noises:
+            embeddings[:n] += np.array(noises)
+        out.append(
+            _detections(frame_indices, boxes, confidences, classes, embeddings, ids)
+        )
     return out

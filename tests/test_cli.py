@@ -556,6 +556,17 @@ class TestExitCodes:
         assert "must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_field_too_wide_for_box_sizes(self, tmp_path, capsys):
+        # At x ~ 1e299 a 30-pixel side is lost to rounding; every frame's
+        # boxes are checked before any record is built.
+        args = ["simulate", "--out", str(tmp_path / "o"),
+                "--set", "sim.width=1e300", "--set", "sim.frames=5",
+                "--set", "sim.initial_cells=3", "--set", "sim.treatment_frame=1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "box size lost to rounding at its position" in err
+        assert "internal error" not in err
+
     def test_negative_sim_seed(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["simulate", "--out", str(out), "--set", "sim.seed=-3"]) == 2

@@ -1,5 +1,6 @@
 """Domain primitives: geometry helpers, validation, forest invariants."""
 
+import gc
 import math
 from dataclasses import astuple, fields
 
@@ -198,6 +199,40 @@ class TestTrackerConfig:
     def test_integral_floats_accepted(self):
         cfg = TrackerConfig(tau_dist=40, process_noise=np.float64(2.0))
         assert cfg.tau_dist == 40
+
+
+def tracked_per_record(make, count=3000) -> float:
+    """GC-tracked objects that each of ``count`` calls of ``make`` leaves."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects(0))
+        kept = [make() for _ in range(count)]
+        return (len(gc.get_objects(0)) - before - 1) / len(kept)
+    finally:
+        gc.enable()
+
+
+class TestTrustedRecords:
+    # A record built through ``trusted`` is as light for the garbage
+    # collector as a validated one: no instance dict rides along.
+    def test_detection(self):
+        emb = np.ones(4)
+        emb.setflags(write=False)
+        box = (1.0, 2.0, 5.0, 5.0)
+        validated = tracked_per_record(
+            lambda: Detection(0, box, 0.9, CellClass.ALIVE, emb, 7)
+        )
+        trusted = tracked_per_record(
+            lambda: Detection.trusted(0, box, 0.9, CellClass.ALIVE, emb, 7)
+        )
+        assert trusted <= validated
+
+    def test_track_entry(self):
+        args = ((1.0, 2.0, 5.0, 5.0), CellClass.DEAD, Provenance.INTERPOLATED)
+        validated = tracked_per_record(lambda: TrackEntry(*args))
+        trusted = tracked_per_record(lambda: TrackEntry.trusted(*args))
+        assert trusted <= validated
 
 
 class TestTrackEntry:

@@ -7,6 +7,7 @@ import pytest
 
 from celltrack import (
     CellClass,
+    Detection,
     EndReason,
     SimulationConfig,
     TrackerConfig,
@@ -156,6 +157,7 @@ class TestGenerativeModel:
         for frame_dets in res.clean_frames:
             for d in frame_dets:
                 assert d.confidence == 1.0
+                assert not d.embedding.flags.writeable
                 assert d.source_id in res.ground_truth.tracks
                 entry = res.ground_truth.tracks[d.source_id].entries[
                     d.frame_index
@@ -366,6 +368,13 @@ class TestCorruption:
             for d in frame:
                 assert d.box[2] >= 1.0 and d.box[3] >= 1.0
 
+    def test_jitter_that_loses_a_box_is_rejected(self):
+        # Jitter of 1e300 carries a box to where its size is lost to
+        # rounding; the frame's column check raises that row's error.
+        frames, cfg = self.clean(box_jitter_sigma=1e300)
+        with pytest.raises(ValidationError, match="size lost to rounding"):
+            corrupt(frames, cfg)
+
     def test_jitter_perturbs_boxes(self):
         frames, cfg = self.clean(box_jitter_sigma=2.0)
         noisy = corrupt(frames, cfg)
@@ -395,6 +404,38 @@ class TestCorruption:
         emb = np.stack([d.embedding for d in fps])
         assert abs(float(emb.mean())) < 0.1
         assert float(emb.std()) == pytest.approx(1.0, rel=0.1)
+
+    def test_hand_built_frames(self):
+        # An empty frame between two others, and detections without a
+        # source id next to ones with it.
+        emb = np.ones(4)
+
+        def det(frame, source_id):
+            return Detection(
+                frame, (10.0, 10.0, 30.0, 30.0), 0.8, CellClass.ALIVE, emb,
+                source_id,
+            )
+
+        frames = [[det(0, 1), det(0, None)], [], [det(2, None), det(2, 1)]]
+        cfg = SimulationConfig(
+            frames=3, treatment_frame=0, embedding_dim=4, drop_prob=1.0,
+            fade_miss_fraction=1.0, false_positive_rate=4.0, seed=3,
+        )
+        noisy = corrupt(frames, cfg)
+        # The empty frame's false positives carry its position.
+        assert noisy[1]
+        assert all(d.frame_index == 1 and d.source_id is None for d in noisy[1])
+        for index, (clean, out) in enumerate(zip(frames, noisy)):
+            assert all(d.frame_index == index for d in out)
+            assert all(not d.embedding.flags.writeable for d in out)
+            # Every detection with an id fades; those without never do.
+            real = out[: len(clean)]
+            assert [d.source_id for d in real] == [d.source_id for d in clean]
+            for d in real:
+                if d.source_id is None:
+                    assert d.confidence == 0.8
+                else:
+                    assert d.confidence < BANDS.tau_low
 
     def test_embedding_noise(self):
         frames, cfg = self.clean(embedding_noise_sigma=0.7)
@@ -464,12 +505,24 @@ class TestGoldenOutputs:
             sister_growth_weight=1.0, drop_prob=1.0, fade_miss_fraction=0.5,
             box_jitter_sigma=0.5, seed=33,
         ),
+        # A field barely wider than a cell: boxes at the 4.0 size floor,
+        # boxes wider than the field (reflection's empty span), deaths
+        # from frame 0, and heavy jitter, drops, false positives and
+        # embedding noise.
+        "tight": dict(
+            frames=40, width=40.0, height=60.0, initial_cells=6,
+            division_prob=0.1, death_prob=0.1, treatment_frame=0,
+            daughter_size_noise=1.5, embedding_dim=3, box_jitter_sigma=3.0,
+            drop_prob=0.5, false_positive_rate=3.0, embedding_noise_sigma=2.0,
+            seed=34,
+        ),
     }
 
     DIGESTS = {
         "random": "e06a8a5f9662dd2df072c858a36ad4f34432472f293d57ac280a3e95e842b308",
         "period": "8638c4b51868c1006b4dd7e0dea1c74fa41553c551eab483ec4baef724b7939b",
         "pulse": "eb43d74285f77086e83c8effc68a84acd1523da8c3c888aa6a7b7ea64441e185",
+        "tight": "11331c2a5137d67fe667f23bd82babb88e26af1eea18866ec39c2abb922ac632",
     }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
