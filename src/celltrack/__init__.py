@@ -26,12 +26,11 @@ from .ingest import (
     DetectionFile,
     load_detections,
     load_forest,
-    partition_by_confidence,
     save_detections,
     save_forest,
 )
 from .kalman import KalmanState, interpolate_gap, kf_init, kf_predict, kf_update
-from .tracker import CellTracker, pair_cost, track_video
+from .tracker import CellTracker, pair_cost, partition_by_confidence, track_video
 from .metrics import (
     AOGMCounts,
     MetricReport,
@@ -75,7 +74,6 @@ __all__ = [
     "DetectionFile",
     "load_detections",
     "load_forest",
-    "partition_by_confidence",
     "save_detections",
     "save_forest",
     "KalmanState",
@@ -85,6 +83,7 @@ __all__ = [
     "kf_update",
     "CellTracker",
     "pair_cost",
+    "partition_by_confidence",
     "track_video",
     "AOGMCounts",
     "MetricReport",

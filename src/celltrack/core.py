@@ -3,13 +3,15 @@
 Everything downstream (ingest, tracking, metrics, simulation, analysis)
 speaks in terms of these types.  Value objects are immutable; the lineage
 forest is built once by a producer (tracker, simulator, or file loader)
-and treated as read-only afterwards.
+and treated as read-only afterwards.  Records store no frame: a
+detection's frame is the index of its per-frame list, an entry's its key.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -25,6 +27,7 @@ __all__ = [
     "Point",
     "centroid",
     "Detection",
+    "detections_from_columns",
     "TrackerConfig",
     "TrackEntry",
     "Track",
@@ -155,14 +158,13 @@ def _slot_setters(cls: type) -> tuple:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Detection:
-    """One detector output on one frame.
+    """One detector output on one frame, named by the list that holds it.
 
     ``source_id`` is an opaque identifier carried through from the producer
     (e.g. the file line or the simulator's cell id); the tracker never
     reads it.
     """
 
-    frame_index: int
     box: Box
     confidence: float
     cell_class: CellClass
@@ -170,8 +172,6 @@ class Detection:
     source_id: int | None = None
 
     def __post_init__(self) -> None:
-        if self.frame_index < 0:
-            raise ValidationError(f"negative frame index {self.frame_index}")
         _validate_box(self.box)
         if not (0.0 <= self.confidence <= 1.0):
             raise ValidationError(
@@ -188,7 +188,6 @@ class Detection:
     @classmethod
     def trusted(
         cls,
-        frame_index: int,
         box: Box,
         confidence: float,
         cell_class: CellClass,
@@ -199,8 +198,7 @@ class Detection:
         ``__post_init__``'s rules, which it skips: ``embedding`` must be a
         read-only 1-d float array."""
         det = object.__new__(cls)
-        set_frame, set_box, set_conf, set_class, set_emb, set_id = _DETECTION_SLOTS
-        set_frame(det, frame_index)
+        set_box, set_conf, set_class, set_emb, set_id = _DETECTION_SLOTS
         set_box(det, box)
         set_conf(det, confidence)
         set_class(det, cell_class)
@@ -291,6 +289,33 @@ class TrackEntry:
 
 _DETECTION_SLOTS = _slot_setters(Detection)
 _ENTRY_SLOTS = _slot_setters(TrackEntry)
+
+
+def detections_from_columns(
+    boxes: np.ndarray,
+    confidences: Sequence[float] | np.ndarray,
+    classes: Sequence[CellClass],
+    embeddings: np.ndarray,
+    source_ids: Sequence[int | None],
+) -> list[Detection]:
+    """Detections from ``n x 4`` boxes, ``n x D`` embeddings and ``n``
+    confidences, classes and source ids.  ``Detection``'s rules run once
+    per column, and the first bad row raises its ``Detection(...)``'s
+    ``ValidationError``; each embedding is a read-only row."""
+    conf = np.asarray(confidences, dtype=float)
+    ok = valid_boxes(boxes) & (conf >= 0.0) & (conf <= 1.0)
+    ok &= np.isfinite(embeddings).all(axis=1) & (embeddings.shape[1] > 0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        Detection(
+            tuple(boxes[i].tolist()), float(conf[i]), classes[i],
+            embeddings[i], source_ids[i],
+        )
+    embeddings.setflags(write=False)
+    return list(map(
+        Detection.trusted, zip(*boxes.T.tolist()), conf.tolist(), classes,
+        embeddings, source_ids,
+    ))
 
 
 @dataclass(eq=False)

@@ -51,9 +51,9 @@ from .core import (
     Provenance,
     Track,
     TrackEntry,
-    TrackerConfig,
     ValidationError,
     VideoMeta,
+    detections_from_columns,
     valid_boxes,
 )
 
@@ -61,7 +61,6 @@ __all__ = [
     "DetectionFile",
     "load_detections",
     "save_detections",
-    "partition_by_confidence",
     "load_forest",
     "save_forest",
     "forest_paths",
@@ -77,7 +76,7 @@ _PROVENANCE_INDEX = {p.value: float(i) for i, p in enumerate(_PROVENANCES)}
 
 @dataclass
 class DetectionFile:
-    """Parsed detection file: metadata plus detections grouped per frame."""
+    """Parsed detection file: metadata, and frame f's detections in ``frames[f]``."""
 
     meta: VideoMeta
     embedding_dim: int
@@ -218,32 +217,22 @@ def _detection_columns(
         return None
     if values.shape[1] != 7 + dim:
         return None
-    values.setflags(write=False)
-    frame, boxes, conf, embeddings = (
-        values[:, 0], values[:, 1:5], values[:, 5], values[:, 7:]
-    )
-    ok = (
-        (frame >= 0)
-        & (frame < n_frames)
-        & valid_boxes(boxes)
-        & (conf >= 0.0)
-        & (conf <= 1.0)
-        & np.isfinite(embeddings).all(axis=1)
-    )
-    if not ok.all():
+    frame = values[:, 0]
+    if not ((frame >= 0) & (frame < n_frames)).all():
+        return None
+    try:
+        detections = detections_from_columns(
+            values[:, 1:5],
+            values[:, 5],
+            list(map(_CLASSES.__getitem__, values[:, 6].astype(np.intp).tolist())),
+            values[:, 7:],
+            linenos,
+        )
+    except ValidationError:
         return None
     frames: list[list[Detection]] = [[] for _ in range(n_frames)]
-    # Columns become flat lists: a list per row would leave as many more
-    # objects for the garbage collector to scan.
-    for f, box, c, cls, emb, lineno in zip(
-        frame.astype(np.intp).tolist(),
-        zip(*boxes.T.tolist()),
-        conf.tolist(),
-        map(_CLASSES.__getitem__, values[:, 6].astype(np.intp).tolist()),
-        embeddings,
-        linenos,
-    ):
-        frames[f].append(Detection.trusted(f, box, c, cls, emb, lineno))
+    for f, det in zip(frame.astype(np.intp).tolist(), detections):
+        frames[f].append(det)
     return frames
 
 
@@ -280,7 +269,6 @@ def _detection_records(
             if not 0 <= frame < n_frames:
                 raise ValidationError(f"frame {frame} outside [0, {n_frames})")
             det = Detection(
-                frame_index=frame,
                 box=tuple(map(float, parts[1:5])),  # type: ignore[arg-type]
                 confidence=float(parts[5]),
                 cell_class=CellClass(parts[6]),
@@ -294,36 +282,19 @@ def _detection_records(
 
 
 def save_detections(det_file: DetectionFile, path: str) -> None:
+    """Write a detection file; a record's frame is its list's index."""
     records = (
         ",".join((
-            str(d.frame_index),
+            str(frame),
             *map(repr, map(float, d.box)),
             repr(float(d.confidence)),
             d.cell_class.value,
             *map(repr, d.embedding.tolist()),
         ))
-        for frame_dets in det_file.frames
+        for frame, frame_dets in enumerate(det_file.frames)
         for d in frame_dets
     )
     _write(path, det_file.meta, records, det_file.embedding_dim)
-
-
-def partition_by_confidence(
-    detections: list[Detection], config: TrackerConfig
-) -> tuple[list[Detection], list[Detection]]:
-    """Split detections into (high, low) by confidence.
-
-    ``conf >= tau_high`` is high, ``tau_low <= conf < tau_high`` is low,
-    anything below ``tau_low`` is discarded.
-    """
-    high: list[Detection] = []
-    low: list[Detection] = []
-    for det in detections:
-        if det.confidence >= config.tau_high:
-            high.append(det)
-        elif det.confidence >= config.tau_low:
-            low.append(det)
-    return high, low
 
 
 # ---------------------------------------------------------------------------

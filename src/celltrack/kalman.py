@@ -92,7 +92,8 @@ def batch_predict(
     """Predict step for a stack of filters: means (m, 4), covs (m, 4, 4)."""
     means = means @ _F.T
     covs = _F @ covs @ _F.T
-    covs = covs + np.diag([0.0, 0.0, process_noise, process_noise])
+    q = float(process_noise)  # a huge int would make an object array
+    covs = covs + np.diag([0.0, 0.0, q, q])
     covs = (covs + covs.transpose(0, 2, 1)) / 2.0
     return means, covs
 

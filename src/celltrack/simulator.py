@@ -45,7 +45,7 @@ from .core import (
     ValidationError,
     VideoMeta,
     check_field_types,
-    valid_boxes,
+    detections_from_columns,
 )
 
 __all__ = [
@@ -70,6 +70,10 @@ INITIAL_SIZE_SPREAD = 8.0
 SIZE_WALK_SIGMA = 0.05
 DAUGHTER_OFFSET_FRAC = 0.35  # daughters' offset from the parent, in its widths
 _LARGEST_INITIAL_SIDE = INITIAL_SIZE_MEAN + INITIAL_SIZE_SPREAD
+# The largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX).
+_MAX_POISSON_MEAN = float(
+    np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+)
 
 
 @dataclass(frozen=True)
@@ -166,6 +170,10 @@ class SimulationConfig:
             value = getattr(self, name)
             if value < 0:
                 raise ValidationError(f"{name} must be >= 0, got {value!r}")
+        if self.false_positive_rate > _MAX_POISSON_MEAN:
+            raise ValidationError(
+                f"false_positive_rate must be at most {_MAX_POISSON_MEAN!r}"
+            )
         if min(self.width, self.height) < _LARGEST_INITIAL_SIDE:
             raise ValidationError(
                 "width and height must be >= the largest initial cell "
@@ -194,30 +202,6 @@ def _initial_size(rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(
         INITIAL_SIZE_MEAN - INITIAL_SIZE_SPREAD, _LARGEST_INITIAL_SIDE, size=2
     )
-
-
-def _detections(
-    frame_indices: list[int], boxes: np.ndarray, confidences: list[float],
-    classes: list[CellClass], embeddings: np.ndarray, ids: list[int | None],
-) -> list[Detection]:
-    """One frame's detections from its columns.  The columns are checked
-    at once, as ``Detection`` checks one record, and a bad row raises that
-    row's ``ValidationError``; then every record takes the trusted path,
-    with a read-only row of ``embeddings`` as its embedding."""
-    conf = np.array(confidences, dtype=float)
-    ok = valid_boxes(boxes) & (conf >= 0.0) & (conf <= 1.0)
-    ok &= np.isfinite(embeddings).all(axis=1)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        Detection(
-            frame_indices[i], tuple(boxes[i].tolist()), confidences[i],
-            classes[i], embeddings[i], ids[i],
-        )
-    embeddings.setflags(write=False)
-    return list(map(
-        Detection.trusted, frame_indices, zip(*boxes.T.tolist()), confidences,
-        classes, embeddings, ids,
-    ))
 
 
 def _divides(
@@ -273,9 +257,9 @@ def simulate(config: SimulationConfig) -> SimulationResult:
         )
         ids = (present + 1).tolist()
         is_alive = alive[present].tolist()
-        detections = _detections(
-            [frame] * len(ids), boxes, [1.0] * len(ids),
-            list(map(classes.__getitem__, is_alive)), latent[present], ids,
+        detections = detections_from_columns(
+            boxes, [1.0] * len(ids), list(map(classes.__getitem__, is_alive)),
+            latent[present], ids,
         )
         for det, track in zip(detections, map(tracks.__getitem__, present.tolist())):
             track.entries[frame] = TrackEntry.trusted(
@@ -383,13 +367,12 @@ def corrupt(
     (same values, fresh Detection objects).  Each true detection keeps
     its identity through per-cell fade states; detections without a
     ``source_id`` never fade.  False positives carry isotropic-normal
-    embeddings that sit far from every real latent, and the frame index
-    of the frame's first detection, else of the frame's position.  A
-    faded detection's confidence falls below the default
-    ``TrackerConfig.tau_low`` (a miss) or in [tau_low, tau_high) (the
-    low-confidence band); false positives score in [tau_low, 1).
-    Embeddings are ``config.embedding_dim`` long, as ``simulate`` makes
-    them; each output embedding is a read-only row of its frame's array.
+    embeddings that sit far from every real latent.  A faded detection's
+    confidence falls below the default ``TrackerConfig.tau_low`` (a miss)
+    or in [tau_low, tau_high) (the low-confidence band); false positives
+    score in [tau_low, 1).  Embeddings are ``config.embedding_dim`` long,
+    as ``simulate`` makes them; each output embedding is a read-only row
+    of its frame's array.
     """
     cfg = config
     bands = TrackerConfig()
@@ -430,18 +413,15 @@ def corrupt(
                 noises.append(
                     rng.normal(0.0, cfg.embedding_noise_sigma, size=cfg.embedding_dim)
                 )
-        frame_indices = [det.frame_index for det in frame_dets]
         boxes = [det.box for det in frame_dets]
         classes = [det.cell_class for det in frame_dets]
         embeddings = [det.embedding for det in frame_dets]
         ids = [det.source_id for det in frame_dets]
         if cfg.false_positive_rate > 0.0:
-            frame_index = frame_indices[0] if frame_dets else len(out)
             for _ in range(int(rng.poisson(cfg.false_positive_rate))):
                 w, h = _initial_size(rng).tolist()
                 cx = rng.uniform(w / 2, cfg.width - w / 2)
                 cy = rng.uniform(h / 2, cfg.height - h / 2)
-                frame_indices.append(frame_index)
                 boxes.append((cx - w / 2, cy - h / 2, w, h))
                 confidences.append(rng.uniform(bands.tau_low, 1.0))
                 classes.append(CellClass.ALIVE)
@@ -458,6 +438,6 @@ def corrupt(
         if noises:
             embeddings[:n] += np.array(noises)
         out.append(
-            _detections(frame_indices, boxes, confidences, classes, embeddings, ids)
+            detections_from_columns(boxes, confidences, classes, embeddings, ids)
         )
     return out

@@ -52,7 +52,6 @@ from .core import (
     ValidationError,
     VideoMeta,
 )
-from .ingest import partition_by_confidence
 from .kalman import (
     batch_predict,
     batch_update,
@@ -61,12 +60,31 @@ from .kalman import (
 )
 
 __all__ = [
+    "partition_by_confidence",
     "pair_cost",
     "build_candidates",
     "resolve_conflicts",
     "CellTracker",
     "track_video",
 ]
+
+
+def partition_by_confidence(
+    detections: list[Detection], config: TrackerConfig
+) -> tuple[list[Detection], list[Detection]]:
+    """Split detections into (high, low) by confidence.
+
+    ``conf >= tau_high`` is high, ``tau_low <= conf < tau_high`` is low,
+    anything below ``tau_low`` is discarded.
+    """
+    high: list[Detection] = []
+    low: list[Detection] = []
+    for det in detections:
+        if det.confidence >= config.tau_high:
+            high.append(det)
+        elif det.confidence >= config.tau_low:
+            low.append(det)
+    return high, low
 
 
 def pair_cost(
@@ -92,12 +110,12 @@ class _Runtime:
 
     ``track.entries`` records what the forest keeps.  ``last``, the last
     matched ``Detection``, supplies the position, box size, embedding and
-    class the matcher needs, and its ``frame_index`` is where a gap
-    starts.  The rest is: ``lost_count``, the consecutive frames without
-    a match; the Kalman filter ``kf_mean``/``kf_cov``, predicted every
-    frame; and ``anchor_mean``, the filter mean at the last observation,
-    from which gaps are interpolated.  Without Kalman all three are
-    None.
+    class the matcher needs.  The rest is: ``lost_count``, the
+    consecutive frames without a match since ``last``, so a gap filled
+    at frame ``f`` starts at ``f - lost_count``; the Kalman filter
+    ``kf_mean``/``kf_cov``, predicted every frame; and ``anchor_mean``,
+    the filter mean at the last observation, from which gaps are
+    interpolated.  Without Kalman all three are None.
     """
 
     __slots__ = (
@@ -112,14 +130,14 @@ class _Runtime:
     def __init__(
         self,
         track_id: int,
-        frame_index: int,
+        frame: int,
         det: Detection,
         config: TrackerConfig,
         parent: int | None = None,
     ) -> None:
         self.track = Track(
             track_id=track_id,
-            entries={frame_index: _entry_from_detection(det)},
+            entries={frame: _entry_from_detection(det)},
             parent=parent,
         )
         self.last = det
@@ -238,26 +256,18 @@ class CellTracker:
 
     # -- public API ---------------------------------------------------------
 
-    def step(self, frame_index: int, detections: Sequence[Detection]) -> None:
-        if frame_index != self._next_frame:
-            raise ValidationError(
-                f"frames must be fed in order: expected {self._next_frame}, "
-                f"got {frame_index}"
-            )
+    def step(self, detections: Sequence[Detection]) -> None:
+        """Track the next frame, given its detections."""
+        fi = self._next_frame
         for det in detections:
-            if det.frame_index != frame_index:
-                raise ValidationError(
-                    f"detection tagged frame {det.frame_index} fed at "
-                    f"frame {frame_index}"
-                )
             if self._dim is None:
                 self._dim = det.embedding.size
             elif det.embedding.size != self._dim:
                 raise ValidationError(
                     f"embedding length changed from {self._dim} to "
-                    f"{det.embedding.size} at frame {frame_index}"
+                    f"{det.embedding.size} at frame {fi}"
                 )
-        self._process(frame_index, list(detections))
+        self._process(fi, list(detections))
         self._next_frame += 1
 
     def finalize(self, meta: VideoMeta | None = None) -> LineageForest:
@@ -381,17 +391,15 @@ class CellTracker:
 
     def _fill_gap(self, rt: _Runtime, fi: int, anchor: Point | None) -> None:
         """Interpolate the frames a lost track skipped before this match."""
-        last = rt.last
-        if not self.config.use_kalman or fi <= last.frame_index + 1:
+        if not self.config.use_kalman:
             return
-        gap = range(last.frame_index + 1, fi)
         rt.track.entries.update(
             interpolate_gap(
                 rt.anchor_mean,
-                last.box[2:],
-                gap,
+                rt.last.box[2:],
+                range(fi - rt.lost_count, fi),
                 anchor_after=anchor,
-                cell_class=last.cell_class,
+                cell_class=rt.last.cell_class,
             )
         )
 
@@ -477,6 +485,6 @@ def track_video(
     metadata from ``meta``.
     """
     engine = CellTracker(config)
-    for fi, dets in enumerate(frames):
-        engine.step(fi, dets)
+    for dets in frames:
+        engine.step(dets)
     return engine.finalize(meta=meta)

@@ -34,8 +34,8 @@ def test_tracer_counts_tracker_layers_and_restores():
     # gates 2 x 2 pairs per frame and keeps the 2 genuine ones.
     frames = [
         [
-            Detection(f, bx(50.0 + f, 50.0), 0.9, CellClass.ALIVE, np.zeros(4)),
-            Detection(f, bx(250.0 + f, 50.0), 0.9, CellClass.ALIVE, np.ones(4)),
+            Detection(bx(50.0 + f, 50.0), 0.9, CellClass.ALIVE, np.zeros(4)),
+            Detection(bx(250.0 + f, 50.0), 0.9, CellClass.ALIVE, np.ones(4)),
         ]
         for f in range(3)
     ]

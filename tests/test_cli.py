@@ -488,6 +488,17 @@ class TestExitCodes:
         assert "box_jitter_sigma must be >= 0" in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("rate", ["1e19", "1e300", "1" + "0" * 30])
+    def test_false_positive_rate_beyond_poisson_sampler(self, rate, tmp_path, capsys):
+        # numpy's Poisson sampler takes means up to about 9.22e18.
+        args = ["simulate", "--out", str(tmp_path / "o"),
+                "--set", f"sim.false_positive_rate={rate}", "--set", "sim.frames=3",
+                "--set", "sim.initial_cells=2", "--set", "sim.treatment_frame=1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "false_positive_rate must be at most" in err
+        assert "internal error" not in err
+
     def test_simulator_range_rule(self, tmp_path, capsys):
         args = ["simulate", "--out", str(tmp_path / "o"),
                 "--set", "sim.width=30"]
@@ -582,6 +593,13 @@ class TestExitCodes:
         assert main(args) == 2
         assert "tau_dist must be a finite number, got True" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", [str(2**64), "1" + "0" * 30])
+    def test_huge_integer_process_noise(self, value, sim_dir, tmp_path, capsys):
+        args = ["track", str(sim_dir / "detections.txt"), "--out", str(tmp_path / "t"),
+                "--set", f"tracker.process_noise={value}"]
+        assert main(args) == 0
+        assert "internal error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("item", ["sim.video_id=a\nb", "sim.dosage=1\ruM"])
     def test_line_break_in_header_text(self, item, tmp_path, capsys):

@@ -21,6 +21,7 @@ from celltrack import (
     ValidationError,
     centroid,
 )
+from celltrack.core import detections_from_columns
 from celltrack.metrics import iou_matrix
 from conftest import bx, make_forest, make_track
 
@@ -72,16 +73,40 @@ class TestGeometry:
 
 
 class TestDetection:
-    def make(self, **kw):
+    def record(self, **kw):
         base = dict(
-            frame_index=0,
             box=(0.0, 0.0, 10.0, 10.0),
             confidence=0.9,
             cell_class=CellClass.ALIVE,
             embedding=np.zeros(4),
         )
         base.update(kw)
-        return Detection(**base)
+        return base
+
+    def make(self, **kw):
+        return Detection(**self.record(**kw))
+
+    def rejects(self, match=None, **kw):
+        """``Detection(...)`` rejects these fields, and
+        ``detections_from_columns`` raises the same message when they make
+        the first bad row, behind a good row and ahead of another bad one."""
+        with pytest.raises(ValidationError, match=match) as direct:
+            self.make(**kw)
+        dim = len(kw.get("embedding", np.zeros(4)))
+        rows = [
+            self.record(embedding=np.zeros(dim)),
+            self.record(**kw),
+            self.record(confidence=math.nan, embedding=np.zeros(dim)),
+        ]
+        with pytest.raises(ValidationError) as columns:
+            detections_from_columns(
+                np.array([r["box"] for r in rows], dtype=float),
+                [r["confidence"] for r in rows],
+                [r["cell_class"] for r in rows],
+                np.array([r["embedding"] for r in rows], dtype=float),
+                [None] * len(rows),
+            )
+        assert str(columns.value) == str(direct.value)
 
     def test_valid(self):
         d = self.make()
@@ -93,46 +118,35 @@ class TestDetection:
         with pytest.raises(ValueError):
             d.embedding[0] = 1.0
 
-    def test_negative_frame(self):
-        with pytest.raises(ValidationError):
-            self.make(frame_index=-1)
-
     def test_bad_confidence(self):
-        with pytest.raises(ValidationError):
-            self.make(confidence=1.5)
-        with pytest.raises(ValidationError):
-            self.make(confidence=-0.1)
+        self.rejects(confidence=1.5)
+        self.rejects(confidence=-0.1)
 
     def test_degenerate_box(self):
-        with pytest.raises(ValidationError):
-            self.make(box=(0.0, 0.0, 0.0, 10.0))
+        self.rejects(box=(0.0, 0.0, 0.0, 10.0))
 
     def test_non_finite_box(self):
-        with pytest.raises(ValidationError):
-            self.make(box=(0.0, math.nan, 10.0, 10.0))
+        self.rejects(box=(0.0, math.nan, 10.0, 10.0))
 
     @pytest.mark.parametrize(
         "box", [(1e200, 0.0, 5.0, 5.0), (0.0, -1e200, 5.0, 5.0), (1.0, 0.0, 1e-300, 5.0)]
     )
     def test_size_lost_to_rounding(self, box):
         # x + w == x: the box would not overlap itself.
-        with pytest.raises(ValidationError, match="size lost to rounding"):
-            self.make(box=box)
+        self.rejects("size lost to rounding", box=box)
 
     def test_trusted_holds_the_same_fields(self):
         d = self.make(source_id=3)
-        t = Detection.trusted(0, d.box, d.confidence, d.cell_class, d.embedding, 3)
+        t = Detection.trusted(d.box, d.confidence, d.cell_class, d.embedding, 3)
         assert [getattr(t, f.name) for f in fields(Detection)] == [
             getattr(d, f.name) for f in fields(Detection)
         ]
 
     def test_empty_embedding(self):
-        with pytest.raises(ValidationError):
-            self.make(embedding=np.zeros(0))
+        self.rejects(embedding=np.zeros(0))
 
     def test_non_finite_embedding(self):
-        with pytest.raises(ValidationError):
-            self.make(embedding=np.array([1.0, math.inf]))
+        self.rejects(embedding=np.array([1.0, math.inf]))
 
 
 class TestTrackerConfig:
@@ -221,10 +235,10 @@ class TestTrustedRecords:
         emb.setflags(write=False)
         box = (1.0, 2.0, 5.0, 5.0)
         validated = tracked_per_record(
-            lambda: Detection(0, box, 0.9, CellClass.ALIVE, emb, 7)
+            lambda: Detection(box, 0.9, CellClass.ALIVE, emb, 7)
         )
         trusted = tracked_per_record(
-            lambda: Detection.trusted(0, box, 0.9, CellClass.ALIVE, emb, 7)
+            lambda: Detection.trusted(box, 0.9, CellClass.ALIVE, emb, 7)
         )
         assert trusted <= validated
 

@@ -39,9 +39,8 @@ from celltrack.core import MAX_FRAMES, _validate_box, valid_boxes
 from conftest import bx, make_forest, make_track
 
 
-def det(frame, cx, cy, conf=0.9, cls=CellClass.ALIVE, emb=(0.0, 0.0, 0.0)):
+def det(cx, cy, conf=0.9, cls=CellClass.ALIVE, emb=(0.0, 0.0, 0.0)):
     return Detection(
-        frame_index=frame,
         box=bx(cx, cy),
         confidence=conf,
         cell_class=cls,
@@ -66,9 +65,9 @@ def write_detfile(path, records, dim=3, frames=4, extra_headers=()):
 class TestDetectionIO:
     def test_round_trip(self, tmp_path):
         dets = [
-            det(0, 10.25, 20.5, conf=0.9),
-            det(0, 40.0, 40.0, conf=0.3, cls=CellClass.DEAD, emb=(1.5, -2.25, 0.125)),
-            det(2, 11.0, 21.0, conf=1.0),
+            det(10.25, 20.5, conf=0.9),
+            det(40.0, 40.0, conf=0.3, cls=CellClass.DEAD, emb=(1.5, -2.25, 0.125)),
+            det(11.0, 21.0, conf=1.0),
         ]
         df = DetectionFile(
             meta=VideoMeta(video_id="v1", frames=3, width=512, height=512, dosage="1uM"),
@@ -82,13 +81,18 @@ class TestDetectionIO:
         assert back.meta.dosage == "1uM"
         assert back.meta.frames == 3
         assert back.embedding_dim == 3
+        # A record's frame is its list's position: the empty middle frame
+        # stays empty and the last detection stays on frame 2.
+        def fields(frames):
+            return [
+                [(d.box, d.confidence, d.cell_class, d.embedding.tolist())
+                 for d in frame]
+                for frame in frames
+            ]
+
+        assert fields(back.frames) == fields(df.frames)
         assert [len(f) for f in back.frames] == [2, 0, 1]
-        for orig, reread in zip(chain(*df.frames), chain(*back.frames)):
-            assert reread.box == orig.box
-            assert reread.confidence == orig.confidence
-            assert reread.cell_class is orig.cell_class
-            assert np.array_equal(reread.embedding, orig.embedding)
-            assert not reread.embedding.flags.writeable
+        assert not any(d.embedding.flags.writeable for d in chain(*back.frames))
 
     def test_source_id_is_line_number(self, tmp_path):
         path = write_detfile(
@@ -168,12 +172,12 @@ class TestConfidencePartition:
     def test_boundaries(self):
         cfg = TrackerConfig()
         dets = [
-            det(0, 1, 1, conf=0.45),   # exactly tau_high -> high
-            det(0, 2, 2, conf=0.449),  # just below -> low
-            det(0, 3, 3, conf=0.25),   # exactly tau_low -> low
-            det(0, 4, 4, conf=0.249),  # just below -> dropped
-            det(0, 5, 5, conf=1.0),
-            det(0, 6, 6, conf=0.0),
+            det(1, 1, conf=0.45),   # exactly tau_high -> high
+            det(2, 2, conf=0.449),  # just below -> low
+            det(3, 3, conf=0.25),   # exactly tau_low -> low
+            det(4, 4, conf=0.249),  # just below -> dropped
+            det(5, 5, conf=1.0),
+            det(6, 6, conf=0.0),
         ]
         high, low = partition_by_confidence(dets, cfg)
         assert [d.confidence for d in high] == [0.45, 1.0]
@@ -434,9 +438,10 @@ def _loaded(name, tmp_path):
         if name == "d.txt":
             df = load_detections(str(tmp_path / name))
             return "ok", [
-                (d.frame_index, d.box, d.confidence, d.cell_class,
+                (f, d.box, d.confidence, d.cell_class,
                  d.embedding.tolist(), d.source_id)
-                for d in chain(*df.frames)
+                for f, frame in enumerate(df.frames)
+                for d in frame
             ]
         forest = load_forest(str(tmp_path / "f"))
         return "ok", {
@@ -578,13 +583,12 @@ def detection_files(draw):
     frames = [
         draw(st.lists(st.builds(
             Detection,
-            frame_index=st.just(f),
             box=boxes,
             confidence=st.floats(-0.0, 1.0),
             cell_class=st.sampled_from(CellClass),
             embedding=st.lists(finite, min_size=dim, max_size=dim).map(np.array),
         ), max_size=3))
-        for f in range(n_frames)
+        for _ in range(n_frames)
     ]
     meta = VideoMeta(
         video_id=draw(names),

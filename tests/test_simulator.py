@@ -25,8 +25,7 @@ from celltrack.core import MAX_FRAMES
 
 def dets_equal(a, b) -> bool:
     return (
-        a.frame_index == b.frame_index
-        and a.box == b.box
+        a.box == b.box
         and a.confidence == b.confidence
         and a.cell_class == b.cell_class
         and a.source_id == b.source_id
@@ -154,14 +153,12 @@ class TestGenerativeModel:
     def test_clean_detections_are_exact(self):
         cfg = SimulationConfig(frames=4, initial_cells=3, treatment_frame=0)
         res = simulate(cfg)
-        for frame_dets in res.clean_frames:
+        for frame, frame_dets in enumerate(res.clean_frames):
             for d in frame_dets:
                 assert d.confidence == 1.0
                 assert not d.embedding.flags.writeable
                 assert d.source_id in res.ground_truth.tracks
-                entry = res.ground_truth.tracks[d.source_id].entries[
-                    d.frame_index
-                ]
+                entry = res.ground_truth.tracks[d.source_id].entries[frame]
                 assert entry.box == d.box
 
     def test_population_accounting(self):
@@ -410,23 +407,22 @@ class TestCorruption:
         # source id next to ones with it.
         emb = np.ones(4)
 
-        def det(frame, source_id):
+        def det(source_id):
             return Detection(
-                frame, (10.0, 10.0, 30.0, 30.0), 0.8, CellClass.ALIVE, emb,
-                source_id,
+                (10.0, 10.0, 30.0, 30.0), 0.8, CellClass.ALIVE, emb, source_id
             )
 
-        frames = [[det(0, 1), det(0, None)], [], [det(2, None), det(2, 1)]]
+        frames = [[det(1), det(None)], [], [det(None), det(1)]]
         cfg = SimulationConfig(
             frames=3, treatment_frame=0, embedding_dim=4, drop_prob=1.0,
             fade_miss_fraction=1.0, false_positive_rate=4.0, seed=3,
         )
         noisy = corrupt(frames, cfg)
-        # The empty frame's false positives carry its position.
+        # The empty middle frame's false positives land in its own list.
+        assert len(noisy) == len(frames)
         assert noisy[1]
-        assert all(d.frame_index == 1 and d.source_id is None for d in noisy[1])
-        for index, (clean, out) in enumerate(zip(frames, noisy)):
-            assert all(d.frame_index == index for d in out)
+        assert all(d.source_id is None for d in noisy[1])
+        for clean, out in zip(frames, noisy):
             assert all(not d.embedding.flags.writeable for d in out)
             # Every detection with an id fades; those without never do.
             real = out[: len(clean)]

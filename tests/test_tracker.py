@@ -30,9 +30,8 @@ from conftest import assert_detections_used_at_most_once, bx
 CFG = TrackerConfig()
 
 
-def det(frame, cx, cy, conf=0.9, cls=CellClass.ALIVE, emb=(0.0, 0.0, 0.0, 0.0)):
+def det(cx, cy, conf=0.9, cls=CellClass.ALIVE, emb=(0.0, 0.0, 0.0, 0.0)):
     return Detection(
-        frame_index=frame,
         box=bx(cx, cy),
         confidence=conf,
         cell_class=cls,
@@ -41,13 +40,13 @@ def det(frame, cx, cy, conf=0.9, cls=CellClass.ALIVE, emb=(0.0, 0.0, 0.0, 0.0)):
 
 
 def ref(tid, cx, cy):
-    return _Runtime(tid, 0, det(0, cx, cy), CFG)
+    return _Runtime(tid, 0, det(cx, cy), CFG)
 
 
 def run(frames, config=CFG):
     engine = CellTracker(config)
-    for fi, dets in enumerate(frames):
-        engine.step(fi, dets)
+    for dets in frames:
+        engine.step(dets)
     return engine
 
 
@@ -73,31 +72,31 @@ class TestPairCost:
 class TestBuildCandidates:
     def test_distance_gate(self):
         # 51 px away: outside the 50 px gate.
-        pairs = build_candidates([ref(1, 0, 0)], [det(0, 51, 0)], CFG)
+        pairs = build_candidates([ref(1, 0, 0)], [det(51, 0)], CFG)
         assert pairs == []
-        pairs = build_candidates([ref(1, 0, 0)], [det(0, 49, 0)], CFG)
+        pairs = build_candidates([ref(1, 0, 0)], [det(49, 0)], CFG)
         assert len(pairs) == 1
 
     def test_similarity_gate(self):
         far_emb = (20.0, 20.0, 20.0, 20.0)  # L1 = 80 > 65
-        pairs = build_candidates([ref(1, 0, 0)], [det(0, 10, 0, emb=far_emb)], CFG)
+        pairs = build_candidates([ref(1, 0, 0)], [det(10, 0, emb=far_emb)], CFG)
         assert pairs == []
         pairs = build_candidates(
-            [ref(1, 0, 0)], [det(0, 10, 0, emb=far_emb)], CFG, gate_similarity=False
+            [ref(1, 0, 0)], [det(10, 0, emb=far_emb)], CFG, gate_similarity=False
         )
         assert len(pairs) == 1
         assert pairs[0][0] == pytest.approx(pair_cost(80.0, 10.0, CFG))
 
     def test_cost_matches_pair_cost(self):
         emb = (10.0, 0.0, 0.0, 0.0)
-        pairs = build_candidates([ref(1, 0, 0)], [det(0, 30, 40, emb=emb)], CFG)
+        pairs = build_candidates([ref(1, 0, 0)], [det(30, 40, emb=emb)], CFG)
         assert len(pairs) == 1
         cost, tid, di = pairs[0]
         assert (tid, di) == (1, 0)
         assert cost == pytest.approx(pair_cost(10.0, 50.0, CFG))
 
     def test_empty_inputs(self):
-        assert build_candidates([], [det(0, 0, 0)], CFG) == []
+        assert build_candidates([], [det(0, 0)], CFG) == []
         assert build_candidates([ref(1, 0, 0)], [], CFG) == []
 
 
@@ -138,7 +137,7 @@ class TestResolveConflicts:
 class TestContinuation:
     def test_single_cell(self):
         engine = run(
-            [[det(0, 50, 50)], [det(1, 52, 50)], [det(2, 54, 50)]]
+            [[det(50, 50)], [det(52, 50)], [det(54, 50)]]
         )
         forest = engine.finalize()
         assert set(forest.tracks) == {1}
@@ -155,8 +154,8 @@ class TestContinuation:
         a = (0.0, 0.0, 0.0, 0.0)
         b = (50.0, 50.0, 50.0, 50.0)  # L1 200 from a
         frames = [
-            [det(0, 50, 50, emb=a), det(0, 80, 50, emb=b)],
-            [det(1, 52, 50, emb=a), det(1, 78, 50, emb=b)],
+            [det(50, 50, emb=a), det(80, 50, emb=b)],
+            [det(52, 50, emb=a), det(78, 50, emb=b)],
         ]
         forest = run(frames).finalize()
         assert len(forest.tracks) == 2
@@ -170,9 +169,9 @@ class TestContinuation:
         a = (0.0, 0.0, 0.0, 0.0)
         b = (30.0, 30.0, 0.0, 0.0)  # L1 60: inside the gate, but costly
         frames = [
-            [det(0, 40, 50, emb=a), det(0, 60, 50, emb=b)],
-            [det(1, 49, 50, emb=a), det(1, 51, 50, emb=b)],
-            [det(2, 60, 50, emb=a), det(2, 40, 50, emb=b)],
+            [det(40, 50, emb=a), det(60, 50, emb=b)],
+            [det(49, 50, emb=a), det(51, 50, emb=b)],
+            [det(60, 50, emb=a), det(40, 50, emb=b)],
         ]
         forest = run(frames).finalize()
         assert len(forest.tracks) == 2
@@ -186,9 +185,9 @@ class TestContinuation:
 class TestDivision:
     def test_two_daughters(self):
         frames = [
-            [det(0, 50, 50)],
-            [det(1, 43, 50), det(1, 57, 50)],
-            [det(2, 41, 50), det(2, 59, 50)],
+            [det(50, 50)],
+            [det(43, 50), det(57, 50)],
+            [det(41, 50), det(59, 50)],
         ]
         forest = run(frames).finalize()
         assert set(forest.tracks) == {1, 2, 3}
@@ -208,8 +207,8 @@ class TestDivision:
         # Three nearby detections: the division cap leaves one to start
         # a fresh unparented track.
         frames = [
-            [det(0, 50, 50)],
-            [det(1, 44, 50), det(1, 56, 50), det(1, 50, 44)],
+            [det(50, 50)],
+            [det(44, 50), det(56, 50), det(50, 44)],
         ]
         forest = run(frames).finalize()
         assert len(forest.tracks) == 4
@@ -224,8 +223,8 @@ class TestDivision:
     def test_division_prefers_cheapest_pair(self):
         far = (15.0, 15.0, 15.0, 15.0)  # L1 60: admissible but expensive
         frames = [
-            [det(0, 50, 50)],
-            [det(1, 45, 50), det(1, 55, 50), det(1, 50, 60, emb=far)],
+            [det(50, 50)],
+            [det(45, 50), det(55, 50), det(50, 60, emb=far)],
         ]
         forest = run(frames).finalize()
         kept = [
@@ -239,10 +238,10 @@ class TestDeathAndCorpses:
     def test_death_event(self):
         shifted = (30.0, 30.0, 30.0, 30.0)  # L1 120: outside the sim gate
         frames = [
-            [det(0, 50, 50)],
-            [det(1, 52, 50)],
-            [det(2, 53, 50, cls=CellClass.DEAD, emb=shifted)],
-            [det(3, 53, 50, cls=CellClass.DEAD, emb=shifted)],
+            [det(50, 50)],
+            [det(52, 50)],
+            [det(53, 50, cls=CellClass.DEAD, emb=shifted)],
+            [det(53, 50, cls=CellClass.DEAD, emb=shifted)],
         ]
         forest = run(frames).finalize()
         assert set(forest.tracks) == {1}
@@ -255,9 +254,9 @@ class TestDeathAndCorpses:
 
     def test_dead_track_ignores_living_detections(self):
         frames = [
-            [det(0, 50, 50)],
-            [det(1, 50, 50, cls=CellClass.DEAD)],
-            [det(2, 50, 50)],  # alive again at the same spot
+            [det(50, 50)],
+            [det(50, 50, cls=CellClass.DEAD)],
+            [det(50, 50)],  # alive again at the same spot
         ]
         forest = run(frames).finalize()
         assert len(forest.tracks) == 2
@@ -275,12 +274,12 @@ class TestDeathAndCorpses:
         b = (30.0, 30.0, 0.0, 0.0)
         frames = [
             [
-                det(0, 40, 50, cls=CellClass.DEAD, emb=a),
-                det(0, 60, 50, cls=CellClass.DEAD, emb=b),
+                det(40, 50, cls=CellClass.DEAD, emb=a),
+                det(60, 50, cls=CellClass.DEAD, emb=b),
             ],
             [
-                det(1, 52, 50, cls=CellClass.DEAD, emb=a),
-                det(1, 48, 50, cls=CellClass.DEAD, emb=b),
+                det(52, 50, cls=CellClass.DEAD, emb=a),
+                det(48, 50, cls=CellClass.DEAD, emb=b),
             ],
         ]
         forest = run(frames).finalize()
@@ -296,8 +295,8 @@ class TestStageOrder:
         # The dead detection is nearer, but a living track first looks for
         # a living one; the dead detection starts a track of its own.
         frames = [
-            [det(0, 50, 50)],
-            [det(1, 60, 50), det(1, 51, 50, cls=CellClass.DEAD)],
+            [det(50, 50)],
+            [det(60, 50), det(51, 50, cls=CellClass.DEAD)],
         ]
         forest = run(frames).finalize()
         assert set(forest.tracks) == {1, 2}
@@ -310,8 +309,8 @@ class TestStageOrder:
         # A corpse keeps its dead detection even though a living track
         # sits nearer to it; the living track does not die onto it.
         frames = [
-            [det(0, 50, 50, cls=CellClass.DEAD), det(0, 62, 50)],
-            [det(1, 58, 50, cls=CellClass.DEAD)],
+            [det(50, 50, cls=CellClass.DEAD), det(62, 50)],
+            [det(58, 50, cls=CellClass.DEAD)],
         ]
         forest = run(frames).finalize()
         assert set(forest.tracks) == {1, 2}
@@ -324,11 +323,11 @@ class TestStageOrder:
         # low-confidence detection of its own class, not the nearer one
         # of the other class.
         frames = [
-            [det(0, 50, 50), det(0, 70, 50, cls=CellClass.DEAD)],
+            [det(50, 50), det(70, 50, cls=CellClass.DEAD)],
             [],
             [
-                det(2, 64, 50, conf=0.3),
-                det(2, 56, 50, conf=0.3, cls=CellClass.DEAD),
+                det(64, 50, conf=0.3),
+                det(56, 50, conf=0.3, cls=CellClass.DEAD),
             ],
         ]
         forest = run(frames).finalize()
@@ -344,9 +343,9 @@ class TestStageOrder:
 class TestLowConfidence:
     def test_stage_two_reidentifies(self):
         frames = [
-            [det(0, 50, 50)],
-            [det(1, 52, 50, conf=0.3)],
-            [det(2, 54, 50)],
+            [det(50, 50)],
+            [det(52, 50, conf=0.3)],
+            [det(54, 50)],
         ]
         forest = run(frames).finalize()
         assert set(forest.tracks) == {1}
@@ -354,14 +353,14 @@ class TestLowConfidence:
         assert entry.provenance is Provenance.OBSERVED_LOW
 
     def test_low_confidence_never_starts_tracks(self):
-        forest = run([[det(0, 50, 50, conf=0.3)], []]).finalize()
+        forest = run([[det(50, 50, conf=0.3)], []]).finalize()
         assert forest.tracks == {}
 
     def test_below_tau_low_is_invisible(self):
         frames = [
-            [det(0, 50, 50)],
-            [det(1, 52, 50, conf=0.1)],
-            [det(2, 54, 50)],
+            [det(50, 50)],
+            [det(52, 50, conf=0.1)],
+            [det(54, 50)],
         ]
         forest = run(frames).finalize()
         track = forest.tracks[1]
@@ -372,8 +371,8 @@ class TestLowConfidence:
         # A low-confidence detection near an unmatched track is consumed
         # by stage 2, so no spurious track appears.
         frames = [
-            [det(0, 50, 50)],
-            [det(1, 53, 50, conf=0.26)],
+            [det(50, 50)],
+            [det(53, 50, conf=0.26)],
         ]
         forest = run(frames).finalize()
         assert set(forest.tracks) == {1}
@@ -383,11 +382,11 @@ class TestLowConfidence:
 class TestMemoryBank:
     def test_reidentified_within_memory(self):
         frames = [
-            [det(0, 50, 50)],
-            [det(1, 52, 50)],
+            [det(50, 50)],
+            [det(52, 50)],
             [],
             [],
-            [det(4, 58, 50)],
+            [det(58, 50)],
         ]
         forest = run(frames).finalize()
         assert set(forest.tracks) == {1}
@@ -399,11 +398,11 @@ class TestMemoryBank:
 
     def test_interpolation_rejoins_smoothly(self):
         frames = [
-            [det(0, 40, 50)],
-            [det(1, 44, 50)],
+            [det(40, 50)],
+            [det(44, 50)],
             [],
             [],
-            [det(4, 56, 50)],
+            [det(56, 50)],
         ]
         forest = run(frames).finalize()
         xs = [
@@ -415,11 +414,11 @@ class TestMemoryBank:
     def test_closed_after_memory_expires(self):
         cfg = TrackerConfig(memory_frames=2)
         frames = [
-            [det(0, 50, 50)],
+            [det(50, 50)],
             [],
             [],
             [],
-            [det(4, 52, 50)],
+            [det(52, 50)],
         ]
         forest = run(frames, cfg).finalize()
         assert len(forest.tracks) == 2
@@ -430,7 +429,7 @@ class TestMemoryBank:
 
     def test_memory_zero_closes_on_first_miss(self):
         cfg = TrackerConfig(memory_frames=0)
-        frames = [[det(0, 50, 50)], [], [det(2, 52, 50)]]
+        frames = [[det(50, 50)], [], [det(52, 50)]]
         forest = run(frames, cfg).finalize()
         assert len(forest.tracks) == 2
         assert forest.tracks[1].end_reason is EndReason.LOST
@@ -438,8 +437,8 @@ class TestMemoryBank:
     def test_lost_death_keeps_death_reason(self):
         # A track that died, then lost its corpse, still ends as DEATH.
         frames = [
-            [det(0, 50, 50)],
-            [det(1, 50, 50, cls=CellClass.DEAD, emb=(30.0, 30.0, 30.0, 30.0))],
+            [det(50, 50)],
+            [det(50, 50, cls=CellClass.DEAD, emb=(30.0, 30.0, 30.0, 30.0))],
             [],
             [],
         ]
@@ -452,7 +451,7 @@ class TestMemoryBank:
     def test_born_dead_then_lost_ends_lost(self):
         # A track born from a corpse never witnessed a death: losing it is
         # a plain loss, though its entries make it a dead track.
-        frames = [[det(0, 50, 50, cls=CellClass.DEAD)], [], []]
+        frames = [[det(50, 50, cls=CellClass.DEAD)], [], []]
         cfg = TrackerConfig(memory_frames=1)
         forest = run(frames, cfg).finalize()
         track = forest.tracks[1]
@@ -462,8 +461,8 @@ class TestMemoryBank:
 
     def test_born_dead_open_at_end_ends_with_video(self):
         frames = [
-            [det(0, 50, 50, cls=CellClass.DEAD)],
-            [det(1, 50, 50, cls=CellClass.DEAD)],
+            [det(50, 50, cls=CellClass.DEAD)],
+            [det(50, 50, cls=CellClass.DEAD)],
         ]
         forest = run(frames).finalize()
         track = forest.tracks[1]
@@ -476,10 +475,10 @@ class TestKalmanAblation:
     def test_gaps_left_open(self):
         cfg = TrackerConfig(use_kalman=False)
         frames = [
-            [det(0, 50, 50)],
-            [det(1, 52, 50)],
+            [det(50, 50)],
+            [det(52, 50)],
             [],
-            [det(3, 54, 50)],
+            [det(54, 50)],
         ]
         forest = run(frames, cfg).finalize()
         assert set(forest.tracks) == {1}
@@ -488,16 +487,16 @@ class TestKalmanAblation:
     def test_reacquired_at_last_position(self):
         cfg = TrackerConfig(use_kalman=False)
         frames = [
-            [det(0, 50, 50)],
+            [det(50, 50)],
             [],
-            [det(2, 90, 50)],  # 40 px from last observation: in gate
+            [det(90, 50)],  # 40 px from last observation: in gate
         ]
         forest = run(frames, cfg).finalize()
         assert set(forest.tracks) == {1}
         frames2 = [
-            [det(0, 50, 50)],
+            [det(50, 50)],
             [],
-            [det(2, 105, 50)],  # 55 px: out of gate, new track
+            [det(105, 50)],  # 55 px: out of gate, new track
         ]
         forest2 = run(frames2, cfg).finalize()
         assert len(forest2.tracks) == 2
@@ -509,14 +508,13 @@ class TestEngineContracts:
         pos = rng.uniform(60, 400, (cells, 2))
         emb = rng.uniform(-12, 12, (cells, 4))
         out = []
-        for f in range(frames):
+        for _ in range(frames):
             dets = []
             for c in range(cells):
                 pos[c] += rng.normal(0, 2, 2)
                 conf = 0.9 if rng.random() > 0.2 else 0.3
                 dets.append(
                     Detection(
-                        frame_index=f,
                         box=bx(pos[c][0], pos[c][1]),
                         confidence=conf,
                         cell_class=CellClass.ALIVE,
@@ -540,26 +538,13 @@ class TestEngineContracts:
         forest = run(frames).finalize()
         assert_detections_used_at_most_once(forest, frames, CFG)
 
-    def test_frames_must_arrive_in_order(self):
-        engine = CellTracker()
-        engine.step(0, [det(0, 50, 50)])
-        with pytest.raises(ValidationError):
-            engine.step(2, [])
-
-    def test_detection_frame_tag_checked(self):
-        engine = CellTracker()
-        with pytest.raises(ValidationError):
-            engine.step(0, [det(3, 50, 50)])
-
     def test_embedding_dim_change_rejected(self):
         engine = CellTracker()
-        engine.step(0, [det(0, 50, 50)])
+        engine.step([det(50, 50)])
         with pytest.raises(ValidationError):
             engine.step(
-                1,
                 [
                     Detection(
-                        frame_index=1,
                         box=bx(52, 50),
                         confidence=0.9,
                         cell_class=CellClass.ALIVE,
@@ -569,7 +554,7 @@ class TestEngineContracts:
             )
 
     def test_track_video_wrapper(self):
-        frames = [[det(0, 50, 50)], [det(1, 52, 50)]]
+        frames = [[det(50, 50)], [det(52, 50)]]
         forest = track_video(frames)
         assert set(forest.tracks) == {1}
         assert forest.meta.frames == 2
@@ -578,14 +563,14 @@ class TestEngineContracts:
         # One VideoMeta() reused for a 1-frame and then a 2-frame video:
         # each forest counts its own frames and the caller's object keeps 0.
         meta = VideoMeta()
-        one = track_video([[det(0, 50, 50)]], meta=meta)
-        two = track_video([[det(0, 50, 50)], [det(1, 52, 50)]], meta=meta)
+        one = track_video([[det(50, 50)]], meta=meta)
+        two = track_video([[det(50, 50)], [det(52, 50)]], meta=meta)
         assert (one.meta.frames, two.meta.frames, meta.frames) == (1, 2, 0)
         assert two.tracks[1].last_frame == 1
 
     def test_track_video_declares_the_frames_fed(self):
         # A prefix of a longer video declares the frames it was given.
-        frames = [[det(f, 50 + f, 50)] for f in range(5)]
+        frames = [[det(50 + f, 50)] for f in range(5)]
         meta = VideoMeta(video_id="v", frames=5, width=64.0, height=64.0)
         forest = track_video(frames[:3], meta=meta)
         assert forest.meta == replace(meta, frames=3)
