@@ -1,12 +1,13 @@
-"""Population-level readouts of a lineage forest.
+"""Population-level readouts of lineage forests.
 
-Five analyses, each a pure function of (forest, filter, seed):
+Five analyses, each a pure function of one group of forests (the
+videos of one dosage, say) and a filter, pooled over the group:
 
 * division/death rates over time, binned and normalized by population;
 * cell-size inheritance (ancestor vs. descendant Pearson correlations);
 * sister-cell size synchrony over their shared frames;
-* interdivision durations grouped by dosage tag and generation;
-* per-lineage event timelines with stratified subsampling.
+* interdivision durations by generation;
+* per-lineage event timelines, for stratified subsampling.
 
 Cell size is box area (w*h).  Correlations use each track's mean
 observed size.  Generations count from 0 at the roots.  All outputs
@@ -108,7 +109,8 @@ def generation_index(forest: LineageForest) -> dict[int, int]:
 @dataclass(frozen=True)
 class EventRates:
     """Binned division/death counts and rates plus the population curve,
-    over every frame the forest declares (``meta.frames``).
+    summed over a group of forests, over every frame the longest of them
+    declares (``meta.frames``).
 
     ``population[f]`` counts tracks whose span covers frame ``f``;
     ``alive[f]`` counts tracks with an alive-class entry at ``f``.
@@ -128,11 +130,13 @@ class EventRates:
     mean_alive: tuple[float, ...]
 
 
-def event_rates(forest: LineageForest, bin_size: int = 10) -> EventRates:
+def event_rates(
+    forests: Sequence[LineageForest], bin_size: int = 10
+) -> EventRates:
     if bin_size <= 0:
         raise ValidationError("bin_size must be positive")
-    tracks = list(forest.tracks.values())
-    n_frames = forest.meta.frames
+    tracks = [t for forest in forests for t in forest.tracks.values()]
+    n_frames = max((forest.meta.frames for forest in forests), default=0)
     population = np.zeros(n_frames, dtype=int)
     for track in tracks:
         population[track.start_frame : track.last_frame + 1] += 1
@@ -160,8 +164,9 @@ def event_rates(forest: LineageForest, bin_size: int = 10) -> EventRates:
     divisions = per_bin(
         [
             t.last_frame + 1
-            for t in tracks
-            if t.children and t.last_frame + 1 < n_frames
+            for forest in forests
+            for t in forest.tracks.values()
+            if t.children and t.last_frame + 1 < forest.meta.frames
         ]
     )
     deaths = per_bin(
@@ -250,32 +255,34 @@ def _correlations(values: dict) -> dict:
 
 
 def ancestor_descendant_correlation(
-    forest: LineageForest, filt: AnalysisFilter | None = None
+    forests: Sequence[LineageForest], filt: AnalysisFilter | None = None
 ) -> InheritanceReport:
+    """Correlations over the (ancestor, descendant) pairs of every forest."""
     filt = filt or AnalysisFilter()
-    gens = generation_index(forest)
-    sizes: dict[int, float] = {}
-    for tid, track in forest.tracks.items():
-        if track.span() < filt.min_track_frames:
-            continue
-        s = track_mean_size(track)
-        if s is not None:
-            sizes[tid] = s
-
-    # One walk up each descendant's parent chain; generations fall by
-    # one per step, so each ancestor generation is met once.
     pair_values: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    for tid, size in sizes.items():
-        g = gens[tid]
-        if g > filt.max_generation:
-            continue
-        anc = forest.tracks[tid].parent
-        while anc is not None and gens[anc] >= 1:
-            if anc in sizes:
-                pair_values.setdefault((gens[anc], g), []).append(
-                    (sizes[anc], size)
-                )
-            anc = forest.tracks[anc].parent
+    for forest in forests:
+        gens = generation_index(forest)
+        sizes: dict[int, float] = {}
+        for tid, track in forest.tracks.items():
+            if track.span() < filt.min_track_frames:
+                continue
+            s = track_mean_size(track)
+            if s is not None:
+                sizes[tid] = s
+
+        # One walk up each descendant's parent chain; generations fall by
+        # one per step, so each ancestor generation is met once.
+        for tid, size in sizes.items():
+            g = gens[tid]
+            if g > filt.max_generation:
+                continue
+            anc = forest.tracks[tid].parent
+            while anc is not None and gens[anc] >= 1:
+                if anc in sizes:
+                    pair_values.setdefault((gens[anc], g), []).append(
+                        (sizes[anc], size)
+                    )
+                anc = forest.tracks[anc].parent
 
     gap_values: dict[int, list[tuple[float, float]]] = {}
     for (anc_gen, g), pairs in sorted(pair_values.items()):
@@ -292,44 +299,40 @@ class SisterPair:
     track_b: int
     overlap: int
     r: float
+    video: str
 
 
 def sister_correlation(
-    forest: LineageForest, filt: AnalysisFilter | None = None
+    forests: Sequence[LineageForest], filt: AnalysisFilter | None = None
 ) -> list[SisterPair]:
     """Per sister pair, the Pearson r of box area over shared frames.
 
     Pairs where either sister fails the length filter, the overlap is
     under two frames, or the correlation is undefined are skipped.
+    Pairs come forest by forest, each tagged with its video id.
     """
     filt = filt or AnalysisFilter()
-    gens = generation_index(forest)
     out: list[SisterPair] = []
-    for tid in sorted(forest.tracks):
-        track = forest.tracks[tid]
-        if len(track.children) != 2:
-            continue
-        a, b = sorted(track.children)
-        ta, tb = forest.tracks[a], forest.tracks[b]
-        if min(ta.span(), tb.span()) < filt.min_track_frames:
-            continue
-        da = dict(zip(*cell_size_series(ta)))
-        db = dict(zip(*cell_size_series(tb)))
-        common = sorted(da.keys() & db.keys())
-        if len(common) < 2:
-            continue
-        r = pearson([da[f] for f in common], [db[f] for f in common])
-        if r is None:
-            continue
-        out.append(
-            SisterPair(
-                generation=gens[a],
-                track_a=a,
-                track_b=b,
-                overlap=len(common),
-                r=r,
-            )
-        )
+    for forest in forests:
+        gens = generation_index(forest)
+        for tid in sorted(forest.tracks):
+            track = forest.tracks[tid]
+            if len(track.children) != 2:
+                continue
+            a, b = sorted(track.children)
+            ta, tb = forest.tracks[a], forest.tracks[b]
+            if min(ta.span(), tb.span()) < filt.min_track_frames:
+                continue
+            da = dict(zip(*cell_size_series(ta)))
+            db = dict(zip(*cell_size_series(tb)))
+            common = sorted(da.keys() & db.keys())
+            if len(common) < 2:
+                continue
+            r = pearson([da[f] for f in common], [db[f] for f in common])
+            if r is not None:
+                out.append(
+                    SisterPair(gens[a], a, b, len(common), r, forest.meta.video_id)
+                )
     return out
 
 
@@ -339,7 +342,6 @@ def sister_correlation(
 
 @dataclass(frozen=True)
 class InterdivisionRecord:
-    dosage: str
     generation: int
     track_id: int
     duration: int
@@ -353,7 +355,7 @@ class DurationStats:
 
 
 def interdivision_records(
-    forest: LineageForest, filt: AnalysisFilter | None = None
+    forests: Sequence[LineageForest], filt: AnalysisFilter | None = None
 ) -> list[InterdivisionRecord]:
     """Durations of full division cycles: born by division, ends dividing.
 
@@ -361,42 +363,29 @@ def interdivision_records(
     filter's cap are dropped as likely tracking artifacts.
     """
     filt = filt or AnalysisFilter()
-    gens = generation_index(forest)
-    dosage = forest.meta.dosage
     out: list[InterdivisionRecord] = []
-    for tid in sorted(forest.tracks):
-        track = forest.tracks[tid]
-        if track.parent is None or not track.children:
-            continue
-        duration = track.span()
-        if duration > filt.max_interdivision_frames:
-            continue
-        out.append(
-            InterdivisionRecord(
-                dosage=dosage,
-                generation=gens[tid],
-                track_id=tid,
-                duration=duration,
-            )
-        )
+    for forest in forests:
+        gens = generation_index(forest)
+        for tid in sorted(forest.tracks):
+            track = forest.tracks[tid]
+            if track.parent is None or not track.children:
+                continue
+            duration = track.span()
+            if duration <= filt.max_interdivision_frames:
+                out.append(InterdivisionRecord(gens[tid], tid, duration))
     return out
 
 
 def summarize_durations(
     records: Iterable[InterdivisionRecord],
-) -> dict[tuple[str, int], DurationStats]:
-    grouped: dict[tuple[str, int], list[int]] = {}
+) -> dict[int, DurationStats]:
+    """Duration statistics per generation, in generation order."""
+    grouped: dict[int, list[int]] = {}
     for rec in records:
-        grouped.setdefault((rec.dosage, rec.generation), []).append(
-            rec.duration
-        )
+        grouped.setdefault(rec.generation, []).append(rec.duration)
     return {
-        key: DurationStats(
-            n=len(vals),
-            mean=float(np.mean(vals)),
-            median=float(median(vals)),
-        )
-        for key, vals in sorted(grouped.items())
+        gen: DurationStats(len(vals), float(np.mean(vals)), float(median(vals)))
+        for gen, vals in sorted(grouped.items())
     }
 
 
@@ -439,29 +428,28 @@ def _leaf_paths(forest: LineageForest) -> list[list[int]]:
     return paths
 
 
-def eligible_profiles(forest: LineageForest) -> list[DivisionProfile]:
-    """All root-to-leaf timelines that end in death or at the video end.
+def eligible_profiles(forests: Sequence[LineageForest]) -> list[DivisionProfile]:
+    """All root-to-leaf timelines that end in death or at the video end,
+    forest by forest.
 
     Lineage lines whose final track was simply lost are not eligible:
     the line was not followed to a real outcome.
     """
     profiles: list[DivisionProfile] = []
-    video = forest.meta.video_id
-    for path in _leaf_paths(forest):
-        leaf = forest.tracks[path[-1]]
-        if leaf.end_reason not in (EndReason.DEATH, EndReason.END_OF_VIDEO):
-            continue
-        events = [(forest.tracks[t].last_frame, "division") for t in path[:-1]]
-        death = leaf.death_event_frame()
-        if death is not None:
-            events.append((death, "death"))
-        else:
-            events.append((leaf.last_frame, "censored"))
-        profiles.append(
-            DivisionProfile(
-                tracks=tuple(path), events=tuple(events), video=video
+    for forest in forests:
+        for path in _leaf_paths(forest):
+            leaf = forest.tracks[path[-1]]
+            if leaf.end_reason not in (EndReason.DEATH, EndReason.END_OF_VIDEO):
+                continue
+            events = [(forest.tracks[t].last_frame, "division") for t in path[:-1]]
+            death = leaf.death_event_frame()
+            if death is not None:
+                events.append((death, "death"))
+            else:
+                events.append((leaf.last_frame, "censored"))
+            profiles.append(
+                DivisionProfile(tuple(path), tuple(events), forest.meta.video_id)
             )
-        )
     return profiles
 
 
@@ -521,7 +509,7 @@ def _write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
 def write_event_rates_csv(
     path: str | Path, groups: Sequence[tuple[str, EventRates]]
 ) -> None:
-    """One row per (group label, bin); labels are dosage or video tags."""
+    """One row per (group, bin); the last bin ends at the last frame."""
     _write_csv(
         path,
         [
@@ -538,7 +526,7 @@ def write_event_rates_csv(
             [
                 label,
                 start,
-                start + rates.bin_size - 1,
+                min(start + rates.bin_size, len(rates.population)) - 1,
                 rates.divisions[i],
                 rates.deaths[i],
                 f"{rates.division_rate[i]:.6f}",
@@ -584,6 +572,7 @@ def write_sister_csv(
         path,
         [
             "group",
+            "video",
             "generation",
             "track_a",
             "track_b",
@@ -591,7 +580,8 @@ def write_sister_csv(
             "pearson_r",
         ],
         (
-            [label, p.generation, p.track_a, p.track_b, p.overlap, f"{p.r:.6f}"]
+            [label, p.video, p.generation, p.track_a, p.track_b, p.overlap,
+             f"{p.r:.6f}"]
             for label, pairs in groups
             for p in pairs
         ),
@@ -599,14 +589,15 @@ def write_sister_csv(
 
 
 def write_interdivision_csv(
-    path: str | Path, stats: dict[tuple[str, int], DurationStats]
+    path: str | Path, groups: Sequence[tuple[str, dict[int, DurationStats]]]
 ) -> None:
     _write_csv(
         path,
-        ["dosage", "generation", "cycles", "mean_frames", "median_frames"],
+        ["group", "generation", "cycles", "mean_frames", "median_frames"],
         (
-            [dosage, gen, stat.n, f"{stat.mean:.3f}", f"{stat.median:.3f}"]
-            for (dosage, gen), stat in sorted(stats.items())
+            [label, gen, stat.n, f"{stat.mean:.3f}", f"{stat.median:.3f}"]
+            for label, stats in groups
+            for gen, stat in stats.items()
         ),
     )
 

@@ -411,31 +411,36 @@ def cmd_ablate(args) -> int:
 def cmd_analyze(args) -> int:
     configs = build_configs(args.config, args.set)
     filt = configs.analysis
+    seed = args.seed if args.seed is not None else 0
     out = write_manifest(
         args, configs, args.forests, args.seed, {"sample_size": args.sample_size}
     )
-    rates, inheritance, sisters, records = [], [], [], []
-    pooled: dict[str, list] = {}
+    # A forest's group is its dosage, else its video id, else "all".  Each
+    # analysis pools the forests of one group, in command-line order.
+    groups: dict[str, list] = {}
+    videos: dict[str, str] = {}
     for prefix in args.forests:
         forest = load_forest(prefix, strict=False)
-        label = forest.meta.dosage or forest.meta.video_id or "all"
-        rates.append((label, event_rates(forest)))
-        inheritance.append((label, ancestor_descendant_correlation(forest, filt)))
-        sisters.append((label, sister_correlation(forest, filt)))
-        records.extend(interdivision_records(forest, filt))
-        pooled.setdefault(label, []).extend(eligible_profiles(forest))
-    write_event_rates_csv(out / "event_rates.csv", rates)
-    write_inheritance_csv(out / "size_inheritance.csv", inheritance)
-    write_sister_csv(out / "sister_correlation.csv", sisters)
-    write_interdivision_csv(
-        out / "interdivision.csv", summarize_durations(records)
+        video = forest.meta.video_id
+        if video and video in videos:
+            raise ValidationError(
+                f"{videos[video]} and {prefix} are both video {video!r}"
+            )
+        videos[video] = prefix
+        groups.setdefault(forest.meta.dosage or video or "all", []).append(forest)
+    tables = (
+        ("event_rates.csv", write_event_rates_csv, event_rates),
+        ("size_inheritance.csv", write_inheritance_csv,
+         lambda fs: ancestor_descendant_correlation(fs, filt)),
+        ("sister_correlation.csv", write_sister_csv,
+         lambda fs: sister_correlation(fs, filt)),
+        ("interdivision.csv", write_interdivision_csv,
+         lambda fs: summarize_durations(interdivision_records(fs, filt))),
+        ("division_profiles.csv", write_profiles_csv,
+         lambda fs: sample_profiles(eligible_profiles(fs), args.sample_size, seed)),
     )
-    seed = args.seed if args.seed is not None else 0
-    profile_groups = [
-        (key, sample_profiles(pooled[key], args.sample_size, seed))
-        for key in sorted(pooled)
-    ]
-    write_profiles_csv(out / "division_profiles.csv", profile_groups)
+    for name, write, analyze in tables:
+        write(out / name, [(label, analyze(groups[label])) for label in sorted(groups)])
     print(f"analyzed {len(args.forests)} forest(s) -> {out}")
     return EXIT_OK
 

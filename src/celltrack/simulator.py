@@ -70,10 +70,10 @@ INITIAL_SIZE_SPREAD = 8.0
 SIZE_WALK_SIGMA = 0.05
 DAUGHTER_OFFSET_FRAC = 0.35  # daughters' offset from the parent, in its widths
 _LARGEST_INITIAL_SIDE = INITIAL_SIZE_MEAN + INITIAL_SIZE_SPREAD
-# The largest mean numpy's Poisson sampler accepts (its POISSON_LAM_MAX).
-_MAX_POISSON_MEAN = float(
-    np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
-)
+# Input ceilings.  ``corrupt`` draws each false positive one by one, and
+# the latent geometry is calibrated at the default 32 dimensions.
+MAX_FALSE_POSITIVE_RATE = 1000.0  # expected false positives per frame
+MAX_EMBEDDING_DIM = 1024
 
 
 @dataclass(frozen=True)
@@ -170,10 +170,12 @@ class SimulationConfig:
             value = getattr(self, name)
             if value < 0:
                 raise ValidationError(f"{name} must be >= 0, got {value!r}")
-        if self.false_positive_rate > _MAX_POISSON_MEAN:
-            raise ValidationError(
-                f"false_positive_rate must be at most {_MAX_POISSON_MEAN!r}"
-            )
+        for name, ceiling in (
+            ("embedding_dim", MAX_EMBEDDING_DIM),
+            ("false_positive_rate", MAX_FALSE_POSITIVE_RATE),
+        ):
+            if getattr(self, name) > ceiling:
+                raise ValidationError(f"{name} must be at most {ceiling!r}")
         if min(self.width, self.height) < _LARGEST_INITIAL_SIDE:
             raise ValidationError(
                 "width and height must be >= the largest initial cell "

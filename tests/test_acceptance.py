@@ -472,14 +472,16 @@ def test_criterion_7_analysis_sanity():
             daughter_size_noise=0.01,
         )
         herit = ancestor_descendant_correlation(
-            simulate(herit_cfg).ground_truth, AnalysisFilter()
+            [simulate(herit_cfg).ground_truth], AnalysisFilter()
         ).by_pair[(1, 2)]
         assert herit.r > 0.9
 
         null = ancestor_descendant_correlation(
-            simulate(
-                replace(herit_cfg, size_inheritance="independent")
-            ).ground_truth,
+            [
+                simulate(
+                    replace(herit_cfg, size_inheritance="independent")
+                ).ground_truth
+            ],
             AnalysisFilter(),
         ).by_pair[(1, 2)]
         assert null.n >= 100
@@ -495,11 +497,13 @@ def test_criterion_7_analysis_sanity():
             post_treatment_division_factor=0.2,
             seed=3,
         )
-        treated = event_rates(simulate(treated_cfg).ground_truth, bin_size=20)
+        treated = event_rates([simulate(treated_cfg).ground_truth], bin_size=20)
         control = event_rates(
-            simulate(
-                replace(treated_cfg, post_treatment_division_factor=1.0)
-            ).ground_truth,
+            [
+                simulate(
+                    replace(treated_cfg, post_treatment_division_factor=1.0)
+                ).ground_truth
+            ],
             bin_size=20,
         )
         treated_pre = float(np.mean(treated.division_rate[:4]))
@@ -531,7 +535,7 @@ def test_criterion_7_analysis_sanity():
             )
         forest = make_forest(*chains)
         durations = sorted(
-            r.duration for r in interdivision_records(forest, AnalysisFilter())
+            r.duration for r in interdivision_records([forest], AnalysisFilter())
         )
         assert durations == [40, 99, 100]
 

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -32,6 +33,7 @@ from celltrack.analysis import (
     track_mean_size,
     write_event_rates_csv,
     write_profiles_csv,
+    write_sister_csv,
 )
 from celltrack.cli import _simulate_one, main
 from celltrack.core import Provenance, TrackEntry
@@ -158,7 +160,7 @@ class TestDeepLineages:
             tid: tid - 1 for tid in range(1, self.CHAIN + 1)
         }
         assert _leaf_paths(forest) == [list(range(1, self.CHAIN + 1))]
-        (prof,) = eligible_profiles(forest)
+        (prof,) = eligible_profiles([forest])
         assert prof.tracks == tuple(range(1, self.CHAIN + 1))
         assert prof.divisions == self.CHAIN - 1
         assert prof.events[-1] == (self.CHAIN - 1, "censored")
@@ -190,7 +192,7 @@ class TestEventRates:
         )
 
     def test_hand_computed_bins(self):
-        r = event_rates(self.forest(), bin_size=5)
+        r = event_rates([self.forest()], bin_size=5)
         assert r.bin_starts == (0, 5)
         assert r.divisions == (0, 1)  # daughters appear at frame 5
         assert r.deaths == (0, 1)  # first dead frame is 8
@@ -201,27 +203,42 @@ class TestEventRates:
         assert r.division_rate[0] == r.death_rate[0] == 0.0
 
     def test_partial_final_bin(self):
-        r = event_rates(self.forest(), bin_size=4)
+        r = event_rates([self.forest()], bin_size=4)
         assert r.bin_starts == (0, 4, 8)
         assert sum(r.divisions) == 1 and sum(r.deaths) == 1
 
     def test_empty_forest(self):
         from celltrack import LineageForest
 
-        r = event_rates(LineageForest(tracks={}), bin_size=5)
+        r = event_rates([LineageForest(tracks={})], bin_size=5)
         assert r.bin_starts == ()
 
     def test_bins_cover_declared_frames(self):
         # A cell alive over frames 0-4 of a 40-frame video fills half of
         # bin 0 and none of the three later bins.
-        r = event_rates(make_forest(make_track(1, 0, [bx(50, 50)] * 5), frames=40))
+        r = event_rates(
+            [make_forest(make_track(1, 0, [bx(50, 50)] * 5), frames=40)]
+        )
         assert r.bin_starts == (0, 10, 20, 30)
         assert r.population == (1,) * 5 + (0,) * 35
         assert r.mean_alive == (0.5, 0.0, 0.0, 0.0)
 
     def test_bad_bin_size(self):
         with pytest.raises(ValidationError):
-            event_rates(self.forest(), bin_size=0)
+            event_rates([self.forest()], bin_size=0)
+
+    def test_group_sums_counts_before_dividing(self):
+        # A second, longer video: one alive cell over frames 0-14 of 15.
+        other = make_forest(make_track(1, 0, [bx(50, 50)] * 15), frames=15)
+        one, two = event_rates([self.forest()], 5), event_rates([other], 5)
+        r = event_rates([self.forest(), other], 5)
+        assert r.bin_starts == (0, 5, 10)
+        assert r.divisions == (0, 1, 0) and r.deaths == (0, 1, 0)
+        assert r.population[:10] == tuple(
+            a + b for a, b in zip(one.population, two.population)
+        )
+        assert r.mean_alive == (3.0, 3.6, 1.0)
+        assert r.division_rate[1] == pytest.approx(1 / 3.6)
 
 
 class TestSizeSeries:
@@ -287,7 +304,7 @@ class TestInheritance:
 
     def test_perfect_heritability(self):
         report = ancestor_descendant_correlation(
-            inheritance_forest([10, 10, 20, 20]), self.FILT
+            [inheritance_forest([10, 10, 20, 20])], self.FILT
         )
         assert set(report.by_pair) == {(1, 2)}
         stat = report.by_pair[(1, 2)]
@@ -297,26 +314,35 @@ class TestInheritance:
 
     def test_noisy_heritability(self):
         report = ancestor_descendant_correlation(
-            inheritance_forest([12, 8, 22, 18]), self.FILT
+            [inheritance_forest([12, 8, 22, 18])], self.FILT
         )
         assert 0.8 < report.by_pair[(1, 2)].r < 1.0
 
     def test_zero_variance_descendants_dropped(self):
         report = ancestor_descendant_correlation(
-            inheritance_forest([15, 15, 15, 15]), self.FILT
+            [inheritance_forest([15, 15, 15, 15])], self.FILT
         )
         assert report.by_pair == {} and report.by_gap == {}
 
     def test_generation_cap(self):
         report = ancestor_descendant_correlation(
-            inheritance_forest([10, 10, 20, 20]),
+            [inheritance_forest([10, 10, 20, 20])],
             AnalysisFilter(min_track_frames=2, max_generation=1),
         )
         assert report.by_pair == {}
 
+    def test_group_pools_pairs(self):
+        # Each forest alone correlates perfectly; pooled, the eight pairs
+        # are taken together.
+        a = inheritance_forest([10, 10, 20, 20])
+        b = inheritance_forest([12, 8, 22, 18])
+        report = ancestor_descendant_correlation([a, b], self.FILT)
+        assert report.by_pair[(1, 2)].n == 8
+        assert 0.9 < report.by_pair[(1, 2)].r < 1.0
+
     def test_length_filter_removes_short_ancestors(self):
         report = ancestor_descendant_correlation(
-            inheritance_forest([10, 10, 20, 20]),
+            [inheritance_forest([10, 10, 20, 20])],
             AnalysisFilter(min_track_frames=4),
         )
         assert report.by_pair == {}
@@ -336,7 +362,7 @@ class TestSisters:
 
     def test_correlated_pair(self):
         pairs = sister_correlation(
-            self.sisters([10, 20, 30], [15, 25, 35]), self.FILT
+            [self.sisters([10, 20, 30], [15, 25, 35])], self.FILT
         )
         assert len(pairs) == 1
         p = pairs[0]
@@ -345,25 +371,36 @@ class TestSisters:
 
     def test_anticorrelated_pair(self):
         pairs = sister_correlation(
-            self.sisters([10, 20, 30], [30, 20, 10]), self.FILT
+            [self.sisters([10, 20, 30], [30, 20, 10])], self.FILT
         )
         assert pairs[0].r == pytest.approx(-1.0)
 
     def test_overlap_under_two_frames_skipped(self):
         # Sister 2 starts late: only one shared frame.
         forest = self.sisters([10, 20], [10, 20, 30], start=3)
-        assert sister_correlation(forest, self.FILT) == []
+        assert sister_correlation([forest], self.FILT) == []
 
     def test_short_sister_skipped(self):
         forest = self.sisters([10, 20, 30], [15, 25, 35])
         assert (
-            sister_correlation(forest, AnalysisFilter(min_track_frames=4))
+            sister_correlation([forest], AnalysisFilter(min_track_frames=4))
             == []
         )
 
     def test_zero_variance_skipped(self):
         forest = self.sisters([10, 10, 10], [15, 25, 35])
-        assert sister_correlation(forest, self.FILT) == []
+        assert sister_correlation([forest], self.FILT) == []
+
+    def test_group_tags_pairs_with_their_video(self):
+        a = self.sisters([10, 20, 30], [15, 25, 35])
+        b = self.sisters([10, 20, 30], [30, 20, 10])
+        a.meta = replace(a.meta, video_id="v1")
+        b.meta = replace(b.meta, video_id="v2")
+        pairs = sister_correlation([a, b], self.FILT)
+        assert [(p.video, p.track_a, p.track_b) for p in pairs] == [
+            ("v1", 2, 3), ("v2", 2, 3),
+        ]
+        assert [p.r for p in pairs] == pytest.approx([1.0, -1.0])
 
 
 class TestInterdivision:
@@ -380,26 +417,32 @@ class TestInterdivision:
         )
 
     def test_full_cycles_only(self):
-        recs = interdivision_records(self.cycle_forest(20))
+        recs = interdivision_records([self.cycle_forest(20)])
         # Root has no parent, leaves never divide: only the middle track
         # is a complete cycle.
-        assert [(r.track_id, r.duration, r.generation, r.dosage)
-                for r in recs] == [(2, 20, 1, "5uM")]
+        assert [(r.track_id, r.duration, r.generation)
+                for r in recs] == [(2, 20, 1)]
 
     def test_duration_cap_boundary(self):
         f = AnalysisFilter()
-        assert len(interdivision_records(self.cycle_forest(99), f)) == 1
-        assert len(interdivision_records(self.cycle_forest(100), f)) == 1
-        assert interdivision_records(self.cycle_forest(101), f) == []
+        assert len(interdivision_records([self.cycle_forest(99)], f)) == 1
+        assert len(interdivision_records([self.cycle_forest(100)], f)) == 1
+        assert interdivision_records([self.cycle_forest(101)], f) == []
 
     def test_summaries(self):
-        recs = interdivision_records(self.cycle_forest(20)) + [
-            r for r in interdivision_records(self.cycle_forest(30))
+        recs = interdivision_records([self.cycle_forest(20)]) + [
+            r for r in interdivision_records([self.cycle_forest(30)])
         ]
         stats = summarize_durations(recs)
-        assert set(stats) == {("5uM", 1)}
-        s = stats[("5uM", 1)]
+        assert set(stats) == {1}
+        s = stats[1]
         assert (s.n, s.mean, s.median) == (2, 25.0, 25.0)
+
+    def test_group_pools_its_forests(self):
+        forests = [self.cycle_forest(20), self.cycle_forest(30)]
+        recs = interdivision_records(forests)
+        assert [(r.track_id, r.duration) for r in recs] == [(2, 20), (2, 30)]
+        assert summarize_durations(recs)[1].mean == 25.0
 
 
 class TestProfiles:
@@ -422,7 +465,7 @@ class TestProfiles:
         )
 
     def test_eligibility_and_events(self):
-        profiles = eligible_profiles(self.forest())
+        profiles = eligible_profiles([self.forest()])
         # The lost singleton is not followed to an outcome.
         assert [p.tracks for p in profiles] == [(1, 2), (1, 3)]
         died, censored = profiles
@@ -437,7 +480,7 @@ class TestProfiles:
                        end_reason=EndReason.END_OF_VIDEO),
             frames=4,
         )
-        (prof,) = eligible_profiles(forest)
+        (prof,) = eligible_profiles([forest])
         assert prof.events == ((3, "censored"),)
         assert prof.divisions == 0
 
@@ -500,15 +543,33 @@ class TestCsvWriters:
         forest = TestEventRates().forest()
         path = tmp_path / "rates.csv"
         write_event_rates_csv(
-            path, [("control", event_rates(forest, bin_size=5))]
+            path, [("control", event_rates([forest], bin_size=5))]
         )
         rows = list(csv.reader(open(path)))
         assert rows[0][:4] == ["group", "bin_start", "bin_end", "divisions"]
         assert len(rows) == 3
         assert rows[2][:5] == ["control", "5", "9", "1", "1"]
+        # A partial last bin ends at the last frame: bins 0-3, 4-7, 8-9.
+        write_event_rates_csv(
+            path, [("control", event_rates([forest], bin_size=4))]
+        )
+        rows = list(csv.reader(open(path)))
+        assert [row[1:3] for row in rows[1:]] == [["0", "3"], ["4", "7"], ["8", "9"]]
+        assert rows[3][-1] == "2.000"
+
+    def test_sister_csv(self, tmp_path):
+        forest = TestSisters().sisters([10, 20, 30], [15, 25, 35])
+        forest.meta = replace(forest.meta, video_id="v1")
+        path = tmp_path / "sisters.csv"
+        write_sister_csv(
+            path, [("g", sister_correlation([forest], TestSisters.FILT))]
+        )
+        rows = list(csv.reader(open(path)))
+        assert rows[0][:3] == ["group", "video", "generation"]
+        assert rows[1] == ["g", "v1", "1", "2", "3", "3", "1.000000"]
 
     def test_profiles_csv(self, tmp_path):
-        profiles = eligible_profiles(TestProfiles().forest())
+        profiles = eligible_profiles([TestProfiles().forest()])
         path = tmp_path / "profiles.csv"
         write_profiles_csv(path, [("g", profiles)])
         rows = list(csv.reader(open(path)))
@@ -525,7 +586,8 @@ class TestGoldenTables:
 
     The set covers heritable and independent sizes, deaths after
     treatment, two dosage labels, a forest labeled by its video id, and
-    a no-Kalman prediction whose tracks have gaps.  The filter is not
+    a no-Kalman prediction, under a video id of its own, whose tracks
+    have gaps.  The filter is not
     the default and the sample size forces profile sampling."""
 
     SIMS = {
@@ -550,7 +612,7 @@ class TestGoldenTables:
         "event_rates.csv", "size_inheritance.csv", "sister_correlation.csv",
         "interdivision.csv", "division_profiles.csv",
     )
-    DIGEST = "bf6f402e971b44e36612cfb8b60adb56aceed12e769392cc82233f702b430f5a"
+    DIGEST = "b56694a16fc674f5f4c9107ebd12380fb12c2d6c1af731a11b1783891fe91f15"
 
     def test_tables_unchanged(self, tmp_path):
         prefixes = []
@@ -558,9 +620,10 @@ class TestGoldenTables:
             _simulate_one(SimulationConfig(**kwargs), str(tmp_path / name))
             prefixes.append(str(tmp_path / name / "gt"))
         det_file = load_detections(str(tmp_path / "tracked" / "detections.txt"))
-        pred = track_video(
-            det_file.frames, TrackerConfig(use_kalman=False), meta=det_file.meta
-        )
+        # The prediction is a video of its own: one video given twice
+        # is rejected.
+        meta = replace(det_file.meta, video_id="video_007_pred")
+        pred = track_video(det_file.frames, TrackerConfig(use_kalman=False), meta=meta)
         assert any(
             len(t.entries) < t.span() for t in pred.tracks.values()
         )  # the prediction has gaps

@@ -401,6 +401,79 @@ class TestAnalyzeCommand:
         profiles = list(csv.DictReader(open(out / "division_profiles.csv")))
         assert profiles  # every gt lineage line ends at a real outcome
 
+    def test_videos_of_one_dose_pool_into_one_block(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        sim = ["--set", "sim.frames=60", "--set", "sim.width=300",
+               "--set", "sim.height=300", "--set", "sim.initial_cells=6",
+               "--set", "sim.division_prob=0.05", "--set", "sim.death_prob=0.01",
+               "--set", "sim.treatment_frame=30", "--set", "sim.dosage=10uM"]
+        assert main(["simulate", "--out", str(corpus), "--count", "2",
+                     "--seed", "7", *sim]) == 0
+        prefixes = [str(corpus / v / "gt") for v in ("video_000", "video_001")]
+
+        # Generations past 3 hold too few pairs in one video for a defined
+        # correlation, so only the pooled table would list them.
+        def tables(name, *forests):
+            out = tmp_path / name
+            assert main(["analyze", *forests, "--out", str(out),
+                         "--set", "analysis.min_track_frames=4",
+                         "--set", "analysis.max_generation=3"]) == 0
+            return {
+                table: list(csv.DictReader(open(out / f"{table}.csv")))
+                for table in ("event_rates", "size_inheritance",
+                              "sister_correlation", "interdivision",
+                              "division_profiles")
+            }
+
+        pooled = tables("pooled", *prefixes)
+        alone = [tables(f"alone_{i}", p) for i, p in enumerate(prefixes)]
+        for rows in pooled.values():
+            assert rows and {r["group"] for r in rows} == {"10uM"}
+
+        def by_key(rows, key, value):
+            return {tuple(r[k] for k in key): int(r[value]) for r in rows}
+
+        def summed(table, key, value):
+            total: dict = {}
+            for run in alone:
+                for k, n in by_key(run[table], key, value).items():
+                    total[k] = total.get(k, 0) + n
+            return total
+
+        bins = ("bin_start", "bin_end")
+        for column in ("divisions", "deaths"):
+            assert by_key(pooled["event_rates"], bins, column) == summed(
+                "event_rates", bins, column
+            )
+        assert len(pooled["event_rates"]) == 6
+        for i, row in enumerate(pooled["event_rates"]):
+            assert float(row["mean_alive"]) == pytest.approx(
+                sum(float(run["event_rates"][i]["mean_alive"]) for run in alone),
+                abs=2e-3,
+            )
+        pair = ("kind", "ancestor_generation", "descendant_generation",
+                "generation_gap")
+        assert by_key(pooled["size_inheritance"], pair, "pairs") == summed(
+            "size_inheritance", pair, "pairs"
+        )
+        assert by_key(pooled["interdivision"], ("generation",), "cycles") == (
+            summed("interdivision", ("generation",), "cycles")
+        )
+        sisters = [run["sister_correlation"] for run in alone]
+        assert pooled["sister_correlation"] == sisters[0] + sisters[1]
+        assert {r["video"] for r in pooled["sister_correlation"]} == {
+            "video_000", "video_001"
+        }
+
+    def test_one_video_given_twice(self, sim_dir, tmp_path, capsys):
+        prefix = str(sim_dir / "gt")
+        out = tmp_path / "analysis"
+        assert main(["analyze", prefix, prefix, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(prefix) == 2
+        assert "both video 'video_000'" in err
+        assert "internal error" not in err
+
     def test_tables_are_utf8_under_an_ascii_locale(self, tmp_path):
         video = tmp_path / "video"
         args = ["simulate", "--out", str(video), "--set", "sim.dosage=10\u00b5M"]
@@ -488,15 +561,25 @@ class TestExitCodes:
         assert "box_jitter_sigma must be >= 0" in err
         assert "internal error" not in err
 
-    @pytest.mark.parametrize("rate", ["1e19", "1e300", "1" + "0" * 30])
+    @pytest.mark.parametrize("rate", ["1e8", "1e19", "1e300", "1" + "0" * 30])
     def test_false_positive_rate_beyond_poisson_sampler(self, rate, tmp_path, capsys):
-        # numpy's Poisson sampler takes means up to about 9.22e18.
+        # False positives are drawn one by one, so their expected number
+        # per frame has a ceiling far below numpy's Poisson limit (~9.22e18).
         args = ["simulate", "--out", str(tmp_path / "o"),
                 "--set", f"sim.false_positive_rate={rate}", "--set", "sim.frames=3",
                 "--set", "sim.initial_cells=2", "--set", "sim.treatment_frame=1"]
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "false_positive_rate must be at most" in err
+        assert "internal error" not in err
+
+    def test_embedding_dim_ceiling(self, tmp_path, capsys):
+        args = ["simulate", "--out", str(tmp_path / "o"),
+                "--set", "sim.embedding_dim=1000000000", "--set", "sim.frames=3",
+                "--set", "sim.treatment_frame=1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "embedding_dim must be at most 1024" in err
         assert "internal error" not in err
 
     def test_simulator_range_rule(self, tmp_path, capsys):
