@@ -184,8 +184,9 @@ def write_manifest(
     extra: dict | None = None,
 ) -> Path:
     """Create the output directory and record ``args.command``, its inputs
-    (the ``--config`` file among them), seed and effective configuration
-    in its ``manifest.json``; return the directory."""
+    in the order given (the ``--config`` file last), seed and effective
+    configuration in its ``manifest.json``; return the directory.  The
+    order matters: ``analyze`` pools a group's forests in it."""
     out = Path(args.out)
     if args.config:
         inputs = [*inputs, args.config]
@@ -194,7 +195,7 @@ def write_manifest(
         "version": __version__,
         "command": args.command,
         "seed": seed,
-        "inputs": sorted(inputs),
+        "inputs": inputs,
         "output_dir": str(out),
         "config": {k: dataclasses.asdict(v) for k, v in configs._asdict().items()},
         **(extra or {}),

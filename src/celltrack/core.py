@@ -291,6 +291,15 @@ _DETECTION_SLOTS = _slot_setters(Detection)
 _ENTRY_SLOTS = _slot_setters(TrackEntry)
 
 
+def valid_detections(
+    boxes: np.ndarray, confidences: np.ndarray, embeddings: np.ndarray
+) -> np.ndarray:
+    """Row mask of ``n x 4`` boxes, ``n`` confidences and ``n x D``
+    embeddings: True where ``Detection(...)`` accepts the row."""
+    ok = valid_boxes(boxes) & (confidences >= 0.0) & (confidences <= 1.0)
+    return ok & np.isfinite(embeddings).all(axis=1) & (embeddings.shape[1] > 0)
+
+
 def detections_from_columns(
     boxes: np.ndarray,
     confidences: Sequence[float] | np.ndarray,
@@ -303,8 +312,7 @@ def detections_from_columns(
     per column, and the first bad row raises its ``Detection(...)``'s
     ``ValidationError``; each embedding is a read-only row."""
     conf = np.asarray(confidences, dtype=float)
-    ok = valid_boxes(boxes) & (conf >= 0.0) & (conf <= 1.0)
-    ok &= np.isfinite(embeddings).all(axis=1) & (embeddings.shape[1] > 0)
+    ok = valid_detections(boxes, conf, embeddings)
     if not ok.all():
         i = int(np.argmin(ok))
         Detection(

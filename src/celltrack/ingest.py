@@ -23,14 +23,15 @@ producer.  All three files go through one reader, ``_read``, and one
 writer, ``_write``.
 Every bad header or record raises ``ValidationError`` naming
 ``<file>:<line>`` and the reason, as does text that is not UTF-8.
-The loaders read a file's records as columns with ``np.loadtxt`` and
-check each rule as one array expression.  Only when a record cannot be
-read or breaks a rule do they re-read the records one at a time, with
-Python's ``int``/``float``, to name the first bad one.  numpy reads a
-subset of the numbers Python does, with equal values, and a detection's
-frame is read with Python's ``int``, so both paths load the same files.
-Floats are written with ``repr`` so that serialize -> load -> serialize
-is byte-stable.
+Each record kind has one reader, ``_columns``: one ``np.loadtxt`` call
+reads every record, numpy parsing the numbers.  Should numpy fail, the
+same call runs again with Python's ``int``/``float`` on every number
+column, so a field reads as Python reads it; only if that fails too are
+the records read one at a time, to name the first bad one.  Each loader
+then checks every rule as one row mask, and words the first rejected
+record as its scalar check (``Detection(...)``, ``TrackEntry(...)``)
+does.  Floats are written with ``repr`` so that serialize -> load ->
+serialize is byte-stable.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from enum import Enum
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -55,6 +58,7 @@ from .core import (
     VideoMeta,
     detections_from_columns,
     valid_boxes,
+    valid_detections,
 )
 
 __all__ = [
@@ -67,11 +71,35 @@ __all__ = [
 ]
 
 _HEADER_TYPES = {"frames": int, "width": float, "height": float, "embedding_dim": int}
-# The column parsers read an enum field as the index of its member.
-_CLASSES = tuple(CellClass)
-_PROVENANCES = tuple(Provenance)
-_CLASS_INDEX = {c.value: float(i) for i, c in enumerate(_CLASSES)}
-_PROVENANCE_INDEX = {p.value: float(i) for i, p in enumerate(_PROVENANCES)}
+# An enum field is read as the index of its member: by dict lookup in
+# numpy's pass, through the enum (whose error names the value) in Python's.
+_CLASSES, _PROVENANCES = tuple(CellClass), tuple(Provenance)
+_CLASS_INDEX = {c.value: i for i, c in enumerate(_CLASSES)}
+_PROVENANCE_INDEX = {p.value: i for i, p in enumerate(_PROVENANCES)}
+
+
+def _index_of(enum: type[Enum]) -> Callable[[str], int]:
+    return lambda text: tuple(enum).index(enum(text))
+
+
+def _int64(name: str) -> Callable[[str], int]:
+    """Python's ``int`` for a field that scoring holds in int64 arrays."""
+
+    def read(text: str) -> int:
+        value = int(text)
+        if not -(2**63) <= value < 2**63:
+            raise ValueError(f"{name} {value} outside the signed 64-bit range")
+        return value
+
+    return read
+
+
+_TRACK_ID, _FRAME = _int64("track id"), _int64("frame")
+# An entries record: track id, frame, box, provenance, class.
+_ENTRY = np.dtype([
+    ("track", np.int64), ("frame", np.int64), ("box", np.float64, (4,)),
+    ("provenance", np.intp), ("cls", np.intp),
+])
 
 
 @dataclass
@@ -178,62 +206,44 @@ def _write(
 
 
 def _columns(
-    lines: tuple[str, ...],
-    dtype: type,
-    usecols: list[int] | None = None,
-    converters: dict[int, Callable[[str], float]] | None = None,
+    path: str, records: list[tuple[int, str]], dtype: np.dtype, n_fields: int,
+    fast: dict[int, Callable[[str], Any]], python: dict[int, Callable[[str], Any]],
+    note: str = "",
 ) -> np.ndarray:
-    """The ``usecols`` fields (default: all) of every line as one 2-d array.
+    """The records of ``n_fields`` comma-separated fields as one array:
+    one row each of a plain ``dtype``, one element each of a structured one.
 
-    ``converters`` maps a column to the function that reads it instead of
-    numpy.  Raises ``ValueError`` on a field that cannot be read, on a line
-    short of a used column and, without ``usecols``, on lines of unequal
-    field counts.  ``lines`` must not be empty, or numpy warns.
+    numpy reads the numbers, and ``fast`` the columns it maps.  Should that
+    fail, the same ``np.loadtxt`` call runs again with Python's reader on
+    every column: ``python``'s on the columns it maps, ``float`` on the
+    rest.  If that fails too, or the first record has another field count,
+    the records are read one at a time, and the first bad one raises
+    ``ValidationError``: ``<path>:<line>: expected N fields<note>, got M``
+    or Python's message, which numpy keeps as its error's ``__cause__``.
     """
-    return np.loadtxt(
-        lines,
-        dtype=dtype,
-        delimiter=",",
-        comments=None,
-        usecols=usecols,
-        converters=converters,
-        ndmin=2,
-    )
-
-
-def _detection_columns(
-    records: list[tuple[int, str]], n_frames: int, dim: int
-) -> list[list[Detection]] | None:
-    """The records' detections grouped per frame, or ``None`` when a record
-    breaks a rule or cannot be read."""
-    linenos, lines = zip(*records)
-    try:
-        # Python's ``int`` reads the frame, as in the per-record loop; no
-        # int that rounds to a float in [0, n_frames) lies outside it.
-        values = _columns(
-            lines, np.float64, converters={0: int, 6: _CLASS_INDEX.__getitem__}
-        )
-    except ValueError:
-        return None
-    if values.shape[1] != 7 + dim:
-        return None
-    frame = values[:, 0]
-    if not ((frame >= 0) & (frame < n_frames)).all():
-        return None
-    try:
-        detections = detections_from_columns(
-            values[:, 1:5],
-            values[:, 5],
-            list(map(_CLASSES.__getitem__, values[:, 6].astype(np.intp).tolist())),
-            values[:, 7:],
-            linenos,
-        )
-    except ValidationError:
-        return None
-    frames: list[list[Detection]] = [[] for _ in range(n_frames)]
-    for f, det in zip(frame.astype(np.intp).tolist(), detections):
-        frames[f].append(det)
-    return frames
+    if not records:
+        return np.empty(0 if dtype.names else (0, n_fields), dtype)
+    lines = [line for _, line in records]
+    ndmin = 1 if dtype.names else 2
+    load = partial(np.loadtxt, dtype=dtype, delimiter=",", comments=None, ndmin=ndmin)
+    # A dict per column is built only for as many columns as a line holds.
+    error = None
+    if lines[0].count(",") + 1 == n_fields:
+        python = dict.fromkeys(range(n_fields), float) | python
+        for converters in (fast, python):
+            try:
+                return load(lines, converters=converters)
+            except ValueError as exc:
+                error = exc
+    for lineno, line in records:
+        got = line.count(",") + 1
+        try:
+            if got != n_fields:
+                raise ValueError(f"expected {n_fields} fields{note}, got {got}")
+            load([line], converters=python)
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc.__cause__ or exc}") from None
+    raise ValidationError(f"{path}: {error}")
 
 
 def load_detections(path: str) -> DetectionFile:
@@ -245,40 +255,33 @@ def load_detections(path: str) -> DetectionFile:
         raise ValidationError(f"{path}: width/height must be positive")
     if dim <= 0:
         raise ValidationError(f"{path}: embedding_dim must be positive")
-    frames = _detection_columns(records, meta.frames, dim) if records else None
-    if frames is None:
-        frames = _detection_records(path, records, meta.frames, dim)
-    return DetectionFile(meta=meta, embedding_dim=dim, frames=frames)
-
-
-def _detection_records(
-    path: str, records: list[tuple[int, str]], n_frames: int, dim: int
-) -> list[list[Detection]]:
-    """The records' detections grouped per frame, parsed one record at a
-    time; raises ``ValidationError`` naming the first bad record."""
-    frames: list[list[Detection]] = [[] for _ in range(n_frames)]
-    for lineno, line in records:
-        parts = line.split(",")
+    # Python's ``int`` reads the frame in both passes; no int that rounds to
+    # a float in [0, frames) lies outside it, and one beyond int64 is named.
+    values = _columns(
+        path, records, np.dtype(np.float64), 7 + dim,
+        {0: int, 6: _CLASS_INDEX.__getitem__}, {0: _FRAME, 6: _index_of(CellClass)},
+        f" (embedding_dim={dim})",
+    )
+    frame, boxes, conf, emb = values[:, 0], values[:, 1:5], values[:, 5], values[:, 7:]
+    classes = list(map(_CLASSES.__getitem__, values[:, 6].astype(np.intp).tolist()))
+    ok = (frame >= 0) & (frame < meta.frames) & valid_detections(boxes, conf, emb)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        lineno, line = records[i]
         try:
-            if len(parts) != 7 + dim:
-                raise ValidationError(
-                    f"expected {7 + dim} fields (embedding_dim={dim}), "
-                    f"got {len(parts)}"
-                )
-            frame = int(parts[0])
-            if not 0 <= frame < n_frames:
-                raise ValidationError(f"frame {frame} outside [0, {n_frames})")
-            det = Detection(
-                box=tuple(map(float, parts[1:5])),  # type: ignore[arg-type]
-                confidence=float(parts[5]),
-                cell_class=CellClass(parts[6]),
-                embedding=np.array(list(map(float, parts[7:]))),
-                source_id=lineno,
-            )
-        except ValueError as exc:
+            if not 0 <= frame[i] < meta.frames:
+                text = line.partition(",")[0]
+                raise ValidationError(f"frame {int(text)} outside [0, {meta.frames})")
+            Detection(tuple(boxes[i].tolist()), float(conf[i]), classes[i], emb[i])
+        except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        frames[frame].append(det)
-    return frames
+    detections = detections_from_columns(
+        boxes, conf, classes, emb, [lineno for lineno, _ in records]
+    )
+    frames: list[list[Detection]] = [[] for _ in range(meta.frames)]
+    for f, det in zip(frame.astype(np.intp).tolist(), detections):
+        frames[f].append(det)
+    return DetectionFile(meta=meta, embedding_dim=dim, frames=frames)
 
 
 def save_detections(det_file: DetectionFile, path: str) -> None:
@@ -332,60 +335,6 @@ def save_forest(forest: LineageForest, prefix: str) -> tuple[str, str]:
     return tracks_path, entries_path
 
 
-def _entry_columns(records: list[tuple[int, str]], tracks: dict[int, Track]) -> bool:
-    """Add every entries record to its track and return True, or add none
-    and return False when a record breaks a rule or cannot be read."""
-    lines = tuple(line for _, line in records)
-    try:
-        ids = _columns(lines, np.int64, [0, 1])
-        values = _columns(
-            lines,
-            np.float64,
-            [2, 3, 4, 5, 6, 7],
-            {6: _PROVENANCE_INDEX.__getitem__, 7: _CLASS_INDEX.__getitem__},
-        )
-    except ValueError:
-        return False
-    tid, frame = ids.T
-    boxes = values[:, :4]
-    by_key = np.lexsort((frame, tid))
-    repeated = (np.diff(tid[by_key]) == 0) & (np.diff(frame[by_key]) == 0)
-    declared = np.isin(tid, np.fromiter(tracks, dtype=np.int64, count=len(tracks)))
-    if repeated.any() or not (declared & valid_boxes(boxes)).all():
-        return False
-    provenances, classes = values[:, 4:].T.astype(np.intp).tolist()
-    for t, f, box, prov, cls in zip(
-        tid.tolist(), frame.tolist(), zip(*boxes.T.tolist()), provenances, classes
-    ):
-        tracks[t].entries[f] = TrackEntry.trusted(
-            box, _CLASSES[cls], _PROVENANCES[prov]
-        )
-    return True
-
-
-def _entry_records(
-    path: str, records: list[tuple[int, str]], tracks: dict[int, Track]
-) -> None:
-    """Add every entries record to its track, parsed one record at a time;
-    raises ``ValidationError`` naming the first bad record."""
-    for lineno, line in records:
-        parts = line.split(",")
-        try:
-            tid, frame = int(parts[0]), int(parts[1])
-            if tid not in tracks:
-                raise ValidationError(f"entry for undeclared track {tid}")
-            entry = TrackEntry(
-                box=tuple(map(float, parts[2:6])),  # type: ignore[arg-type]
-                provenance=Provenance(parts[6]),
-                cell_class=CellClass(parts[7]),
-            )
-            if frame in tracks[tid].entries:
-                raise ValidationError(f"duplicate entry for track {tid} frame {frame}")
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        tracks[tid].entries[frame] = entry
-
-
 def load_forest(prefix: str, strict: bool = True) -> LineageForest:
     """Load a forest from its file pair and validate structure.
 
@@ -405,10 +354,7 @@ def load_forest(prefix: str, strict: bool = True) -> LineageForest:
     for lineno, line in records:
         tid_s, start_s, end_s, parent_s, reason_s = line.split(",")
         try:
-            tid, start, end = int(tid_s), int(start_s), int(end_s)
-            # Scoring holds track ids in int64 arrays.
-            if not -(2**63) <= tid < 2**63:
-                raise ValidationError(f"track id {tid} outside the signed 64-bit range")
+            tid, start, end = _TRACK_ID(tid_s), int(start_s), int(end_s)
             if tid in tracks:
                 raise ValidationError(f"duplicate track id {tid}")
             if end < start:
@@ -420,9 +366,35 @@ def load_forest(prefix: str, strict: bool = True) -> LineageForest:
         spans[tid] = (start, end)
         tracks[tid] = Track(track_id=tid, parent=parent, end_reason=reason)
 
-    _, records = _read(entries_path, n_fields=8)
-    if not (records and _entry_columns(records, tracks)):
-        _entry_records(entries_path, records, tracks)
+    _, records = _read(entries_path)
+    values = _columns(
+        entries_path, records, _ENTRY, 8,
+        {6: _PROVENANCE_INDEX.__getitem__, 7: _CLASS_INDEX.__getitem__},
+        {0: _TRACK_ID, 1: _FRAME, 6: _index_of(Provenance), 7: _index_of(CellClass)},
+    )
+    ids, frame, boxes = values["track"], values["frame"], values["box"]
+    classes = list(map(_CLASSES.__getitem__, values["cls"].tolist()))
+    provenances = list(map(_PROVENANCES.__getitem__, values["provenance"].tolist()))
+    # The stable sort keeps file order among equal keys, so a repeated
+    # (track, frame) is rejected where it repeats.
+    key = np.lexsort((frame, ids))
+    repeated = np.zeros(len(values), dtype=bool)
+    repeated[key[1:]] = (np.diff(ids[key]) == 0) & (np.diff(frame[key]) == 0)
+    declared = np.isin(ids, np.fromiter(tracks, np.int64, len(tracks)))
+    ok = declared & valid_boxes(boxes) & ~repeated
+    if not ok.all():
+        i = int(np.argmin(ok))
+        try:
+            if not declared[i]:
+                raise ValidationError(f"entry for undeclared track {ids[i]}")
+            TrackEntry(tuple(boxes[i].tolist()), classes[i], provenances[i])
+            raise ValidationError(f"duplicate entry for track {ids[i]} frame {frame[i]}")
+        except ValidationError as exc:
+            raise ValidationError(f"{entries_path}:{records[i][0]}: {exc}") from None
+    for t, f, box, cls, prov in zip(
+        ids.tolist(), frame.tolist(), zip(*boxes.T.tolist()), classes, provenances
+    ):
+        tracks[t].entries[f] = TrackEntry.trusted(box, cls, prov)
 
     for tid, (start, end) in spans.items():
         track = tracks[tid]

@@ -70,10 +70,12 @@ INITIAL_SIZE_SPREAD = 8.0
 SIZE_WALK_SIGMA = 0.05
 DAUGHTER_OFFSET_FRAC = 0.35  # daughters' offset from the parent, in its widths
 _LARGEST_INITIAL_SIDE = INITIAL_SIZE_MEAN + INITIAL_SIZE_SPREAD
-# Input ceilings.  ``corrupt`` draws each false positive one by one, and
-# the latent geometry is calibrated at the default 32 dimensions.
+# Input ceilings.  ``corrupt`` draws each false positive one by one, the
+# latent geometry is calibrated at the default 32 dimensions, and every
+# cell present on a frame is drawn for one by one.
 MAX_FALSE_POSITIVE_RATE = 1000.0  # expected false positives per frame
 MAX_EMBEDDING_DIM = 1024
+MAX_CELLS = 20_000  # cells present on one frame
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,7 @@ class SimulationConfig:
             if value < 0:
                 raise ValidationError(f"{name} must be >= 0, got {value!r}")
         for name, ceiling in (
+            ("initial_cells", MAX_CELLS),
             ("embedding_dim", MAX_EMBEDDING_DIM),
             ("false_positive_rate", MAX_FALSE_POSITIVE_RATE),
         ):
@@ -321,6 +324,11 @@ def simulate(config: SimulationConfig) -> SimulationResult:
             # Every cell that neither divided nor died drifts in appearance.
             stepped.append(row)
             drifts.append(rng.normal(0.0, LATENT_DRIFT_SIGMA, size=dim))
+        if len(ids) + len(divided) > MAX_CELLS:
+            raise ValidationError(
+                f"frame {frame + 1} would hold {len(ids) + len(divided)} cells; "
+                f"the simulator holds at most {MAX_CELLS} (simulator.MAX_CELLS)"
+            )
 
         if stepped:
             rows = present[stepped]

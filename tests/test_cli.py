@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -582,6 +583,30 @@ class TestExitCodes:
         assert "embedding_dim must be at most 1024" in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            (["sim.initial_cells=1000000000"], "initial_cells must be at most 20000"),
+            (["sim.division_period=1", "sim.frames=40", "sim.initial_cells=10",
+              "sim.treatment_frame=39"], "frame 11 would hold 20480 cells"),
+        ],
+    )
+    def test_cells_per_frame_ceiling(self, sets, message, tmp_path):
+        # Without the ceiling the first never ends and the second runs out
+        # of memory, so the child runs under a limit and a timeout of its own.
+        limit = 3 * 2**30
+        src = Path(celltrack.cli.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "celltrack.cli", "simulate", "--out", str(tmp_path / "o"),
+             *[arg for s in sets for arg in ("--set", s)]],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert run.returncode == 2, run.stderr
+        assert message in run.stderr
+
     def test_simulator_range_rule(self, tmp_path, capsys):
         args = ["simulate", "--out", str(tmp_path / "o"),
                 "--set", "sim.width=30"]
@@ -868,6 +893,18 @@ class TestManifestFirst:
         assert str(tmp_path / "gone.txt") in manifest["inputs"]
         assert manifest["seed"] is None
         assert "embedding_dim" not in manifest["config"]["tracker"]
+
+    def test_inputs_keep_command_line_order(self, corpus_dir, tmp_path):
+        # analyze pools a group's forests in this order.
+        a, b = (str(corpus_dir / v / "gt") for v in ("video_000", "video_001"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("analysis.max_generation = 2\n")
+        for name, forests in (("ab", [a, b]), ("ba", [b, a])):
+            out = tmp_path / name
+            argv = ["analyze", *forests, "--config", str(cfg), "--out", str(out)]
+            assert main(argv) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["inputs"] == [*forests, str(cfg)]
 
     @pytest.mark.parametrize(
         "command", ["simulate", "track", "evaluate", "ablate", "analyze"]

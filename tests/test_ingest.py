@@ -407,6 +407,10 @@ _FILES = {"d.txt": DET_LINES, "f_tracks.txt": TRACK_LINES, "f_entries.txt": ENTR
         ("d.txt", 5, "0,1e200,1.0,5.0,5.0,0.9,alive,0.5,0.25", "lost to rounding"),
         ("f_entries.txt", 1, "1,0,1.0,1e200,5.0,5.0,high,alive", "lost to rounding"),
         ("f_entries.txt", 2, "1,0,1.0,1.0,5.0,5.0,low,alive", "duplicate entry"),
+        ("f_entries.txt", 1, "9223372036854775808,0,1.0,1.0,5.0,5.0,high,alive",
+         "track id 9223372036854775808 outside the signed 64-bit range"),
+        ("f_entries.txt", 1, "1,-9223372036854775809,1.0,1.0,5.0,5.0,high,alive",
+         "frame -9223372036854775809 outside the signed 64-bit range"),
     ],
 )
 def test_record_rejection_names_file_and_line(tmp_path, name, lineno, line, reason):
@@ -475,34 +479,76 @@ def _loaded(name, tmp_path):
         ("f_entries.txt", 1, "1,0,1.0,1.0,5.0,inf,high,alive", "error"),
     ],
 )
-def test_column_and_record_paths_agree(tmp_path, monkeypatch, name, lineno, line, kind):
-    for fname, lines in _FILES.items():
-        lines = list(lines)
-        if fname == name:
-            lines[lineno - 1] = line
-        (tmp_path / fname).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def test_column_and_record_paths_agree(tmp_path, name, lineno, line, kind):
+    """The number grammar: a number field loads as Python's ``int()``
+    (frame, track id) or ``float()`` reads it, whether numpy's pass or
+    Python's reads the file, and a field Python rejects names its line."""
+    def write(line):
+        for fname, lines in _FILES.items():
+            lines = list(lines)
+            if fname == name:
+                lines[lineno - 1] = line
+            (tmp_path / fname).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    write(line)
     loaded = _loaded(name, tmp_path)
     assert loaded[0] == kind, loaded
-    monkeypatch.setattr(ingest, "_detection_columns", lambda *args: None)
-    monkeypatch.setattr(ingest, "_entry_columns", lambda *args: False)
+    if kind == "error":
+        assert f"{name}:{lineno}:" in loaded[1]
+        return
+    ints, enums = ({0}, {6}) if name == "d.txt" else ({0, 1}, {6, 7})
+    write(",".join(
+        text if i in enums else str(int(text)) if i in ints else repr(float(text))
+        for i, text in enumerate(line.split(","))
+    ))
     assert _loaded(name, tmp_path) == loaded
 
 
 @pytest.mark.parametrize("name", ["d.txt", "f_tracks.txt"])
 def test_valid_records_load_by_columns(tmp_path, monkeypatch, name):
-    def per_record(*args):
-        raise AssertionError("a valid file fell back to the per-record loop")
-
+    """A valid detection file, and a valid forest's entries file, take one
+    ``np.loadtxt`` call each: numpy's pass, never Python's readers."""
     for fname, lines in _FILES.items():
         (tmp_path / fname).write_text("\n".join(lines) + "\n")
-    with monkeypatch.context() as patch:
-        patch.setattr(ingest, "_detection_columns", lambda *args: None)
-        patch.setattr(ingest, "_entry_columns", lambda *args: False)
-        by_records = _loaded(name, tmp_path)
-    assert by_records[0] == "ok"
-    monkeypatch.setattr(ingest, "_detection_records", per_record)
-    monkeypatch.setattr(ingest, "_entry_records", per_record)
-    assert _loaded(name, tmp_path) == by_records
+    loadtxt, calls = np.loadtxt, []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["converters"])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    assert _loaded(name, tmp_path)[0] == "ok"
+    assert len(calls) == 1
+    assert float not in calls[0].values()
+
+
+@pytest.mark.parametrize(
+    "name, lines, lineno, reason",
+    [
+        ("d.txt", ["4,1.0,1.0,5.0,5.0,0.9,alive,0.5,0.25",
+                   "0,1.0,1.0,-5.0,5.0,0.9,alive,0.5,0.25"], 5, "frame 4 outside [0, 4)"),
+        ("d.txt", ["0,1.0,1.0,-5.0,5.0,0.9,alive,0.5,0.25",
+                   "4,1.0,1.0,5.0,5.0,0.9,alive,0.5,0.25"], 5, "positive extent"),
+        ("d.txt", ["0,1.0,1.0,5.0,5.0,0.9,alive,0.5,0.25",
+                   "0,1.0,1.0,5.0,5.0,1.5,alive,0.5,0.25"], 6, "confidence 1.5"),
+        ("f_entries.txt", ["1,0,1.0,1.0,5.0,5.0,high,alive", "1,0,1.0,1.0,5.0,5.0,low,alive",
+                           "2,1,1.0,1.0,5.0,5.0,high,alive"], 2, "duplicate entry"),
+        ("f_entries.txt", ["1,0,1.0,1.0,5.0,5.0,high,alive", "2,1,1.0,1.0,5.0,5.0,low,alive",
+                           "1,0,1.0,1.0,5.0,5.0,high,alive"], 2, "undeclared track 2"),
+        ("f_entries.txt", ["1,1,1.0,1.0,5.0,0.0,low,alive", "1,0,1.0,1.0,5.0,5.0,high,alive",
+                           "1,1,1.0,1.0,5.0,5.0,low,alive"], 1, "positive extent"),
+    ],
+)
+def test_first_rejected_record_is_named(tmp_path, name, lines, lineno, reason):
+    """Records that break different rules: the first of them is named."""
+    files = dict(_FILES)
+    files[name] = DET_LINES[:4] + lines if name == "d.txt" else lines
+    for fname, content in files.items():
+        (tmp_path / fname).write_text("\n".join(content) + "\n")
+    kind, message = _loaded(name, tmp_path)
+    assert kind == "error"
+    assert message.startswith(f"{tmp_path / name}:{lineno}: ")
+    assert reason in message
 
 
 @pytest.mark.parametrize("name", ["d.txt", "f_tracks.txt"])

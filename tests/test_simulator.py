@@ -19,8 +19,10 @@ from celltrack import (
     simulate,
     track_video,
 )
+from celltrack import simulator
 from celltrack.cli import _simulate_one
 from celltrack.core import MAX_FRAMES
+from celltrack.simulator import MAX_CELLS
 
 
 def dets_equal(a, b) -> bool:
@@ -106,6 +108,19 @@ class TestConfigValidation:
             match=f"frames must be at most {MAX_FRAMES}, got {MAX_FRAMES + 1}",
         ):
             SimulationConfig(frames=MAX_FRAMES + 1)
+
+    def test_cell_ceiling(self, monkeypatch):
+        assert SimulationConfig(initial_cells=MAX_CELLS).initial_cells == MAX_CELLS
+        with pytest.raises(ValidationError, match=f"initial_cells must be at most {MAX_CELLS}"):
+            SimulationConfig(initial_cells=MAX_CELLS + 1)
+        # A population doubling every frame: 5, 10, 20, then 40 cells.
+        cfg = SimulationConfig(frames=4, initial_cells=5, division_period=1,
+                               treatment_frame=3)
+        monkeypatch.setattr(simulator, "MAX_CELLS", 40)
+        assert len(simulate(cfg).clean_frames[3]) == 40
+        monkeypatch.setattr(simulator, "MAX_CELLS", 39)
+        with pytest.raises(ValidationError, match="frame 3 would hold 40 cells"):
+            simulate(cfg)
 
 
 class TestGenerativeModel:
