@@ -672,17 +672,16 @@ def idf1(
 ) -> float:
     """Identity F1: optimal trajectory pairing, then detection-level F1.
 
-    Trajectories are paired one-to-one to maximize the number of frames
-    where the paired tracks overlap with ``iou >= MOT_ALPHA``; those
-    frames are the identity true positives.
+    Trajectories are paired one-to-one, per connected component of the
+    overlapping track pairs, to maximize the frames where the paired
+    tracks overlap with ``iou >= MOT_ALPHA`` (the identity true positives).
     """
     pairs = pairs or FramePairs(*_graphs(pred, gt))
-    overlap = np.zeros((pairs.gt_tracks.size, pairs.pred_tracks.size))
-    np.add.at(overlap, pairs.track_codes(pairs.eligible(MOT_ALPHA)), 1.0)
-    idtp = 0.0
-    if overlap.size:
-        ri, ci = linear_sum_assignment(overlap, maximize=True)
-        idtp = float(overlap[ri, ci].sum())
+    gt_code, pred_code = pairs.track_codes(pairs.eligible(MOT_ALPHA))
+    n_gt, n_pred = pairs.gt_tracks.size, pairs.pred_tracks.size
+    codes, counts = np.unique(gt_code * n_pred + pred_code, return_counts=True)
+    kept = _max_iou_pairs(*np.divmod(codes, n_pred), counts, n_gt, n_pred)
+    idtp = float(counts[kept].sum())
     idfn = pairs.n_rows - idtp
     idfp = pairs.n_cols - idtp
     return 2.0 * idtp / (2.0 * idtp + idfp + idfn)

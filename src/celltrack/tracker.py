@@ -21,6 +21,9 @@ the corpse but can never return to the living pool.  Lost tracks are
 re-acquired at their Kalman-predicted position, and the skipped frames
 are filled with blended predictions so tracks stay gap-free.
 
+The gate is a sort-and-sweep over x: only the detections within
+``tau_dist`` of a track in x are tested against it, and the candidate
+list is the one a full tracks x detections mask gives.
 Conflicts over detections are settled globally greedily: candidate pairs
 are consumed in order of ascending cost, ties broken by lower track id
 and then lower detection index.
@@ -174,31 +177,50 @@ def build_candidates(
     death matching, where appearance is unreliable but the cost still
     ranks candidates.  The class rule masks the spatial gate, so the
     similarity is computed only for pairs that can still be kept.
+
+    Distances are computed only inside each track's window
+    ``|cx - px| <= tau_dist`` over the x-sorted detections, widened by a
+    few ulps of ``px`` so that rounding in ``px - cx`` cannot drop a pair
+    (empty for a non-finite ``px``).  The list equals a full tracks x
+    detections mask's, in its (track, detection index) order.
     """
     if not tracks or not detections:
         return []
     pos = np.array([t.position for t in tracks])
     cen = np.array([d.centroid for d in detections])
-    dx = pos[:, 0:1] - cen[None, :, 0]
-    dy = pos[:, 1:2] - cen[None, :, 1]
-    dist = np.hypot(dx, dy)
-    near = dist <= config.tau_dist
+    order = cen[:, 0].argsort()
+    xs = cen[order, 0]
+    px, tau = pos[:, 0], config.tau_dist
+    reach = tau + 8.0 * np.spacing(np.maximum(np.abs(px), tau))
+    # Next to the largest float a bound overflows to inf, still a bound.
+    with np.errstate(over="ignore"):
+        lo = xs.searchsorted(px - reach)
+        hi = xs.searchsorted(px + reach, side="right")
+    counts = hi - lo
+    ti = np.arange(len(tracks)).repeat(counts)
+    # The k-th pair of a track's window holds sorted detection lo + k.
+    run_start = counts.cumsum() - counts
+    di = order[np.arange(ti.size) + (lo - run_start).repeat(counts)]
+    dist = np.hypot(pos[ti, 0] - cen[di, 0], pos[ti, 1] - cen[di, 1])
+    near = dist <= tau
     if gate_similarity:
         dead_t = np.array([t.last.cell_class is CellClass.DEAD for t in tracks])
         dead_d = np.array([d.cell_class is CellClass.DEAD for d in detections])
-        near &= dead_t[:, None] == dead_d[None, :]
-    ti, di = np.nonzero(near)
-    if ti.size == 0:
+        near &= dead_t[ti] == dead_d[di]
+    kept = np.flatnonzero(near)
+    if kept.size == 0:
         return []
+    kept = kept[np.lexsort((di[kept], ti[kept]))]
+    ti, di, dist = ti[kept], di[kept], dist[kept]
     emb_t = np.array([t.last.embedding for t in tracks])
     emb_d = np.array([d.embedding for d in detections])
     sim = np.abs(emb_t[ti] - emb_d[di]).sum(axis=1)
     if gate_similarity:
         keep = sim <= config.tau_sim
-        ti, di, sim = ti[keep], di[keep], sim[keep]
+        ti, di, sim, dist = ti[keep], di[keep], sim[keep], dist[keep]
         if ti.size == 0:
             return []
-    cost = pair_cost(sim, dist[ti, di], config)
+    cost = pair_cost(sim, dist, config)
     ids = [tracks[i].track.track_id for i in ti.tolist()]
     return list(zip(cost.tolist(), ids, di.tolist()))
 

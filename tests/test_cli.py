@@ -20,7 +20,21 @@ from celltrack.cli import (
     parse_scalar,
     read_config_file,
 )
-from conftest import make_chain, make_forest
+from conftest import bx, make_chain, make_forest, make_track
+
+
+def run_limited(args, limit, timeout):
+    """``celltrack`` in a child process, under an address-space limit and a
+    timeout that apply to that child only."""
+    src = Path(celltrack.cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "celltrack.cli", *args],
+        env=env, capture_output=True, text=True, timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
 
 SMALL_SIM = [
     "--set", "sim.frames=20",
@@ -287,6 +301,30 @@ class TestTrackCommand:
         for name in ("pred_tracks.txt", "pred_entries.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_twelve_thousand_cells_per_frame(self, tmp_path):
+        # A 120 x 100 grid of 20-px cells at a 40-px pitch, drifting 1 px a
+        # frame.  Gating or pairing identities through full tracks x
+        # detections arrays would need 1.07 GiB per 12000 x 12000 array.
+        cols, cells = 120, 12000
+        det = tmp_path / "grid.txt"
+        det.write_text("\n".join([
+            "#frames=3", "#width=4840.0", "#height=4040.0", "#embedding_dim=1",
+            *(f"{f},{10.0 + 40 * (k % cols) + f},{10.0 + 40 * (k // cols)},20.0,20.0,0.9,alive,0.0"
+              for f in range(3) for k in range(cells)),
+        ]) + "\n")
+        limit = int(2.5 * 2**30)
+        run = run_limited(["track", str(det), "--out", str(tmp_path / "t")], limit, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert f"{cells} tracks" in run.stdout
+        pred = str(tmp_path / "t" / "pred")
+        run = run_limited(["evaluate", pred, pred, "--out", str(tmp_path / "e")], limit, timeout=60)
+        assert run.returncode == 0, run.stderr
+        flat = json.loads((tmp_path / "e" / "metrics.json").read_text())
+        counts = {k: v for k, v in flat.items() if k.startswith("aogm_")}
+        scores = {k: v for k, v in flat.items() if k not in counts}
+        assert scores == dict.fromkeys(scores, 1.0)
+        assert counts == dict.fromkeys(counts, 0.0)
+
 
 class TestAblateCommand:
     def test_variants_over_corpus(self, corpus_dir, tmp_path, capsys):
@@ -502,7 +540,15 @@ class TestAnalyzeCommand:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         track = ["track", str(sim_dir / "detections.txt"), "--out", str(tmp_path / "t")]
         analyze = ["analyze", str(sim_dir / "gt"), "--out", str(tmp_path / "a")]
-        evaluate = ["evaluate", str(tmp_path / "t" / "pred"), str(sim_dir / "gt"),
+        # Overlap counts 1-101 3, 1-102 2, 2-101 2: both ground-truth tracks
+        # want track 101, so IDF1 needs the assignment solver.  (Clean
+        # input, where every best pair is settled, needs no scipy at all.)
+        b, far = bx(50, 50), bx(300, 300)
+        save_forest(make_forest(make_track(1, 0, [b] * 5), make_track(2, 5, [b] * 2),
+                                frames=7), str(tmp_path / "g"))
+        save_forest(make_forest(make_track(101, 0, [b] * 3 + [far] * 2 + [b] * 2),
+                                make_track(102, 3, [b] * 2), frames=7), str(tmp_path / "p"))
+        evaluate = ["evaluate", str(tmp_path / "p"), str(tmp_path / "g"),
                     "--out", str(tmp_path / "e")]
         script = (
             "import sys\n"
@@ -594,15 +640,10 @@ class TestExitCodes:
     def test_cells_per_frame_ceiling(self, sets, message, tmp_path):
         # Without the ceiling the first never ends and the second runs out
         # of memory, so the child runs under a limit and a timeout of its own.
-        limit = 3 * 2**30
-        src = Path(celltrack.cli.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-        run = subprocess.run(
-            [sys.executable, "-m", "celltrack.cli", "simulate", "--out", str(tmp_path / "o"),
+        run = run_limited(
+            ["simulate", "--out", str(tmp_path / "o"),
              *[arg for s in sets for arg in ("--set", s)]],
-            env=env, capture_output=True, text=True, timeout=60,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            limit=3 * 2**30, timeout=60,
         )
         assert run.returncode == 2, run.stderr
         assert message in run.stderr

@@ -677,6 +677,22 @@ class TestClearMetrics:
         pred = LineageForest(tracks={}, meta=gt.meta)
         assert idf1(pred, gt) == 0.0
 
+    def test_idf1_pairs_tracks_optimally(self):
+        # Overlap counts A-P 3, A-Q 2, B-P 2: each ground truth's best
+        # prediction is P, but pairing A-Q and B-P gives 4 frames, not 3.
+        far = bx(300, 300)
+        gt = make_forest(
+            make_track(1, 0, [B] * 5), make_track(2, 5, [B] * 2), frames=7
+        )
+        pred = make_forest(
+            make_track(101, 0, [B] * 3 + [far] * 2 + [B] * 2),
+            make_track(102, 3, [B] * 2),
+            frames=7,
+        )
+        # idtp 4 over 7 ground-truth and 9 predicted nodes.
+        assert idf1(pred, gt) == 8 / 16
+        assert idf1(pred, gt) == brute_idf1(pred, gt, 7)
+
     @pytest.mark.parametrize("metric", [mota, motp, idf1])
     @pytest.mark.parametrize("pred_frames", [1, 3])
     def test_frame_count_mismatch_rejected(self, metric, pred_frames):
@@ -752,9 +768,7 @@ class TestInvariances:
             assert mota(pred, gt) == pytest.approx(
                 brute_mota(pred, gt, frames), abs=1e-12
             )
-            assert idf1(pred, gt) == pytest.approx(
-                brute_idf1(pred, gt, frames), abs=1e-12
-            )
+            assert idf1(pred, gt) == brute_idf1(pred, gt, frames)
 
 
 class TestEvaluateReport:

@@ -1,10 +1,14 @@
 """Association engine: gating, conflicts, divisions, deaths, memory."""
 
 import hashlib
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from celltrack import (
     CellClass,
@@ -23,9 +27,11 @@ from celltrack import (
     simulate,
     track_video,
 )
+import celltrack.tracker
 from celltrack.cli import _ablation_configs
 from celltrack.tracker import _Runtime, build_candidates, resolve_conflicts
 from conftest import assert_detections_used_at_most_once, bx
+from oracles import dense_candidates
 
 CFG = TrackerConfig()
 
@@ -98,6 +104,145 @@ class TestBuildCandidates:
     def test_empty_inputs(self):
         assert build_candidates([], [det(0, 0)], CFG) == []
         assert build_candidates([ref(1, 0, 0)], [], CFG) == []
+
+
+FINITE = st.one_of(st.integers(-60, 160).map(float), st.floats(-60.0, 160.0))
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def gate_inputs(draw):
+    """Tracks and detections around a few shared sites.
+
+    Points sit on a site or ``tau_dist`` away from it (straight or as a
+    3-4-5 triangle), so many pairs lie exactly on the gate; a shared
+    offset moves the field to large coordinates, where the offsets round;
+    a lost track is looked for at a Kalman position that may be NaN or
+    infinite.
+    """
+    tau = draw(st.sampled_from([50.0, 12.5, 0.25]))
+    cfg = TrackerConfig(tau_dist=tau, tau_sim=draw(st.sampled_from([65.0, 2.0])))
+    offset = draw(st.sampled_from([0.0, 1e6 + 0.1, -3e9]))
+    sites = draw(st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=4))
+    steps = [(0.0, 0.0), (tau, 0.0), (-tau, 0.0), (0.6 * tau, -0.8 * tau), (-0.8 * tau, 0.6 * tau)]
+
+    def point():
+        if draw(st.booleans()):
+            x, y = draw(FINITE), draw(FINITE)
+        else:
+            (x, y), (dx, dy) = draw(st.sampled_from(sites)), draw(st.sampled_from(steps))
+            x, y = x + dx, y + dy
+        return x + offset, y
+
+    def detection():
+        return Detection(
+            bx(*point()),
+            0.9,
+            draw(st.sampled_from(CellClass)),
+            np.array(draw(st.lists(st.integers(0, 3).map(float), min_size=2, max_size=2))),
+        )
+
+    tracks = []
+    for tid in draw(st.permutations(range(1, draw(st.integers(0, 8)) + 1))):
+        rt = _Runtime(tid, 0, detection(), cfg)
+        if draw(st.booleans()):
+            rt.lost_count = 1
+            x, y = point()
+            rt.kf_mean = np.array([
+                draw(st.one_of(st.just(x), NON_FINITE)), draw(st.one_of(st.just(y), NON_FINITE)), 0.0, 0.0,
+            ])
+        tracks.append(rt)
+    dets = [detection() for _ in range(draw(st.integers(0, 12)))]
+    return tracks, dets, cfg, draw(st.booleans())
+
+
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """Check every ``build_candidates`` call the tracker makes against the
+    dense reference; records each call's track positions and gate flag."""
+    calls = []
+
+    def both(tracks, dets, config, gate_similarity=True):
+        got = build_candidates(tracks, dets, config, gate_similarity)
+        assert got == dense_candidates(tracks, dets, config, gate_similarity)
+        calls.append((np.array([t.position for t in tracks]), gate_similarity))
+        return got
+
+    monkeypatch.setattr(celltrack.tracker, "build_candidates", both)
+    return calls
+
+
+class TestGateMatchesDenseReference:
+    """The sort-and-sweep gate returns the full tracks x detections
+    mask's candidate list, element for element and in its order."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(gate_inputs())
+    def test_drawn_inputs(self, case):
+        tracks, dets, cfg, gate_similarity = case
+        assert build_candidates(tracks, dets, cfg, gate_similarity) == dense_candidates(
+            tracks, dets, cfg, gate_similarity
+        )
+
+    def test_rounding_at_the_window_edge(self):
+        # 60 - (10 - 2**-49) is 50 + 2**-49, which rounds to exactly
+        # tau_dist: the exact test keeps a pair whose true x offset is past
+        # the gate, so the window must reach below 60 - 50.
+        cx = 10.0 - 2.0**-49
+        assert Fraction(60.0) - Fraction(cx) > 50 and 60.0 - cx == 50.0
+        tracks = [_Runtime(1, 0, det(60.0, 0.0), CFG)]
+        dets = [det(cx, 0.0)]
+        assert dets[0].centroid[0] == cx
+        pairs = build_candidates(tracks, dets, CFG)
+        assert [(tid, j) for _, tid, j in pairs] == [(1, 0)]
+        assert pairs == dense_candidates(tracks, dets, CFG)
+
+    def test_exact_gate_at_large_coordinates(self):
+        px = 1e6 + 0.1
+        tracks = [_Runtime(1, 0, det(px, 0.0), CFG)]
+        edges = [px - 50.0, px + 50.0]
+        xs = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)] + edges
+        dets = [det(x, 0.0) for x in xs]
+        pairs = build_candidates(tracks, dets, CFG)
+        assert pairs == dense_candidates(tracks, dets, CFG)
+        on_gate = {j for j, d in enumerate(dets) if abs(px - d.centroid[0]) == 50.0}
+        assert on_gate and on_gate <= {j for _, _, j in pairs}
+
+    def test_non_finite_kalman_positions(self, gate_calls):
+        # A huge process noise overflows the filter of a track that keeps
+        # missing, and its predicted position turns NaN.
+        frames = [
+            [det(50 + 3 * f, 50), det(200, 200 + 2 * f, emb=(1.0,) * 4)] if f % 3 == 0 else []
+            for f in range(12)
+        ]
+        with np.errstate(all="ignore"):
+            track_video(frames, TrackerConfig(process_noise=1.7e308, memory_frames=10))
+        assert any(not np.isfinite(pos).all() for pos, _ in gate_calls)
+
+    def test_every_cell_in_one_x_band(self):
+        # The sweep's worst case: every window holds every detection.
+        rng = np.random.default_rng(5)
+        cells = [(rng.uniform(0, 20), rng.uniform(0, 4000)) for _ in range(300)]
+        tracks = [_Runtime(i + 1, 0, det(x, y), CFG) for i, (x, y) in enumerate(cells)]
+        dets = [det(x + rng.normal(0, 3), y + rng.normal(0, 3)) for x, y in cells]
+        pairs = build_candidates(tracks, dets, CFG)
+        assert len(pairs) > len(cells)
+        assert pairs == dense_candidates(tracks, dets, CFG)
+
+    def test_simulated_videos(self, gate_calls):
+        # Every call of stage 1, death matching and stage 2 on noisy videos
+        # with divisions and deaths, with and without Kalman.
+        for seed in range(3):
+            cfg = SimulationConfig(
+                frames=40, width=400.0, height=400.0, initial_cells=30,
+                division_prob=0.02, death_prob=0.05, treatment_frame=10,
+                box_jitter_sigma=2.0, drop_prob=0.1, fade_frames=6.0,
+                false_positive_rate=0.5, embedding_noise_sigma=1.0, seed=seed,
+            )
+            dets = corrupt(simulate(cfg).clean_frames, cfg)
+            for tracker_cfg in (CFG, replace(CFG, use_kalman=False)):
+                track_video(dets, tracker_cfg)
+        assert {gated for _, gated in gate_calls} == {False, True}
 
 
 class TestResolveConflicts:
