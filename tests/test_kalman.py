@@ -102,6 +102,16 @@ class TestCovarianceHealth:
 
 
 class TestBatchConsistency:
+    """A filter's row comes out of a stack bit for bit as it does alone,
+    whatever the stack's size and order: the tracker gathers and scatters
+    rows of its open-track arrays through these calls."""
+
+    def stack(self, m, seed=3):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(0, 2, (m, 4, 4))
+        covs = a @ a.transpose(0, 2, 1) + np.eye(4)
+        return rng.normal(0, 10, (m, 4)), covs, rng.normal(0, 10, (m, 2))
+
     def test_batch_matches_single(self):
         rng = np.random.default_rng(3)
         states = [
@@ -119,10 +129,34 @@ class TestBatchConsistency:
         for k, s in enumerate(states):
             sp = kf_predict(s, CFG)
             su = kf_update(sp, tuple(meas[k]), CFG)
-            assert np.allclose(pm[k], sp.mean, atol=1e-12)
-            assert np.allclose(pc[k], sp.cov, atol=1e-12)
-            assert np.allclose(um[k], su.mean, atol=1e-12)
-            assert np.allclose(uc[k], su.cov, atol=1e-12)
+            assert np.array_equal(pm[k], sp.mean)
+            assert np.array_equal(pc[k], sp.cov)
+            assert np.array_equal(um[k], su.mean)
+            assert np.array_equal(uc[k], su.cov)
+
+    def test_rows_independent_of_stack_size_and_order(self):
+        means, covs, meas = self.stack(800)
+        pm, pc = batch_predict(means, covs, CFG.process_noise)
+        um, uc = batch_update(pm, pc, meas, CFG.measurement_noise)
+        for k in range(800):
+            alone = batch_predict(means[k : k + 1], covs[k : k + 1], CFG.process_noise)
+            assert np.array_equal(alone[0][0], pm[k])
+            assert np.array_equal(alone[1][0], pc[k])
+            alone = batch_update(
+                pm[k : k + 1], pc[k : k + 1], meas[k : k + 1], CFG.measurement_noise
+            )
+            assert np.array_equal(alone[0][0], um[k])
+            assert np.array_equal(alone[1][0], uc[k])
+        for m in (1, 2, 3, 5, 8, 17, 64, 100, 255, 799):
+            got = batch_predict(means[:m], covs[:m], CFG.process_noise)
+            assert np.array_equal(got[0], pm[:m]) and np.array_equal(got[1], pc[:m])
+            got = batch_update(pm[:m], pc[:m], meas[:m], CFG.measurement_noise)
+            assert np.array_equal(got[0], um[:m]) and np.array_equal(got[1], uc[:m])
+        perm = np.random.default_rng(4).permutation(800)
+        got = batch_predict(means[perm], covs[perm], CFG.process_noise)
+        assert np.array_equal(got[0], pm[perm]) and np.array_equal(got[1], pc[perm])
+        got = batch_update(pm[perm], pc[perm], meas[perm], CFG.measurement_noise)
+        assert np.array_equal(got[0], um[perm]) and np.array_equal(got[1], uc[perm])
 
 
 class TestGapInterpolation:

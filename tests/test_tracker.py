@@ -724,8 +724,9 @@ class TestEngineContracts:
 
 class TestGoldenForests:
     """Saved forests of a small README-noise corpus under the four
-    ``ablate`` variants, pinned by digest: a refactor of the tracker
-    that changes any byte of any forest fails here."""
+    ``ablate`` variants and every swept memory, and of a division- and
+    death-heavy video, pinned by digest: a refactor of the tracker that
+    changes any byte of any forest fails here."""
 
     DIGESTS = {
         "full": "2db5d6360be4ec71c5a3ce304c29618794e9ff5f5df7d8949b062a85fc3cc409",
@@ -733,9 +734,33 @@ class TestGoldenForests:
         "no_kalman": "4e4c01fca10bcb3dada0f9f52f44fb6f838a15bfb4de532f61bcbf402f71714e",
         "neither": "34cdb7a4ccb3e0519e46875ef199a8483d1e92fba16e1f5c2e7fa4faf53ef0e9",
     }
+    SWEEP_DIGESTS = {
+        "0": "227f68e85652d5fbf0328b035132e487c741b621c46eeaea20d03e554e76276d",
+        "1": "dfbc861b538b89a26a6dd3aa41ce28338ac1060a8b65ead9b98656c6d6cccc1d",
+        "2": "34e31129c08edf1644a76636a7ac743342f1c9134982cc037bfcf39f56cb8b05",
+        "3": "98b974d42db06303ea7397980920068aba0468d47f2bdea3fbef3d44f1e32326",
+        "4": "b9049e43ab952bdb6a662f924e4f2837f0257515cadb3e775c8a50e73ec51616",
+        "5": "f9bd2116d17cb697757788588139bdbc7398158fd4715871ab791069f0754378",
+        "6": "96ed2db741182ef27bcce29cd88efb0e63f2bbb16c6f5d8068e510abcaeda433",
+        "7": "04bb9a980a3e7aace059e6f0dd405bcc1c1cb3e92986b41f023f8c24e0881a99",
+        "8": "12a1d5f4220d9642d1814dfb0a164dc659fe809b3fc32f30f737281b2a9b917a",
+        "9": "0a4d3c2f544074faf0db3bdceffbc69a4d97c586f46e99830bcc5869029e074b",
+        "10": "3da3ca436b0c9ccc894f9a6d4a7dd20bfb29a98538a5b0a352b6b57f94f83c60",
+        "11": "ef1f0ad978195329dd766459551d8e2a0ecfa60b9fcdb71c35ded6a51fc19960",
+        "12": "5e7a10ae446e72eaa9b15e8e91c6ae863ac2f9d26faca3d8e6b2edc8cba84b72",
+        "13": "93444c3e3324e9e16d662f89e53fe8180dbce054b090e256ac99084085bc6fb2",
+        "14": "3893bb50f6fd80bda71c213f0cc2f1c179129ed984be20c0d0bab6aeff7baac6",
+        "15": "c8d15dd8b04a1012684a6277f9e44ba13e87925f683edbbf01bc6c5cb9ca43ce",
+    }
+    HEAVY_DIGESTS = {
+        "three_mem0": "07521a366a622701b860887e50c6ecf1b2b831c6434b2c77ce8ac65d6ae059bd",
+        "three": "212c7759d17879f0e9d40efd431da95c837e8b87c8afe599ca870bce7c1fa257",
+        "three_no_kalman": "9a64fc1858e429714a389acb5470dc091aa427ddb6c3c3073de6af45ae48e5df",
+    }
 
-    def test_forest_bytes_unchanged(self, tmp_path):
-        videos = []
+    @pytest.fixture(scope="class")
+    def videos(self):
+        out = []
         for seed in (1, 2, 3):
             sim = SimulationConfig(
                 frames=40,
@@ -748,14 +773,60 @@ class TestGoldenForests:
                 embedding_noise_sigma=1.4,
                 seed=seed,
             )
-            videos.append(corrupt(simulate(sim).clean_frames, sim))
-        digests = {}
-        for _, name, config in _ablation_configs(TrackerConfig(), sweep=False):
-            digest = hashlib.sha256()
-            for v, frames in enumerate(videos):
-                prefix = str(tmp_path / f"{name}_{v}")
-                for path in save_forest(track_video(frames, config), prefix):
-                    with open(path, "rb") as fh:
-                        digest.update(fh.read())
-            digests[name] = digest.hexdigest()
+            out.append(corrupt(simulate(sim).clean_frames, sim))
+        return out
+
+    @staticmethod
+    def digest(videos, config, tmp_path, name):
+        digest = hashlib.sha256()
+        for v, frames in enumerate(videos):
+            prefix = str(tmp_path / f"{name}_{v}")
+            for path in save_forest(track_video(frames, config), prefix):
+                with open(path, "rb") as fh:
+                    digest.update(fh.read())
+        return digest.hexdigest()
+
+    def test_forest_bytes_unchanged(self, videos, tmp_path):
+        digests = {
+            name: self.digest(videos, config, tmp_path, name)
+            for _, name, config in _ablation_configs(TrackerConfig(), sweep=False)
+        }
         assert digests == self.DIGESTS
+
+    def test_memory_sweep_bytes_unchanged(self, videos, tmp_path):
+        # Two of the three videos keep the sweep's 16 runs each quick.
+        digests = {
+            name: self.digest(videos[:2], config, tmp_path, name)
+            for kind, name, config in _ablation_configs(TrackerConfig(), sweep=True)
+            if kind == "memory"
+        }
+        assert digests == self.SWEEP_DIGESTS
+
+    def test_division_and_death_heavy_bytes_unchanged(self, tmp_path):
+        # Frequent divisions and deaths with many false positives: the
+        # trackers below see two- and three-way divisions, dozens of
+        # deaths and, with Kalman and memory, interpolated gaps.
+        sim = SimulationConfig(
+            frames=40,
+            initial_cells=40,
+            treatment_frame=10,
+            division_prob=0.03,
+            death_prob=0.05,
+            box_jitter_sigma=2.0,
+            drop_prob=0.1,
+            false_positive_rate=2.0,
+            embedding_noise_sigma=1.4,
+            seed=5,
+        )
+        frames = corrupt(simulate(sim).clean_frames, sim)
+        three = replace(CFG, max_daughters=3)
+        configs = {
+            "three_mem0": replace(three, memory_frames=0),
+            "three": three,
+            "three_no_kalman": replace(three, use_kalman=False),
+        }
+        digests = {
+            name: self.digest([frames], config, tmp_path, name)
+            for name, config in configs.items()
+        }
+        assert digests == self.HEAVY_DIGESTS
