@@ -28,6 +28,7 @@ __all__ = [
     "kf_init",
     "kf_predict",
     "kf_update",
+    "batch_init",
     "batch_predict",
     "batch_update",
     "interpolate_gap",
@@ -48,6 +49,8 @@ _H = np.array(
         [0.0, 1.0, 0.0, 0.0],
     ]
 )
+
+_I2, _I4 = np.eye(2), np.eye(4)
 
 # Initial velocity variance: the first position pins the filter down, the
 # velocity is unknown until a second measurement arrives.
@@ -80,10 +83,19 @@ class KalmanState:
 
 def kf_init(position: Point, config: TrackerConfig) -> KalmanState:
     """Start a filter at a known position with zero assumed velocity."""
-    mean = np.array([position[0], position[1], 0.0, 0.0])
-    r = config.measurement_noise
+    means, covs = batch_init(np.array([position]), config.measurement_noise)
+    return KalmanState(mean=means[0], cov=covs[0])
+
+
+def batch_init(
+    positions: np.ndarray, measurement_noise: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Filters started at known positions (m, 2) with zero assumed velocity."""
+    means = np.zeros((len(positions), 4))
+    means[:, :2] = positions
+    r = measurement_noise
     cov = np.diag([r, r, _INIT_VELOCITY_VAR, _INIT_VELOCITY_VAR])
-    return KalmanState(mean=mean, cov=cov)
+    return means, np.repeat(cov[None], len(positions), axis=0)
 
 
 def batch_predict(
@@ -108,15 +120,13 @@ def batch_update(
 
     ``measurements`` is (m, 2) centroid positions.
     """
-    r = measurement_noise
+    noise = measurement_noise * _I2
     innovation = measurements - means[:, :2]
-    s = covs[:, :2, :2] + r * np.eye(2)
+    s = covs[:, :2, :2] + noise
     gain = covs[:, :, :2] @ np.linalg.inv(s)  # (m, 4, 2)
     means = means + (gain @ innovation[:, :, None])[:, :, 0]
-    ikh = np.eye(4) - gain @ _H
-    covs = ikh @ covs @ ikh.transpose(0, 2, 1) + gain @ (
-        r * np.eye(2)
-    ) @ gain.transpose(0, 2, 1)
+    ikh = _I4 - gain @ _H
+    covs = ikh @ covs @ ikh.transpose(0, 2, 1) + gain @ noise @ gain.transpose(0, 2, 1)
     covs = (covs + covs.transpose(0, 2, 1)) / 2.0
     return means, covs
 

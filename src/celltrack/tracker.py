@@ -38,7 +38,8 @@ exactly what its entries file will hold.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,10 +57,10 @@ from .core import (
     VideoMeta,
 )
 from .kalman import (
+    batch_init,
     batch_predict,
     batch_update,
     interpolate_gap,
-    kf_init,
 )
 
 __all__ = [
@@ -72,22 +73,26 @@ __all__ = [
 ]
 
 
+def _confidence_bands(
+    confidences: np.ndarray, config: TrackerConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the high (``conf >= tau_high``) and the low
+    (``tau_low <= conf < tau_high``) confidences; the rest are dropped."""
+    high = confidences >= config.tau_high
+    return high.nonzero()[0], (~high & (confidences >= config.tau_low)).nonzero()[0]
+
+
 def partition_by_confidence(
-    detections: list[Detection], config: TrackerConfig
+    detections: Sequence[Detection], config: TrackerConfig
 ) -> tuple[list[Detection], list[Detection]]:
     """Split detections into (high, low) by confidence.
 
     ``conf >= tau_high`` is high, ``tau_low <= conf < tau_high`` is low,
     anything below ``tau_low`` is discarded.
     """
-    high: list[Detection] = []
-    low: list[Detection] = []
-    for det in detections:
-        if det.confidence >= config.tau_high:
-            high.append(det)
-        elif det.confidence >= config.tau_low:
-            low.append(det)
-    return high, low
+    conf = np.array([d.confidence for d in detections], dtype=float)
+    high, low = _confidence_bands(conf, config)
+    return [detections[j] for j in high.tolist()], [detections[j] for j in low.tolist()]
 
 
 def pair_cost(
@@ -108,64 +113,47 @@ def pair_cost(
     )
 
 
-class _Runtime:
-    """One open track: the ``Track`` being built plus its matcher state.
+class _Pool:
+    """One side of the gate, one row per track or detection: ``pos``, the
+    position the gate measures from, ``dead``, the class, ``emb``, the
+    embedding, and for tracks ``ids``, the ids the candidates name.  The
+    tracker names a track by its row, which orders tracks as their ids
+    do."""
 
-    ``track.entries`` records what the forest keeps.  ``last``, the last
-    matched ``Detection``, supplies the position, box size, embedding and
-    class the matcher needs.  The rest is: ``lost_count``, the
-    consecutive frames without a match since ``last``, so a gap filled
-    at frame ``f`` starts at ``f - lost_count``; the Kalman filter
-    ``kf_mean``/``kf_cov``, predicted every frame; and ``anchor_mean``,
-    the filter mean at the last observation, from which gaps are
-    interpolated.  Without Kalman all three are None.
-    """
+    __slots__ = ("pos", "dead", "emb", "ids")
 
-    __slots__ = (
-        "track",
-        "last",
-        "lost_count",
-        "kf_mean",
-        "kf_cov",
-        "anchor_mean",
-    )
+    def __init__(self, pos, dead, emb, ids=None) -> None:
+        self.pos, self.dead, self.emb, self.ids = pos, dead, emb, ids
 
-    def __init__(
-        self,
-        track_id: int,
-        frame: int,
-        det: Detection,
-        config: TrackerConfig,
-        parent: int | None = None,
-    ) -> None:
-        self.track = Track(
-            track_id=track_id,
-            entries={frame: _entry_from_detection(det)},
-            parent=parent,
+    def __len__(self) -> int:
+        return len(self.pos)
+
+    def take(self, rows: np.ndarray) -> _Pool:
+        ids = None if self.ids is None else self.ids.take(rows)
+        return _Pool(
+            self.pos.take(rows, axis=0),
+            self.dead.take(rows),
+            self.emb.take(rows, axis=0),
+            ids,
         )
-        self.last = det
-        self.lost_count = 0
-        self.kf_mean = self.kf_cov = None
-        if config.use_kalman:
-            state = kf_init(det.centroid, config)
-            self.kf_mean, self.kf_cov = state.mean.copy(), state.cov.copy()
-        self.anchor_mean = self.kf_mean
 
-    @property
-    def position(self) -> Point:
-        """Where the matcher looks for the track.
 
-        The Kalman prediction while the track is lost, otherwise (and
-        always without Kalman) the last observed centroid.
-        """
-        if self.lost_count >= 1 and self.kf_mean is not None:
-            return (float(self.kf_mean[0]), float(self.kf_mean[1]))
-        return self.last.centroid
+# The columns of a detection record: box (x, y, w, h), centroid, embedding.
+_BOX, _CEN, _EMB = slice(0, 4), slice(4, 6), slice(6, None)
+
+
+def _records(dets: list[Detection], dim: int) -> np.ndarray:
+    """One record per detection; the centroid is ``core.centroid``'s."""
+    box = np.fromiter(
+        chain.from_iterable(d.box for d in dets), float, 4 * len(dets)
+    ).reshape(-1, 4)
+    emb = np.array([d.embedding for d in dets], dtype=float).reshape(len(dets), dim)
+    return np.concatenate((box, box[:, :2] + box[:, 2:] / 2.0, emb), axis=1)
 
 
 def build_candidates(
-    tracks: Sequence[_Runtime],
-    detections: Sequence[Detection],
+    tracks: _Pool,
+    detections: _Pool,
     config: TrackerConfig,
     gate_similarity: bool = True,
 ) -> list[tuple[float, int, int]]:
@@ -186,11 +174,10 @@ def build_candidates(
     """
     if not tracks or not detections:
         return []
-    pos = np.array([t.position for t in tracks])
-    cen = np.array([d.centroid for d in detections])
-    order = cen[:, 0].argsort()
-    xs = cen[order, 0]
-    px, tau = pos[:, 0], config.tau_dist
+    pos, cen = tracks.pos, detections.pos
+    px, cx = pos[:, 0], cen[:, 0]
+    order = cx.argsort()
+    xs, tau = cx.take(order), config.tau_dist
     reach = tau + 8.0 * np.spacing(np.maximum(np.abs(px), tau))
     # Next to the largest float a bound overflows to inf, still a bound.
     with np.errstate(over="ignore"):
@@ -200,29 +187,25 @@ def build_candidates(
     ti = np.arange(len(tracks)).repeat(counts)
     # The k-th pair of a track's window holds sorted detection lo + k.
     run_start = counts.cumsum() - counts
-    di = order[np.arange(ti.size) + (lo - run_start).repeat(counts)]
-    dist = np.hypot(pos[ti, 0] - cen[di, 0], pos[ti, 1] - cen[di, 1])
+    di = order.take(np.arange(ti.size) + (lo - run_start).repeat(counts))
+    delta = pos.take(ti, axis=0) - cen.take(di, axis=0)
+    dist = np.hypot(delta[:, 0], delta[:, 1])
     near = dist <= tau
     if gate_similarity:
-        dead_t = np.array([t.last.cell_class is CellClass.DEAD for t in tracks])
-        dead_d = np.array([d.cell_class is CellClass.DEAD for d in detections])
-        near &= dead_t[ti] == dead_d[di]
-    kept = np.flatnonzero(near)
+        near &= tracks.dead.take(ti) == detections.dead.take(di)
+    kept = near.nonzero()[0]
     if kept.size == 0:
         return []
-    kept = kept[np.lexsort((di[kept], ti[kept]))]
-    ti, di, dist = ti[kept], di[kept], dist[kept]
-    emb_t = np.array([t.last.embedding for t in tracks])
-    emb_d = np.array([d.embedding for d in detections])
-    sim = np.abs(emb_t[ti] - emb_d[di]).sum(axis=1)
+    kept = kept.take(np.lexsort((di.take(kept), ti.take(kept))))
+    ti, di, dist = ti.take(kept), di.take(kept), dist.take(kept)
+    sim = np.abs(tracks.emb.take(ti, axis=0) - detections.emb.take(di, axis=0)).sum(axis=1)
     if gate_similarity:
-        keep = sim <= config.tau_sim
-        ti, di, sim, dist = ti[keep], di[keep], sim[keep], dist[keep]
-        if ti.size == 0:
+        keep = (sim <= config.tau_sim).nonzero()[0]
+        if keep.size == 0:
             return []
+        ti, di, sim, dist = ti.take(keep), di.take(keep), sim.take(keep), dist.take(keep)
     cost = pair_cost(sim, dist, config)
-    ids = [tracks[i].track.track_id for i in ti.tolist()]
-    return list(zip(cost.tolist(), ids, di.tolist()))
+    return list(zip(cost.tolist(), tracks.ids.take(ti).tolist(), di.tolist()))
 
 
 def resolve_conflicts(
@@ -263,33 +246,70 @@ def _entry_from_detection(
     return TrackEntry.trusted(det.box, det.cell_class, provenance)
 
 
+class _OpenTracks:
+    """The open tracks as columns, one row per track in opening order:
+    closed rows are dropped and new ones appended, so rows ascend with
+    track ids.
+
+    ``tracks[r]`` is the ``Track`` row ``r`` builds; its entries are the
+    only record of what was observed.  ``last`` and ``dead`` are the
+    record and class of the last matched detection, and
+    ``lost`` counts the frames without a match since, so a gap filled at
+    frame ``f`` starts at ``f - lost``.  ``mean``/``cov`` is the Kalman
+    filter, predicted every frame, and ``anchor`` its mean at the last
+    observation, from which gaps are interpolated; without Kalman the
+    three are never read.
+    """
+
+    COLUMNS = ("last", "dead", "lost", "mean", "cov", "anchor")
+    __slots__ = ("tracks",) + COLUMNS
+
+    def __init__(self, dim: int) -> None:
+        self.tracks: list[Track] = []
+        self.last = np.zeros((0, 6 + dim))
+        self.dead, self.lost = np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
+        self.mean, self.cov, self.anchor = np.zeros((0, 4)), np.zeros((0, 4, 4)), np.zeros((0, 4))
+
+    def keep(self, rows: np.ndarray) -> None:
+        self.tracks = list(map(self.tracks.__getitem__, rows.tolist()))
+        for name in self.COLUMNS:
+            setattr(self, name, getattr(self, name).take(rows, axis=0))
+
+    def append(self, tracks: list[Track], **columns: np.ndarray) -> None:
+        self.tracks += tracks
+        for name in self.COLUMNS:
+            setattr(self, name, np.concatenate((getattr(self, name), columns[name])))
+
+
 class CellTracker:
     """Stateful engine; feed frames in order, then finalize."""
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
-        self._open: dict[int, _Runtime] = {}
+        self._open = _OpenTracks(0)
         # Closed tracks in closing order, which is the forest's key order.
         self._done: list[Track] = []
         self._next_id = 1
         self._next_frame = 0
         self._dim: int | None = None
-        self._pending_updates: list[_Runtime] = []
 
     # -- public API ---------------------------------------------------------
 
-    def step(self, detections: Sequence[Detection]) -> None:
+    def step(self, detections: Iterable[Detection]) -> None:
         """Track the next frame, given its detections."""
         fi = self._next_frame
-        for det in detections:
+        dets = list(detections)
+        for det in dets:
             if self._dim is None:
+                # Nothing is open before the first detection.
                 self._dim = det.embedding.size
+                self._open = _OpenTracks(self._dim)
             elif det.embedding.size != self._dim:
                 raise ValidationError(
                     f"embedding length changed from {self._dim} to "
                     f"{det.embedding.size} at frame {fi}"
                 )
-        self._process(fi, list(detections))
+        self._process(fi, dets)
         self._next_frame += 1
 
     def finalize(self, meta: VideoMeta | None = None) -> LineageForest:
@@ -298,8 +318,9 @@ class CellTracker:
         The forest carries ``meta`` with ``frames`` set to the number of
         frames fed, whatever ``meta`` declared.
         """
-        for rt in list(self._open.values()):
-            self._close(rt, EndReason.END_OF_VIDEO)
+        for track in self._open.tracks:
+            self._close(track, EndReason.END_OF_VIDEO)
+        self._open = _OpenTracks(self._dim or 0)
         forest = LineageForest(
             tracks={track.track_id: track for track in self._done},
             meta=replace(meta or VideoMeta(), frames=self._next_frame),
@@ -312,87 +333,107 @@ class CellTracker:
 
     # -- internals ----------------------------------------------------------
 
-    def _process(self, fi: int, detections: list[Detection]) -> None:
-        cfg = self.config
-        high, low = partition_by_confidence(detections, cfg)
+    def _process(self, fi: int, dets: list[Detection]) -> None:
+        cfg, op = self.config, self._open
+        rec = _records(dets, self._dim or 0)
+        frame = _Pool(
+            rec[:, _CEN],
+            np.array([d.cell_class is CellClass.DEAD for d in dets], dtype=bool),
+            rec[:, _EMB],
+        )
+        high, low = _confidence_bands(
+            np.array([d.confidence for d in dets], dtype=float), cfg
+        )
 
-        open_rts = list(self._open.values())
-        if cfg.use_kalman and open_rts:
-            self._predict_all(open_rts)
+        n = len(op.tracks)
+        if cfg.use_kalman and n:
+            op.mean, op.cov = batch_predict(op.mean, op.cov, cfg.process_noise)
+        # The matcher looks for a lost track at its Kalman prediction,
+        # otherwise (and always without Kalman) at its last centroid.
+        pos = op.last[:, _CEN]
+        if cfg.use_kalman:
+            pos = np.where(op.lost[:, None] >= 1, op.mean[:, :2], pos)
+        tracks = _Pool(pos, op.dead, op.last[:, _EMB], np.arange(n))
 
         # Stage 1: every open track vs the high-confidence detections of
         # its own class.  A corpse follows one detection; a lost living
         # track may only divide when interpolation can reconnect the
         # parent, otherwise it re-identifies a single detection.
-        caps = {
-            rt.track.track_id: (
-                cfg.max_daughters
-                if rt.last.cell_class is CellClass.ALIVE
-                and (rt.lost_count == 0 or cfg.use_kalman)
-                else 1
-            )
-            for rt in open_rts
-        }
-        assign = self._match(open_rts, high, caps)
-        claimed_high = {j for indices in assign.values() for j in indices}
+        divides = ~op.dead & ((op.lost == 0) | cfg.use_kalman)
+        caps = dict.fromkeys(divides.nonzero()[0].tolist(), cfg.max_daughters)
+        hpool = frame.take(high)
+        assign = self._match(tracks, hpool, caps)
+        claimed = np.zeros(len(high), dtype=bool)
+        claimed[list(chain.from_iterable(assign.values()))] = True
+        hit = np.zeros(n, dtype=bool)
+        hit[list(assign)] = True
 
         # Death matching: living tracks that found no living detection vs
         # dead detections nobody continues.  Spatial gate only.
-        dying = [
-            rt
-            for rt in open_rts
-            if rt.last.cell_class is CellClass.ALIVE
-            and rt.track.track_id not in assign
-        ]
-        free_dead = [
-            j
-            for j, d in enumerate(high)
-            if d.cell_class is CellClass.DEAD and j not in claimed_high
-        ]
-        assign_death = self._match(
-            dying, [high[j] for j in free_dead], 1, gate_similarity=False
-        )
-        for tid, (k,) in assign_death.items():
-            assign[tid] = [free_dead[k]]
-            claimed_high.add(free_dead[k])
-
-        for tid, indices in assign.items():
-            if len(indices) == 1:
-                self._extend(self._open[tid], fi, high[indices[0]])
-            else:
-                self._divide(self._open[tid], fi, [high[j] for j in indices])
+        free_dead = (hpool.dead & ~claimed).nonzero()[0]
+        if free_dead.size:
+            dying = (~op.dead & ~hit).nonzero()[0]
+            assign_death = self._match(
+                tracks.take(dying), hpool.take(free_dead), 1, gate_similarity=False
+            )
+            for r, (k,) in assign_death.items():
+                assign[r] = [int(free_dead[k])]
+                claimed[free_dead[k]] = True
+                hit[r] = True
 
         # Stage 2: whatever is still open and unmatched (current frame
         # misses and the whole memory bank) gets one shot at the
         # low-confidence detections of its own class.
-        missed = [rt for rt in open_rts if rt.track.track_id not in assign]
-        assign_low = self._match(missed, low, 1)
-        for tid, (j,) in assign_low.items():
-            self._extend(self._open[tid], fi, low[j], Provenance.OBSERVED_LOW)
-        self._update_matched()
+        assign_low = {}
+        if low.size:
+            assign_low = self._match(tracks.take((~hit).nonzero()[0]), frame.take(low), 1)
 
-        # Fresh tracks from high-confidence detections nobody claimed.
-        for j, det in enumerate(high):
-            if j not in claimed_high:
-                self._new_track(fi, det)
+        # Apply the matches in the order they were made: one detection
+        # continues a track, several divide it.
+        births: list[tuple[int, Track | None]] = []
+        rows, ds, split = [], [], []
+        high_at, low_at = high.tolist(), low.tolist()
+        for r, js in assign.items():
+            if len(js) == 1:
+                rows.append(r)
+                ds.append(high_at[js[0]])
+            else:
+                split.append(r)
+                self._divide(r, fi, [high_at[j] for j in js], frame, births)
+        provenance = [Provenance.OBSERVED_HIGH] * len(rows)
+        rows += assign_low
+        ds += [low_at[j] for (j,) in assign_low.values()]
+        provenance += [Provenance.OBSERVED_LOW] * len(assign_low)
+        if rows:
+            self._continue(fi, rows, ds, provenance, dets, rec, frame)
 
         # Memory aging: a track may miss up to memory_frames consecutive
         # matching attempts; one more and it is closed.
-        for rt in missed:
-            if rt.track.track_id in assign_low:
-                continue
-            rt.lost_count += 1
-            if rt.lost_count > self.config.memory_frames:
-                self._close(rt, EndReason.LOST)
+        hit[rows] = True
+        missed = ~hit
+        op.lost += missed
+        closed = (missed & (op.lost > cfg.memory_frames)).nonzero()[0].tolist()
+        for r in closed:
+            self._close(op.tracks[r], EndReason.LOST)
+        if closed or split:
+            hit[:] = True
+            hit[closed + split] = False
+            op.keep(hit.nonzero()[0])
+
+        # New tracks: daughters, then the high-confidence detections
+        # nobody claimed.
+        births += [(j, None) for j in high.take((~claimed).nonzero()[0]).tolist()]
+        if births:
+            self._open_tracks(fi, births, dets, rec, frame)
 
     def _match(
         self,
-        tracks: list[_Runtime],
-        dets: list[Detection],
+        tracks: _Pool,
+        dets: _Pool,
         caps: int | Mapping[int, int],
         gate_similarity: bool = True,
     ) -> dict[int, list[int]]:
-        """Gate + greedy-resolve a track pool against a detection list.
+        """Gate + greedy-resolve a track pool against a detection pool.
 
         Returns per-track lists of indices into ``dets``.
         """
@@ -403,96 +444,105 @@ class CellTracker:
         )
         return resolve_conflicts(pairs, caps)
 
-    def _predict_all(self, rts: list[_Runtime]) -> None:
-        means = np.array([rt.kf_mean for rt in rts])
-        covs = np.array([rt.kf_cov for rt in rts])
-        means, covs = batch_predict(means, covs, self.config.process_noise)
-        for k, rt in enumerate(rts):
-            rt.kf_mean = means[k]
-            rt.kf_cov = covs[k]
-
-    def _fill_gap(self, rt: _Runtime, fi: int, anchor: Point | None) -> None:
-        """Interpolate the frames a lost track skipped before this match."""
-        if not self.config.use_kalman:
-            return
-        rt.track.entries.update(
-            interpolate_gap(
-                rt.anchor_mean,
-                rt.last.box[2:],
-                range(fi - rt.lost_count, fi),
-                anchor_after=anchor,
-                cell_class=rt.last.cell_class,
-            )
-        )
-
-    def _extend(
+    def _continue(
         self,
-        rt: _Runtime,
         fi: int,
-        det: Detection,
-        provenance: Provenance = Provenance.OBSERVED_HIGH,
+        rows: list[int],
+        ds: list[int],
+        provenance: list[Provenance],
+        dets: list[Detection],
+        rec: np.ndarray,
+        frame: _Pool,
     ) -> None:
-        if rt.last.cell_class is CellClass.DEAD and det.cell_class is CellClass.ALIVE:
+        """Extend track row ``rows[k]`` with detection ``ds[k]``: its entry
+        (after any gap fill) per track, its state columns by row."""
+        op, cfg = self._open, self.config
+        r, d = np.array(rows), np.array(ds)
+        dead = frame.dead.take(d)
+        if (op.dead.take(r) > dead).any():
             raise AssertionError("dead track offered a living detection")
-        if rt.lost_count >= 1:
-            self._fill_gap(rt, fi, det.centroid)
-        rt.track.entries[fi] = _entry_from_detection(det, provenance)
-        rt.last = det
-        rt.lost_count = 0
-        if self.config.use_kalman:
-            self._pending_updates.append(rt)
-
-    def _update_matched(self) -> None:
-        """Fold this frame's matched centroids into their filters at once.
-
-        Deferring is safe: a track is matched at most once per frame, and
-        later stages read the filter only of tracks that went unmatched.
-        """
-        rts = self._pending_updates
-        if not rts:
-            return
-        means, covs = batch_update(
-            np.array([rt.kf_mean for rt in rts]),
-            np.array([rt.kf_cov for rt in rts]),
-            np.array([rt.last.centroid for rt in rts]),
-            self.config.measurement_noise,
-        )
-        for k, rt in enumerate(rts):
-            rt.kf_mean = rt.anchor_mean = means[k]
-            rt.kf_cov = covs[k]
-        rts.clear()
-
-    def _divide(self, rt: _Runtime, fi: int, dets: list[Detection]) -> None:
-        if rt.lost_count >= 1:
-            anchor = (
-                float(np.mean([d.centroid[0] for d in dets])),
-                float(np.mean([d.centroid[1] for d in dets])),
+        if cfg.use_kalman:
+            for k in (op.lost.take(r) >= 1).nonzero()[0].tolist():
+                self._fill_gap(rows[k], fi, dets[ds[k]].centroid)
+        tracks, trusted = op.tracks, TrackEntry.trusted
+        for row, det, prov in zip(rows, map(dets.__getitem__, ds), provenance):
+            tracks[row].entries[fi] = trusted(det.box, det.cell_class, prov)
+        op.last[r] = rec.take(d, axis=0)
+        op.dead[r] = dead
+        op.lost[r] = 0
+        # Deferring the update is safe: a track is matched at most once
+        # per frame, and later stages read only unmatched tracks' filters.
+        if cfg.use_kalman:
+            mean, op.cov[r] = batch_update(
+                op.mean.take(r, axis=0),
+                op.cov.take(r, axis=0),
+                frame.pos.take(d, axis=0),
+                cfg.measurement_noise,
             )
-            self._fill_gap(rt, fi, anchor)
-        track = rt.track
+            op.mean[r] = op.anchor[r] = mean
+
+    def _fill_gap(self, r: int, fi: int, anchor: Point) -> None:
+        """Interpolate the frames lost track row ``r`` skipped before this match."""
+        op = self._open
+        op.tracks[r].entries.update(
+            interpolate_gap(
+                op.anchor[r],
+                op.last[r, _BOX][2:].tolist(),
+                range(fi - int(op.lost[r]), fi),
+                anchor_after=anchor,
+                cell_class=CellClass.DEAD if op.dead[r] else CellClass.ALIVE,
+            )
+        )
+
+    def _divide(
+        self,
+        r: int,
+        fi: int,
+        ds: list[int],
+        frame: _Pool,
+        births: list[tuple[int, Track | None]],
+    ) -> None:
+        track = self._open.tracks[r]
+        if self.config.use_kalman and self._open.lost[r] >= 1:
+            cen = frame.pos[ds]
+            self._fill_gap(r, fi, (float(cen[:, 0].mean()), float(cen[:, 1].mean())))
         track.end_reason = EndReason.DIVISION
-        del self._open[track.track_id]
         self._done.append(track)
-        for det in dets:
-            child = self._new_track(fi, det, parent=track.track_id)
-            track.children.append(child.track.track_id)
+        births += [(j, track) for j in ds]
 
-    def _new_track(
-        self, fi: int, det: Detection, parent: int | None = None
-    ) -> _Runtime:
-        tid = self._next_id
-        self._next_id += 1
-        rt = self._open[tid] = _Runtime(tid, fi, det, self.config, parent=parent)
-        return rt
+    def _open_tracks(
+        self,
+        fi: int,
+        births: list[tuple[int, Track | None]],
+        dets: list[Detection],
+        rec: np.ndarray,
+        frame: _Pool,
+    ) -> None:
+        """Open one track per ``(detection, parent)``, ids in that order."""
+        ids = range(self._next_id, self._next_id + len(births))
+        self._next_id += len(births)
+        tracks = []
+        for tid, (j, parent) in zip(ids, births):
+            entries = {fi: _entry_from_detection(dets[j])}
+            if parent is None:
+                tracks.append(Track(track_id=tid, entries=entries))
+            else:
+                tracks.append(Track(track_id=tid, entries=entries, parent=parent.track_id))
+                parent.children.append(tid)
+        d = np.array([j for j, _ in births])
+        last = rec.take(d, axis=0)
+        mean, cov = batch_init(last[:, _CEN], self.config.measurement_noise)
+        self._open.append(
+            tracks, last=last, dead=frame.dead.take(d), lost=np.zeros(len(d), dtype=np.int64),
+            mean=mean, cov=cov, anchor=mean.copy(),
+        )
 
-    def _close(self, rt: _Runtime, reason: EndReason) -> None:
-        track = rt.track
+    def _close(self, track: Track, reason: EndReason) -> None:
         if track.death_event_frame() is not None:
             # A track that witnessed its death keeps that as its fate even
             # if the corpse is later lost.
             reason = EndReason.DEATH
         track.end_reason = reason
-        del self._open[track.track_id]
         self._done.append(track)
 
 

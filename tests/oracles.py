@@ -370,35 +370,30 @@ def brute_idf1(
 def dense_candidates(tracks, detections, config, gate_similarity=True):
     """``tracker.build_candidates`` as a full tracks x detections mask.
 
-    Every pair's distance is computed and tested; the pairs come out in
-    ``np.nonzero`` order.  The tracker's sort-and-sweep gate must return
-    exactly this list.
+    Takes the same gate pools.  Every pair's distance is computed and
+    tested; the pairs come out in ``np.nonzero`` order.  The tracker's
+    sort-and-sweep gate must return exactly this list.
     """
     if not tracks or not detections:
         return []
-    pos = np.array([t.position for t in tracks])
-    cen = np.array([d.centroid for d in detections])
+    pos, cen = tracks.pos, detections.pos
     dx = pos[:, 0:1] - cen[None, :, 0]
     dy = pos[:, 1:2] - cen[None, :, 1]
     dist = np.hypot(dx, dy)
     near = dist <= config.tau_dist
     if gate_similarity:
-        dead_t = np.array([t.last.cell_class is CellClass.DEAD for t in tracks])
-        dead_d = np.array([d.cell_class is CellClass.DEAD for d in detections])
-        near &= dead_t[:, None] == dead_d[None, :]
+        near &= tracks.dead[:, None] == detections.dead[None, :]
     ti, di = np.nonzero(near)
     if ti.size == 0:
         return []
-    emb_t = np.array([t.last.embedding for t in tracks])
-    emb_d = np.array([d.embedding for d in detections])
-    sim = np.abs(emb_t[ti] - emb_d[di]).sum(axis=1)
+    sim = np.abs(tracks.emb[ti] - detections.emb[di]).sum(axis=1)
     if gate_similarity:
         keep = sim <= config.tau_sim
         ti, di, sim = ti[keep], di[keep], sim[keep]
         if ti.size == 0:
             return []
     cost = pair_cost(sim, dist[ti, di], config)
-    ids = [tracks[i].track.track_id for i in ti.tolist()]
+    ids = tracks.ids[ti].tolist()
     return list(zip(cost.tolist(), ids, di.tolist()))
 
 

@@ -29,7 +29,7 @@ from celltrack import (
 )
 import celltrack.tracker
 from celltrack.cli import _ablation_configs
-from celltrack.tracker import _Runtime, build_candidates, resolve_conflicts
+from celltrack.tracker import _Pool, build_candidates, resolve_conflicts
 from conftest import assert_detections_used_at_most_once, bx
 from oracles import dense_candidates
 
@@ -45,8 +45,20 @@ def det(cx, cy, conf=0.9, cls=CellClass.ALIVE, emb=(0.0, 0.0, 0.0, 0.0)):
     )
 
 
+def pool(dets, ids=None, pos=None):
+    """Gate pool of ``dets``; with ``ids``, of tracks whose last matches
+    they are, looked for at their centroids or else at ``pos``."""
+    cen = np.array([d.centroid for d in dets], dtype=float).reshape(-1, 2)
+    return _Pool(
+        cen if pos is None else np.array(pos, dtype=float).reshape(-1, 2),
+        np.array([d.cell_class is CellClass.DEAD for d in dets], dtype=bool),
+        np.array([d.embedding for d in dets], dtype=float),
+        None if ids is None else np.array(ids, dtype=np.int64),
+    )
+
+
 def ref(tid, cx, cy):
-    return _Runtime(tid, 0, det(cx, cy), CFG)
+    return pool([det(cx, cy)], ids=[tid])
 
 
 def run(frames, config=CFG):
@@ -78,32 +90,32 @@ class TestPairCost:
 class TestBuildCandidates:
     def test_distance_gate(self):
         # 51 px away: outside the 50 px gate.
-        pairs = build_candidates([ref(1, 0, 0)], [det(51, 0)], CFG)
+        pairs = build_candidates(ref(1, 0, 0), pool([det(51, 0)]), CFG)
         assert pairs == []
-        pairs = build_candidates([ref(1, 0, 0)], [det(49, 0)], CFG)
+        pairs = build_candidates(ref(1, 0, 0), pool([det(49, 0)]), CFG)
         assert len(pairs) == 1
 
     def test_similarity_gate(self):
         far_emb = (20.0, 20.0, 20.0, 20.0)  # L1 = 80 > 65
-        pairs = build_candidates([ref(1, 0, 0)], [det(10, 0, emb=far_emb)], CFG)
+        pairs = build_candidates(ref(1, 0, 0), pool([det(10, 0, emb=far_emb)]), CFG)
         assert pairs == []
         pairs = build_candidates(
-            [ref(1, 0, 0)], [det(10, 0, emb=far_emb)], CFG, gate_similarity=False
+            ref(1, 0, 0), pool([det(10, 0, emb=far_emb)]), CFG, gate_similarity=False
         )
         assert len(pairs) == 1
         assert pairs[0][0] == pytest.approx(pair_cost(80.0, 10.0, CFG))
 
     def test_cost_matches_pair_cost(self):
         emb = (10.0, 0.0, 0.0, 0.0)
-        pairs = build_candidates([ref(1, 0, 0)], [det(30, 40, emb=emb)], CFG)
+        pairs = build_candidates(ref(1, 0, 0), pool([det(30, 40, emb=emb)]), CFG)
         assert len(pairs) == 1
         cost, tid, di = pairs[0]
         assert (tid, di) == (1, 0)
         assert cost == pytest.approx(pair_cost(10.0, 50.0, CFG))
 
     def test_empty_inputs(self):
-        assert build_candidates([], [det(0, 0)], CFG) == []
-        assert build_candidates([ref(1, 0, 0)], [], CFG) == []
+        assert build_candidates(pool([], ids=[]), pool([det(0, 0)]), CFG) == []
+        assert build_candidates(ref(1, 0, 0), pool([]), CFG) == []
 
 
 FINITE = st.one_of(st.integers(-60, 160).map(float), st.floats(-60.0, 160.0))
@@ -142,18 +154,18 @@ def gate_inputs(draw):
             np.array(draw(st.lists(st.integers(0, 3).map(float), min_size=2, max_size=2))),
         )
 
-    tracks = []
+    ids, lasts, pos = [], [], []
     for tid in draw(st.permutations(range(1, draw(st.integers(0, 8)) + 1))):
-        rt = _Runtime(tid, 0, detection(), cfg)
+        ids.append(tid)
+        lasts.append(detection())
+        pos.append(lasts[-1].centroid)
         if draw(st.booleans()):
-            rt.lost_count = 1
             x, y = point()
-            rt.kf_mean = np.array([
-                draw(st.one_of(st.just(x), NON_FINITE)), draw(st.one_of(st.just(y), NON_FINITE)), 0.0, 0.0,
-            ])
-        tracks.append(rt)
+            pos[-1] = (
+                draw(st.one_of(st.just(x), NON_FINITE)), draw(st.one_of(st.just(y), NON_FINITE)),
+            )
     dets = [detection() for _ in range(draw(st.integers(0, 12)))]
-    return tracks, dets, cfg, draw(st.booleans())
+    return pool(lasts, ids, pos), pool(dets), cfg, draw(st.booleans())
 
 
 @pytest.fixture
@@ -165,7 +177,7 @@ def gate_calls(monkeypatch):
     def both(tracks, dets, config, gate_similarity=True):
         got = build_candidates(tracks, dets, config, gate_similarity)
         assert got == dense_candidates(tracks, dets, config, gate_similarity)
-        calls.append((np.array([t.position for t in tracks]), gate_similarity))
+        calls.append((tracks.pos.copy(), gate_similarity))
         return got
 
     monkeypatch.setattr(celltrack.tracker, "build_candidates", both)
@@ -190,21 +202,21 @@ class TestGateMatchesDenseReference:
         # the gate, so the window must reach below 60 - 50.
         cx = 10.0 - 2.0**-49
         assert Fraction(60.0) - Fraction(cx) > 50 and 60.0 - cx == 50.0
-        tracks = [_Runtime(1, 0, det(60.0, 0.0), CFG)]
+        tracks = ref(1, 60.0, 0.0)
         dets = [det(cx, 0.0)]
         assert dets[0].centroid[0] == cx
-        pairs = build_candidates(tracks, dets, CFG)
+        pairs = build_candidates(tracks, pool(dets), CFG)
         assert [(tid, j) for _, tid, j in pairs] == [(1, 0)]
-        assert pairs == dense_candidates(tracks, dets, CFG)
+        assert pairs == dense_candidates(tracks, pool(dets), CFG)
 
     def test_exact_gate_at_large_coordinates(self):
         px = 1e6 + 0.1
-        tracks = [_Runtime(1, 0, det(px, 0.0), CFG)]
+        tracks = ref(1, px, 0.0)
         edges = [px - 50.0, px + 50.0]
         xs = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)] + edges
         dets = [det(x, 0.0) for x in xs]
-        pairs = build_candidates(tracks, dets, CFG)
-        assert pairs == dense_candidates(tracks, dets, CFG)
+        pairs = build_candidates(tracks, pool(dets), CFG)
+        assert pairs == dense_candidates(tracks, pool(dets), CFG)
         on_gate = {j for j, d in enumerate(dets) if abs(px - d.centroid[0]) == 50.0}
         assert on_gate and on_gate <= {j for _, _, j in pairs}
 
@@ -223,8 +235,8 @@ class TestGateMatchesDenseReference:
         # The sweep's worst case: every window holds every detection.
         rng = np.random.default_rng(5)
         cells = [(rng.uniform(0, 20), rng.uniform(0, 4000)) for _ in range(300)]
-        tracks = [_Runtime(i + 1, 0, det(x, y), CFG) for i, (x, y) in enumerate(cells)]
-        dets = [det(x + rng.normal(0, 3), y + rng.normal(0, 3)) for x, y in cells]
+        tracks = pool([det(x, y) for x, y in cells], ids=range(1, len(cells) + 1))
+        dets = pool([det(x + rng.normal(0, 3), y + rng.normal(0, 3)) for x, y in cells])
         pairs = build_candidates(tracks, dets, CFG)
         assert len(pairs) > len(cells)
         assert pairs == dense_candidates(tracks, dets, CFG)
@@ -697,6 +709,22 @@ class TestEngineContracts:
                     )
                 ],
             )
+
+    def test_step_takes_any_iterable(self, tmp_path):
+        # A one-shot iterator of a frame's detections is read once and
+        # tracked like the frame's list.
+        frames = [
+            [det(50 + 2 * f, 50), det(200, 200 + f, emb=(1.0,) * 4)] for f in range(3)
+        ]
+        by_list, by_iter = CellTracker(), CellTracker()
+        for frame in frames:
+            by_list.step(frame)
+            by_iter.step(iter(frame))
+        forests = by_list.finalize(), by_iter.finalize()
+        assert len(forests[1].tracks) == 2
+        assert sum(len(t.entries) for t in forests[1].tracks.values()) == 6
+        a, b = (save_forest(f, str(tmp_path / name)) for f, name in zip(forests, "ab"))
+        assert [open(p).read() for p in a] == [open(p).read() for p in b]
 
     def test_track_video_wrapper(self):
         frames = [[det(50, 50)], [det(52, 50)]]
