@@ -93,7 +93,7 @@ def batch_init(
     """Filters started at known positions (m, 2) with zero assumed velocity."""
     means = np.zeros((len(positions), 4))
     means[:, :2] = positions
-    r = measurement_noise
+    r = float(measurement_noise)  # a huge int would make an object array
     cov = np.diag([r, r, _INIT_VELOCITY_VAR, _INIT_VELOCITY_VAR])
     return means, np.repeat(cov[None], len(positions), axis=0)
 

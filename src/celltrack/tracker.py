@@ -28,11 +28,13 @@ Conflicts over detections are settled globally greedily: candidate pairs
 are consumed in order of ascending cost, ties broken by lower track id
 and then lower detection index.
 
-Each open track is the ``core.Track`` it is building, wrapped with its
-last matched ``Detection`` (the embedding the matcher compares) and the
-few values no entry records (frames lost, Kalman state); when the track
-closes, that same ``Track`` goes into the finalized forest, holding
-exactly what its entries file will hold.
+The open tracks are columns with one row per track (``_OpenTracks``):
+the last matched detection, the frames lost and the Kalman state.  Each
+row builds a ``core.Track`` whose entries are the only record of what was
+observed; when the track closes, that same ``Track`` goes into the
+finalized forest.  A frame's detections are stacked into columns once,
+each stage's pools are index arrays into them, and each stage runs as a
+few array expressions over all its rows.
 """
 
 from __future__ import annotations
@@ -130,12 +132,8 @@ class _Pool:
 
     def take(self, rows: np.ndarray) -> _Pool:
         ids = None if self.ids is None else self.ids.take(rows)
-        return _Pool(
-            self.pos.take(rows, axis=0),
-            self.dead.take(rows),
-            self.emb.take(rows, axis=0),
-            ids,
-        )
+        pos, emb = self.pos.take(rows, axis=0), self.emb.take(rows, axis=0)
+        return _Pool(pos, self.dead.take(rows), emb, ids)
 
 
 # The columns of a detection record: box (x, y, w, h), centroid, embedding.
@@ -157,7 +155,8 @@ def build_candidates(
     config: TrackerConfig,
     gate_similarity: bool = True,
 ) -> list[tuple[float, int, int]]:
-    """All ``(cost, track_id, det_index)`` pairs that survive the gates.
+    """All ``(cost, track_id, det_index)`` pairs of two gate pools that
+    survive the gates; a pair names its track by the pool's ``ids``.
 
     The spatial gate ``distance <= tau_dist`` always applies.  The
     appearance gate ``similarity <= tau_sim``, and with it the rule that
@@ -239,13 +238,6 @@ def resolve_conflicts(
     return out
 
 
-def _entry_from_detection(
-    det: Detection, provenance: Provenance = Provenance.OBSERVED_HIGH
-) -> TrackEntry:
-    # A detection's box was validated when the detection was made.
-    return TrackEntry.trusted(det.box, det.cell_class, provenance)
-
-
 class _OpenTracks:
     """The open tracks as columns, one row per track in opening order:
     closed rows are dropped and new ones appended, so rows ascend with
@@ -267,8 +259,9 @@ class _OpenTracks:
     def __init__(self, dim: int) -> None:
         self.tracks: list[Track] = []
         self.last = np.zeros((0, 6 + dim))
-        self.dead, self.lost = np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
-        self.mean, self.cov, self.anchor = np.zeros((0, 4)), np.zeros((0, 4, 4)), np.zeros((0, 4))
+        self.dead, self.lost = np.zeros(0, bool), np.zeros(0, int)
+        self.mean, self.anchor = np.zeros((0, 4)), np.zeros((0, 4))
+        self.cov = np.zeros((0, 4, 4))
 
     def keep(self, rows: np.ndarray) -> None:
         self.tracks = list(map(self.tracks.__getitem__, rows.tolist()))
@@ -336,14 +329,10 @@ class CellTracker:
     def _process(self, fi: int, dets: list[Detection]) -> None:
         cfg, op = self.config, self._open
         rec = _records(dets, self._dim or 0)
-        frame = _Pool(
-            rec[:, _CEN],
-            np.array([d.cell_class is CellClass.DEAD for d in dets], dtype=bool),
-            rec[:, _EMB],
-        )
-        high, low = _confidence_bands(
-            np.array([d.confidence for d in dets], dtype=float), cfg
-        )
+        dead = np.array([d.cell_class is CellClass.DEAD for d in dets], dtype=bool)
+        frame = _Pool(rec[:, _CEN], dead, rec[:, _EMB])
+        conf = np.array([d.confidence for d in dets], dtype=float)
+        high, low = _confidence_bands(conf, cfg)
 
         n = len(op.tracks)
         if cfg.use_kalman and n:
@@ -359,7 +348,7 @@ class CellTracker:
         # its own class.  A corpse follows one detection; a lost living
         # track may only divide when interpolation can reconnect the
         # parent, otherwise it re-identifies a single detection.
-        divides = ~op.dead & ((op.lost == 0) | cfg.use_kalman)
+        divides = ~op.dead if cfg.use_kalman else ~op.dead & (op.lost == 0)
         caps = dict.fromkeys(divides.nonzero()[0].tolist(), cfg.max_daughters)
         hpool = frame.take(high)
         assign = self._match(tracks, hpool, caps)
@@ -391,15 +380,12 @@ class CellTracker:
         # Apply the matches in the order they were made: one detection
         # continues a track, several divide it.
         births: list[tuple[int, Track | None]] = []
-        rows, ds, split = [], [], []
         high_at, low_at = high.tolist(), low.tolist()
-        for r, js in assign.items():
-            if len(js) == 1:
-                rows.append(r)
-                ds.append(high_at[js[0]])
-            else:
-                split.append(r)
-                self._divide(r, fi, [high_at[j] for j in js], frame, births)
+        split = [r for r, js in assign.items() if len(js) > 1]
+        for r in split:
+            self._divide(r, fi, [high_at[j] for j in assign[r]], frame, births)
+        rows = [r for r, js in assign.items() if len(js) == 1]
+        ds = [high_at[js[0]] for js in assign.values() if len(js) == 1]
         provenance = [Provenance.OBSERVED_HIGH] * len(rows)
         rows += assign_low
         ds += [low_at[j] for (j,) in assign_low.values()]
@@ -426,34 +412,15 @@ class CellTracker:
         if births:
             self._open_tracks(fi, births, dets, rec, frame)
 
-    def _match(
-        self,
-        tracks: _Pool,
-        dets: _Pool,
-        caps: int | Mapping[int, int],
-        gate_similarity: bool = True,
-    ) -> dict[int, list[int]]:
-        """Gate + greedy-resolve a track pool against a detection pool.
-
-        Returns per-track lists of indices into ``dets``.
-        """
+    def _match(self, tracks, dets, caps, gate_similarity=True) -> dict[int, list[int]]:
+        """Gate and greedily resolve two pools; per-track indices into ``dets``."""
         if not tracks or not dets:
             return {}
-        pairs = build_candidates(
-            tracks, dets, self.config, gate_similarity=gate_similarity
+        return resolve_conflicts(
+            build_candidates(tracks, dets, self.config, gate_similarity), caps
         )
-        return resolve_conflicts(pairs, caps)
 
-    def _continue(
-        self,
-        fi: int,
-        rows: list[int],
-        ds: list[int],
-        provenance: list[Provenance],
-        dets: list[Detection],
-        rec: np.ndarray,
-        frame: _Pool,
-    ) -> None:
+    def _continue(self, fi, rows, ds, provenance, dets, rec, frame) -> None:
         """Extend track row ``rows[k]`` with detection ``ds[k]``: its entry
         (after any gap fill) per track, its state columns by row."""
         op, cfg = self._open, self.config
@@ -464,12 +431,11 @@ class CellTracker:
         if cfg.use_kalman:
             for k in (op.lost.take(r) >= 1).nonzero()[0].tolist():
                 self._fill_gap(rows[k], fi, dets[ds[k]].centroid)
+        # A detection's box was validated when the detection was made.
         tracks, trusted = op.tracks, TrackEntry.trusted
         for row, det, prov in zip(rows, map(dets.__getitem__, ds), provenance):
             tracks[row].entries[fi] = trusted(det.box, det.cell_class, prov)
-        op.last[r] = rec.take(d, axis=0)
-        op.dead[r] = dead
-        op.lost[r] = 0
+        op.last[r], op.dead[r], op.lost[r] = rec.take(d, axis=0), dead, 0
         # Deferring the update is safe: a track is matched at most once
         # per frame, and later stages read only unmatched tracks' filters.
         if cfg.use_kalman:
@@ -494,14 +460,7 @@ class CellTracker:
             )
         )
 
-    def _divide(
-        self,
-        r: int,
-        fi: int,
-        ds: list[int],
-        frame: _Pool,
-        births: list[tuple[int, Track | None]],
-    ) -> None:
+    def _divide(self, r: int, fi: int, ds: list[int], frame: _Pool, births: list) -> None:
         track = self._open.tracks[r]
         if self.config.use_kalman and self._open.lost[r] >= 1:
             cen = frame.pos[ds]
@@ -510,31 +469,25 @@ class CellTracker:
         self._done.append(track)
         births += [(j, track) for j in ds]
 
-    def _open_tracks(
-        self,
-        fi: int,
-        births: list[tuple[int, Track | None]],
-        dets: list[Detection],
-        rec: np.ndarray,
-        frame: _Pool,
-    ) -> None:
+    def _open_tracks(self, fi, births, dets, rec, frame) -> None:
         """Open one track per ``(detection, parent)``, ids in that order."""
-        ids = range(self._next_id, self._next_id + len(births))
-        self._next_id += len(births)
         tracks = []
-        for tid, (j, parent) in zip(ids, births):
-            entries = {fi: _entry_from_detection(dets[j])}
-            if parent is None:
-                tracks.append(Track(track_id=tid, entries=entries))
-            else:
-                tracks.append(Track(track_id=tid, entries=entries, parent=parent.track_id))
-                parent.children.append(tid)
+        for j, parent in births:
+            det = dets[j]
+            entry = TrackEntry.trusted(det.box, det.cell_class, Provenance.OBSERVED_HIGH)
+            track = Track(self._next_id, {fi: entry})
+            if parent is not None:
+                track.parent = parent.track_id
+                parent.children.append(track.track_id)
+            tracks.append(track)
+            self._next_id += 1
         d = np.array([j for j, _ in births])
         last = rec.take(d, axis=0)
         mean, cov = batch_init(last[:, _CEN], self.config.measurement_noise)
+        # Appending copies each column, so mean and anchor stay apart.
         self._open.append(
-            tracks, last=last, dead=frame.dead.take(d), lost=np.zeros(len(d), dtype=np.int64),
-            mean=mean, cov=cov, anchor=mean.copy(),
+            tracks, last=last, dead=frame.dead.take(d), lost=np.zeros(len(d), int),
+            mean=mean, cov=cov, anchor=mean,
         )
 
     def _close(self, track: Track, reason: EndReason) -> None:

@@ -750,6 +750,14 @@ class TestExitCodes:
         assert main(args) == 0
         assert "internal error" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [str(2**64), "1" + "0" * 30])
+    def test_huge_integer_measurement_noise(self, value, sim_dir, tmp_path, capsys):
+        # New tracks start their filters with this variance.
+        args = ["track", str(sim_dir / "detections.txt"), "--out", str(tmp_path / "t"),
+                "--set", f"tracker.measurement_noise={value}"]
+        assert main(args) == 0
+        assert "internal error" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("item", ["sim.video_id=a\nb", "sim.dosage=1\ruM"])
     def test_line_break_in_header_text(self, item, tmp_path, capsys):
         out = tmp_path / "o"
