@@ -28,7 +28,6 @@ __all__ = [
     "kf_init",
     "kf_predict",
     "kf_update",
-    "batch_init",
     "batch_predict",
     "batch_update",
     "interpolate_gap",
@@ -83,19 +82,10 @@ class KalmanState:
 
 def kf_init(position: Point, config: TrackerConfig) -> KalmanState:
     """Start a filter at a known position with zero assumed velocity."""
-    means, covs = batch_init(np.array([position]), config.measurement_noise)
-    return KalmanState(mean=means[0], cov=covs[0])
-
-
-def batch_init(
-    positions: np.ndarray, measurement_noise: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Filters started at known positions (m, 2) with zero assumed velocity."""
-    means = np.zeros((len(positions), 4))
-    means[:, :2] = positions
-    r = float(measurement_noise)  # a huge int would make an object array
+    mean = np.array([position[0], position[1], 0.0, 0.0])
+    r = config.measurement_noise
     cov = np.diag([r, r, _INIT_VELOCITY_VAR, _INIT_VELOCITY_VAR])
-    return means, np.repeat(cov[None], len(positions), axis=0)
+    return KalmanState(mean=mean, cov=cov)
 
 
 def batch_predict(

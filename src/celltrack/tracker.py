@@ -59,10 +59,10 @@ from .core import (
     VideoMeta,
 )
 from .kalman import (
-    batch_init,
     batch_predict,
     batch_update,
     interpolate_gap,
+    kf_init,
 )
 
 __all__ = [
@@ -285,6 +285,8 @@ class CellTracker:
         self._next_id = 1
         self._next_frame = 0
         self._dim: int | None = None
+        # A new filter's covariance does not depend on where it starts.
+        self._start_cov = kf_init((0.0, 0.0), self.config).cov[None]
 
     # -- public API ---------------------------------------------------------
 
@@ -383,7 +385,13 @@ class CellTracker:
         high_at, low_at = high.tolist(), low.tolist()
         split = [r for r, js in assign.items() if len(js) > 1]
         for r in split:
-            self._divide(r, fi, [high_at[j] for j in assign[r]], frame, births)
+            track, daughters = op.tracks[r], [high_at[j] for j in assign[r]]
+            if cfg.use_kalman and op.lost[r] >= 1:
+                cen = frame.pos[daughters]
+                self._fill_gap(r, fi, (float(cen[:, 0].mean()), float(cen[:, 1].mean())))
+            track.end_reason = EndReason.DIVISION
+            self._done.append(track)
+            births += [(j, track) for j in daughters]
         rows = [r for r, js in assign.items() if len(js) == 1]
         ds = [high_at[js[0]] for js in assign.values() if len(js) == 1]
         provenance = [Provenance.OBSERVED_HIGH] * len(rows)
@@ -460,15 +468,6 @@ class CellTracker:
             )
         )
 
-    def _divide(self, r: int, fi: int, ds: list[int], frame: _Pool, births: list) -> None:
-        track = self._open.tracks[r]
-        if self.config.use_kalman and self._open.lost[r] >= 1:
-            cen = frame.pos[ds]
-            self._fill_gap(r, fi, (float(cen[:, 0].mean()), float(cen[:, 1].mean())))
-        track.end_reason = EndReason.DIVISION
-        self._done.append(track)
-        births += [(j, track) for j in ds]
-
     def _open_tracks(self, fi, births, dets, rec, frame) -> None:
         """Open one track per ``(detection, parent)``, ids in that order."""
         tracks = []
@@ -483,11 +482,12 @@ class CellTracker:
             self._next_id += 1
         d = np.array([j for j, _ in births])
         last = rec.take(d, axis=0)
-        mean, cov = batch_init(last[:, _CEN], self.config.measurement_noise)
+        mean = np.zeros((len(d), 4))
+        mean[:, :2] = last[:, _CEN]
         # Appending copies each column, so mean and anchor stay apart.
         self._open.append(
             tracks, last=last, dead=frame.dead.take(d), lost=np.zeros(len(d), int),
-            mean=mean, cov=cov, anchor=mean,
+            mean=mean, cov=self._start_cov.repeat(len(d), axis=0), anchor=mean,
         )
 
     def _close(self, track: Track, reason: EndReason) -> None:
