@@ -291,7 +291,7 @@ class CellTracker:
     # -- public API ---------------------------------------------------------
 
     def step(self, detections: Iterable[Detection]) -> None:
-        """Track the next frame, given its detections."""
+        """Track the next frame, given its detections (read once)."""
         fi = self._next_frame
         dets = list(detections)
         for det in dets:
