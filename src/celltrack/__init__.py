@@ -30,7 +30,7 @@ from .ingest import (
     save_forest,
 )
 from .kalman import KalmanState, interpolate_gap, kf_init, kf_predict, kf_update
-from .tracker import CellTracker, pair_cost, partition_by_confidence, track_video
+from .tracker import CellTracker, pair_cost, track_video
 from .metrics import (
     AOGMCounts,
     MetricReport,
@@ -83,7 +83,6 @@ __all__ = [
     "kf_update",
     "CellTracker",
     "pair_cost",
-    "partition_by_confidence",
     "track_video",
     "AOGMCounts",
     "MetricReport",

@@ -327,10 +327,9 @@ def _find_corpus(corpus_dir: str) -> list[Path]:
     if not root.is_dir():
         raise UsageError(f"corpus directory {corpus_dir} does not exist")
     if (root / "detections.txt").exists():
-        return [root]
-    videos = sorted(
-        p for p in root.iterdir() if (p / "detections.txt").exists()
-    )
+        videos = [root]
+    else:
+        videos = sorted(p for p in root.iterdir() if (p / "detections.txt").exists())
     if not videos:
         raise UsageError(f"no detections.txt under {corpus_dir}")
     for v in videos:

@@ -259,7 +259,6 @@ class TrackEntry:
     file.
 
     Interpolated entries are synthesized for frames the detector missed.
-    The centroid is always derived from the box, never stored separately.
     """
 
     box: Box
@@ -281,10 +280,6 @@ class TrackEntry:
         set_class(entry, cell_class)
         set_provenance(entry, provenance)
         return entry
-
-    @property
-    def centroid(self) -> Point:
-        return centroid(self.box)
 
 
 _DETECTION_SLOTS = _slot_setters(Detection)

@@ -25,13 +25,12 @@ Every bad header or record raises ``ValidationError`` naming
 ``<file>:<line>`` and the reason, as does text that is not UTF-8.
 Each record kind has one reader, ``_columns``: one ``np.loadtxt`` call
 reads every record, numpy parsing the numbers.  Should numpy fail, the
-same call runs again with Python's ``int``/``float`` on every number
-column, so a field reads as Python reads it; only if that fails too are
-the records read one at a time, to name the first bad one.  Each loader
-then checks every rule as one row mask, and words the first rejected
-record as its scalar check (``Detection(...)``, ``TrackEntry(...)``)
-does.  Floats are written with ``repr`` so that serialize -> load ->
-serialize is byte-stable.
+records are read one at a time with Python's ``int``/``float`` on every
+number column, so a field reads as Python reads it and the first record
+Python cannot read is named.  Each loader then checks every rule as one
+row mask, and words the first rejected record as its scalar check
+(``Detection(...)``, ``TrackEntry(...)``) does.  Floats are written with
+``repr`` so that serialize -> load -> serialize is byte-stable.
 """
 
 from __future__ import annotations
@@ -76,6 +75,9 @@ _HEADER_TYPES = {"frames": int, "width": float, "height": float, "embedding_dim"
 _CLASSES, _PROVENANCES = tuple(CellClass), tuple(Provenance)
 _CLASS_INDEX = {c.value: i for i, c in enumerate(_CLASSES)}
 _PROVENANCE_INDEX = {p.value: i for i, p in enumerate(_PROVENANCES)}
+# Written text of each enum member (and of no end reason): a dict lookup
+# skips ``.value``, a Python-level property, on every saved record.
+_TEXT = {None: ""} | {m: m.value for e in (CellClass, Provenance, EndReason) for m in e}
 
 
 def _index_of(enum: type[Enum]) -> Callable[[str], int]:
@@ -111,16 +113,13 @@ class DetectionFile:
     frames: list[list[Detection]] = field(default_factory=list)
 
 
-def _read(
-    path: str, n_fields: int | None = None
-) -> tuple[dict[str, Any], list[tuple[int, str]]]:
+def _read(path: str) -> tuple[dict[str, Any], list[tuple[int, str]]]:
     """Return a file's ``#key=value`` headers and its ``(lineno, line)`` records.
 
     Blank lines are skipped and every header must precede the first
-    record.  Numeric headers are converted.  With ``n_fields``, every
-    record must have that many comma-separated fields.  Records stay
-    unsplit until parsed: a split detection file takes several times the
-    memory of its lines.
+    record.  Numeric headers are converted.  Records stay unsplit until
+    parsed: a split detection file takes several times the memory of its
+    lines.
     """
     headers: dict[str, Any] = {}
     records: list[tuple[int, str]] = []
@@ -131,11 +130,6 @@ def _read(
                 if not line:
                     continue
                 if line[0] != "#":
-                    if n_fields is not None and line.count(",") + 1 != n_fields:
-                        raise ValidationError(
-                            f"{path}:{lineno}: expected {n_fields} fields, "
-                            f"got {line.count(',') + 1}"
-                        )
                     records.append((lineno, line))
                 elif records:
                     raise ValidationError(f"{path}:{lineno}: header after first record")
@@ -214,36 +208,33 @@ def _columns(
     one row each of a plain ``dtype``, one element each of a structured one.
 
     numpy reads the numbers, and ``fast`` the columns it maps.  Should that
-    fail, the same ``np.loadtxt`` call runs again with Python's reader on
-    every column: ``python``'s on the columns it maps, ``float`` on the
-    rest.  If that fails too, or the first record has another field count,
-    the records are read one at a time, and the first bad one raises
-    ``ValidationError``: ``<path>:<line>: expected N fields<note>, got M``
-    or Python's message, which numpy keeps as its error's ``__cause__``.
+    fail, or the first record have another field count, the records are
+    read one at a time with Python's reader on every column: ``python``'s
+    on the columns it maps, ``float`` on the rest.  The first bad record
+    raises ``ValidationError``: ``<path>:<line>: expected N fields<note>,
+    got M`` or Python's message, which numpy keeps as its error's
+    ``__cause__``.
     """
     if not records:
         return np.empty(0 if dtype.names else (0, n_fields), dtype)
-    lines = [line for _, line in records]
     ndmin = 1 if dtype.names else 2
     load = partial(np.loadtxt, dtype=dtype, delimiter=",", comments=None, ndmin=ndmin)
     # A dict per column is built only for as many columns as a line holds.
-    error = None
-    if lines[0].count(",") + 1 == n_fields:
-        python = dict.fromkeys(range(n_fields), float) | python
-        for converters in (fast, python):
-            try:
-                return load(lines, converters=converters)
-            except ValueError as exc:
-                error = exc
+    if records[0][1].count(",") + 1 == n_fields:
+        try:
+            return load([line for _, line in records], converters=fast)
+        except ValueError:
+            python = dict.fromkeys(range(n_fields), float) | python
+    rows = []
     for lineno, line in records:
         got = line.count(",") + 1
         try:
             if got != n_fields:
                 raise ValueError(f"expected {n_fields} fields{note}, got {got}")
-            load([line], converters=python)
+            rows.append(load([line], converters=python))
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc.__cause__ or exc}") from None
-    raise ValidationError(f"{path}: {error}")
+    return np.concatenate(rows)
 
 
 def load_detections(path: str) -> DetectionFile:
@@ -291,7 +282,7 @@ def save_detections(det_file: DetectionFile, path: str) -> None:
             str(frame),
             *map(repr, map(float, d.box)),
             repr(float(d.confidence)),
-            d.cell_class.value,
+            _TEXT[d.cell_class],
             *map(repr, d.embedding.tolist()),
         ))
         for frame, frame_dets in enumerate(det_file.frames)
@@ -317,7 +308,7 @@ def save_forest(forest: LineageForest, prefix: str) -> tuple[str, str]:
     for tid in sorted(forest.tracks):
         track = forest.tracks[tid]
         parent = "" if track.parent is None else str(track.parent)
-        reason = "" if track.end_reason is None else track.end_reason.value
+        reason = _TEXT[track.end_reason]
         track_lines.append(
             f"{tid},{track.start_frame},{track.last_frame},{parent},{reason}"
         )
@@ -327,8 +318,8 @@ def save_forest(forest: LineageForest, prefix: str) -> tuple[str, str]:
                 str(tid),
                 str(f),
                 *map(repr, map(float, e.box)),
-                e.provenance.value,
-                e.cell_class.value,
+                _TEXT[e.provenance],
+                _TEXT[e.cell_class],
             )))
     _write(tracks_path, forest.meta, track_lines)
     _write(entries_path, None, entry_lines)
@@ -347,13 +338,16 @@ def load_forest(prefix: str, strict: bool = True) -> LineageForest:
     if not os.path.exists(entries_path):
         raise ValidationError(f"missing entries file {entries_path}")
 
-    headers, records = _read(tracks_path, n_fields=5)
+    headers, records = _read(tracks_path)
     meta = _meta(headers, tracks_path, ("frames", "width", "height"))
     spans: dict[int, tuple[int, int]] = {}
     tracks: dict[int, Track] = {}
     for lineno, line in records:
-        tid_s, start_s, end_s, parent_s, reason_s = line.split(",")
+        fields = line.split(",")
         try:
+            if len(fields) != 5:
+                raise ValueError(f"expected 5 fields, got {len(fields)}")
+            tid_s, start_s, end_s, parent_s, reason_s = fields
             tid, start, end = _TRACK_ID(tid_s), int(start_s), int(end_s)
             if tid in tracks:
                 raise ValidationError(f"duplicate track id {tid}")

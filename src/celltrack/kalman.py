@@ -146,35 +146,31 @@ def interpolate_gap(
     mean: np.ndarray,
     size: tuple[float, float],
     gap_frames: Sequence[int],
-    anchor_after: Point | None = None,
-    cell_class: CellClass = CellClass.ALIVE,
+    anchor_after: Point,
+    cell_class: CellClass,
 ) -> dict[int, TrackEntry]:
-    """Synthesize entries for frames a track was unobserved.
+    """Synthesize ``cell_class`` entries for the frames a track was
+    unobserved, ``gap_frames`` (at least one).
 
     ``mean`` is the filter mean (cx, cy, vx, vy) at the last observed
     frame (post update), rolled forward one predict per gap frame; the
     covariance never moves the mean of a predict, so it is not needed.
-    When ``anchor_after`` gives the re-identified position on the frame
-    right after the gap, the predictions are blended linearly toward it
-    so the track rejoins the new observation without a jump.  Returned
-    boxes have ``size``, the last observed (width, height).
-
-    An empty ``gap_frames`` yields an empty dict.
+    ``anchor_after`` is the re-identified position on the frame right
+    after the gap: the predictions are blended linearly toward it so the
+    track rejoins the new observation without a jump.  Returned boxes
+    have ``size``, the last observed (width, height).
     """
-    if not gap_frames:
-        return {}
     w, h = size
     positions: list[np.ndarray] = []
     rolling = mean
     for _ in gap_frames:
         rolling = rolling @ _F.T
         positions.append(rolling[:2])
-    if anchor_after is not None:
-        rolling = rolling @ _F.T
-        residual = np.array(anchor_after) - rolling[:2]
-        k = len(gap_frames)
-        for i in range(k):
-            positions[i] = positions[i] + residual * ((i + 1) / (k + 1))
+    rolling = rolling @ _F.T
+    residual = np.array(anchor_after) - rolling[:2]
+    k = len(gap_frames)
+    for i in range(k):
+        positions[i] = positions[i] + residual * ((i + 1) / (k + 1))
     entries: dict[int, TrackEntry] = {}
     for frame, pos in zip(gap_frames, positions):
         box: Box = (float(pos[0]) - w / 2.0, float(pos[1]) - h / 2.0, w, h)

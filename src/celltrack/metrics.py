@@ -67,18 +67,6 @@ def linear_sum_assignment(cost: np.ndarray, maximize: bool = False):
     return solve(cost, maximize=maximize)
 
 
-def coo_matrix(*args, **kwargs):
-    from scipy.sparse import coo_matrix as matrix
-
-    return matrix(*args, **kwargs)
-
-
-def connected_components(graph, directed: bool = True):
-    from scipy.sparse.csgraph import connected_components as components
-
-    return components(graph, directed=directed)
-
-
 # Edge kind codes of ``TrackingGraph.kinds``.
 LINK, PARENT = 0, 1
 
@@ -314,6 +302,9 @@ def _max_iou_pairs(
     by_col = np.lexsort((rows, cols))
     col_best, col_settled = _unique_best(cols[by_col], rows[by_col], ious[by_col], n_rows)
     col_best = by_col[col_best]
+
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
 
     graph = coo_matrix(
         (np.ones(rows.size), (rows, cols + n_rows)), shape=(n_rows + n_cols,) * 2

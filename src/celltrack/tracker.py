@@ -66,7 +66,6 @@ from .kalman import (
 )
 
 __all__ = [
-    "partition_by_confidence",
     "pair_cost",
     "build_candidates",
     "resolve_conflicts",
@@ -82,19 +81,6 @@ def _confidence_bands(
     (``tau_low <= conf < tau_high``) confidences; the rest are dropped."""
     high = confidences >= config.tau_high
     return high.nonzero()[0], (~high & (confidences >= config.tau_low)).nonzero()[0]
-
-
-def partition_by_confidence(
-    detections: Sequence[Detection], config: TrackerConfig
-) -> tuple[list[Detection], list[Detection]]:
-    """Split detections into (high, low) by confidence.
-
-    ``conf >= tau_high`` is high, ``tau_low <= conf < tau_high`` is low,
-    anything below ``tau_low`` is discarded.
-    """
-    conf = np.array([d.confidence for d in detections], dtype=float)
-    high, low = _confidence_bands(conf, config)
-    return [detections[j] for j in high.tolist()], [detections[j] for j in low.tolist()]
 
 
 def pair_cost(
@@ -438,7 +424,7 @@ class CellTracker:
             raise AssertionError("dead track offered a living detection")
         if cfg.use_kalman:
             for k in (op.lost.take(r) >= 1).nonzero()[0].tolist():
-                self._fill_gap(rows[k], fi, dets[ds[k]].centroid)
+                self._fill_gap(rows[k], fi, frame.pos[ds[k]])
         # A detection's box was validated when the detection was made.
         tracks, trusted = op.tracks, TrackEntry.trusted
         for row, det, prov in zip(rows, map(dets.__getitem__, ds), provenance):
@@ -455,7 +441,7 @@ class CellTracker:
             )
             op.mean[r] = op.anchor[r] = mean
 
-    def _fill_gap(self, r: int, fi: int, anchor: Point) -> None:
+    def _fill_gap(self, r: int, fi: int, anchor: Point | np.ndarray) -> None:
         """Interpolate the frames lost track row ``r`` skipped before this match."""
         op = self._open
         op.tracks[r].entries.update(

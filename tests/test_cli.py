@@ -848,6 +848,19 @@ class TestExitCodes:
         args = ["ablate", str(empty), "--out", str(tmp_path / "o")]
         assert main(args) == 2
 
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_ablate_without_ground_truth(self, sim_dir, tmp_path, capsys, nested):
+        # A video missing its ground truth is named before anything is
+        # written, whether it is the corpus or one video inside it.
+        video = tmp_path / "corpus" / "one" if nested else tmp_path / "one"
+        video.mkdir(parents=True)
+        (video / "detections.txt").write_bytes((sim_dir / "detections.txt").read_bytes())
+        corpus = video.parent if nested else video
+        out = tmp_path / "abl"
+        assert main(["ablate", str(corpus), "--out", str(out), "--no-sweep"]) == 2
+        assert f"missing ground truth next to {video}/detections.txt" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.fixture
     def empty_gt_video(self, sim_dir, tmp_path):
         """A video directory whose ground-truth forest has no tracks."""

@@ -28,7 +28,6 @@ from celltrack import (
     corrupt,
     load_detections,
     load_forest,
-    partition_by_confidence,
     save_detections,
     save_forest,
     simulate,
@@ -36,6 +35,7 @@ from celltrack import (
 )
 from celltrack import ingest
 from celltrack.core import MAX_FRAMES, _validate_box, valid_boxes
+from celltrack.tracker import _confidence_bands
 from conftest import bx, make_forest, make_track
 
 
@@ -170,18 +170,17 @@ class TestDetectionIO:
 
 class TestConfidencePartition:
     def test_boundaries(self):
-        cfg = TrackerConfig()
-        dets = [
-            det(1, 1, conf=0.45),   # exactly tau_high -> high
-            det(2, 2, conf=0.449),  # just below -> low
-            det(3, 3, conf=0.25),   # exactly tau_low -> low
-            det(4, 4, conf=0.249),  # just below -> dropped
-            det(5, 5, conf=1.0),
-            det(6, 6, conf=0.0),
-        ]
-        high, low = partition_by_confidence(dets, cfg)
-        assert [d.confidence for d in high] == [0.45, 1.0]
-        assert [d.confidence for d in low] == [0.449, 0.25]
+        conf = np.array([
+            0.45,   # exactly tau_high -> high
+            0.449,  # just below -> low
+            0.25,   # exactly tau_low -> low
+            0.249,  # just below -> dropped
+            1.0,
+            0.0,
+        ])
+        high, low = _confidence_bands(conf, TrackerConfig())
+        assert conf[high].tolist() == [0.45, 1.0]
+        assert conf[low].tolist() == [0.449, 0.25]
 
 
 class TestForestIO:
@@ -457,6 +456,15 @@ def _loaded(name, tmp_path):
         return "error", str(exc)
 
 
+def _plain(name, line):
+    """A record of ``name`` rewritten with each number as Python reads it."""
+    ints, enums = ({0}, {6}) if name == "d.txt" else ({0, 1}, {6, 7})
+    return ",".join(
+        text if i in enums else str(int(text)) if i in ints else repr(float(text))
+        for i, text in enumerate(line.split(","))
+    )
+
+
 @pytest.mark.parametrize(
     "name, lineno, line, kind",
     [
@@ -496,11 +504,7 @@ def test_column_and_record_paths_agree(tmp_path, name, lineno, line, kind):
     if kind == "error":
         assert f"{name}:{lineno}:" in loaded[1]
         return
-    ints, enums = ({0}, {6}) if name == "d.txt" else ({0, 1}, {6, 7})
-    write(",".join(
-        text if i in enums else str(int(text)) if i in ints else repr(float(text))
-        for i, text in enumerate(line.split(","))
-    ))
+    write(_plain(name, line))
     assert _loaded(name, tmp_path) == loaded
 
 
@@ -522,6 +526,54 @@ def test_valid_records_load_by_columns(tmp_path, monkeypatch, name):
     assert float not in calls[0].values()
 
 
+# Records numpy cannot read (``1_0.0``) among padded (`` 20.0 ``) and plain
+# ones; the track table declares the entries' two tracks.
+_MIXED = {
+    "d.txt": DET_LINES[:4] + [
+        "0,1_0.0,1.0,5.0,5.0,0.9,alive,0.5,0.25",
+        "1,2.0,1.0, 20.0 ,5.0,0.8,dead,-0.5,1_5.0",
+        "1,30.0,1.0,5.0,5.0,0.3,alive,0.0,0.0",
+        "3,1.0,3_0.0,5.0,5.0,0.9,alive,0.5, 0.25 ",
+    ],
+    "f_tracks.txt": TRACK_LINES[:3] + ["1,0,2,,end_of_video", "2,1,2,,death"],
+    "f_entries.txt": [
+        "1,0,1_0.0,1.0,5.0,5.0,high,alive",
+        "1,1, 11.0 ,1.0,5.0,5.0,low,alive",
+        "2,1,30.0,1.0,5.0,5.0,high,alive",
+        "1,2,1_2.0,1.0,5.0,5.0,interp,alive",
+        "2,2,3_1.0,1.0, 5.0 ,5.0,high,dead",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["d.txt", "f_entries.txt"])
+def test_python_reads_every_record_when_numpy_cannot(tmp_path, monkeypatch, name):
+    """numpy's pass fails, so each record is read by Python's readers, and
+    the rows of both the plain and the structured array join to load field
+    for field as the plain rewrite."""
+    files = {**_FILES, **_MIXED}
+    loadtxt, calls = np.loadtxt, []
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[0]))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    results, loads = [], []
+    for rewrite in (False, True):
+        for fname, lines in files.items():
+            if rewrite and fname == name:
+                lines = [ln if ln.startswith("#") else _plain(name, ln) for ln in lines]
+            (tmp_path / fname).write_text("\n".join(lines) + "\n")
+        calls.clear()
+        results.append(_loaded(name, tmp_path))
+        loads.append(list(calls))
+    assert results[0][0] == "ok"
+    assert results[0] == results[1]
+    n = sum(not ln.startswith("#") for ln in files[name])
+    assert loads == [[n] + [1] * n, [n]]
+
+
 @pytest.mark.parametrize(
     "name, lines, lineno, reason",
     [
@@ -537,6 +589,8 @@ def test_valid_records_load_by_columns(tmp_path, monkeypatch, name):
                            "1,0,1.0,1.0,5.0,5.0,high,alive"], 2, "undeclared track 2"),
         ("f_entries.txt", ["1,1,1.0,1.0,5.0,0.0,low,alive", "1,0,1.0,1.0,5.0,5.0,high,alive",
                            "1,1,1.0,1.0,5.0,5.0,low,alive"], 1, "positive extent"),
+        ("f_tracks.txt", TRACK_LINES + ["2,0,1,,end_of_video,x"], 5,
+         "expected 5 fields, got 6"),
     ],
 )
 def test_first_rejected_record_is_named(tmp_path, name, lines, lineno, reason):

@@ -167,13 +167,13 @@ class TestGapInterpolation:
             velocity[1] * steps,
         )
 
-    def test_empty_gap(self):
-        state, _ = self.settled_state()
-        assert interpolate_gap(state.mean, (8.0, 8.0), []) == {}
-
-    def test_pure_prediction_without_anchor(self):
+    def test_anchor_on_dead_reckoned_line_gives_pure_prediction(self):
         state, last = self.settled_state(velocity=(4.0, 0.0))
-        entries = interpolate_gap(state.mean, (8.0, 6.0), [21, 22, 23])
+        cx, cy, vx, vy = state.mean.tolist()
+        anchor = (cx + 4 * vx, cy + 4 * vy)
+        entries = interpolate_gap(
+            state.mean, (8.0, 6.0), [21, 22, 23], anchor, CellClass.ALIVE
+        )
         assert sorted(entries) == [21, 22, 23]
         for i, frame in enumerate([21, 22, 23], start=1):
             e = entries[frame]
@@ -188,14 +188,14 @@ class TestGapInterpolation:
         state, last = self.settled_state(velocity=(4.0, 0.0))
         gap = [21, 22, 23]
         anchor = (last[0] + 4.0 * 4, 12.0)
-        entries = interpolate_gap(state.mean, (8.0, 8.0), gap, anchor_after=anchor)
+        entries = interpolate_gap(state.mean, (8.0, 8.0), gap, anchor, CellClass.ALIVE)
         cys = [entries[f].box[1] + entries[f].box[3] / 2.0 for f in gap]
         expected = [12.0 * (i / 4.0) for i in (1, 2, 3)]
         assert cys == pytest.approx(expected, abs=0.2)
 
     def test_cell_class_propagates(self):
-        state, _ = self.settled_state()
+        state, last = self.settled_state()
         entries = interpolate_gap(
-            state.mean, (8.0, 8.0), [21], cell_class=CellClass.DEAD
+            state.mean, (8.0, 8.0), [21], anchor_after=last, cell_class=CellClass.DEAD
         )
         assert entries[21].cell_class is CellClass.DEAD
