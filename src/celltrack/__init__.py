@@ -29,7 +29,7 @@ from .ingest import (
     save_detections,
     save_forest,
 )
-from .kalman import KalmanState, interpolate_gap, kf_init, kf_predict, kf_update
+from .kalman import interpolate_gap
 from .tracker import CellTracker, pair_cost, track_video
 from .metrics import (
     AOGMCounts,
@@ -76,11 +76,7 @@ __all__ = [
     "load_forest",
     "save_detections",
     "save_forest",
-    "KalmanState",
     "interpolate_gap",
-    "kf_init",
-    "kf_predict",
-    "kf_update",
     "CellTracker",
     "pair_cost",
     "track_video",

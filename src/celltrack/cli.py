@@ -28,7 +28,7 @@ import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby
 from pathlib import Path
 from typing import NamedTuple
 
@@ -231,6 +231,15 @@ def _simulate_one(sim_cfg: SimulationConfig, dir_str: str) -> str:
     return dir_str
 
 
+def _map_jobs(fn, jobs: list[tuple], workers: int) -> list:
+    """``fn(*job)`` for each job, in order; in a pool of ``workers``
+    processes when both ``workers`` and the job count exceed 1."""
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *zip(*jobs)))
+    return [fn(*job) for job in jobs]
+
+
 def cmd_simulate(args) -> int:
     configs = build_configs(args.config, args.set)
     if args.seed is not None:
@@ -246,12 +255,7 @@ def cmd_simulate(args) -> int:
             (replace(sim_cfg, seed=sim_cfg.seed + i, video_id=name), str(out / name))
             for i, name in enumerate(names)
         ]
-    if args.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            list(pool.map(_simulate_one, *zip(*jobs)))
-    else:
-        for cfg, d in jobs:
-            _simulate_one(cfg, d)
+    _map_jobs(_simulate_one, jobs, args.workers)
     print(f"simulated {len(jobs)} video(s) -> {out}")
     return EXIT_OK
 
@@ -368,11 +372,8 @@ def cmd_ablate(args) -> int:
         args, configs, [str(v) for v in videos], extra={"sweep_memory": sweep}
     )
     variants = _ablation_configs(configs.tracker, args.sweep)
-    if args.workers > 1 and len(videos) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_ablate_job, videos, repeat(variants)))
-    else:
-        results = [_ablate_job(v, variants) for v in videos]
+    jobs = [(video, variants) for video in videos]
+    results = _map_jobs(_ablate_job, jobs, args.workers)
     # (kind, label, video) is unique, so the scores never decide the order.
     rows = sorted(chain.from_iterable(results))
     with open(out / "ablation.csv", "w", encoding="utf-8") as fh:
@@ -411,7 +412,6 @@ def cmd_ablate(args) -> int:
 def cmd_analyze(args) -> int:
     configs = build_configs(args.config, args.set)
     filt = configs.analysis
-    seed = args.seed if args.seed is not None else 0
     out = write_manifest(
         args, configs, args.forests, args.seed, {"sample_size": args.sample_size}
     )
@@ -437,7 +437,7 @@ def cmd_analyze(args) -> int:
         ("interdivision.csv", write_interdivision_csv,
          lambda fs: summarize_durations(interdivision_records(fs, filt))),
         ("division_profiles.csv", write_profiles_csv,
-         lambda fs: sample_profiles(eligible_profiles(fs), args.sample_size, seed)),
+         lambda fs: sample_profiles(eligible_profiles(fs), args.sample_size, args.seed)),
     )
     for name, write, analyze in tables:
         write(out / name, [(label, analyze(groups[label])) for label in sorted(groups)])
@@ -523,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("forests", nargs="+", help="forest file prefixes")
     p.add_argument("--sample-size", type=positive_int, default=300)
     p.add_argument(
-        "--seed", type=non_negative_int, default=None, help="profile sampling seed"
+        "--seed", type=non_negative_int, default=0, help="profile sampling seed"
     )
     p.set_defaults(func=cmd_analyze)
 

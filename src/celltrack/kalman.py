@@ -1,15 +1,17 @@
-"""Constant-velocity Kalman filter on box centroids.
+"""Constant-velocity Kalman filter on box centroids, for stacks of filters.
 
 State vector is (cx, cy, vx, vy) with unit frame spacing.  Process noise
 acts on the velocity components only; measurements are centroid
-positions.  The tracker uses the filter for two things: predicting where
-a lost track should be while it sits in the memory bank, and filling the
-skipped frames once such a track is re-identified.
+positions.  A stack of ``m`` filters is a means array (m, 4) and a
+covariances array (m, 4, 4), one row per filter; the tracker keeps one
+row per open track and predicts and updates its rows together.  The
+filter serves two things: predicting where a lost track should be while
+it sits in the memory bank, and filling the skipped frames once such a
+track is re-identified.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,14 +22,10 @@ from .core import (
     Point,
     Provenance,
     TrackEntry,
-    TrackerConfig,
 )
 
 __all__ = [
-    "KalmanState",
-    "kf_init",
-    "kf_predict",
-    "kf_update",
+    "start_cov",
     "batch_predict",
     "batch_update",
     "interpolate_gap",
@@ -56,36 +54,10 @@ _I2, _I4 = np.eye(2), np.eye(4)
 _INIT_VELOCITY_VAR = 1000.0
 
 
-@dataclass(frozen=True)
-class KalmanState:
-    """Filter state: mean (4,) and covariance (4, 4)."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float).reshape(4)
-        cov = np.asarray(self.cov, dtype=float).reshape(4, 4)
-        mean.flags.writeable = False
-        cov.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def position(self) -> Point:
-        return (float(self.mean[0]), float(self.mean[1]))
-
-    @property
-    def velocity(self) -> Point:
-        return (float(self.mean[2]), float(self.mean[3]))
-
-
-def kf_init(position: Point, config: TrackerConfig) -> KalmanState:
-    """Start a filter at a known position with zero assumed velocity."""
-    mean = np.array([position[0], position[1], 0.0, 0.0])
-    r = config.measurement_noise
-    cov = np.diag([r, r, _INIT_VELOCITY_VAR, _INIT_VELOCITY_VAR])
-    return KalmanState(mean=mean, cov=cov)
+def start_cov(measurement_noise: float) -> np.ndarray:
+    """Covariance (4, 4) of a new filter, wherever it starts."""
+    r = float(measurement_noise)  # a huge int would make an object array
+    return np.diag([r, r, _INIT_VELOCITY_VAR, _INIT_VELOCITY_VAR])
 
 
 def batch_predict(
@@ -119,27 +91,6 @@ def batch_update(
     covs = ikh @ covs @ ikh.transpose(0, 2, 1) + gain @ noise @ gain.transpose(0, 2, 1)
     covs = (covs + covs.transpose(0, 2, 1)) / 2.0
     return means, covs
-
-
-def kf_predict(state: KalmanState, config: TrackerConfig) -> KalmanState:
-    """Advance one frame: positions drift by velocity, uncertainty grows."""
-    means, covs = batch_predict(
-        state.mean[None, :], state.cov[None, :, :], config.process_noise
-    )
-    return KalmanState(mean=means[0], cov=covs[0])
-
-
-def kf_update(
-    state: KalmanState, measurement: Point, config: TrackerConfig
-) -> KalmanState:
-    """Fold in a measured centroid."""
-    means, covs = batch_update(
-        state.mean[None, :],
-        state.cov[None, :, :],
-        np.array([[measurement[0], measurement[1]]]),
-        config.measurement_noise,
-    )
-    return KalmanState(mean=means[0], cov=covs[0])
 
 
 def interpolate_gap(

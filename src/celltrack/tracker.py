@@ -62,7 +62,7 @@ from .kalman import (
     batch_predict,
     batch_update,
     interpolate_gap,
-    kf_init,
+    start_cov,
 )
 
 __all__ = [
@@ -271,8 +271,7 @@ class CellTracker:
         self._next_id = 1
         self._next_frame = 0
         self._dim: int | None = None
-        # A new filter's covariance does not depend on where it starts.
-        self._start_cov = kf_init((0.0, 0.0), self.config).cov[None]
+        self._start_cov = start_cov(self.config.measurement_noise)[None]
 
     # -- public API ---------------------------------------------------------
 

@@ -42,7 +42,7 @@ from celltrack import (
     track_video,
 )
 from celltrack.analysis import interdivision_records
-from celltrack.kalman import kf_init, kf_predict, kf_update
+from celltrack.kalman import batch_predict, batch_update, start_cov
 from celltrack.metrics import DEFAULT_ALPHAS, UndefinedMetricError, aogm_penalty
 from celltrack.tracker import pair_cost
 from conftest import assert_detections_used_at_most_once, bx, make_forest, make_track
@@ -346,33 +346,34 @@ def _assert_healthy_cov(cov: np.ndarray) -> None:
 
 
 def test_criterion_5_kalman():
+    # One filter as the tracker runs it: a (1, 4) / (1, 4, 4) stack.
     with criterion(5, "filter converges; covariance stays symmetric PSD"):
         cfg = TrackerConfig()
-        state = kf_init((0.0, 0.0), cfg)
+        mean, cov = np.zeros((1, 4)), start_cov(cfg.measurement_noise)[None]
         err = math.inf
         for i in range(1, 11):
-            state = kf_predict(state, cfg)
-            state = kf_update(state, (3.0 * i, -2.0 * i), cfg)
-            err = math.hypot(
-                state.mean[0] - 3.0 * i, state.mean[1] + 2.0 * i
+            mean, cov = batch_predict(mean, cov, cfg.process_noise)
+            mean, cov = batch_update(
+                mean, cov, np.array([[3.0 * i, -2.0 * i]]), cfg.measurement_noise
             )
+            err = math.hypot(mean[0, 0] - 3.0 * i, mean[0, 1] + 2.0 * i)
         assert err < 1e-3
 
         rng = np.random.default_rng(55)
         for _ in range(1000):
-            noisy_cfg = TrackerConfig(
-                process_noise=float(10 ** rng.uniform(-2, 1)),
-                measurement_noise=float(10 ** rng.uniform(-2, 1)),
-            )
-            state = kf_init(tuple(rng.uniform(-100, 100, 2)), noisy_cfg)
+            q = float(10 ** rng.uniform(-2, 1))
+            r = float(10 ** rng.uniform(-2, 1))
+            mean = np.zeros((1, 4))
+            mean[0, :2] = rng.uniform(-100, 100, 2)
+            cov = start_cov(r)[None]
             for _ in range(int(rng.integers(3, 12))):
-                state = kf_predict(state, noisy_cfg)
-                _assert_healthy_cov(state.cov)
+                mean, cov = batch_predict(mean, cov, q)
+                _assert_healthy_cov(cov[0])
                 if rng.random() < 0.8:
-                    state = kf_update(
-                        state, tuple(rng.uniform(-200, 200, 2)), noisy_cfg
+                    mean, cov = batch_update(
+                        mean, cov, rng.uniform(-200, 200, (1, 2)), r
                     )
-                    _assert_healthy_cov(state.cov)
+                    _assert_healthy_cov(cov[0])
 
 
 # ---------------------------------------------------------------------------

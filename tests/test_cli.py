@@ -259,6 +259,19 @@ class TestSimulateCommand:
                 sim_dir / name
             ).read_bytes()
 
+    def test_workers_do_not_change_corpus(self, corpus_dir, tmp_path):
+        out = tmp_path / "pooled"
+        args = ["simulate", "--out", str(out), "--count", "2", "--seed", "5",
+                "--workers", "2"]
+        assert main(args + SMALL_SIM + NOISY) == 0
+        for name in ("video_000", "video_001"):
+            files = sorted(p.name for p in (corpus_dir / name).iterdir())
+            assert sorted(p.name for p in (out / name).iterdir()) == files
+            for f in files:
+                assert (out / name / f).read_bytes() == (
+                    corpus_dir / name / f
+                ).read_bytes()
+
 
 class TestTrackCommand:
     def test_track_and_evaluate_roundtrip(self, sim_dir, tmp_path, capsys):
@@ -967,6 +980,19 @@ class TestManifestFirst:
             assert main(argv) == 0
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["inputs"] == [*forests, str(cfg)]
+
+    def test_analyze_records_its_default_seed(self, sim_dir, tmp_path):
+        # Without --seed, analyze samples profiles with seed 0 and says so.
+        gt = str(sim_dir / "gt")
+        tables = {}
+        for name, flags in (("default", []), ("zero", ["--seed", "0"])):
+            out = tmp_path / name
+            argv = ["analyze", gt, "--sample-size", "5", *flags, "--out", str(out)]
+            assert main(argv) == 0
+            assert json.loads((out / "manifest.json").read_text())["seed"] == 0
+            tables[name] = {f.name: f.read_bytes() for f in out.glob("*.csv")}
+        assert len(tables["default"]) == 5
+        assert tables["default"] == tables["zero"]
 
     @pytest.mark.parametrize(
         "command", ["simulate", "track", "evaluate", "ablate", "analyze"]
