@@ -273,13 +273,15 @@ def _unique_best(
 
 def _max_iou_pairs(
     rows: np.ndarray, cols: np.ndarray, ious: np.ndarray, n_rows: int, n_cols: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """One-to-one matching maximizing total IoU over the given eligible pairs.
 
     ``rows``/``cols`` index ground-truth and predicted nodes (possibly of
     many frames at once, since frames share no nodes); the pairs come
     sorted by row, then column.  Returns the indices of the matched
-    pairs in that order.
+    pairs in that order, and the connected-component label of each node
+    (ground-truth nodes, then predicted ones), or None when every row was
+    settled and no labels were needed.
 
     The eligible bipartite graph is split into connected components and
     each is solved as the Hungarian algorithm (scipy's
@@ -291,14 +293,16 @@ def _max_iou_pairs(
     pair, with no floating-point work, so those pairs are its answer;
     this settles 1x1 components and nearly every component of clean
     input in a few array passes.  The remaining components go to the
-    solver one at a time.
+    solver one at a time.  Every step reads one component's pairs only,
+    so the answer over a union of components is the union of their
+    answers.
     """
     if rows.size == 0:
-        return np.zeros(0, dtype=np.intp)
+        return np.zeros(0, dtype=np.intp), None
     row_best, row_settled = _unique_best(rows, cols, ious, n_cols)
     if row_settled.all():
         # Row bests are distinct, so no component has more rows than columns.
-        return row_best
+        return row_best, None
     by_col = np.lexsort((rows, cols))
     col_best, col_settled = _unique_best(cols[by_col], rows[by_col], ious[by_col], n_rows)
     col_best = by_col[col_best]
@@ -340,7 +344,7 @@ def _max_iou_pairs(
         # A cell outside the eligible pairs holds 0 < alpha: not a match.
         chosen = pair_at[ri, ci]
         keep.append(chosen[chosen >= 0])
-    return np.sort(np.concatenate(keep))
+    return np.sort(np.concatenate(keep)), label
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +371,14 @@ class FramePairs:
 
     The pairs with IoU >= ``DEFAULT_ALPHAS[0]`` (HOTA, MOTA, MOTP, IDF1)
     are ``rows``/``cols``/``ious`` in (frame, gt, pred) order, and map to
-    dense track codes (indices into the sorted track ids).  Each
-    threshold's matching is computed once and shared.
+    dense track codes (indices into the sorted track ids).
+
+    Each threshold's matching is computed once.  ``matches`` starts from
+    the largest threshold solved below ``alpha`` and re-solves only the
+    components that lost a pair since, as labelled by the chain's first
+    solve.  Components only split as ``alpha`` rises, and
+    ``_max_iou_pairs`` answers each from its own pairs, so the result
+    equals a from-scratch matching at every ``alpha``.
     """
 
     def __init__(self, gt: TrackingGraph, pred: TrackingGraph) -> None:
@@ -404,21 +414,49 @@ class FramePairs:
         self.rows, self.cols, self.ious = g[kept], p[kept], ious[kept]
         self.gt_tracks, self.gt_track = np.unique(gt.ids, return_inverse=True)
         self.pred_tracks, self.pred_track = np.unique(pred.ids, return_inverse=True)
-        self._matches: dict[float, np.ndarray] = {}
+        # alpha -> (matched pairs, node component labels from the solve the
+        # chain started at, or None when that solve settled every row)
+        self._matches: dict[float, tuple[np.ndarray, np.ndarray | None]] = {}
 
     def eligible(self, alpha: float) -> np.ndarray:
         """Indices of the pairs with ``iou >= alpha``."""
         return np.flatnonzero(self.ious >= alpha)
 
     def matches(self, alpha: float) -> np.ndarray:
-        """Indices of the pairs matched at ``alpha``, in (frame, gt index) order."""
+        """Indices of the pairs matched at ``alpha``, in (frame, gt index) order.
+        An unchanged matching is the previous threshold's array itself."""
         if alpha not in self._matches:
-            idx = self.eligible(alpha)
-            kept = _max_iou_pairs(
-                self.rows[idx], self.cols[idx], self.ious[idx], self.n_rows, self.n_cols
-            )
-            self._matches[alpha] = idx[kept]
-        return self._matches[alpha]
+            below = [a for a in self._matches if a < alpha]
+            if below:
+                self._matches[alpha] = self._carry(max(below), alpha)
+            else:
+                self._matches[alpha] = self._solve(self.eligible(alpha))
+        return self._matches[alpha][0]
+
+    def _solve(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        kept, label = _max_iou_pairs(
+            self.rows[idx], self.cols[idx], self.ious[idx], self.n_rows, self.n_cols
+        )
+        return idx[kept], label
+
+    def _carry(
+        self, prev: float, alpha: float
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The matching at ``alpha`` from the one at ``prev`` < ``alpha``."""
+        kept, label = self._matches[prev]
+        if label is None:
+            # Every row was settled: each keeps its best pair or loses all.
+            still = self.ious[kept] >= alpha
+            return (kept if still.all() else kept[still]), None
+        lost = (self.ious >= prev) & (self.ious < alpha)
+        if not lost.any():
+            return kept, label
+        dirty = np.zeros(label.size, dtype=bool)
+        dirty[label[self.rows[lost]]] = True
+        idx = self.eligible(alpha)
+        redo, _ = self._solve(idx[dirty[label[self.rows[idx]]]])
+        clean = kept[~dirty[label[self.rows[kept]]]]
+        return np.sort(np.concatenate([clean, redo])), label
 
     def track_codes(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(gt, pred) track codes of the pairs ``idx``."""
@@ -588,24 +626,28 @@ def hota(
     h_list: list[float] = []
     d_list: list[float] = []
     a_list: list[float] = []
+    last = None
     for alpha in DEFAULT_ALPHAS:
         kept = pairs.matches(alpha)
-        tp = int(kept.size)
-        det_a = tp / (gt_total + pred_total - tp) if gt_total + pred_total else 0.0
-        if tp == 0:
-            ass_a = 0.0
-        else:
-            g, p = pairs.track_codes(kept)
-            keys, first, counts = np.unique(
-                g * n_pred_tracks + p, return_index=True, return_counts=True
-            )
-            # Sum (gt, pred) terms left to right in first-match order, so the
-            # rounding is that of a running per-pair count.
-            order = np.argsort(first)
-            g, p = np.divmod(keys[order], n_pred_tracks)
-            c = counts[order]
-            terms = c * (c / (gt_sizes[g] + pred_sizes[p] - c))
-            ass_a = float(np.add.accumulate(terms)[-1]) / tp
+        # The previous threshold's matching, as the same array, keeps its scores.
+        if kept is not last:
+            last = kept
+            tp = int(kept.size)
+            det_a = tp / (gt_total + pred_total - tp) if gt_total + pred_total else 0.0
+            if tp == 0:
+                ass_a = 0.0
+            else:
+                g, p = pairs.track_codes(kept)
+                keys, first, counts = np.unique(
+                    g * n_pred_tracks + p, return_index=True, return_counts=True
+                )
+                # Sum (gt, pred) terms left to right in first-match order, so
+                # the rounding is that of a running per-pair count.
+                order = np.argsort(first)
+                g, p = np.divmod(keys[order], n_pred_tracks)
+                c = counts[order]
+                terms = c * (c / (gt_sizes[g] + pred_sizes[p] - c))
+                ass_a = float(np.add.accumulate(terms)[-1]) / tp
         h_list.append(math.sqrt(det_a * ass_a))
         d_list.append(det_a)
         a_list.append(ass_a)
@@ -671,7 +713,7 @@ def idf1(
     gt_code, pred_code = pairs.track_codes(pairs.eligible(MOT_ALPHA))
     n_gt, n_pred = pairs.gt_tracks.size, pairs.pred_tracks.size
     codes, counts = np.unique(gt_code * n_pred + pred_code, return_counts=True)
-    kept = _max_iou_pairs(*np.divmod(codes, n_pred), counts, n_gt, n_pred)
+    kept, _ = _max_iou_pairs(*np.divmod(codes, n_pred), counts, n_gt, n_pred)
     idtp = float(counts[kept].sum())
     idfn = pairs.n_rows - idtp
     idfp = pairs.n_cols - idtp

@@ -553,14 +553,17 @@ class TestAnalyzeCommand:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         track = ["track", str(sim_dir / "detections.txt"), "--out", str(tmp_path / "t")]
         analyze = ["analyze", str(sim_dir / "gt"), "--out", str(tmp_path / "a")]
-        # Overlap counts 1-101 3, 1-102 2, 2-101 2: both ground-truth tracks
-        # want track 101, so IDF1 needs the assignment solver.  (Clean
-        # input, where every best pair is settled, needs no scipy at all.)
+        # A forest scored against itself settles every best pair at every
+        # threshold, so it needs no scipy.  Overlap counts 1-101 3, 1-102 2,
+        # 2-101 2: both ground-truth tracks want track 101, so IDF1 needs
+        # the assignment solver.
         b, far = bx(50, 50), bx(300, 300)
         save_forest(make_forest(make_track(1, 0, [b] * 5), make_track(2, 5, [b] * 2),
                                 frames=7), str(tmp_path / "g"))
         save_forest(make_forest(make_track(101, 0, [b] * 3 + [far] * 2 + [b] * 2),
                                 make_track(102, 3, [b] * 2), frames=7), str(tmp_path / "p"))
+        clean = ["evaluate", str(sim_dir / "gt"), str(sim_dir / "gt"),
+                 "--out", str(tmp_path / "c")]
         evaluate = ["evaluate", str(tmp_path / "p"), str(tmp_path / "g"),
                     "--out", str(tmp_path / "e")]
         script = (
@@ -570,6 +573,8 @@ class TestAnalyzeCommand:
             f"assert main({track!r}) == 0\n"
             f"assert main({analyze!r}) == 0\n"
             "assert 'scipy' not in sys.modules, 'track or analyze imported scipy'\n"
+            f"assert main({clean!r}) == 0\n"
+            "assert 'scipy' not in sys.modules, 'clean evaluate imported scipy'\n"
             f"assert main({evaluate!r}) == 0\n"
             "assert 'scipy' in sys.modules\n"
         )

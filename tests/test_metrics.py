@@ -40,6 +40,7 @@ from celltrack.metrics import (
     FramePairs,
     TrackingGraph,
     UndefinedMetricError,
+    _max_iou_pairs,
     aogm_counts,
     aogm_penalty,
     iou_matrix,
@@ -962,3 +963,74 @@ class TestGoldenScores:
             digest.update(repr(values).encode())
         assert motps[-1] == 0.0 and min(motps[:-1]) > 0.5
         assert digest.hexdigest() == self.DIGEST
+
+
+def fresh_solve(
+    pairs: FramePairs, alpha: float
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The pairs matched at ``alpha`` by one solve over all its eligible pairs,
+    and that solve's component labels (None when it settled every row)."""
+    idx = pairs.eligible(alpha)
+    kept, label = _max_iou_pairs(
+        pairs.rows[idx], pairs.cols[idx], pairs.ious[idx], pairs.n_rows, pairs.n_cols
+    )
+    return idx[kept], label
+
+
+def assert_sweep_exact(gt: TrackingGraph, pred: TrackingGraph) -> bool:
+    """Thresholds asked up the grid, and down it then off it, each on a fresh
+    pass, match as a from-scratch solve does.  Returns whether the lowest
+    threshold left a row unsettled, so that components were re-solved."""
+    for order in (DEFAULT_ALPHAS, (*DEFAULT_ALPHAS[::-1], 0.33)):
+        pairs = FramePairs(gt, pred)
+        for alpha in order:
+            want, _ = fresh_solve(pairs, alpha)
+            assert pairs.matches(alpha).tolist() == want.tolist(), (alpha, order[0])
+    return fresh_solve(pairs, DEFAULT_ALPHAS[0])[1] is not None
+
+
+class TestThresholdSweep:
+    """``FramePairs.matches`` carries each threshold's matching to the next,
+    re-solving only the components that lost a pair; every threshold's
+    index array equals a from-scratch solve."""
+
+    def test_golden_score_cases(self):
+        unsettled = [
+            assert_sweep_exact(build_graph(gt), build_graph(pred))
+            for pred, gt in TestGoldenScores.cases()
+        ]
+        assert sum(unsettled) >= 5
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(40)
+        unsettled = 0
+        for _ in range(300):
+            gt, pred, _ = random_instance(rng)
+            unsettled += assert_sweep_exact(build_graph(gt), build_graph(pred))
+        assert unsettled >= 5
+
+    def test_exact_tie_grids(self):
+        # The draws of test_exact_ties_resolve_as_per_component_solver.
+        rng = np.random.default_rng(20)
+        unsettled = 0
+        for _ in range(150):
+            n_gt, n_pred = rng.integers(1, 8, size=2)
+            gt, pred = (
+                np.column_stack(
+                    [rng.integers(0, 12, size=(n, 2)), rng.choice([4, 6, 8], size=(n, 2))]
+                ).astype(float)
+                for n in (n_gt, n_pred)
+            )
+            unsettled += assert_sweep_exact(
+                node_graph(1, np.zeros(n_gt), gt), node_graph(1, np.zeros(n_pred), pred)
+            )
+        assert unsettled > 50
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(videos())
+    def test_generated_videos(self, video):
+        def graph(side):
+            frames = [f for f, boxes in enumerate(side) for _ in boxes]
+            return node_graph(len(video), frames, [b for boxes in side for b in boxes])
+
+        assert_sweep_exact(graph([g for g, _ in video]), graph([p for _, p in video]))
