@@ -117,6 +117,109 @@ def valid_boxes(boxes: np.ndarray) -> np.ndarray:
         )
 
 
+def run_slots(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every slot of the runs ``lo[i] <= slot < hi[i]`` as (run, slot)
+    pairs, run by run; a run with ``hi <= lo`` has none."""
+    counts = np.maximum(hi - lo, 0)
+    run = np.arange(counts.size).repeat(counts)
+    # The k-th pair of run i holds slot lo[i] + k.
+    start = counts.cumsum() - counts
+    return run, np.arange(run.size) + (lo - start).repeat(counts)
+
+
+def _search(ordered: np.ndarray, needles: np.ndarray, side: str = "left") -> np.ndarray:
+    """``ordered.searchsorted(needles, side)``, searching the needles in
+    ascending order: several times faster than in random order."""
+    by = needles.argsort()
+    found = np.empty(needles.size, dtype=np.intp)
+    found[by] = ordered.searchsorted(needles.take(by), side)
+    return found
+
+
+def _positions(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` sorted, and where each one lands there (ties in any
+    order): ``v >= q`` exactly when its position is at least
+    ``sorted.searchsorted(q)``, and ``v <= q`` exactly when it is below
+    ``sorted.searchsorted(q, "right")``."""
+    by = values.argsort()
+    position = np.empty(by.size, dtype=np.intp)
+    position[by] = np.arange(by.size)
+    return values.take(by), position
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` sorted, and each value's rank: the count of smaller
+    ones, so equal values rank equal."""
+    ordered = np.sort(values)
+    return ordered, _search(ordered, values)
+
+
+def meeting_pairs(
+    groups: np.ndarray,
+    rects: np.ndarray,
+    q_groups: np.ndarray,
+    q_rects: np.ndarray,
+    band: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(query, target) index pairs of one group whose rectangles may meet.
+
+    ``rects`` and ``q_rects`` are ``(x1, y1, x2, y2)`` rows of the targets
+    and the queries, ``groups``/``q_groups`` their integer groups (such
+    as frames).  Every pair of one group whose closed x-extents and
+    closed y-extents both meet is returned once, with some that do not
+    meet but never one of two groups; a query with a NaN bound finds
+    none.
+
+    The targets of each group are sorted by y1 and cut into bands where
+    ``floor(y1 / band)`` changes, and each band is sorted by x1.  A query
+    reads the bands of its group from the first whose running maximum of
+    y2 reaches its y1 to the last whose lowest y1 is at most its y2, and
+    in each the targets from the first whose running maximum of x2
+    reaches its x1 to the last whose x1 is at most its x2.  Those bands
+    hold the y1 between the query's y1 less the tallest target's height
+    and its y2: 2-3 bands when ``band`` is at least half that span.
+    Coordinates enter the searches only as ranks and positions, so
+    (group, rank) and (band, position) are exact integer keys, and
+    ``band`` sets only where the bands are cut, never what is found.
+    """
+    m = len(rects) + 1
+    x1, y1, x2, y2 = rects.T
+    qx1, qy1, qx2, qy2 = q_rects.T
+    q_key = q_groups * m
+    by_y = (groups * m + _positions(y1)[1]).argsort()
+    group, ys = groups.take(by_y), y1.take(by_y)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cut = np.floor(ys / band)
+    first = np.ones(m - 1, dtype=bool)
+    first[1:] = (group[1:] != group[:-1]) | (cut[1:] != cut[:-1])
+    starts = first.nonzero()[0]
+    band_key = group.take(starts) * m
+    lows, low_rank = _ranks(ys.take(starts))
+    highs, high_rank = _ranks(np.maximum.reduceat(y2.take(by_y), starts))
+    first_band = _search(
+        np.maximum.accumulate(band_key + high_rank), q_key + _search(highs, qy1)
+    )
+    end_band = _search(band_key + low_rank, q_key + _search(lows, qy2, "right"))
+    query, query_band = run_slots(first_band, end_band)
+
+    target_band = first.cumsum() - 1
+    x1s, x1_pos = _positions(x1)
+    x2s, x2_pos = _positions(x2)
+    key = target_band * m + x1_pos.take(by_y)
+    by_x = key.argsort()
+    order, key = by_y.take(by_x), key.take(by_x)
+    reach = np.maximum.accumulate(target_band * m + x2_pos.take(order))
+    base = query_band * m
+    start = base + _search(x2s, qx1).take(query)
+    # One sort of the (query, band) needles serves both window searches.
+    by_start = start.argsort()
+    query, base, start = query.take(by_start), base.take(by_start), start.take(by_start)
+    lo = reach.searchsorted(start)
+    hi = key.searchsorted(base + _search(x1s, qx2, "right").take(query))
+    run, slot = run_slots(lo, hi)
+    return query.take(run), order.take(slot)
+
+
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 

@@ -17,14 +17,14 @@ parent->daughter division edges):
   ``iou >= alpha``.
 
 Both read one sparse pass, ``FramePairs``.  Over all frames at once it
-sorts the predicted boxes by (frame, left edge), takes for each
-ground-truth box the closed window of predictions in its frame whose
-x-extents may meet it, and computes each such pair's intersection, IoU
-and covered-center test once.  A pair outside the window neither
-overlaps nor covers a center, so every score equals the one full
-per-frame matrices give.  The scoring protocol is fixed by the
-constants below, as the metric definitions fix it.  Both families are
-invariant to track relabeling and deterministic.
+cuts the predicted boxes of each frame into bands by top edge and sorts
+each band by left edge, takes for each ground-truth box the predictions
+in its frame whose closed x-extents and y-extents may both meet it, and
+computes each such pair's intersection, IoU and covered-center test
+once.  A pair left out neither overlaps nor covers a center, so every
+score equals the one full per-frame matrices give.  The scoring
+protocol is fixed by the constants below, as the metric definitions fix
+it.  Both families are invariant to track relabeling and deterministic.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Box, LineageForest, ValidationError
+from .core import Box, LineageForest, ValidationError, meeting_pairs
 
 __all__ = [
     "UndefinedMetricError",
@@ -217,35 +217,21 @@ def _ratio(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
 def _touching_pairs(
     gt: TrackingGraph, pred: TrackingGraph
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(gt node, pred node) pairs of one frame whose closed x-extents may meet.
-
-    Predictions are sorted by (frame, x1).  A ground-truth node's window
-    starts at the first prediction of its frame whose running maximum of
-    x2 reaches the node's x1, and ends after the last one whose x1 is at
-    most the node's x2.  Every pair that overlaps, touches, or has the
-    ground-truth center inside the prediction lies in it.  Coordinates
-    enter the search only as ranks, so (frame, rank) is one exact integer
-    key.
-    """
-    px1 = pred.boxes[:, 0]
-    order = np.lexsort((px1, pred.node_frames))
-    x1s, x1_rank = np.unique(px1[order], return_inverse=True)
-    x2s, x2_rank = np.unique(px1[order] + pred.boxes[order, 2], return_inverse=True)
-    frame_key = pred.node_frames[order] * (pred.node_count + 1)
-    starts = frame_key + x1_rank
-    reach = np.maximum.accumulate(frame_key + x2_rank)
-    gx1 = gt.boxes[:, 0]
-    gt_key = gt.node_frames * (pred.node_count + 1)
-    lo = np.searchsorted(reach, gt_key + np.searchsorted(x2s, gx1, side="left"))
-    hi = np.searchsorted(
-        starts, gt_key + np.searchsorted(x1s, gx1 + gt.boxes[:, 2], side="right")
+    """(gt node, pred node) pairs of one frame whose closed x-extents and
+    closed y-extents may both meet, as ``core.meeting_pairs`` finds them
+    with bands as high as the tallest box.  Every pair that overlaps,
+    touches, or has the ground-truth center inside the prediction is
+    among them."""
+    band = np.concatenate((gt.boxes[:, 3], pred.boxes[:, 3])).max(initial=0.0)
+    return meeting_pairs(
+        pred.node_frames, _corners(pred.boxes), gt.node_frames, _corners(gt.boxes), band
     )
-    counts = np.maximum(hi - lo, 0)
-    gt_nodes = np.repeat(np.arange(gt.node_count), counts)
-    # The k-th pair of a node's run holds sorted prediction lo + k.
-    run_start = np.cumsum(counts) - counts
-    slots = np.arange(gt_nodes.size) + np.repeat(lo - run_start, counts)
-    return gt_nodes, order[slots]
+
+
+def _corners(boxes: np.ndarray) -> np.ndarray:
+    """``(x1, y1, x2, y2)`` rows of ``(x, y, w, h)`` boxes; the far edges
+    are the sums ``_inter_union`` takes."""
+    return np.concatenate((boxes[:, :2], boxes[:, :2] + boxes[:, 2:]), axis=1)
 
 
 def _unique_best(

@@ -314,29 +314,54 @@ class TestTrackCommand:
         for name in ("pred_tracks.txt", "pred_entries.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_twelve_thousand_cells_per_frame(self, tmp_path):
-        # A 120 x 100 grid of 20-px cells at a 40-px pitch, drifting 1 px a
-        # frame.  Gating or pairing identities through full tracks x
-        # detections arrays would need 1.07 GiB per 12000 x 12000 array.
-        cols, cells = 120, 12000
+    @staticmethod
+    def track_grid(tmp_path, cols, cells):
+        """Track a 3-frame grid of ``cells`` 20-px cells, ``cols`` to a row
+        at a 40-px pitch, drifting 1 px a frame, under a 2.5 GiB limit;
+        returns the prediction's directory."""
         det = tmp_path / "grid.txt"
+        rows = -(-cells // cols)
         det.write_text("\n".join([
-            "#frames=3", "#width=4840.0", "#height=4040.0", "#embedding_dim=1",
+            "#frames=3", f"#width={40.0 * cols + 40}", f"#height={40.0 * rows + 40}",
+            "#embedding_dim=1",
             *(f"{f},{10.0 + 40 * (k % cols) + f},{10.0 + 40 * (k // cols)},20.0,20.0,0.9,alive,0.0"
               for f in range(3) for k in range(cells)),
         ]) + "\n")
-        limit = int(2.5 * 2**30)
-        run = run_limited(["track", str(det), "--out", str(tmp_path / "t")], limit, timeout=60)
+        run = run_limited(
+            ["track", str(det), "--out", str(tmp_path / "t")], int(2.5 * 2**30), timeout=60
+        )
         assert run.returncode == 0, run.stderr
         assert f"{cells} tracks" in run.stdout
-        pred = str(tmp_path / "t" / "pred")
-        run = run_limited(["evaluate", pred, pred, "--out", str(tmp_path / "e")], limit, timeout=60)
+        return str(tmp_path / "t" / "pred")
+
+    @staticmethod
+    def evaluate_against_itself(tmp_path, pred):
+        run = run_limited(
+            ["evaluate", pred, pred, "--out", str(tmp_path / "e")], int(2.5 * 2**30), timeout=60
+        )
         assert run.returncode == 0, run.stderr
         flat = json.loads((tmp_path / "e" / "metrics.json").read_text())
         counts = {k: v for k, v in flat.items() if k.startswith("aogm_")}
         scores = {k: v for k, v in flat.items() if k not in counts}
         assert scores == dict.fromkeys(scores, 1.0)
         assert counts == dict.fromkeys(counts, 0.0)
+
+    def test_twelve_thousand_cells_per_frame(self, tmp_path):
+        # 120 columns.  Gating or pairing identities through full tracks x
+        # detections arrays would need 1.07 GiB per 12000 x 12000 array.
+        self.evaluate_against_itself(tmp_path, self.track_grid(tmp_path, 120, 12000))
+
+    def test_twenty_thousand_cells_in_ten_columns(self, tmp_path):
+        # Each track's 100-px x window holds 2 or 3 of the 10 columns of
+        # 2,000 detections: 112,000,000 window pairs a frame unless y bands
+        # cut them.
+        self.track_grid(tmp_path, 10, 20000)
+
+    def test_twenty_thousand_cells_in_25_columns_evaluate(self, tmp_path):
+        # Each box's x-extent meets its own column's 800 boxes: 48,000,000
+        # ground-truth x prediction pairs over the 3 frames unless y bands
+        # cut them.
+        self.evaluate_against_itself(tmp_path, self.track_grid(tmp_path, 25, 20000))
 
 
 class TestAblateCommand:

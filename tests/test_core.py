@@ -6,7 +6,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from celltrack import (
@@ -21,7 +21,7 @@ from celltrack import (
     ValidationError,
     centroid,
 )
-from celltrack.core import detections_from_columns
+from celltrack.core import detections_from_columns, meeting_pairs
 from celltrack.metrics import iou_matrix
 from conftest import bx, make_forest, make_track
 
@@ -70,6 +70,53 @@ class TestGeometry:
         # float-exact, never above 1.
         assert pair_iou(a, a) == pytest.approx(1.0, abs=1e-12)
         assert pair_iou(a, a) <= 1.0
+
+
+@st.composite
+def rect_fields(draw):
+    """Targets and queries as (group, x1, y1, x2, y2) rows on a coarse
+    grid, so that edges coincide, and a band height of any kind."""
+    coord = st.integers(-8, 8).map(lambda v: v / 2.0)
+
+    def rects(n):
+        out = []
+        for _ in range(n):
+            g, x, y = draw(st.integers(0, 2)), draw(coord), draw(coord)
+            out.append((g, x, y, x + draw(coord.map(abs)), y + draw(coord.map(abs))))
+        return np.array(out, dtype=float).reshape(-1, 5)
+
+    band = draw(st.sampled_from([0.5, 1.0, 3.0, 5e-324, 1e308, 0.0, -1.0, math.nan]))
+    return rects(draw(st.integers(1, 30))), rects(draw(st.integers(0, 12))), band
+
+
+class TestMeetingPairs:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(rect_fields())
+    def test_finds_every_meeting_pair_once(self, case):
+        # The band height, even 0, negative or NaN, only sets where bands
+        # are cut.
+        targets, queries, band = case
+        q, t = meeting_pairs(
+            targets[:, 0].astype(np.int64), targets[:, 1:],
+            queries[:, 0].astype(np.int64), queries[:, 1:], band,
+        )
+        found = list(zip(q.tolist(), t.tolist()))
+        assert len(found) == len(set(found))
+        assert all(queries[i, 0] == targets[j, 0] for i, j in found)
+        meet = {
+            (i, j)
+            for i, (qg, qx1, qy1, qx2, qy2) in enumerate(queries)
+            for j, (g, x1, y1, x2, y2) in enumerate(targets)
+            if qg == g and x1 <= qx2 and qx1 <= x2 and y1 <= qy2 and qy1 <= y2
+        }
+        assert meet <= set(found)
+
+    def test_nan_query_finds_nothing(self):
+        targets = np.array([[0.0, 0.0, 1.0, 1.0]])
+        queries = np.array([[math.nan, 0.0, 1.0, 1.0], [0.0, math.nan, 1.0, 1.0]])
+        zero = np.zeros(1, dtype=np.int64)
+        q, _ = meeting_pairs(zero, targets, np.zeros(2, dtype=np.int64), queries, 1.0)
+        assert q.size == 0
 
 
 class TestDetection:

@@ -804,6 +804,13 @@ class TestEvaluateReport:
             evaluate(pred, gt)
 
 
+# Multiples of 4 and the floats one ulp either side of them.
+BAND_EDGES = [
+    v for e in (-4.0, 0.0, 4.0, 8.0)
+    for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))
+]
+
+
 @st.composite
 def videos(draw):
     """Per frame, (gt boxes, pred boxes) on a coarse grid, so that edges
@@ -885,10 +892,21 @@ class TestEvaluationPass:
     )
     @example([([], [(0.0, 0.0, 2.0, 2.0)]), ([(0.0, 0.0, 2.0, 2.0)], []), ([], [])])
     @example([([(3e6, 3e6, 3.0, 3.0)], [(3e6 + 1.5, 3e6, 3.0, 3.0), (3e6, 3e6, 3.0, 3.0)])])
+    @example([([(3e6, 3e6, 3.0, 3.0)], [(3e6, 3e6 + 1.5, 3.0, 3.0), (3e6, 3e6, 3.0, 3.0)])])
+    @example([([(2.0 * i, 0.0, 3.0, 3.0) for i in range(12)],
+               [(2.0 * i + 1.0, 0.5, 3.0, 2.0) for i in range(12)])])
+    @example([([(0.0, y - 4.0, 4.0, 4.0) for y in BAND_EDGES]
+               + [(1.0, y - 2.0, 2.0, 4.0) for y in BAND_EDGES],
+               [(0.5, y, 3.0, 4.0) for y in BAND_EDGES])])
+    @example([([(0.0, 0.0, 3.0, 5e-324), (0.0, 1.0, 3.0, 5e-324)],
+               [(1.0, 0.0, 3.0, 5e-324), (1.0, 5e-324, 3.0, 5e-324), (1.0, -1.0, 3.0, 5e-324)])])
     def test_sparse_pass_equals_full_matrices(self, video):
         # Examples: boxes touching at an edge and at a corner; a center on
         # a predicted box's edge; nested boxes of equal intersection, each
-        # twice; frames empty on either side; boxes 1e6 sizes out.
+        # twice; frames empty on either side; boxes 1e6 sizes out, along x
+        # and along y; every box in one row; predictions starting on the
+        # 4-high bands' edges and one ulp either side, under ground truth
+        # ending or centred there; bands 5e-324 high.
         def graph(side):
             frames = [f for f, boxes in enumerate(side) for _ in boxes]
             return node_graph(len(video), frames, [b for boxes in side for b in boxes])

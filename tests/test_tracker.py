@@ -184,9 +184,32 @@ def gate_calls(monkeypatch):
     return calls
 
 
+def on_both_paths(tracks, dets, cfg, gate_similarity=True):
+    """``build_candidates`` on the plain x sweep and with every call cut
+    into y bands; both must equal the dense reference, which is returned."""
+    want = dense_candidates(tracks, dets, cfg, gate_similarity)
+    for band_after in (10**9, -1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(celltrack.tracker, "BAND_AFTER", band_after)
+            assert build_candidates(tracks, dets, cfg, gate_similarity) == want
+    return want
+
+
+def column(ys, ids=None):
+    """Gate pool of detections (or, given ``ids``, tracks) centred at
+    ``(0, y)`` for each ``y``, so every x window holds all of them."""
+    return pool([det(0, 0)] * len(ys), ids=ids, pos=[(0.0, y) for y in ys])
+
+
+def around(edges):
+    """Each edge and the floats one ulp either side of it."""
+    return [v for e in edges for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+
+
 class TestGateMatchesDenseReference:
     """The sort-and-sweep gate returns the full tracks x detections
-    mask's candidate list, element for element and in its order."""
+    mask's candidate list, element for element and in its order, on the
+    x sweep and cut into y bands alike."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(gate_inputs())
@@ -195,6 +218,44 @@ class TestGateMatchesDenseReference:
         assert build_candidates(tracks, dets, cfg, gate_similarity) == dense_candidates(
             tracks, dets, cfg, gate_similarity
         )
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(gate_inputs())
+    def test_drawn_inputs_in_y_bands(self, case):
+        on_both_paths(*case)
+
+    def test_centroids_on_band_edges(self):
+        # Bands are tau_dist = 50 high: detections on the band edges and
+        # one ulp either side, and tracks whose windows end there.
+        edges = [-100.0, -50.0, 0.0, 50.0, 100.0, 150.0]
+        dets = column(around(edges))
+        tracks = column(around(edges) + [25.0, 75.0], ids=range(1, 21))
+        pairs = on_both_paths(tracks, dets, CFG)
+        assert len(pairs) > len(edges) * 9
+
+    @pytest.mark.parametrize("tau", [5e-324, 1e308])
+    def test_extreme_gate_distances(self, tau):
+        # 5e-324 / 5e-324 is 1 but 1.0 / 5e-324 overflows: bands are 0 and
+        # +-inf.  At 1e308 the whole field is one or two bands.
+        ys = [0.0, 5e-324, -5e-324, 1e-323, 1.0, -1.0, 1e307, -1e307, 6e307, -6e307]
+        cfg = TrackerConfig(tau_dist=tau)
+        pairs = on_both_paths(column(ys, ids=range(1, 11)), column(ys), cfg)
+        assert len(pairs) > len(ys)
+
+    def test_exact_gate_at_large_y(self):
+        py = 1e6 + 0.1
+        tracks = column([py], ids=[1])
+        ys = around([py - 50.0, py + 50.0])
+        dets = column(ys)
+        pairs = on_both_paths(tracks, dets, CFG)
+        on_gate = {j for j, y in enumerate(ys) if abs(py - y) == 50.0}
+        assert on_gate and on_gate <= {j for _, _, j in pairs}
+
+    def test_rounding_at_the_y_window_edge(self):
+        # The y form of test_rounding_at_the_window_edge.
+        dets = column([10.0 - 2.0**-49])
+        tracks = column([60.0], ids=[1])
+        assert [(tid, j) for _, tid, j in on_both_paths(tracks, dets, CFG)] == [(1, 0)]
 
     def test_rounding_at_the_window_edge(self):
         # 60 - (10 - 2**-49) is 50 + 2**-49, which rounds to exactly
@@ -232,7 +293,7 @@ class TestGateMatchesDenseReference:
         assert any(not np.isfinite(pos).all() for pos, _ in gate_calls)
 
     def test_every_cell_in_one_x_band(self):
-        # The sweep's worst case: every window holds every detection.
+        # The x sweep's worst case: every window holds every detection.
         rng = np.random.default_rng(5)
         cells = [(rng.uniform(0, 20), rng.uniform(0, 4000)) for _ in range(300)]
         tracks = pool([det(x, y) for x, y in cells], ids=range(1, len(cells) + 1))
@@ -240,6 +301,13 @@ class TestGateMatchesDenseReference:
         pairs = build_candidates(tracks, dets, CFG)
         assert len(pairs) > len(cells)
         assert pairs == dense_candidates(tracks, dets, CFG)
+
+    def test_every_cell_in_one_y_row(self):
+        rng = np.random.default_rng(5)
+        cells = [(rng.uniform(0, 4000), rng.uniform(0, 20)) for _ in range(300)]
+        tracks = pool([det(x, y) for x, y in cells], ids=range(1, len(cells) + 1))
+        dets = pool([det(x + rng.normal(0, 3), y + rng.normal(0, 3)) for x, y in cells])
+        assert len(on_both_paths(tracks, dets, CFG)) > len(cells)
 
     def test_simulated_videos(self, gate_calls):
         # Every call of stage 1, death matching and stage 2 on noisy videos
