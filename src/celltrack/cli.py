@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import json
 import re
+import shutil
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -57,7 +58,7 @@ from .ingest import (
     save_forest,
 )
 from .metrics import UndefinedMetricError, evaluate
-from .simulator import SimulationConfig, corrupt, simulate
+from .simulator import SimulationConfig, corrupt, corrupts, simulate
 from .tracker import track_video
 
 EXIT_OK = 0
@@ -222,12 +223,12 @@ def _simulate_one(sim_cfg: SimulationConfig, dir_str: str) -> str:
         frames=result.clean_frames,
     )
     save_detections(det, str(out / "clean.txt"))
-    noisy = DetectionFile(
-        meta=result.ground_truth.meta,
-        embedding_dim=sim_cfg.embedding_dim,
-        frames=corrupt(result.clean_frames, sim_cfg),
-    )
-    save_detections(noisy, str(out / "detections.txt"))
+    if corrupts(sim_cfg):
+        noisy = replace(det, frames=corrupt(result.clean_frames, sim_cfg))
+        save_detections(noisy, str(out / "detections.txt"))
+    else:
+        # The clean detections' text, without formatting it again.
+        shutil.copyfile(out / "clean.txt", out / "detections.txt")
     return dir_str
 
 

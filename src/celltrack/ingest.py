@@ -75,9 +75,9 @@ _HEADER_TYPES = {"frames": int, "width": float, "height": float, "embedding_dim"
 _CLASSES, _PROVENANCES = tuple(CellClass), tuple(Provenance)
 _CLASS_INDEX = {c.value: i for i, c in enumerate(_CLASSES)}
 _PROVENANCE_INDEX = {p.value: i for i, p in enumerate(_PROVENANCES)}
-# Written text of each enum member (and of no end reason): a dict lookup
-# skips ``.value``, a Python-level property, on every saved record.
-_TEXT = {None: ""} | {m: m.value for e in (CellClass, Provenance, EndReason) for m in e}
+# The writers take a member's text from ``_value_``: an attribute read,
+# not the Python-level ``.value`` property or a dict lookup, whose
+# ``Enum.__hash__`` is Python-level too.
 
 
 def _index_of(enum: type[Enum]) -> Callable[[str], int]:
@@ -282,7 +282,7 @@ def save_detections(det_file: DetectionFile, path: str) -> None:
             str(frame),
             *map(repr, map(float, d.box)),
             repr(float(d.confidence)),
-            _TEXT[d.cell_class],
+            d.cell_class._value_,
             *map(repr, d.embedding.tolist()),
         ))
         for frame, frame_dets in enumerate(det_file.frames)
@@ -308,7 +308,7 @@ def save_forest(forest: LineageForest, prefix: str) -> tuple[str, str]:
     for tid in sorted(forest.tracks):
         track = forest.tracks[tid]
         parent = "" if track.parent is None else str(track.parent)
-        reason = _TEXT[track.end_reason]
+        reason = "" if track.end_reason is None else track.end_reason._value_
         track_lines.append(
             f"{tid},{track.start_frame},{track.last_frame},{parent},{reason}"
         )
@@ -318,8 +318,8 @@ def save_forest(forest: LineageForest, prefix: str) -> tuple[str, str]:
                 str(tid),
                 str(f),
                 *map(repr, map(float, e.box)),
-                _TEXT[e.provenance],
-                _TEXT[e.cell_class],
+                e.provenance._value_,
+                e.cell_class._value_,
             )))
     _write(tracks_path, forest.meta, track_lines)
     _write(entries_path, None, entry_lines)

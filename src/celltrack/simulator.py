@@ -52,6 +52,7 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "simulate",
+    "corrupts",
     "corrupt",
 ]
 
@@ -368,12 +369,21 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     return SimulationResult(ground_truth=forest, clean_frames=clean_frames)
 
 
+def corrupts(config: SimulationConfig) -> bool:
+    """Whether ``corrupt`` changes anything under ``config``: False when
+    box jitter, drops, false positives and embedding noise are all 0."""
+    return any((
+        config.box_jitter_sigma, config.drop_prob,
+        config.false_positive_rate, config.embedding_noise_sigma,
+    ))
+
+
 def corrupt(
     clean_frames: list[list[Detection]], config: SimulationConfig
 ) -> list[list[Detection]]:
     """Degrade clean detections into realistic detector output.
 
-    With all noise parameters at zero the input comes back unchanged
+    When ``corrupts(config)`` is False the input comes back unchanged
     (same values, fresh Detection objects).  Each true detection keeps
     its identity through per-cell fade states; detections without a
     ``source_id`` never fade.  False positives carry isotropic-normal

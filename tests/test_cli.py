@@ -12,7 +12,15 @@ from pathlib import Path
 import pytest
 
 import celltrack.cli
-from celltrack import evaluate, load_forest, save_forest
+from celltrack import (
+    DetectionFile,
+    corrupt,
+    evaluate,
+    load_forest,
+    save_detections,
+    save_forest,
+    simulate,
+)
 from celltrack.cli import (
     UsageError,
     build_configs,
@@ -258,6 +266,40 @@ class TestSimulateCommand:
             assert (again / name).read_bytes() == (
                 sim_dir / name
             ).read_bytes()
+
+    @staticmethod
+    def corrupted_bytes(sets, seed, path):
+        """The bytes ``save_detections(corrupt(...))`` writes for the video
+        ``simulate --seed seed`` makes under ``sets``."""
+        sim = replace(build_configs(None, sets).sim, seed=seed, video_id="video_000")
+        result = simulate(sim)
+        frames = corrupt(result.clean_frames, sim)
+        save_detections(
+            DetectionFile(result.ground_truth.meta, sim.embedding_dim, frames), str(path)
+        )
+        return path.read_bytes()
+
+    def test_zero_corruption_writes_the_clean_bytes(self, sim_dir, tmp_path):
+        written = (sim_dir / "detections.txt").read_bytes()
+        assert written == (sim_dir / "clean.txt").read_bytes()
+        reference = self.corrupted_bytes(SMALL_SIM[1::2], 3, tmp_path / "ref.txt")
+        assert written == reference
+
+    @pytest.mark.parametrize("setting", [
+        "sim.box_jitter_sigma=0.5",
+        "sim.drop_prob=0.05",
+        "sim.false_positive_rate=0.2",
+        "sim.embedding_noise_sigma=0.3",
+    ])
+    def test_one_corruption_setting_writes_corrupt_bytes(self, setting, tmp_path):
+        # No assertion against clean.txt: a small drop_prob may fade nothing.
+        out = tmp_path / "o"
+        args = ["simulate", "--out", str(out), "--seed", "3", *SMALL_SIM,
+                "--set", setting]
+        assert main(args) == 0
+        sets = [*SMALL_SIM[1::2], setting]
+        reference = self.corrupted_bytes(sets, 3, tmp_path / "ref.txt")
+        assert (out / "detections.txt").read_bytes() == reference
 
     def test_workers_do_not_change_corpus(self, corpus_dir, tmp_path):
         out = tmp_path / "pooled"

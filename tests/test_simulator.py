@@ -1,6 +1,7 @@
 """Generative model and detector-corruption behavior."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from celltrack import (
 from celltrack import simulator
 from celltrack.cli import _simulate_one
 from celltrack.core import MAX_FRAMES
-from celltrack.simulator import MAX_CELLS
+from celltrack.simulator import MAX_CELLS, corrupts
 
 
 def dets_equal(a, b) -> bool:
@@ -313,10 +314,14 @@ class TestCorruption:
 
     def test_zero_noise_is_identity(self):
         frames, cfg = self.clean()
+        assert not corrupts(cfg)
         noisy = corrupt(frames, cfg)
         assert frames_equal(frames, noisy)
         # Fresh objects, not aliases.
         assert noisy[0][0] is not frames[0][0]
+        for setting in ("box_jitter_sigma", "drop_prob", "false_positive_rate",
+                        "embedding_noise_sigma"):
+            assert corrupts(replace(cfg, **{setting: 1e-3})), setting
 
     def test_deterministic(self):
         frames, cfg = self.clean(
@@ -527,9 +532,17 @@ class TestGoldenOutputs:
             drop_prob=0.5, false_positive_rate=3.0, embedding_noise_sigma=2.0,
             seed=34,
         ),
+        # No corruption at all (the default): detections.txt is the clean
+        # detections' bytes, with divisions, deaths and dead-class rows.
+        "clean": dict(
+            frames=25, width=320.0, height=320.0, initial_cells=6,
+            division_prob=0.08, death_prob=0.05, treatment_frame=5,
+            embedding_dim=5, seed=35,
+        ),
     }
 
     DIGESTS = {
+        "clean": "d7d289c04ed3f94dff947e6394053e473b496c6cf4070791b138ca0baeed20cc",
         "random": "e06a8a5f9662dd2df072c858a36ad4f34432472f293d57ac280a3e95e842b308",
         "period": "8638c4b51868c1006b4dd7e0dea1c74fa41553c551eab483ec4baef724b7939b",
         "pulse": "eb43d74285f77086e83c8effc68a84acd1523da8c3c888aa6a7b7ea64441e185",
