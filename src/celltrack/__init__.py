@@ -12,6 +12,7 @@ from .core import (
     CellClass,
     Detection,
     EndReason,
+    ForestColumns,
     LineageForest,
     Provenance,
     Track,
@@ -26,6 +27,7 @@ from .ingest import (
     DetectionFile,
     load_detections,
     load_forest,
+    read_forest,
     save_detections,
     save_forest,
 )
@@ -62,6 +64,7 @@ __all__ = [
     "CellClass",
     "Detection",
     "EndReason",
+    "ForestColumns",
     "LineageForest",
     "Provenance",
     "Track",
@@ -74,6 +77,7 @@ __all__ = [
     "DetectionFile",
     "load_detections",
     "load_forest",
+    "read_forest",
     "save_detections",
     "save_forest",
     "interpolate_gap",

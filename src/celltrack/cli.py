@@ -54,6 +54,7 @@ from .ingest import (
     DetectionFile,
     load_detections,
     load_forest,
+    read_forest,
     save_detections,
     save_forest,
 )
@@ -294,8 +295,8 @@ def _write_report(out: Path, flat: dict[str, float]) -> None:
 def cmd_evaluate(args) -> int:
     configs = build_configs(args.config, args.set)
     out = write_manifest(args, configs, [args.pred, args.gt])
-    pred = load_forest(args.pred, strict=False)
-    gt = load_forest(args.gt)
+    pred = metrics.build_graph(read_forest(args.pred, strict=False))
+    gt = metrics.build_graph(read_forest(args.gt))
     report = evaluate(pred, gt)
     flat = report.to_flat()
     _write_report(out, flat)
@@ -346,11 +347,11 @@ def _find_corpus(corpus_dir: str) -> list[Path]:
 def _ablate_job(video: Path, configs: list) -> list[tuple]:
     """DET/LNK/TRA rows of each ``(kind, label, config)`` on one video.  The
     configs share one parse: ``Detection`` is immutable and the tracker
-    copies each frame's list.  Scores go through ``metrics.`` so that
+    copies each frame's list.  The ground truth is read as columns
+    straight into its graph.  Scores go through ``metrics.`` so that
     wrappers of that module's globals (the benchmark tracer) see them."""
     det_file = load_detections(str(video / "detections.txt"))
-    gt = load_forest(str(video / "gt"))
-    gt_graph = metrics.build_graph(gt)
+    gt_graph = metrics.build_graph(read_forest(str(video / "gt")))
     rows = []
     for kind, label, cfg in configs:
         forest = track_video(det_file.frames, config=cfg, meta=det_file.meta)

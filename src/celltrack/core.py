@@ -10,10 +10,13 @@ detection's frame is the index of its per-frame list, an entry's its key.
 from __future__ import annotations
 
 import math
+import operator
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -33,6 +36,7 @@ __all__ = [
     "Track",
     "VideoMeta",
     "LineageForest",
+    "ForestColumns",
 ]
 
 
@@ -507,75 +511,224 @@ class LineageForest:
     ) -> None:
         """Check structural invariants; raise ValidationError on the first hit.
 
-        ``require_coverage`` demands gap-free entries over [start, last];
-        ``require_adjacency`` demands that daughters start on the frame
-        right after their parent's last.  Both hold for finalized output
-        of the default tracker and for simulated ground truth; they are
-        relaxed for the interpolation-free ablation.
+        The checks that only objects can fail come first: each track's key
+        is its id, each parent lists its daughters and each listed
+        daughter points back.  The structural rules are then checked on
+        ``self.columns(boxes=False)`` by ``ForestColumns.validate``, which
+        also checks forests read from files.  ``require_coverage`` demands
+        gap-free entries over [start, last]; ``require_adjacency`` demands
+        that daughters start on the frame right after their parent's last.
+        Both hold for finalized output of the default tracker and for
+        simulated ground truth; they are relaxed for the
+        interpolation-free ablation.
         """
-        for tid, track in self.tracks.items():
+        tracks = self.tracks
+        for tid, track in tracks.items():
             if tid != track.track_id:
                 raise ValidationError(
                     f"track keyed {tid} carries id {track.track_id}"
                 )
-            if not track.entries:
-                raise ValidationError(f"track {tid} has no entries")
-            frames = sorted(track.entries)
-            if frames[0] < 0 or frames[-1] >= self.meta.frames:
+            parent = tracks.get(track.parent)
+            if parent not in (None, track) and tid not in parent.children:
                 raise ValidationError(
-                    f"track {tid} has entries outside the video frame range"
+                    f"track {tid} not listed among parent "
+                    f"{track.parent}'s children"
                 )
-            if require_coverage:
-                if frames != list(range(frames[0], frames[-1] + 1)):
-                    raise ValidationError(f"track {tid} has frame gaps")
-            # Dead is absorbing: no alive entry may follow a dead one.
-            dead_seen = False
-            for f in frames:
-                cls = track.entries[f].cell_class
-                if dead_seen and cls is CellClass.ALIVE:
-                    raise ValidationError(
-                        f"track {tid} reverts to alive after death at frame {f}"
-                    )
-                dead_seen = dead_seen or cls is CellClass.DEAD
-            if track.parent is not None:
-                if track.parent not in self.tracks:
-                    raise ValidationError(
-                        f"track {tid} references missing parent {track.parent}"
-                    )
-                if track.parent == tid:
-                    raise ValidationError(f"track {tid} is its own parent")
-                parent = self.tracks[track.parent]
-                if tid not in parent.children:
-                    raise ValidationError(
-                        f"track {tid} not listed among parent "
-                        f"{track.parent}'s children"
-                    )
-                if require_adjacency and track.start_frame != parent.last_frame + 1:
-                    raise ValidationError(
-                        f"track {tid} starts at {track.start_frame}, parent "
-                        f"{track.parent} ends at {parent.last_frame}"
-                    )
             for child in track.children:
-                if child not in self.tracks:
+                if child not in tracks:
                     raise ValidationError(
                         f"track {tid} lists missing child {child}"
                     )
-                if self.tracks[child].parent != tid:
+                if tracks[child].parent != tid:
                     raise ValidationError(
                         f"child {child} does not point back to parent {tid}"
                     )
-            if track.children and track.death_event_frame() is not None:
-                raise ValidationError(f"track {tid} both divided and died")
-        # Parent pointers must form a forest (no cycles).
-        state: dict[int, int] = {}
-        for tid in self.tracks:
-            path = []
-            cur: int | None = tid
-            while cur is not None and state.get(cur, 0) == 0:
-                state[cur] = 1
-                path.append(cur)
-                cur = self.tracks[cur].parent
-            if cur is not None and state[cur] == 1:
-                raise ValidationError(f"lineage cycle through track {cur}")
-            for p in path:
-                state[p] = 2
+        self.columns(boxes=False).validate(require_coverage, require_adjacency)
+
+    def columns(self, boxes: bool = True) -> ForestColumns:
+        """This forest as ``ForestColumns``, tracks in key order; with
+        ``boxes=False`` the columns carry no boxes, and they never carry
+        provenances."""
+        tracks = self.tracks
+        ids = sorted(tracks)
+        counts, frames, entries = [], [], []
+        for tid in ids:
+            by_frame = tracks[tid].entries
+            track_frames = sorted(by_frame)
+            counts.append(len(track_frames))
+            frames += track_frames
+            entries += map(by_frame.__getitem__, track_frames)
+        n = len(entries)
+        return ForestColumns(
+            meta=self.meta,
+            ids=np.fromiter(tracks, np.int64, len(tracks)),
+            parents=[t.parent for t in tracks.values()],
+            end_reasons=[t.end_reason for t in tracks.values()],
+            entry_ids=np.repeat(np.array(ids, dtype=np.int64), counts),
+            frames=np.array(frames, dtype=np.int64),
+            classes=np.fromiter(
+                map(CELL_CLASSES.index, map(_CLASS_OF, entries)), np.intp, n
+            ),
+            boxes=(
+                np.fromiter(chain.from_iterable(map(_BOX_OF, entries)), float, 4 * n)
+                .reshape(n, 4) if boxes else None
+            ),
+        )
+
+
+# An entry's class is its index in ``CELL_CLASSES``, its provenance its
+# index in ``PROVENANCES``.
+CELL_CLASSES, PROVENANCES = tuple(CellClass), tuple(Provenance)
+_DEAD = CELL_CLASSES.index(CellClass.DEAD)
+_CLASS_OF, _BOX_OF = operator.attrgetter("cell_class"), operator.attrgetter("box")
+
+
+def _first_fault(rules: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
+    """Raise ``ValidationError`` for the first track, in row order, that
+    some rule's mask flags, with the message of its first such rule."""
+    hits = np.array([mask for mask, _ in rules], dtype=bool)
+    flagged = hits.any(axis=0)
+    if flagged.any():
+        row = int(flagged.argmax())
+        raise ValidationError(rules[int(hits[:, row].argmax())][1](row))
+
+
+@dataclass(eq=False)
+class ForestColumns:
+    """A lineage forest as columns: the form that is checked and that the
+    tracking graph is built from.
+
+    Tracks are rows in table order (a track table's line order, a
+    forest's key order): ``ids`` (int64), the declared ``parents`` (an id,
+    which may name no track, or ``None``) and ``end_reasons``.  Entries
+    are sorted by (track id, frame): ``entry_ids`` and ``frames`` (int64),
+    ``classes`` (indices into ``CELL_CLASSES``) and, when present,
+    ``boxes`` (``n x 4``) and ``provenances`` (indices into
+    ``PROVENANCES``).  Columns read from a track table also carry its
+    ``path`` and each track's declared (start, end) ``spans``.
+    """
+
+    meta: VideoMeta
+    ids: np.ndarray
+    parents: list[int | None]
+    end_reasons: list[EndReason | None]
+    entry_ids: np.ndarray
+    frames: np.ndarray
+    classes: np.ndarray
+    boxes: np.ndarray | None = None
+    provenances: np.ndarray | None = None
+    spans: list[tuple[int, int]] | None = None
+    path: str = ""
+
+    @cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each track's entries as the index range ``[lo, hi)``."""
+        return (
+            self.entry_ids.searchsorted(self.ids),
+            self.entry_ids.searchsorted(self.ids, "right"),
+        )
+
+    @cached_property
+    def parent_rows(self) -> np.ndarray:
+        """Each track's parent row: -1 for none, -2 for an id no row has."""
+        row = dict(zip(self.ids.tolist(), range(self.ids.size)))
+        return np.array(
+            [-1 if p is None else row.get(p, -2) for p in self.parents],
+            dtype=np.intp,
+        )
+
+    def validate(
+        self, require_coverage: bool = True, require_adjacency: bool = True
+    ) -> None:
+        """Check the structural rules; raise ``ValidationError`` on the first hit.
+
+        Three passes, each over the tracks in row order and each track's
+        rules in the order given:
+
+        1. the track has entries, its entries span its declared span
+           (columns read from a track table), and its parent is a track;
+        2. its entries lie in ``[0, meta.frames)`` and (with
+           ``require_coverage``) leave no gap, no alive entry follows a
+           dead one, it is not its own parent, (with
+           ``require_adjacency``) it starts on the frame after its
+           parent's last, and it did not both divide and die;
+        3. parent pointers form no cycle.
+        """
+        ids, parents, n = self.ids.tolist(), self.parents, self.ids.size
+        lo, hi = self.bounds
+        parent = self.parent_rows
+        # An empty track reads the pad or a neighbour; rule 1 flags it first.
+        frames = np.append(self.frames, 0)
+        first, last = frames[lo], frames[hi - 1]
+        where = f"{self.path}: " if self.path else ""
+        rules = [(hi == lo, lambda i: f"{where}track {ids[i]} has no entries")]
+        if self.spans is not None:
+            found = list(zip(first.tolist(), last.tolist()))
+            rules.append((
+                np.fromiter(map(operator.ne, self.spans, found), bool, n),
+                lambda i: (
+                    f"track {ids[i]}: declared span [{self.spans[i][0]}, "
+                    f"{self.spans[i][1]}] does not match entries "
+                    f"[{found[i][0]}, {found[i][1]}]"
+                ),
+            ))
+        rules.append((
+            parent == -2,
+            lambda i: f"track {ids[i]} references missing parent {parents[i]}",
+        ))
+        _first_fault(rules)
+
+        # A track's first dead entry, and the first alive one after it;
+        # an index past the entries where there is none.
+        dead = self.classes == _DEAD
+        end = [self.frames.size]
+        dead_at, alive_at = np.flatnonzero(dead), np.flatnonzero(~dead)
+        first_dead = np.append(dead_at, end)[dead_at.searchsorted(lo)]
+        revert = np.append(alive_at, end)[alive_at.searchsorted(first_dead)]
+        has_children = np.bincount(parent[parent >= 0], minlength=n) > 0
+        rules = [(
+            (first < 0) | (last >= self.meta.frames),
+            lambda i: f"track {ids[i]} has entries outside the video frame range",
+        )]
+        if require_coverage:
+            rules.append((
+                last - first + 1 != hi - lo,
+                lambda i: f"track {ids[i]} has frame gaps",
+            ))
+        rules += [
+            (
+                revert < hi,
+                lambda i: (
+                    f"track {ids[i]} reverts to alive after death at frame "
+                    f"{frames[revert[i]]}"
+                ),
+            ),
+            (parent == np.arange(n), lambda i: f"track {ids[i]} is its own parent"),
+        ]
+        if require_adjacency:
+            rules.append((
+                (parent >= 0) & (first != last[parent] + 1),
+                lambda i: (
+                    f"track {ids[i]} starts at {first[i]}, parent "
+                    f"{parents[i]} ends at {last[parent[i]]}"
+                ),
+            ))
+        rules.append((
+            has_children & (first_dead < hi) & (first_dead > lo),
+            lambda i: f"track {ids[i]} both divided and died",
+        ))
+        _first_fault(rules)
+
+        # Parent pointers form a forest: every chain of parents reaches a
+        # root.  Doubling the jumps (roots jump to a sink at row n) takes
+        # log2(n) steps; a chain that never reaches the sink is reported
+        # where it first repeats a track.
+        jump = np.append(np.where(parent >= 0, parent, n), n)
+        for _ in range(n.bit_length()):
+            jump = jump[jump]
+        if (jump[:n] != n).any():
+            row, seen = int((jump[:n] != n).argmax()), set()
+            while row not in seen:
+                seen.add(row)
+                row = int(parent[row])
+            raise ValidationError(f"lineage cycle through track {ids[row]}")

@@ -20,7 +20,10 @@ Both kinds declare ``1 <= frames <= MAX_FRAMES``, and every record lies
 in ``[0, frames)``.  Ground truth and tracker output use the identical
 forest format, so either side of an evaluation can come from either
 producer.  All three files go through one reader, ``_read``, and one
-writer, ``_write``.
+writer, ``_write``.  ``read_forest`` reads a forest's pair into checked
+``core.ForestColumns``, from which ``metrics.build_graph`` builds the
+tracking graph and ``load_forest`` the ``Track`` and ``TrackEntry``
+objects.
 Every bad header or record raises ``ValidationError`` naming
 ``<file>:<line>`` and the reason, as does text that is not UTF-8.
 Each record kind has one reader, ``_columns``: one ``np.loadtxt`` call
@@ -45,10 +48,13 @@ from typing import Any
 import numpy as np
 
 from .core import (
+    CELL_CLASSES,
     MAX_FRAMES,
+    PROVENANCES,
     CellClass,
     Detection,
     EndReason,
+    ForestColumns,
     LineageForest,
     Provenance,
     Track,
@@ -64,6 +70,7 @@ __all__ = [
     "DetectionFile",
     "load_detections",
     "save_detections",
+    "read_forest",
     "load_forest",
     "save_forest",
     "forest_paths",
@@ -72,9 +79,8 @@ __all__ = [
 _HEADER_TYPES = {"frames": int, "width": float, "height": float, "embedding_dim": int}
 # An enum field is read as the index of its member: by dict lookup in
 # numpy's pass, through the enum (whose error names the value) in Python's.
-_CLASSES, _PROVENANCES = tuple(CellClass), tuple(Provenance)
-_CLASS_INDEX = {c.value: i for i, c in enumerate(_CLASSES)}
-_PROVENANCE_INDEX = {p.value: i for i, p in enumerate(_PROVENANCES)}
+_CLASS_INDEX = {c.value: i for i, c in enumerate(CELL_CLASSES)}
+_PROVENANCE_INDEX = {p.value: i for i, p in enumerate(PROVENANCES)}
 # The writers take a member's text from ``_value_``: an attribute read,
 # not the Python-level ``.value`` property or a dict lookup, whose
 # ``Enum.__hash__`` is Python-level too.
@@ -254,7 +260,7 @@ def load_detections(path: str) -> DetectionFile:
         f" (embedding_dim={dim})",
     )
     frame, boxes, conf, emb = values[:, 0], values[:, 1:5], values[:, 5], values[:, 7:]
-    classes = list(map(_CLASSES.__getitem__, values[:, 6].astype(np.intp).tolist()))
+    classes = list(map(CELL_CLASSES.__getitem__, values[:, 6].astype(np.intp).tolist()))
     ok = (frame >= 0) & (frame < meta.frames) & valid_detections(boxes, conf, emb)
     if not ok.all():
         i = int(np.argmin(ok))
@@ -326,9 +332,12 @@ def save_forest(forest: LineageForest, prefix: str) -> tuple[str, str]:
     return tracks_path, entries_path
 
 
-def load_forest(prefix: str, strict: bool = True) -> LineageForest:
-    """Load a forest from its file pair and validate structure.
+def read_forest(prefix: str, strict: bool = True) -> ForestColumns:
+    """Read a forest's file pair as checked ``ForestColumns``.
 
+    The track table is read line by line, the entries file by
+    ``_columns``; each record is checked as it is read, every entry row
+    in one mask, and the columns then pass ``ForestColumns.validate``.
     ``strict=False`` relaxes the gap-free / division-adjacency checks so
     that output of the interpolation-free ablation can be read back.
     """
@@ -340,8 +349,10 @@ def load_forest(prefix: str, strict: bool = True) -> LineageForest:
 
     headers, records = _read(tracks_path)
     meta = _meta(headers, tracks_path, ("frames", "width", "height"))
-    spans: dict[int, tuple[int, int]] = {}
-    tracks: dict[int, Track] = {}
+    rows: dict[int, int] = {}
+    spans: list[tuple[int, int]] = []
+    parents: list[int | None] = []
+    reasons: list[EndReason | None] = []
     for lineno, line in records:
         fields = line.split(",")
         try:
@@ -349,16 +360,17 @@ def load_forest(prefix: str, strict: bool = True) -> LineageForest:
                 raise ValueError(f"expected 5 fields, got {len(fields)}")
             tid_s, start_s, end_s, parent_s, reason_s = fields
             tid, start, end = _TRACK_ID(tid_s), int(start_s), int(end_s)
-            if tid in tracks:
+            if tid in rows:
                 raise ValidationError(f"duplicate track id {tid}")
             if end < start:
                 raise ValidationError(f"end {end} before start {start}")
-            parent = int(parent_s) if parent_s else None
-            reason = EndReason(reason_s) if reason_s else None
+            parents.append(int(parent_s) if parent_s else None)
+            reasons.append(EndReason(reason_s) if reason_s else None)
         except ValueError as exc:
             raise ValidationError(f"{tracks_path}:{lineno}: {exc}") from None
-        spans[tid] = (start, end)
-        tracks[tid] = Track(track_id=tid, parent=parent, end_reason=reason)
+        rows[tid] = len(spans)
+        spans.append((start, end))
+    ids = np.fromiter(rows, np.int64, len(rows))
 
     _, records = _read(entries_path)
     values = _columns(
@@ -366,50 +378,66 @@ def load_forest(prefix: str, strict: bool = True) -> LineageForest:
         {6: _PROVENANCE_INDEX.__getitem__, 7: _CLASS_INDEX.__getitem__},
         {0: _TRACK_ID, 1: _FRAME, 6: _index_of(Provenance), 7: _index_of(CellClass)},
     )
-    ids, frame, boxes = values["track"], values["frame"], values["box"]
-    classes = list(map(_CLASSES.__getitem__, values["cls"].tolist()))
-    provenances = list(map(_PROVENANCES.__getitem__, values["provenance"].tolist()))
+    entry_ids, frame, boxes = values["track"], values["frame"], values["box"]
     # The stable sort keeps file order among equal keys, so a repeated
     # (track, frame) is rejected where it repeats.
-    key = np.lexsort((frame, ids))
+    key = np.lexsort((frame, entry_ids))
     repeated = np.zeros(len(values), dtype=bool)
-    repeated[key[1:]] = (np.diff(ids[key]) == 0) & (np.diff(frame[key]) == 0)
-    declared = np.isin(ids, np.fromiter(tracks, np.int64, len(tracks)))
+    repeated[key[1:]] = (np.diff(entry_ids[key]) == 0) & (np.diff(frame[key]) == 0)
+    declared = np.isin(entry_ids, ids)
     ok = declared & valid_boxes(boxes) & ~repeated
     if not ok.all():
         i = int(np.argmin(ok))
         try:
             if not declared[i]:
-                raise ValidationError(f"entry for undeclared track {ids[i]}")
-            TrackEntry(tuple(boxes[i].tolist()), classes[i], provenances[i])
-            raise ValidationError(f"duplicate entry for track {ids[i]} frame {frame[i]}")
+                raise ValidationError(f"entry for undeclared track {entry_ids[i]}")
+            TrackEntry(
+                tuple(boxes[i].tolist()),
+                CELL_CLASSES[values["cls"][i]],
+                PROVENANCES[values["provenance"][i]],
+            )
+            raise ValidationError(
+                f"duplicate entry for track {entry_ids[i]} frame {frame[i]}"
+            )
         except ValidationError as exc:
             raise ValidationError(f"{entries_path}:{records[i][0]}: {exc}") from None
-    for t, f, box, cls, prov in zip(
-        ids.tolist(), frame.tolist(), zip(*boxes.T.tolist()), classes, provenances
-    ):
-        tracks[t].entries[f] = TrackEntry.trusted(box, cls, prov)
-
-    for tid, (start, end) in spans.items():
-        track = tracks[tid]
-        if not track.entries:
-            raise ValidationError(f"{tracks_path}: track {tid} has no entries")
-        if track.start_frame != start or track.last_frame != end:
-            raise ValidationError(
-                f"track {tid}: declared span [{start}, {end}] does not match "
-                f"entries [{track.start_frame}, {track.last_frame}]"
-            )
-        if track.parent is not None and track.parent not in tracks:
-            raise ValidationError(
-                f"track {tid} references missing parent {track.parent}"
-            )
-
-    for tid, track in tracks.items():
-        if track.parent is not None:
-            tracks[track.parent].children.append(tid)
-    for track in tracks.values():
-        track.children.sort()
-
-    forest = LineageForest(tracks=tracks, meta=meta)
+    forest = ForestColumns(
+        meta=meta,
+        ids=ids,
+        parents=parents,
+        end_reasons=reasons,
+        entry_ids=entry_ids[key],
+        frames=frame[key],
+        classes=values["cls"][key],
+        boxes=boxes[key],
+        provenances=values["provenance"][key],
+        spans=spans,
+        path=tracks_path,
+    )
     forest.validate(require_coverage=strict, require_adjacency=strict)
     return forest
+
+
+def load_forest(prefix: str, strict: bool = True) -> LineageForest:
+    """Load a forest from its file pair: ``read_forest``'s columns as
+    ``Track`` and ``TrackEntry`` objects."""
+    columns = read_forest(prefix, strict)
+    ids = columns.ids.tolist()
+    tracks = {
+        tid: Track(track_id=tid, parent=parent, end_reason=reason)
+        for tid, parent, reason in zip(ids, columns.parents, columns.end_reasons)
+    }
+    for t, f, box, cls, prov in zip(
+        columns.entry_ids.tolist(),
+        columns.frames.tolist(),
+        zip(*columns.boxes.T.tolist()),
+        map(CELL_CLASSES.__getitem__, columns.classes.tolist()),
+        map(PROVENANCES.__getitem__, columns.provenances.tolist()),
+    ):
+        tracks[t].entries[f] = TrackEntry.trusted(box, cls, prov)
+    for tid, parent in zip(ids, columns.parents):
+        if parent is not None:
+            tracks[parent].children.append(tid)
+    for track in tracks.values():
+        track.children.sort()
+    return LineageForest(tracks=tracks, meta=columns.meta)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Box, LineageForest, ValidationError, meeting_pairs
+from .core import ForestColumns, LineageForest, ValidationError, meeting_pairs
 
 __all__ = [
     "UndefinedMetricError",
@@ -127,60 +127,39 @@ class TrackingGraph:
         return self.src.size
 
 
-def build_graph(forest: LineageForest) -> TrackingGraph:
-    """Flatten a lineage forest into its tracking graph over
-    ``forest.meta.frames`` frames.  An entry outside them raises
-    ``ValidationError``: a forest built in memory may be unvalidated."""
-    frames = forest.meta.frames
-    node_frames: list[int] = []
-    ids: list[int] = []
-    boxes: list[Box] = []
-    ends: dict[int, tuple[int, int]] = {}  # track id -> first and last node
-    for tid in sorted(forest.tracks):
-        entries = forest.tracks[tid].entries
-        entry_frames = sorted(entries)
-        if not entry_frames:
-            continue
-        if entry_frames[-1] >= frames:
-            raise ValidationError(
-                f"track {tid} extends to frame {entry_frames[-1]}, "
-                f"beyond the declared {frames} frames"
-            )
-        if entry_frames[0] < 0:
-            raise ValidationError(
-                f"track {tid} has an entry at negative frame {entry_frames[0]}"
-            )
-        ends[tid] = (len(ids), len(ids) + len(entry_frames) - 1)
-        node_frames += entry_frames
-        ids += [tid] * len(entry_frames)
-        boxes += [entries[f].box for f in entry_frames]
-    node_frames_arr = np.array(node_frames, dtype=np.int64)
-    ids_arr = np.array(ids, dtype=np.int64)
-    # Nodes are in track order here: a link joins neighbours one frame apart.
-    link = np.flatnonzero(
-        (ids_arr[1:] == ids_arr[:-1]) & (np.diff(node_frames_arr) == 1)
-    )
-    # A child listed twice still makes one division edge.
-    division = np.array(
-        [
-            (ends[tid][1], ends[child][0])
-            for tid in sorted(forest.tracks)
-            for child in dict.fromkeys(forest.tracks[tid].children)
-        ],
-        dtype=np.intp,
-    ).reshape(-1, 2)
+def build_graph(forest: LineageForest | ForestColumns) -> TrackingGraph:
+    """The tracking graph of a forest over its ``meta.frames`` frames.
+
+    Columns are taken as checked, as ``ingest.read_forest`` returns them.
+    An in-memory forest may be unvalidated: it is converted to columns,
+    which are checked without the coverage and adjacency rules, so an
+    entry outside the frames raises ``ValidationError``.
+    """
+    if isinstance(forest, LineageForest):
+        forest = forest.columns()
+        forest.validate(require_coverage=False, require_adjacency=False)
+    ids, frames = forest.entry_ids, forest.frames
+    # Entries are in (track, frame) order: a link joins neighbours one
+    # frame apart.
+    link = np.flatnonzero((ids[1:] == ids[:-1]) & (np.diff(frames) == 1))
+    # A division joins its parent's last node to the daughter's first,
+    # parents in id order and each one's daughters in id order.
+    lo, hi = forest.bounds
+    parent = forest.parent_rows
+    child = np.flatnonzero(parent >= 0)
+    child = child[np.lexsort((forest.ids[child], forest.ids[parent[child]]))]
     # Tracks run in id order, so a stable sort by frame gives (frame, id).
-    order = np.argsort(node_frames_arr, kind="stable")
+    order = np.argsort(frames, kind="stable")
     rank = np.argsort(order)
     return TrackingGraph(
-        frames=frames,
-        node_frames=node_frames_arr[order],
-        ids=ids_arr[order],
-        boxes=np.array(boxes, dtype=float).reshape(-1, 4)[order],
-        src=rank[np.concatenate([link, division[:, 0]])],
-        dst=rank[np.concatenate([link + 1, division[:, 1]])],
+        frames=forest.meta.frames,
+        node_frames=frames[order],
+        ids=ids[order],
+        boxes=forest.boxes[order],
+        src=rank[np.concatenate([link, hi[parent[child]] - 1])],
+        dst=rank[np.concatenate([link + 1, lo[child]])],
         kinds=np.repeat(
-            np.array([LINK, PARENT], dtype=np.int8), [link.size, len(division)]
+            np.array([LINK, PARENT], dtype=np.int8), [link.size, child.size]
         ),
     )
 
@@ -747,7 +726,9 @@ class MetricReport:
         return out
 
 
-def evaluate(pred: LineageForest, gt: LineageForest) -> MetricReport:
+def evaluate(
+    pred: LineageForest | TrackingGraph, gt: LineageForest | TrackingGraph
+) -> MetricReport:
     """Compute the full metric suite for one video.
 
     MOTP is reported as 0.0 when no pair matches at the 0.5 threshold

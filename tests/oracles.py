@@ -82,6 +82,68 @@ def node_total(nodes) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Structural rules of a forest file pair, one track and one entry at a time
+
+
+def forest_fault(frames, table, entries, strict):
+    """The first structural fault of a forest, worded as the loader words
+    it, or ``None``.
+
+    ``table`` lists ``(track id, start, end, parent)`` in file order and
+    ``entries`` maps a track id to ``{frame: dead}``.  The track-table
+    rules run over every track first (entries, declared span, parent),
+    then the per-track rules, then the parent walk for cycles; ``strict``
+    adds the gap and adjacency rules.  ``{tracks}`` stands for the track
+    table's path.
+    """
+    parent_of = {tid: parent for tid, _, _, parent in table}
+    for tid, start, end, parent in table:
+        fs = sorted(entries.get(tid, {}))
+        if not fs:
+            return f"{{tracks}}: track {tid} has no entries"
+        if (start, end) != (fs[0], fs[-1]):
+            return (
+                f"track {tid}: declared span [{start}, {end}] does not match "
+                f"entries [{fs[0]}, {fs[-1]}]"
+            )
+        if parent is not None and parent not in parent_of:
+            return f"track {tid} references missing parent {parent}"
+    divided = {parent for parent in parent_of.values() if parent is not None}
+    for tid, _, _, parent in table:
+        dead = entries[tid]
+        fs = sorted(dead)
+        if fs[0] < 0 or fs[-1] >= frames:
+            return f"track {tid} has entries outside the video frame range"
+        if strict and fs != list(range(fs[0], fs[-1] + 1)):
+            return f"track {tid} has frame gaps"
+        dead_seen = False
+        for f in fs:
+            if dead_seen and not dead[f]:
+                return f"track {tid} reverts to alive after death at frame {f}"
+            dead_seen = dead_seen or dead[f]
+        if parent == tid:
+            return f"track {tid} is its own parent"
+        if strict and parent is not None and fs[0] != max(entries[parent]) + 1:
+            return (
+                f"track {tid} starts at {fs[0]}, parent {parent} ends at "
+                f"{max(entries[parent])}"
+            )
+        if tid in divided and not dead[fs[0]] and any(dead.values()):
+            return f"track {tid} both divided and died"
+    done: set[int] = set()
+    for tid, *_ in table:
+        path: list[int] = []
+        cur = tid
+        while cur is not None and cur not in done and cur not in path:
+            path.append(cur)
+            cur = parent_of[cur]
+        if cur is not None and cur in path:
+            return f"lineage cycle through track {cur}"
+        done.update(path)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Covered-center matching and edit counts
 
 

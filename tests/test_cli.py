@@ -14,6 +14,8 @@ import pytest
 import celltrack.cli
 from celltrack import (
     DetectionFile,
+    Track,
+    TrackEntry,
     corrupt,
     evaluate,
     load_forest,
@@ -495,6 +497,57 @@ class TestAblateCommand:
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["sweep_memory"] == []
+
+
+class TestForestFilesReadAsColumns:
+    """``evaluate`` and ``ablate`` read forest files as columns straight
+    into tracking graphs: they build no ``Track`` or ``TrackEntry``."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record each ``Track`` and ``TrackEntry.trusted`` made from now on."""
+        made = []
+        init, trusted = Track.__init__, TrackEntry.trusted.__func__
+
+        def spy_init(self, *args, **kwargs):
+            made.append(Track)
+            init(self, *args, **kwargs)
+
+        def spy_trusted(cls, *args):
+            made.append(TrackEntry)
+            return trusted(cls, *args)
+
+        monkeypatch.setattr(Track, "__init__", spy_init)
+        monkeypatch.setattr(TrackEntry, "trusted", classmethod(spy_trusted))
+        return made
+
+    def test_evaluate(self, sim_dir, tmp_path, monkeypatch):
+        tracked = tmp_path / "tracked"
+        assert main(["track", str(sim_dir / "clean.txt"), "--out", str(tracked)]) == 0
+        made = self.spy(monkeypatch)
+        args = ["evaluate", str(tracked / "pred"), str(sim_dir / "gt"),
+                "--out", str(tmp_path / "scores")]
+        assert main(args) == 0
+        assert made == []
+
+    def test_ablate(self, corpus_dir, tmp_path, monkeypatch):
+        # The tracker builds its forests from objects; each job is handed
+        # its video's ground truth, made before the spy, as the prediction.
+        truth = {}
+        for table in corpus_dir.glob("*/gt_tracks.txt"):
+            forest = load_forest(str(table.parent / "gt"))
+            truth[forest.meta.video_id] = forest
+        monkeypatch.setattr(
+            celltrack.cli, "track_video",
+            lambda frames, config, meta: truth[meta.video_id],
+        )
+        made = self.spy(monkeypatch)
+        args = ["ablate", str(corpus_dir), "--out", str(tmp_path / "o"),
+                "--no-sweep", "--workers", "1"]
+        assert main(args) == 0
+        assert made == []
+        rows = list(csv.DictReader(open(tmp_path / "o" / "ablation.csv")))
+        assert len(rows) == 8 and all(float(r["tra"]) == 1.0 for r in rows)
 
 
 class TestAnalyzeCommand:

@@ -385,27 +385,29 @@ class TestForestValidation:
     def test_key_id_mismatch(self):
         forest = self.valid_forest()
         forest.tracks[9] = forest.tracks.pop(1)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="track keyed 9 carries id 1"):
             forest.validate()
 
     def test_empty_track(self):
         forest = self.valid_forest()
         forest.tracks[2].entries.clear()
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^track 2 has no entries$"):
             forest.validate()
 
     def test_frame_gap_caught(self):
         t = make_track(1, 0, [bx(10, 10)] * 4)
         del t.entries[2]
         forest = make_forest(t, frames=4)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="track 1 has frame gaps"):
             forest.validate()
         forest.validate(require_coverage=False)
 
     def test_entry_beyond_video(self):
         t = make_track(1, 0, [bx(10, 10)] * 4)
         forest = make_forest(t, frames=3)
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError, match="track 1 has entries outside the video frame range"
+        ):
             forest.validate()
 
     def test_zero_frames_admit_no_entry(self):
@@ -421,25 +423,32 @@ class TestForestValidation:
             [bx(10, 10)] * 3,
             classes=[CellClass.ALIVE, CellClass.DEAD, CellClass.ALIVE],
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError, match="track 1 reverts to alive after death at frame 2"
+        ):
             make_forest(t).validate()
 
     def test_missing_parent(self):
         forest = self.valid_forest()
+        forest.tracks[1].children.remove(2)
         forest.tracks[2].parent = 42
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="track 2 references missing parent 42"):
             forest.validate()
 
     def test_parent_must_list_child(self):
         forest = self.valid_forest()
         forest.tracks[1].children.remove(2)
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError, match="track 2 not listed among parent 1's children"
+        ):
             forest.validate()
 
     def test_child_must_point_back(self):
         forest = self.valid_forest()
         forest.tracks[2].parent = None
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError, match="child 2 does not point back to parent 1"
+        ):
             forest.validate()
 
     def test_division_adjacency(self):
@@ -454,7 +463,7 @@ class TestForestValidation:
         )
         late = make_track(2, 4, [bx(46, 50), bx(45, 50)], parent=1)
         forest = make_forest(parent, late, frames=6)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="track 2 starts at 4, parent 1 ends at 1"):
             forest.validate()
         forest.validate(require_adjacency=False)
 
@@ -462,7 +471,7 @@ class TestForestValidation:
         t = make_track(1, 0, [bx(10, 10)])
         t.parent = 1
         t.children = [1]
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="track 1 is its own parent"):
             make_forest(t).validate()
 
     def test_divided_and_died_is_contradictory(self):
@@ -473,5 +482,5 @@ class TestForestValidation:
             cell_class=CellClass.DEAD,
             provenance=Provenance.OBSERVED_HIGH,
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="track 1 both divided and died"):
             forest.validate()

@@ -34,9 +34,13 @@ from celltrack import (
     track_video,
 )
 from celltrack import ingest
+from celltrack.cli import main
 from celltrack.core import MAX_FRAMES, _validate_box, valid_boxes
+from celltrack.ingest import read_forest
+from celltrack.metrics import LINK, PARENT, build_graph
 from celltrack.tracker import _confidence_bands
 from conftest import bx, make_forest, make_track
+from oracles import forest_fault, forest_nodes_edges
 
 
 def det(cx, cy, conf=0.9, cls=CellClass.ALIVE, emb=(0.0, 0.0, 0.0)):
@@ -837,3 +841,266 @@ def test_mutated_forest_is_rejected(forest, mutate, pick, in_tracks):
         _mutate_record(tracks_path if in_tracks else entries_path, mutate, pick)
         with pytest.raises(ValidationError):
             load_forest(f"{tmp}/f")
+
+
+# ---------------------------------------------------------------------------
+# The graph read from a forest's files (``read_forest`` -> ``build_graph``)
+# equals the graph of the loaded forest, and both paths reject a bad
+# forest with the same message.
+
+GRAPH_FIELDS = ("node_frames", "ids", "boxes", "src", "dst", "kinds")
+
+
+def _outcome(read):
+    """``read()``'s result, or the text of the ``ValidationError`` it raises."""
+    try:
+        return read()
+    except ValidationError as exc:
+        return str(exc)
+
+
+@CODEC_SETTINGS
+@given(forests(), st.booleans())
+def test_graph_read_from_files_equals_graph_of_loaded_forest(forest, strict):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_forest(forest, f"{tmp}/f")
+        direct = build_graph(read_forest(f"{tmp}/f", strict))
+        loaded = build_graph(load_forest(f"{tmp}/f", strict))
+    assert direct.frames == loaded.frames == forest.meta.frames
+    for name in GRAPH_FIELDS:
+        a, b = getattr(direct, name), getattr(loaded, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    # Against the graph rules written out entry by entry.
+    nodes, edges = forest_nodes_edges(forest, forest.meta.frames)
+    node = list(zip(direct.ids.tolist(), direct.node_frames.tolist()))
+    assert node == [(tid, f) for f in sorted(nodes) for tid, _ in nodes[f]]
+    assert list(map(tuple, direct.boxes.tolist())) == [
+        box for f in sorted(nodes) for _, box in nodes[f]
+    ]
+    kinds = {LINK: "link", PARENT: "parent"}
+    src, dst = direct.src.tolist(), direct.dst.tolist()
+    assert {
+        (node[s], node[d]): kinds[k] for s, d, k in zip(src, dst, direct.kinds.tolist())
+    } == edges
+    assert direct.edge_count == len(edges)
+
+
+@CODEC_SETTINGS
+@given(forests(), mutations(), st.integers(0, 10**6), st.booleans(), st.booleans())
+def test_mutated_forest_is_rejected_alike_by_both_paths(
+    forest, mutate, pick, in_tracks, strict
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        tracks_path, entries_path = save_forest(forest, f"{tmp}/f")
+        _mutate_record(tracks_path if in_tracks else entries_path, mutate, pick)
+        loaded = _outcome(lambda: load_forest(f"{tmp}/f", strict))
+        direct = _outcome(lambda: build_graph(read_forest(f"{tmp}/f", strict)))
+    assert isinstance(loaded, str)
+    assert direct == loaded
+
+
+# Each structural rule and its message, as files: (frames, track-table
+# records, entries as "track,frame,class"), then the message with
+# strict=True and with strict=False (None: the forest loads).
+# ``{tracks}`` stands for the track table's path.
+STRUCTURAL_FAULTS = {
+    "gap": (
+        4, ["1,0,2,,"], ["1,0,alive", "1,2,alive"],
+        "track 1 has frame gaps", None,
+    ),
+    "revert_to_alive": (
+        4, ["1,0,2,,"], ["1,0,alive", "1,1,dead", "1,2,alive"],
+        "track 1 reverts to alive after death at frame 2",
+        "track 1 reverts to alive after death at frame 2",
+    ),
+    "beyond_last_frame": (
+        2, ["1,0,2,,"], ["1,0,alive", "1,1,alive", "1,2,alive"],
+        "track 1 has entries outside the video frame range",
+        "track 1 has entries outside the video frame range",
+    ),
+    "negative_frame": (
+        2, ["1,-1,0,,"], ["1,-1,alive", "1,0,alive"],
+        "track 1 has entries outside the video frame range",
+        "track 1 has entries outside the video frame range",
+    ),
+    "missing_parent": (
+        2, ["1,0,0,,", "2,1,1,7,"], ["1,0,alive", "2,1,alive"],
+        "track 2 references missing parent 7",
+        "track 2 references missing parent 7",
+    ),
+    "self_parent": (
+        2, ["1,0,0,1,"], ["1,0,alive"],
+        "track 1 is its own parent", "track 1 is its own parent",
+    ),
+    "late_daughter": (
+        5, ["1,0,0,,division", "2,2,2,1,"], ["1,0,alive", "2,2,alive"],
+        "track 2 starts at 2, parent 1 ends at 0", None,
+    ),
+    "divided_and_died": (
+        3, ["1,0,1,,", "2,2,2,1,", "3,2,2,1,"],
+        ["1,0,alive", "1,1,dead", "2,2,alive", "3,2,alive"],
+        "track 1 both divided and died", "track 1 both divided and died",
+    ),
+    "cycle": (
+        3, ["1,0,0,2,", "2,1,1,1,"], ["1,0,alive", "2,1,alive"],
+        "track 1 starts at 0, parent 2 ends at 1", "lineage cycle through track 1",
+    ),
+    "cycle_after_tail": (
+        1, ["4,0,0,1,", "1,0,0,2,", "2,0,0,1,"], ["4,0,alive", "1,0,alive", "2,0,alive"],
+        "track 4 starts at 0, parent 1 ends at 0", "lineage cycle through track 1",
+    ),
+    "no_entries": (
+        2, ["1,0,0,,", "2,0,0,,"], ["1,0,alive"],
+        "{tracks}: track 2 has no entries", "{tracks}: track 2 has no entries",
+    ),
+    "span_mismatch": (
+        3, ["1,0,2,,"], ["1,0,alive", "1,1,alive"],
+        "track 1: declared span [0, 2] does not match entries [0, 1]",
+        "track 1: declared span [0, 2] does not match entries [0, 1]",
+    ),
+    "parent_beyond_int64": (
+        1, ["1,0,0,99999999999999999999,"], ["1,0,alive"],
+        "track 1 references missing parent 99999999999999999999",
+        "track 1 references missing parent 99999999999999999999",
+    ),
+    "span_beyond_int64": (
+        1, ["1,-100000000000000000000,100000000000000000000,,"], ["1,0,alive"],
+        "track 1: declared span [-100000000000000000000, 100000000000000000000] "
+        "does not match entries [0, 0]",
+        "track 1: declared span [-100000000000000000000, 100000000000000000000] "
+        "does not match entries [0, 0]",
+    ),
+    # The track-table rules (entries, span, parent) are checked for every
+    # track before any other rule.
+    "table_rule_first": (
+        4, ["1,0,2,,", "2,3,3,9,"], ["1,0,alive", "1,2,alive", "2,3,alive"],
+        "track 2 references missing parent 9", "track 2 references missing parent 9",
+    ),
+    # Then track by track: an earlier track's later rule comes first.
+    "track_order_first": (
+        2, ["1,0,1,,", "2,0,2,,"],
+        ["1,0,dead", "1,1,alive", "2,0,alive", "2,1,alive", "2,2,alive"],
+        "track 1 reverts to alive after death at frame 1",
+        "track 1 reverts to alive after death at frame 1",
+    ),
+    "entries_out_of_order": (
+        3, ["2,0,2,,", "1,0,0,,"], ["2,2,alive", "1,0,alive", "2,0,dead", "2,1,alive"],
+        "track 2 reverts to alive after death at frame 1",
+        "track 2 reverts to alive after death at frame 1",
+    ),
+}
+
+
+def _write_forest(prefix, frames, tracks, entries):
+    Path(f"{prefix}_tracks.txt").write_text(
+        "\n".join([f"#frames={frames}", "#width=64.0", "#height=64.0", *tracks]) + "\n"
+    )
+    rows = []
+    for entry in entries:
+        tid, frame, cls = entry.split(",")
+        rows.append(f"{tid},{frame},10.0,10.0,5.0,5.0,high,{cls}")
+    Path(f"{prefix}_entries.txt").write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("name", STRUCTURAL_FAULTS)
+@pytest.mark.parametrize("strict", [True, False])
+def test_structural_rule_message(tmp_path, name, strict):
+    frames, tracks, entries, *messages = STRUCTURAL_FAULTS[name]
+    prefix = str(tmp_path / "f")
+    _write_forest(prefix, frames, tracks, entries)
+    expected = messages[0 if strict else 1]
+    loaded = _outcome(lambda: load_forest(prefix, strict))
+    direct = _outcome(lambda: build_graph(read_forest(prefix, strict)))
+    if expected is None:
+        assert isinstance(loaded, LineageForest)
+        assert direct.node_count == len(entries)
+    else:
+        assert loaded == direct == expected.format(tracks=f"{prefix}_tracks.txt")
+
+
+@pytest.mark.parametrize("name", STRUCTURAL_FAULTS)
+def test_rejected_forest_exits_2(tmp_path, capsys, name):
+    # The prediction is read first, without the strict rules; a forest it
+    # admits then fails as the ground truth.
+    frames, tracks, entries, strict, lax = STRUCTURAL_FAULTS[name]
+    prefix = str(tmp_path / "f")
+    _write_forest(prefix, frames, tracks, entries)
+    args = ["evaluate", prefix, prefix, "--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: {(lax or strict).format(tracks=f'{prefix}_tracks.txt')}\n" in err
+    assert "internal error" not in err
+
+
+@st.composite
+def faulty_forests(draw):
+    """(frames, track table, entries) of up to four tracks, each one a run
+    of frames that turns dead, that break the structural rules now and
+    then: no entries, gaps, frames outside the video, alive after dead,
+    spans, and parents that are late, missing, themselves or a cycle."""
+    frames = draw(st.sampled_from([4, 6, 6, 6]))
+    ids = draw(st.permutations([1, 2, 3, 4]))[: draw(st.integers(1, 4))]
+    table, entries = [], {}
+    for tid in ids:
+        start = draw(st.sampled_from([-1, *[0, 1, 2, 3] * 3]))
+        run = list(range(start, start + draw(st.sampled_from([0, *[1, 2, 3] * 4]))))
+        if len(run) == 3 and draw(st.booleans()):
+            del run[1]
+        alive = draw(st.integers(0, len(run)))
+        dead = [i >= alive for i in range(len(run))]
+        if run and draw(st.integers(0, 5)) == 0:
+            i = draw(st.integers(0, len(run) - 1))
+            dead[i] = not dead[i]
+        entries[tid] = dict(zip(run, dead))
+        span = (min(run, default=0), max(run, default=0))
+        if draw(st.integers(0, 19)) == 0:
+            span = (span[0], span[1] + 1)
+        others = [i for i in ids if i != tid]
+        parent = draw(st.sampled_from([*[None, *others] * 3, tid, 5]))
+        table.append((tid, *span, parent))
+    return frames, table, entries
+
+
+@settings(CODEC_SETTINGS, max_examples=400)
+@given(faulty_forests(), st.booleans())
+def test_structural_rules_match_the_loop_reference(forest, strict):
+    frames, table, entries = forest
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = f"{tmp}/f"
+        _write_forest(
+            prefix, frames,
+            [f"{t},{a},{b},{'' if p is None else p}," for t, a, b, p in table],
+            [
+                f"{tid},{f},{'dead' if dead else 'alive'}"
+                for tid, by_frame in entries.items()
+                for f, dead in by_frame.items()
+            ],
+        )
+        expected = forest_fault(frames, table, entries, strict)
+        loaded = _outcome(lambda: load_forest(prefix, strict))
+        direct = _outcome(lambda: build_graph(read_forest(prefix, strict)))
+    if expected is None:
+        assert isinstance(loaded, LineageForest)
+        assert direct.node_count == sum(map(len, entries.values()))
+    else:
+        assert loaded == direct == expected.format(tracks=f"{prefix}_tracks.txt")
+    # The same forest built in memory, which declares no spans.
+    classes = {False: CellClass.ALIVE, True: CellClass.DEAD}
+    tracks = {}
+    for tid, _, _, parent in table:
+        tracks[tid] = Track(
+            track_id=tid,
+            entries={
+                f: TrackEntry(bx(10, 10), classes[dead], Provenance.OBSERVED_HIGH)
+                for f, dead in entries[tid].items()
+            },
+            parent=parent,
+            children=[t for t, _, _, p in table if p == tid],
+        )
+    spans = [(t, min(entries[t], default=0), max(entries[t], default=0), p)
+             for t, _, _, p in table]
+    expected = forest_fault(frames, spans, entries, strict)
+    if expected is not None:
+        expected = expected.replace("{tracks}: ", "")
+    forest = LineageForest(tracks=tracks, meta=VideoMeta(frames=frames))
+    assert _outcome(lambda: forest.validate(strict, strict)) == expected

@@ -162,11 +162,12 @@ class TestGraphBuilding:
         # A list index of -1 would file the entry under the last frame.
         bad = make_forest(make_track(1, -1, [B] * 3), frames=3)
         good = make_forest(make_track(1, 0, [B] * 3), frames=3)
-        with pytest.raises(ValidationError, match="negative frame"):
+        outside = "track 1 has entries outside the video frame range"
+        with pytest.raises(ValidationError, match=outside):
             build_graph(bad)
-        with pytest.raises(ValidationError, match="negative frame"):
+        with pytest.raises(ValidationError, match=outside):
             evaluate(bad, good)
-        with pytest.raises(ValidationError, match="negative frame"):
+        with pytest.raises(ValidationError, match=outside):
             evaluate(good, bad)
 
 
