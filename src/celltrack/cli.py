@@ -225,8 +225,10 @@ def _simulate_one(sim_cfg: SimulationConfig, dir_str: str) -> str:
     )
     save_detections(det, str(out / "clean.txt"))
     if corrupts(sim_cfg):
-        noisy = replace(det, frames=corrupt(result.clean_frames, sim_cfg))
-        save_detections(noisy, str(out / "detections.txt"))
+        noisy = corrupt(result.clean_frames, sim_cfg)
+        save_detections(
+            DetectionFile(det.meta, det.embedding_dim, noisy), str(out / "detections.txt")
+        )
     else:
         # The clean detections' text, without formatting it again.
         shutil.copyfile(out / "clean.txt", out / "detections.txt")
@@ -270,10 +272,10 @@ def cmd_track(args) -> int:
     configs = build_configs(args.config, args.set)
     out = write_manifest(args, configs, [args.detections])
     det_file = load_detections(args.detections)
-    forest = track_video(det_file.frames, config=configs.tracker, meta=det_file.meta)
+    forest = track_video(det_file.columns, config=configs.tracker, meta=det_file.meta)
     save_forest(forest, str(out / "pred"))
     print(
-        f"tracked {args.detections}: {len(forest.tracks)} tracks -> "
+        f"tracked {args.detections}: {forest.ids.size} tracks -> "
         f"{out / 'pred_tracks.txt'}"
     )
     return EXIT_OK
@@ -346,15 +348,16 @@ def _find_corpus(corpus_dir: str) -> list[Path]:
 
 def _ablate_job(video: Path, configs: list) -> list[tuple]:
     """DET/LNK/TRA rows of each ``(kind, label, config)`` on one video.  The
-    configs share one parse: ``Detection`` is immutable and the tracker
-    copies each frame's list.  The ground truth is read as columns
-    straight into its graph.  Scores go through ``metrics.`` so that
-    wrappers of that module's globals (the benchmark tracer) see them."""
+    configs share one parse, whose columns the tracker only reads.  The
+    ground truth is read as columns straight into its graph, and each
+    tracked forest's columns are scored as they are.  Scores go through
+    ``metrics.`` so that wrappers of that module's globals (the benchmark
+    tracer) see them."""
     det_file = load_detections(str(video / "detections.txt"))
     gt_graph = metrics.build_graph(read_forest(str(video / "gt")))
     rows = []
     for kind, label, cfg in configs:
-        forest = track_video(det_file.frames, config=cfg, meta=det_file.meta)
+        forest = track_video(det_file.columns, config=cfg, meta=det_file.meta)
         scores = metrics.det_lnk_tra(forest, gt_graph)
         rows.append((kind, label, video.name, scores.det, scores.lnk, scores.tra))
     return rows

@@ -31,6 +31,7 @@ __all__ = [
     "centroid",
     "Detection",
     "detections_from_columns",
+    "DetectionColumns",
     "TrackerConfig",
     "TrackEntry",
     "Track",
@@ -119,6 +120,14 @@ def valid_boxes(boxes: np.ndarray) -> np.ndarray:
             & (np.abs(far_x - x - w) <= SIZE_ROUNDING * w)
             & (np.abs(far_y - y - h) <= SIZE_ROUNDING * h)
         )
+
+
+def check_boxes(boxes: np.ndarray) -> None:
+    """Raise ``_validate_box``'s ``ValidationError`` for the first row of
+    an ``n x 4`` array of ``(x, y, w, h)`` that ``valid_boxes`` rejects."""
+    ok = valid_boxes(boxes)
+    if not ok.all():
+        _validate_box(tuple(boxes[int(np.argmin(ok))].tolist()))
 
 
 def run_slots(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -429,6 +438,42 @@ def detections_from_columns(
 
 
 @dataclass(eq=False)
+class DetectionColumns:
+    """A video's checked detections as columns, in frame order and, within
+    a frame, in the producer's order: frame ``f``'s records are rows
+    ``offsets[f]:offsets[f + 1]`` of ``boxes`` (``n x 4``),
+    ``confidences``, ``classes`` (indices into ``CELL_CLASSES``),
+    ``embeddings`` (``n x D``, read-only) and ``source_ids``.
+
+    As a sequence it holds one ``range`` of rows per frame, so ``len``
+    counts frames and each item's ``len`` its detections.
+    """
+
+    offsets: np.ndarray
+    boxes: np.ndarray
+    confidences: np.ndarray
+    classes: np.ndarray
+    embeddings: np.ndarray
+    source_ids: list[int | None]
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __iter__(self):
+        bounds = self.offsets.tolist()
+        return map(range, bounds[:-1], bounds[1:])
+
+    def detections(self) -> list[list[Detection]]:
+        """Frame ``f``'s ``Detection``s at index ``f``."""
+        dets = list(map(
+            Detection.trusted, zip(*self.boxes.T.tolist()), self.confidences.tolist(),
+            map(CELL_CLASSES.__getitem__, self.classes.tolist()), self.embeddings,
+            self.source_ids,
+        ))
+        return [dets[rows.start:rows.stop] for rows in self]
+
+
+@dataclass(eq=False)
 class Track:
     """One cell trajectory: per-frame entries plus lineage pointers."""
 
@@ -545,10 +590,34 @@ class LineageForest:
                     )
         self.columns(boxes=False).validate(require_coverage, require_adjacency)
 
+    @classmethod
+    def from_columns(cls, columns: ForestColumns) -> LineageForest:
+        """The ``Track`` and ``TrackEntry`` objects of checked columns that
+        carry boxes and provenances; tracks keep the columns' row order
+        and list their daughters in id order."""
+        ids = columns.ids.tolist()
+        tracks = {
+            tid: Track(track_id=tid, parent=parent, end_reason=reason)
+            for tid, parent, reason in zip(ids, columns.parents, columns.end_reasons)
+        }
+        for t, f, box, cell_class, provenance in zip(
+            columns.entry_ids.tolist(),
+            columns.frames.tolist(),
+            zip(*columns.boxes.T.tolist()),
+            map(CELL_CLASSES.__getitem__, columns.classes.tolist()),
+            map(PROVENANCES.__getitem__, columns.provenances.tolist()),
+        ):
+            tracks[t].entries[f] = TrackEntry.trusted(box, cell_class, provenance)
+        for tid, parent in zip(ids, columns.parents):
+            if parent is not None:
+                tracks[parent].children.append(tid)
+        for track in tracks.values():
+            track.children.sort()
+        return cls(tracks=tracks, meta=columns.meta)
+
     def columns(self, boxes: bool = True) -> ForestColumns:
         """This forest as ``ForestColumns``, tracks in key order; with
-        ``boxes=False`` the columns carry no boxes, and they never carry
-        provenances."""
+        ``boxes=False`` the columns carry neither boxes nor provenances."""
         tracks = self.tracks
         ids = sorted(tracks)
         counts, frames, entries = [], [], []
@@ -559,7 +628,7 @@ class LineageForest:
             frames += track_frames
             entries += map(by_frame.__getitem__, track_frames)
         n = len(entries)
-        return ForestColumns(
+        columns = ForestColumns(
             meta=self.meta,
             ids=np.fromiter(tracks, np.int64, len(tracks)),
             parents=[t.parent for t in tracks.values()],
@@ -569,11 +638,15 @@ class LineageForest:
             classes=np.fromiter(
                 map(CELL_CLASSES.index, map(_CLASS_OF, entries)), np.intp, n
             ),
-            boxes=(
-                np.fromiter(chain.from_iterable(map(_BOX_OF, entries)), float, 4 * n)
-                .reshape(n, 4) if boxes else None
-            ),
         )
+        if boxes:
+            columns.boxes = np.fromiter(
+                chain.from_iterable(map(_BOX_OF, entries)), float, 4 * n
+            ).reshape(n, 4)
+            columns.provenances = np.fromiter(
+                map(PROVENANCES.index, map(_PROVENANCE_OF, entries)), np.intp, n
+            )
+        return columns
 
 
 # An entry's class is its index in ``CELL_CLASSES``, its provenance its
@@ -581,6 +654,7 @@ class LineageForest:
 CELL_CLASSES, PROVENANCES = tuple(CellClass), tuple(Provenance)
 _DEAD = CELL_CLASSES.index(CellClass.DEAD)
 _CLASS_OF, _BOX_OF = operator.attrgetter("cell_class"), operator.attrgetter("box")
+_PROVENANCE_OF = operator.attrgetter("provenance")
 
 
 def _first_fault(rules: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Any
@@ -53,15 +52,14 @@ from .core import (
     PROVENANCES,
     CellClass,
     Detection,
+    DetectionColumns,
     EndReason,
     ForestColumns,
     LineageForest,
     Provenance,
-    Track,
     TrackEntry,
     ValidationError,
     VideoMeta,
-    detections_from_columns,
     valid_boxes,
     valid_detections,
 )
@@ -110,13 +108,29 @@ _ENTRY = np.dtype([
 ])
 
 
-@dataclass
 class DetectionFile:
-    """Parsed detection file: metadata, and frame f's detections in ``frames[f]``."""
+    """Parsed detection file: metadata, and frame f's detections in
+    ``frames[f]``.
 
-    meta: VideoMeta
-    embedding_dim: int
-    frames: list[list[Detection]] = field(default_factory=list)
+    ``load_detections`` keeps the records as checked ``columns``; the
+    ``Detection`` lists are then built the first time ``frames`` is read.
+    """
+
+    def __init__(
+        self,
+        meta: VideoMeta,
+        embedding_dim: int,
+        frames: list[list[Detection]] | None = None,
+        columns: DetectionColumns | None = None,
+    ) -> None:
+        self.meta, self.embedding_dim, self.columns = meta, embedding_dim, columns
+        self._frames = frames
+
+    @property
+    def frames(self) -> list[list[Detection]]:
+        if self._frames is None:
+            self._frames = [] if self.columns is None else self.columns.detections()
+        return self._frames
 
 
 def _read(path: str) -> tuple[dict[str, Any], list[tuple[int, str]]]:
@@ -260,7 +274,7 @@ def load_detections(path: str) -> DetectionFile:
         f" (embedding_dim={dim})",
     )
     frame, boxes, conf, emb = values[:, 0], values[:, 1:5], values[:, 5], values[:, 7:]
-    classes = list(map(CELL_CLASSES.__getitem__, values[:, 6].astype(np.intp).tolist()))
+    codes = values[:, 6].astype(np.intp)
     ok = (frame >= 0) & (frame < meta.frames) & valid_detections(boxes, conf, emb)
     if not ok.all():
         i = int(np.argmin(ok))
@@ -269,16 +283,24 @@ def load_detections(path: str) -> DetectionFile:
             if not 0 <= frame[i] < meta.frames:
                 text = line.partition(",")[0]
                 raise ValidationError(f"frame {int(text)} outside [0, {meta.frames})")
-            Detection(tuple(boxes[i].tolist()), float(conf[i]), classes[i], emb[i])
+            Detection(tuple(boxes[i].tolist()), float(conf[i]), CELL_CLASSES[codes[i]], emb[i])
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    detections = detections_from_columns(
-        boxes, conf, classes, emb, [lineno for lineno, _ in records]
+    # A stable sort keeps the file order of each frame's records.
+    order = np.argsort(frame, kind="stable")
+    emb = emb.take(order, axis=0)
+    emb.setflags(write=False)
+    columns = DetectionColumns(
+        offsets=np.concatenate((
+            [0], np.bincount(frame.astype(np.intp), minlength=meta.frames).cumsum()
+        )),
+        boxes=boxes.take(order, axis=0),
+        confidences=conf.take(order),
+        classes=codes.take(order),
+        embeddings=emb,
+        source_ids=[records[i][0] for i in order.tolist()],
     )
-    frames: list[list[Detection]] = [[] for _ in range(meta.frames)]
-    for f, det in zip(frame.astype(np.intp).tolist(), detections):
-        frames[f].append(det)
-    return DetectionFile(meta=meta, embedding_dim=dim, frames=frames)
+    return DetectionFile(meta=meta, embedding_dim=dim, columns=columns)
 
 
 def save_detections(det_file: DetectionFile, path: str) -> None:
@@ -306,27 +328,36 @@ def forest_paths(prefix: str) -> tuple[str, str]:
     return f"{prefix}_tracks.txt", f"{prefix}_entries.txt"
 
 
-def save_forest(forest: LineageForest, prefix: str) -> tuple[str, str]:
-    """Write a forest to ``<prefix>_tracks.txt`` / ``<prefix>_entries.txt``."""
+def save_forest(forest: LineageForest | ForestColumns, prefix: str) -> tuple[str, str]:
+    """Write a forest to ``<prefix>_tracks.txt`` / ``<prefix>_entries.txt``,
+    tracks in id order; a ``LineageForest`` is written from its columns."""
+    if isinstance(forest, LineageForest):
+        forest = forest.columns()
     tracks_path, entries_path = forest_paths(prefix)
-    track_lines: list[str] = []
-    entry_lines: list[str] = []
-    for tid in sorted(forest.tracks):
-        track = forest.tracks[tid]
-        parent = "" if track.parent is None else str(track.parent)
-        reason = "" if track.end_reason is None else track.end_reason._value_
-        track_lines.append(
-            f"{tid},{track.start_frame},{track.last_frame},{parent},{reason}"
+    rows = np.argsort(forest.ids, kind="stable").tolist()
+    lo, hi = forest.bounds
+    frames = forest.frames.tolist()
+    ids, first, end = forest.ids.tolist(), lo.tolist(), hi.tolist()
+    if (hi == lo).any():
+        # A track table line states the track's first and last frames.
+        raise ValidationError(f"track {ids[int(np.argmax(hi == lo))]} has no entries")
+    track_lines = []
+    for i in rows:
+        parent, reason = forest.parents[i], forest.end_reasons[i]
+        track_lines.append(",".join((
+            str(ids[i]), str(frames[first[i]]), str(frames[end[i] - 1]),
+            "" if parent is None else str(parent),
+            "" if reason is None else reason._value_,
+        )))
+    provenances = [p._value_ for p in PROVENANCES]
+    classes = [c._value_ for c in CELL_CLASSES]
+    entry_lines = [
+        f"{t},{f},{x!r},{y!r},{w!r},{h!r},{provenances[p]},{classes[c]}"
+        for t, f, (x, y, w, h), p, c in zip(
+            forest.entry_ids.tolist(), frames, forest.boxes.tolist(),
+            forest.provenances.tolist(), forest.classes.tolist(),
         )
-        for f in sorted(track.entries):
-            e = track.entries[f]
-            entry_lines.append(",".join((
-                str(tid),
-                str(f),
-                *map(repr, map(float, e.box)),
-                e.provenance._value_,
-                e.cell_class._value_,
-            )))
+    ]
     _write(tracks_path, forest.meta, track_lines)
     _write(entries_path, None, entry_lines)
     return tracks_path, entries_path
@@ -421,23 +452,4 @@ def read_forest(prefix: str, strict: bool = True) -> ForestColumns:
 def load_forest(prefix: str, strict: bool = True) -> LineageForest:
     """Load a forest from its file pair: ``read_forest``'s columns as
     ``Track`` and ``TrackEntry`` objects."""
-    columns = read_forest(prefix, strict)
-    ids = columns.ids.tolist()
-    tracks = {
-        tid: Track(track_id=tid, parent=parent, end_reason=reason)
-        for tid, parent, reason in zip(ids, columns.parents, columns.end_reasons)
-    }
-    for t, f, box, cls, prov in zip(
-        columns.entry_ids.tolist(),
-        columns.frames.tolist(),
-        zip(*columns.boxes.T.tolist()),
-        map(CELL_CLASSES.__getitem__, columns.classes.tolist()),
-        map(PROVENANCES.__getitem__, columns.provenances.tolist()),
-    ):
-        tracks[t].entries[f] = TrackEntry.trusted(box, cls, prov)
-    for tid, parent in zip(ids, columns.parents):
-        if parent is not None:
-            tracks[parent].children.append(tid)
-    for track in tracks.values():
-        track.children.sort()
-    return LineageForest(tracks=tracks, meta=columns.meta)
+    return LineageForest.from_columns(read_forest(prefix, strict))

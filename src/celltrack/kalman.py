@@ -16,13 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    Box,
-    CellClass,
-    Point,
-    Provenance,
-    TrackEntry,
-)
+from .core import Point
 
 __all__ = [
     "start_cov",
@@ -98,36 +92,31 @@ def interpolate_gap(
     size: tuple[float, float],
     gap_frames: Sequence[int],
     anchor_after: Point,
-    cell_class: CellClass,
-) -> dict[int, TrackEntry]:
-    """Synthesize ``cell_class`` entries for the frames a track was
-    unobserved, ``gap_frames`` (at least one).
+) -> np.ndarray:
+    """Boxes ``(k, 4)`` for the ``k`` frames a track was unobserved,
+    ``gap_frames`` (at least one), in their order.
 
     ``mean`` is the filter mean (cx, cy, vx, vy) at the last observed
     frame (post update), rolled forward one predict per gap frame; the
     covariance never moves the mean of a predict, so it is not needed.
     ``anchor_after`` is the re-identified position on the frame right
     after the gap: the predictions are blended linearly toward it so the
-    track rejoins the new observation without a jump.  Returned boxes
-    have ``size``, the last observed (width, height).
+    track rejoins the new observation without a jump.  Every box has
+    ``size``, the last observed (width, height); whether it passes the box
+    rule is the caller's to check.
     """
     w, h = size
-    positions: list[np.ndarray] = []
+    k = len(gap_frames)
+    positions = np.empty((k, 2))
     rolling = mean
-    for _ in gap_frames:
+    for i in range(k):
         rolling = rolling @ _F.T
-        positions.append(rolling[:2])
+        positions[i] = rolling[:2]
     rolling = rolling @ _F.T
     residual = np.array(anchor_after) - rolling[:2]
-    k = len(gap_frames)
-    for i in range(k):
-        positions[i] = positions[i] + residual * ((i + 1) / (k + 1))
-    entries: dict[int, TrackEntry] = {}
-    for frame, pos in zip(gap_frames, positions):
-        box: Box = (float(pos[0]) - w / 2.0, float(pos[1]) - h / 2.0, w, h)
-        entries[frame] = TrackEntry(
-            box=box,
-            cell_class=cell_class,
-            provenance=Provenance.INTERPOLATED,
-        )
-    return entries
+    positions += residual * (np.arange(1, k + 1) / (k + 1))[:, None]
+    boxes = np.empty((k, 4))
+    boxes[:, 0] = positions[:, 0] - w / 2.0
+    boxes[:, 1] = positions[:, 1] - h / 2.0
+    boxes[:, 2], boxes[:, 3] = w, h
+    return boxes

@@ -429,7 +429,8 @@ class FramePairs:
 
 
 def _graphs(
-    pred: LineageForest | TrackingGraph, gt: LineageForest | TrackingGraph
+    pred: LineageForest | ForestColumns | TrackingGraph,
+    gt: LineageForest | ForestColumns | TrackingGraph,
 ) -> tuple[TrackingGraph, TrackingGraph]:
     """(gt, pred) as graphs, each forest built over its own declared frames.
     ``UndefinedMetricError`` when the ground truth has no objects."""
@@ -524,8 +525,8 @@ class CtcScores:
 
 
 def det_lnk_tra(
-    pred: LineageForest | TrackingGraph,
-    gt: LineageForest | TrackingGraph,
+    pred: LineageForest | ForestColumns | TrackingGraph,
+    gt: LineageForest | ForestColumns | TrackingGraph,
     *,
     pairs: FramePairs | None = None,
 ) -> CtcScores:
@@ -564,8 +565,8 @@ class HotaScores:
 
 
 def hota(
-    pred: LineageForest | TrackingGraph,
-    gt: LineageForest | TrackingGraph,
+    pred: LineageForest | ForestColumns | TrackingGraph,
+    gt: LineageForest | ForestColumns | TrackingGraph,
     *,
     pairs: FramePairs | None = None,
 ) -> HotaScores:
@@ -627,8 +628,8 @@ def hota(
 
 
 def mota(
-    pred: LineageForest | TrackingGraph,
-    gt: LineageForest | TrackingGraph,
+    pred: LineageForest | ForestColumns | TrackingGraph,
+    gt: LineageForest | ForestColumns | TrackingGraph,
     *,
     pairs: FramePairs | None = None,
 ) -> float:
@@ -649,8 +650,8 @@ def mota(
 
 
 def motp(
-    pred: LineageForest | TrackingGraph,
-    gt: LineageForest | TrackingGraph,
+    pred: LineageForest | ForestColumns | TrackingGraph,
+    gt: LineageForest | ForestColumns | TrackingGraph,
     *,
     pairs: FramePairs | None = None,
 ) -> float:
@@ -663,8 +664,8 @@ def motp(
 
 
 def idf1(
-    pred: LineageForest | TrackingGraph,
-    gt: LineageForest | TrackingGraph,
+    pred: LineageForest | ForestColumns | TrackingGraph,
+    gt: LineageForest | ForestColumns | TrackingGraph,
     *,
     pairs: FramePairs | None = None,
 ) -> float:
@@ -727,7 +728,8 @@ class MetricReport:
 
 
 def evaluate(
-    pred: LineageForest | TrackingGraph, gt: LineageForest | TrackingGraph
+    pred: LineageForest | ForestColumns | TrackingGraph,
+    gt: LineageForest | ForestColumns | TrackingGraph,
 ) -> MetricReport:
     """Compute the full metric suite for one video.
 

@@ -157,7 +157,7 @@ def test_criterion_1_identity_oracle():
                 report.idf1,
             )
             assert scores == (1.0,) * 6, f"seed {seed}: {scores}"
-            assert_isomorphic(pred, res.ground_truth)
+            assert_isomorphic(LineageForest.from_columns(pred), res.ground_truth)
         assert time.perf_counter() - start < 60.0
 
 
@@ -431,10 +431,11 @@ def test_criterion_6_invariants():
             cfg = random_sim_config(rng, i)
             dets = corrupt(simulate(cfg).clean_frames, cfg)
 
-            forest = track_video(dets, tracker_cfg)
+            forest = LineageForest.from_columns(track_video(dets, tracker_cfg))
 
             # Bit-identical rerun.
-            assert _entries_identical(forest, track_video(dets, tracker_cfg))
+            again = LineageForest.from_columns(track_video(dets, tracker_cfg))
+            assert _entries_identical(forest, again)
 
             # Gap-free spans, dead monotonicity, division adjacency.
             forest.validate()

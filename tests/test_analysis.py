@@ -10,6 +10,7 @@ from celltrack import (
     AnalysisFilter,
     CellClass,
     EndReason,
+    LineageForest,
     SimulationConfig,
     TrackerConfig,
     ValidationError,
@@ -624,9 +625,8 @@ class TestGoldenTables:
         # is rejected.
         meta = replace(det_file.meta, video_id="video_007_pred")
         pred = track_video(det_file.frames, TrackerConfig(use_kalman=False), meta=meta)
-        assert any(
-            len(t.entries) < t.span() for t in pred.tracks.values()
-        )  # the prediction has gaps
+        tracks = LineageForest.from_columns(pred).tracks.values()
+        assert any(len(t.entries) < t.span() for t in tracks)  # the prediction has gaps
         save_forest(pred, str(tmp_path / "pred"))
         prefixes.append(str(tmp_path / "pred"))
 

@@ -13,6 +13,7 @@ import pytest
 
 import celltrack.cli
 from celltrack import (
+    Detection,
     DetectionFile,
     Track,
     TrackEntry,
@@ -531,8 +532,8 @@ class TestForestFilesReadAsColumns:
         assert made == []
 
     def test_ablate(self, corpus_dir, tmp_path, monkeypatch):
-        # The tracker builds its forests from objects; each job is handed
-        # its video's ground truth, made before the spy, as the prediction.
+        # Each job is handed its video's ground truth, loaded before the
+        # spy, as the prediction, so every score is 1.0.
         truth = {}
         for table in corpus_dir.glob("*/gt_tracks.txt"):
             forest = load_forest(str(table.parent / "gt"))
@@ -548,6 +549,36 @@ class TestForestFilesReadAsColumns:
         assert made == []
         rows = list(csv.DictReader(open(tmp_path / "o" / "ablation.csv")))
         assert len(rows) == 8 and all(float(r["tra"]) == 1.0 for r in rows)
+
+
+class TestTrackingOnColumns:
+    """``track`` and ``ablate`` track a detection file's columns into
+    forest columns: they build no ``Detection``, ``Track`` or
+    ``TrackEntry``."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        made = TestForestFilesReadAsColumns.spy(monkeypatch)
+        trusted = Detection.trusted.__func__
+
+        def spy_detection(cls, *args):
+            made.append(Detection)
+            return trusted(cls, *args)
+
+        monkeypatch.setattr(Detection, "trusted", classmethod(spy_detection))
+        return made
+
+    def test_track(self, corpus_dir, tmp_path, monkeypatch):
+        video = corpus_dir / "video_000"
+        made = self.spy(monkeypatch)
+        assert main(["track", str(video / "detections.txt"), "--out", str(tmp_path / "o")]) == 0
+        assert made == []
+
+    def test_ablate(self, corpus_dir, tmp_path, monkeypatch):
+        made = self.spy(monkeypatch)
+        args = ["ablate", str(corpus_dir), "--out", str(tmp_path / "o"), "--no-sweep"]
+        assert main(args) == 0
+        assert made == []
 
 
 class TestAnalyzeCommand:
@@ -914,6 +945,36 @@ class TestExitCodes:
         assert main(["track", str(det), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "d.txt:5: box size lost to rounding at its position" in err
+
+    def test_gap_box_lost_to_rounding(self, tmp_path, capsys):
+        # A cell crossing x = 2**27 is missed for two frames: the box
+        # interpolated over the gap has a position whose last bits its
+        # right edge cannot hold.
+        det = tmp_path / "d.txt"
+        x = [2.0**27 - 20.0 + k for k in range(3)] + [2.0**27 - 5.0]
+        det.write_text(
+            "#frames=6\n#width=64.0\n#height=64.0\n#embedding_dim=1\n" + "".join(
+                f"{f},{x!r},0.0,10.0,5.0,0.9,alive,0.0\n" for f, x in zip((0, 1, 2, 5), x)
+            )
+        )
+        assert main(["track", str(det), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "box size lost to rounding at its position in (134217718.66652392," in err
+
+    def test_overflowing_embedding_distance(self, tmp_path, capsys):
+        # The L1 distance of the two embeddings overflows to inf.  With the
+        # appearance term weighted 0 the death match costs its distance
+        # term, not 0 * inf = NaN, and no overflow warning is raised.
+        det = tmp_path / "d.txt"
+        det.write_text(
+            "#frames=2\n#width=64.0\n#height=64.0\n#embedding_dim=2\n"
+            "0,10.0,10.0,5.0,5.0,0.9,alive,1e308,1e308\n"
+            "1,11.0,10.0,5.0,5.0,0.9,dead,-1e308,-1e308\n"
+        )
+        out = tmp_path / "o"
+        argv = ["track", str(det), "--out", str(out), "--set", "tracker.appearance_weight=0"]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert (out / "pred_tracks.txt").read_text().splitlines()[-1] == "1,0,1,,death"
 
     @pytest.mark.parametrize("tid, code", [(2**63 - 1, 0), (2**63, 2), (10**20, 2)])
     def test_track_id_beyond_int64(self, tid, code, tmp_path, capsys):

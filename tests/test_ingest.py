@@ -261,7 +261,9 @@ class TestForestIO:
             seed=5,
         )
         sim = simulate(cfg)
-        pred = track_video(corrupt(sim.clean_frames, cfg), TrackerConfig())
+        pred = LineageForest.from_columns(
+            track_video(corrupt(sim.clean_frames, cfg), TrackerConfig())
+        )
         provenances = set()
         for name, forest in (("pred", pred), ("gt", sim.ground_truth)):
             prefix = str(tmp_path / name)

@@ -11,6 +11,7 @@ from celltrack import (
     CellClass,
     CellTracker,
     Detection,
+    LineageForest,
     Provenance,
     TrackerConfig,
     interpolate_gap,
@@ -172,16 +173,12 @@ class TestGapInterpolation:
         mean, last = self.settled_state(velocity=(4.0, 0.0))
         cx, cy, vx, vy = mean.tolist()
         anchor = (cx + 4 * vx, cy + 4 * vy)
-        entries = interpolate_gap(
-            mean, (8.0, 6.0), [21, 22, 23], anchor, CellClass.ALIVE
-        )
-        assert sorted(entries) == [21, 22, 23]
-        for i, frame in enumerate([21, 22, 23], start=1):
-            e = entries[frame]
-            cx = e.box[0] + e.box[2] / 2.0
+        boxes = interpolate_gap(mean, (8.0, 6.0), [21, 22, 23], anchor)
+        assert boxes.shape == (3, 4)
+        for i, box in enumerate(boxes.tolist(), start=1):
+            cx = box[0] + box[2] / 2.0
             assert cx == pytest.approx(last[0] + 4.0 * i, abs=0.05)
-            assert e.box[2:] == (8.0, 6.0)
-            assert e.provenance is Provenance.INTERPOLATED
+            assert box[2:] == [8.0, 6.0]
 
     def test_anchor_blending_rejoins_without_jump(self):
         # Re-identified 12 px off the dead-reckoned line: interpolated
@@ -189,14 +186,23 @@ class TestGapInterpolation:
         mean, last = self.settled_state(velocity=(4.0, 0.0))
         gap = [21, 22, 23]
         anchor = (last[0] + 4.0 * 4, 12.0)
-        entries = interpolate_gap(mean, (8.0, 8.0), gap, anchor, CellClass.ALIVE)
-        cys = [entries[f].box[1] + entries[f].box[3] / 2.0 for f in gap]
+        boxes = interpolate_gap(mean, (8.0, 8.0), gap, anchor)
+        cys = (boxes[:, 1] + boxes[:, 3] / 2.0).tolist()
         expected = [12.0 * (i / 4.0) for i in (1, 2, 3)]
         assert cys == pytest.approx(expected, abs=0.2)
 
     def test_cell_class_propagates(self):
-        mean, last = self.settled_state()
-        entries = interpolate_gap(
-            mean, (8.0, 8.0), [21], anchor_after=last, cell_class=CellClass.DEAD
-        )
-        assert entries[21].cell_class is CellClass.DEAD
+        # The tracker fills a gap with the class of the track that skipped
+        # it: a corpse missed for two frames is filled dead.
+        engine = CellTracker()
+        for x in (50.0, None, None, 53.0):
+            engine.step(
+                [] if x is None else [Detection(bx(x, 50.0), 0.9, CellClass.DEAD, np.zeros(4))]
+            )
+        (track,) = LineageForest.from_columns(engine.finalize()).tracks.values()
+        assert [(e.cell_class, e.provenance) for e in track.entries.values()] == [
+            (CellClass.DEAD, Provenance.OBSERVED_HIGH),
+            (CellClass.DEAD, Provenance.INTERPOLATED),
+            (CellClass.DEAD, Provenance.INTERPOLATED),
+            (CellClass.DEAD, Provenance.OBSERVED_HIGH),
+        ]

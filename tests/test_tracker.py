@@ -14,7 +14,9 @@ from celltrack import (
     CellClass,
     CellTracker,
     Detection,
+    DetectionFile,
     EndReason,
+    LineageForest,
     Provenance,
     SimulationConfig,
     TrackerConfig,
@@ -23,6 +25,8 @@ from celltrack import (
     VideoMeta,
     pair_cost,
     corrupt,
+    load_detections,
+    save_detections,
     save_forest,
     simulate,
     track_video,
@@ -68,6 +72,27 @@ def run(frames, config=CFG):
     return engine
 
 
+def forest_of(engine):
+    """The finalized forest of ``engine`` as ``Track`` objects."""
+    return LineageForest.from_columns(engine.finalize())
+
+
+def listed(pairs, config, gate_similarity=True):
+    """A gate pass's pairs as ``(cost, track id, detection index)`` in
+    its order, the form of ``oracles.dense_candidates``: with
+    ``gate_similarity``, only those that pass the class rule and the
+    appearance gate, as stage 1 and stage 2 read them; without, all of
+    them, as death matching does."""
+    keep = pairs.gated(config) if gate_similarity else np.ones(len(pairs), dtype=bool)
+    cost = pair_cost(pairs.sim[keep], pairs.dist[keep], config)
+    return list(zip(cost.tolist(), pairs.track[keep].tolist(), pairs.det[keep].tolist()))
+
+
+def gate(tracks, dets, config, gate_similarity=True):
+    """``build_candidates``'s pairs, ``listed``."""
+    return listed(build_candidates(tracks, dets, config), config, gate_similarity)
+
+
 class TestPairCost:
     def test_unit_identity_at_both_gates(self):
         # A pair sitting exactly on the appearance and distance gates costs
@@ -90,16 +115,16 @@ class TestPairCost:
 class TestBuildCandidates:
     def test_distance_gate(self):
         # 51 px away: outside the 50 px gate.
-        pairs = build_candidates(ref(1, 0, 0), pool([det(51, 0)]), CFG)
+        pairs = gate(ref(1, 0, 0), pool([det(51, 0)]), CFG)
         assert pairs == []
-        pairs = build_candidates(ref(1, 0, 0), pool([det(49, 0)]), CFG)
+        pairs = gate(ref(1, 0, 0), pool([det(49, 0)]), CFG)
         assert len(pairs) == 1
 
     def test_similarity_gate(self):
         far_emb = (20.0, 20.0, 20.0, 20.0)  # L1 = 80 > 65
-        pairs = build_candidates(ref(1, 0, 0), pool([det(10, 0, emb=far_emb)]), CFG)
+        pairs = gate(ref(1, 0, 0), pool([det(10, 0, emb=far_emb)]), CFG)
         assert pairs == []
-        pairs = build_candidates(
+        pairs = gate(
             ref(1, 0, 0), pool([det(10, 0, emb=far_emb)]), CFG, gate_similarity=False
         )
         assert len(pairs) == 1
@@ -107,15 +132,15 @@ class TestBuildCandidates:
 
     def test_cost_matches_pair_cost(self):
         emb = (10.0, 0.0, 0.0, 0.0)
-        pairs = build_candidates(ref(1, 0, 0), pool([det(30, 40, emb=emb)]), CFG)
+        pairs = gate(ref(1, 0, 0), pool([det(30, 40, emb=emb)]), CFG)
         assert len(pairs) == 1
         cost, tid, di = pairs[0]
         assert (tid, di) == (1, 0)
         assert cost == pytest.approx(pair_cost(10.0, 50.0, CFG))
 
     def test_empty_inputs(self):
-        assert build_candidates(pool([], ids=[]), pool([det(0, 0)]), CFG) == []
-        assert build_candidates(ref(1, 0, 0), pool([]), CFG) == []
+        assert gate(pool([], ids=[]), pool([det(0, 0)]), CFG) == []
+        assert gate(ref(1, 0, 0), pool([]), CFG) == []
 
 
 FINITE = st.one_of(st.integers(-60, 160).map(float), st.floats(-60.0, 160.0))
@@ -171,13 +196,18 @@ def gate_inputs(draw):
 @pytest.fixture
 def gate_calls(monkeypatch):
     """Check every ``build_candidates`` call the tracker makes against the
-    dense reference; records each call's track positions and gate flag."""
+    dense reference, with and without the appearance gate and class rule;
+    records each call's track positions and whether it held pairs that
+    only death matching reads."""
     calls = []
 
-    def both(tracks, dets, config, gate_similarity=True):
-        got = build_candidates(tracks, dets, config, gate_similarity)
-        assert got == dense_candidates(tracks, dets, config, gate_similarity)
-        calls.append((tracks.pos.copy(), gate_similarity))
+    def both(tracks, dets, config):
+        got = build_candidates(tracks, dets, config)
+        for gate_similarity in (True, False):
+            assert listed(got, config, gate_similarity) == dense_candidates(
+                tracks, dets, config, gate_similarity
+            )
+        calls.append((tracks.pos.copy(), len(listed(got, config)) < len(got)))
         return got
 
     monkeypatch.setattr(celltrack.tracker, "build_candidates", both)
@@ -191,7 +221,7 @@ def on_both_paths(tracks, dets, cfg, gate_similarity=True):
     for band_after in (10**9, -1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(celltrack.tracker, "BAND_AFTER", band_after)
-            assert build_candidates(tracks, dets, cfg, gate_similarity) == want
+            assert gate(tracks, dets, cfg, gate_similarity) == want
     return want
 
 
@@ -215,7 +245,7 @@ class TestGateMatchesDenseReference:
     @given(gate_inputs())
     def test_drawn_inputs(self, case):
         tracks, dets, cfg, gate_similarity = case
-        assert build_candidates(tracks, dets, cfg, gate_similarity) == dense_candidates(
+        assert gate(tracks, dets, cfg, gate_similarity) == dense_candidates(
             tracks, dets, cfg, gate_similarity
         )
 
@@ -266,7 +296,7 @@ class TestGateMatchesDenseReference:
         tracks = ref(1, 60.0, 0.0)
         dets = [det(cx, 0.0)]
         assert dets[0].centroid[0] == cx
-        pairs = build_candidates(tracks, pool(dets), CFG)
+        pairs = gate(tracks, pool(dets), CFG)
         assert [(tid, j) for _, tid, j in pairs] == [(1, 0)]
         assert pairs == dense_candidates(tracks, pool(dets), CFG)
 
@@ -276,7 +306,7 @@ class TestGateMatchesDenseReference:
         edges = [px - 50.0, px + 50.0]
         xs = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)] + edges
         dets = [det(x, 0.0) for x in xs]
-        pairs = build_candidates(tracks, pool(dets), CFG)
+        pairs = gate(tracks, pool(dets), CFG)
         assert pairs == dense_candidates(tracks, pool(dets), CFG)
         on_gate = {j for j, d in enumerate(dets) if abs(px - d.centroid[0]) == 50.0}
         assert on_gate and on_gate <= {j for _, _, j in pairs}
@@ -298,7 +328,7 @@ class TestGateMatchesDenseReference:
         cells = [(rng.uniform(0, 20), rng.uniform(0, 4000)) for _ in range(300)]
         tracks = pool([det(x, y) for x, y in cells], ids=range(1, len(cells) + 1))
         dets = pool([det(x + rng.normal(0, 3), y + rng.normal(0, 3)) for x, y in cells])
-        pairs = build_candidates(tracks, dets, CFG)
+        pairs = gate(tracks, dets, CFG)
         assert len(pairs) > len(cells)
         assert pairs == dense_candidates(tracks, dets, CFG)
 
@@ -310,8 +340,9 @@ class TestGateMatchesDenseReference:
         assert len(on_both_paths(tracks, dets, CFG)) > len(cells)
 
     def test_simulated_videos(self, gate_calls):
-        # Every call of stage 1, death matching and stage 2 on noisy videos
-        # with divisions and deaths, with and without Kalman.
+        # Every gate pass, which stage 1, death matching and stage 2 all
+        # read, on noisy videos with divisions and deaths, with and
+        # without Kalman; some passes hold pairs outside the gates.
         for seed in range(3):
             cfg = SimulationConfig(
                 frames=40, width=400.0, height=400.0, initial_cells=30,
@@ -322,33 +353,40 @@ class TestGateMatchesDenseReference:
             dets = corrupt(simulate(cfg).clean_frames, cfg)
             for tracker_cfg in (CFG, replace(CFG, use_kalman=False)):
                 track_video(dets, tracker_cfg)
-        assert {gated for _, gated in gate_calls} == {False, True}
+        assert any(outside for _, outside in gate_calls)
 
 
 class TestResolveConflicts:
     def pair(self, tid, di, cost):
         return (cost, tid, di)
 
+    @staticmethod
+    def resolve(pairs, caps):
+        """``resolve_conflicts`` on ``(cost, track, detection)`` tuples;
+        an int cap holds for tracks 0-2."""
+        cost, tracks, dets = map(np.array, zip(*pairs))
+        return resolve_conflicts(cost, tracks, dets, [caps] * 3 if isinstance(caps, int) else caps)
+
     def test_cheapest_wins(self):
-        out = resolve_conflicts(
+        out = self.resolve(
             [self.pair(1, 0, 0.9), self.pair(2, 0, 0.1)], 1
         )
         assert out == {2: [0]}
 
     def test_tie_breaks_by_track_then_det(self):
-        out = resolve_conflicts(
+        out = self.resolve(
             [self.pair(2, 0, 0.5), self.pair(1, 0, 0.5)], 1
         )
         assert out == {1: [0]}
-        out = resolve_conflicts(
+        out = self.resolve(
             [self.pair(1, 1, 0.5), self.pair(1, 0, 0.5)], 1
         )
         assert out == {1: [0]}
 
     def test_per_track_cap(self):
         pairs = [self.pair(1, i, 0.1 * (i + 1)) for i in range(3)]
-        assert resolve_conflicts(pairs, 2) == {1: [0, 1]}
-        assert resolve_conflicts(pairs, {1: 1}) == {1: [0]}
+        assert self.resolve(pairs, 2) == {1: [0, 1]}
+        assert self.resolve(pairs, [2, 1, 2]) == {1: [0]}
 
     def test_loser_takes_next_detection(self):
         pairs = [
@@ -356,7 +394,30 @@ class TestResolveConflicts:
             self.pair(2, 0, 0.2),
             self.pair(2, 1, 0.8),
         ]
-        assert resolve_conflicts(pairs, 1) == {1: [0], 2: [1]}
+        assert self.resolve(pairs, 1) == {1: [0], 2: [1]}
+
+    def test_first_claim_order(self):
+        # Tracks come out in the order of their first claim, not by id.
+        pairs = [self.pair(2, 0, 0.1), self.pair(1, 1, 0.2), self.pair(2, 2, 0.3)]
+        assert list(self.resolve(pairs, 2).items()) == [(2, [0, 2]), (1, [1])]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from([0.0, 0.5, 1.0, math.inf]), st.integers(0, 4), st.integers(0, 6)),
+        max_size=20, unique_by=lambda p: p[1:],
+    ), st.lists(st.integers(1, 3), min_size=5, max_size=5))
+    def test_lexsort_order_is_sorted_order(self, pairs, caps):
+        # With no NaN cost, np.lexsort on (cost, track, detection) is
+        # sorted() of the tuples: the greedy loop the order feeds gives
+        # the same claims.
+        want: dict[int, list[int]] = {}
+        claimed = set()
+        for _, t, j in sorted(pairs):
+            if j not in claimed and len(want.get(t, [])) < caps[t]:
+                claimed.add(j)
+                want.setdefault(t, []).append(j)
+        got = self.resolve(pairs, caps) if pairs else {}
+        assert list(got.items()) == [(t, sorted(js)) for t, js in want.items()]
 
 
 class TestContinuation:
@@ -364,7 +425,7 @@ class TestContinuation:
         engine = run(
             [[det(50, 50)], [det(52, 50)], [det(54, 50)]]
         )
-        forest = engine.finalize()
+        forest = forest_of(engine)
         assert set(forest.tracks) == {1}
         track = forest.tracks[1]
         assert sorted(track.entries) == [0, 1, 2]
@@ -382,7 +443,7 @@ class TestContinuation:
             [det(50, 50, emb=a), det(80, 50, emb=b)],
             [det(52, 50, emb=a), det(78, 50, emb=b)],
         ]
-        forest = run(frames).finalize()
+        forest = forest_of(run(frames))
         assert len(forest.tracks) == 2
         for track in forest.tracks.values():
             boxes = [track.entries[f].box for f in sorted(track.entries)]
@@ -398,7 +459,7 @@ class TestContinuation:
             [det(49, 50, emb=a), det(51, 50, emb=b)],
             [det(60, 50, emb=a), det(40, 50, emb=b)],
         ]
-        forest = run(frames).finalize()
+        forest = forest_of(run(frames))
         assert len(forest.tracks) == 2
         by_start = {
             t.entries[0].box[0] + 5.0: t for t in forest.tracks.values()
@@ -414,7 +475,7 @@ class TestDivision:
             [det(43, 50), det(57, 50)],
             [det(41, 50), det(59, 50)],
         ]
-        forest = run(frames).finalize()
+        forest = forest_of(run(frames))
         assert set(forest.tracks) == {1, 2, 3}
         parent = forest.tracks[1]
         assert parent.status is TrackStatus.DIVIDED
@@ -435,7 +496,7 @@ class TestDivision:
             [det(50, 50)],
             [det(44, 50), det(56, 50), det(50, 44)],
         ]
-        forest = run(frames).finalize()
+        forest = forest_of(run(frames))
         assert len(forest.tracks) == 4
         children = forest.tracks[1].children
         assert len(children) == 2
@@ -451,7 +512,7 @@ class TestDivision:
             [det(50, 50)],
             [det(45, 50), det(55, 50), det(50, 60, emb=far)],
         ]
-        forest = run(frames).finalize()
+        forest = forest_of(run(frames))
         kept = [
             forest.tracks[c].entries[1].box for c in forest.tracks[1].children
         ]
@@ -468,7 +529,7 @@ class TestDeathAndCorpses:
             [det(53, 50, cls=CellClass.DEAD, emb=shifted)],
             [det(53, 50, cls=CellClass.DEAD, emb=shifted)],
         ]
-        forest = run(frames).finalize()
+        forest = forest_of(run(frames))
         assert set(forest.tracks) == {1}
         track = forest.tracks[1]
         assert track.status is TrackStatus.DEAD
@@ -483,7 +544,7 @@ class TestDeathAndCorpses:
             [det(50, 50, cls=CellClass.DEAD)],
             [det(50, 50)],  # alive again at the same spot
         ]
-        forest = run(frames).finalize()
+        forest = forest_of(run(frames))
         assert len(forest.tracks) == 2
         corpse = forest.tracks[1]
         assert corpse.entries[1].cell_class is CellClass.DEAD
@@ -507,7 +568,7 @@ class TestDeathAndCorpses:
                 det(48, 50, cls=CellClass.DEAD, emb=b),
             ],
         ]
-        forest = run(frames).finalize()
+        forest = forest_of(run(frames))
         assert len(forest.tracks) == 2
         followed = {
             (t.entries[0].box, t.entries[1].box) for t in forest.tracks.values()
@@ -523,7 +584,7 @@ class TestStageOrder:
             [det(50, 50)],
             [det(60, 50), det(51, 50, cls=CellClass.DEAD)],
         ]
-        forest = run(frames).finalize()
+        forest = forest_of(run(frames))
         assert set(forest.tracks) == {1, 2}
         assert forest.tracks[1].entries[1].box == bx(60, 50)
         assert forest.tracks[1].entries[1].cell_class is CellClass.ALIVE
@@ -537,7 +598,7 @@ class TestStageOrder:
             [det(50, 50, cls=CellClass.DEAD), det(62, 50)],
             [det(58, 50, cls=CellClass.DEAD)],
         ]
-        forest = run(frames).finalize()
+        forest = forest_of(run(frames))
         assert set(forest.tracks) == {1, 2}
         assert forest.tracks[1].entries[1].box == bx(58, 50)
         assert list(forest.tracks[2].entries) == [0]
@@ -555,7 +616,7 @@ class TestStageOrder:
                 det(56, 50, conf=0.3, cls=CellClass.DEAD),
             ],
         ]
-        forest = run(frames).finalize()
+        forest = forest_of(run(frames))
         assert set(forest.tracks) == {1, 2}
         living, corpse = forest.tracks[1].entries[2], forest.tracks[2].entries[2]
         assert living.box == bx(64, 50)
@@ -572,13 +633,13 @@ class TestLowConfidence:
             [det(52, 50, conf=0.3)],
             [det(54, 50)],
         ]
-        forest = run(frames).finalize()
+        forest = forest_of(run(frames))
         assert set(forest.tracks) == {1}
         entry = forest.tracks[1].entries[1]
         assert entry.provenance is Provenance.OBSERVED_LOW
 
     def test_low_confidence_never_starts_tracks(self):
-        forest = run([[det(50, 50, conf=0.3)], []]).finalize()
+        forest = forest_of(run([[det(50, 50, conf=0.3)], []]))
         assert forest.tracks == {}
 
     def test_below_tau_low_is_invisible(self):
@@ -587,7 +648,7 @@ class TestLowConfidence:
             [det(52, 50, conf=0.1)],
             [det(54, 50)],
         ]
-        forest = run(frames).finalize()
+        forest = forest_of(run(frames))
         track = forest.tracks[1]
         # Frame 1's detection was dropped; the gap was interpolated.
         assert track.entries[1].provenance is Provenance.INTERPOLATED
@@ -599,7 +660,7 @@ class TestLowConfidence:
             [det(50, 50)],
             [det(53, 50, conf=0.26)],
         ]
-        forest = run(frames).finalize()
+        forest = forest_of(run(frames))
         assert set(forest.tracks) == {1}
         assert len(forest.tracks[1].entries) == 2
 
@@ -613,7 +674,7 @@ class TestMemoryBank:
             [],
             [det(58, 50)],
         ]
-        forest = run(frames).finalize()
+        forest = forest_of(run(frames))
         assert set(forest.tracks) == {1}
         track = forest.tracks[1]
         assert sorted(track.entries) == [0, 1, 2, 3, 4]
@@ -629,7 +690,7 @@ class TestMemoryBank:
             [],
             [det(56, 50)],
         ]
-        forest = run(frames).finalize()
+        forest = forest_of(run(frames))
         xs = [
             forest.tracks[1].entries[f].box[0] + 5.0 for f in range(5)
         ]
@@ -645,7 +706,7 @@ class TestMemoryBank:
             [],
             [det(52, 50)],
         ]
-        forest = run(frames, cfg).finalize()
+        forest = forest_of(run(frames, cfg))
         assert len(forest.tracks) == 2
         lost = forest.tracks[1]
         assert lost.end_reason is EndReason.LOST
@@ -655,7 +716,7 @@ class TestMemoryBank:
     def test_memory_zero_closes_on_first_miss(self):
         cfg = TrackerConfig(memory_frames=0)
         frames = [[det(50, 50)], [], [det(52, 50)]]
-        forest = run(frames, cfg).finalize()
+        forest = forest_of(run(frames, cfg))
         assert len(forest.tracks) == 2
         assert forest.tracks[1].end_reason is EndReason.LOST
 
@@ -668,7 +729,7 @@ class TestMemoryBank:
             [],
         ]
         cfg = TrackerConfig(memory_frames=1)
-        forest = run(frames, cfg).finalize()
+        forest = forest_of(run(frames, cfg))
         track = forest.tracks[1]
         assert track.end_reason is EndReason.DEATH
         assert track.status is TrackStatus.DEAD
@@ -678,7 +739,7 @@ class TestMemoryBank:
         # a plain loss, though its entries make it a dead track.
         frames = [[det(50, 50, cls=CellClass.DEAD)], [], []]
         cfg = TrackerConfig(memory_frames=1)
-        forest = run(frames, cfg).finalize()
+        forest = forest_of(run(frames, cfg))
         track = forest.tracks[1]
         assert track.end_reason is EndReason.LOST
         assert track.status is TrackStatus.DEAD
@@ -689,7 +750,7 @@ class TestMemoryBank:
             [det(50, 50, cls=CellClass.DEAD)],
             [det(50, 50, cls=CellClass.DEAD)],
         ]
-        forest = run(frames).finalize()
+        forest = forest_of(run(frames))
         track = forest.tracks[1]
         assert sorted(track.entries) == [0, 1]
         assert track.end_reason is EndReason.END_OF_VIDEO
@@ -705,7 +766,7 @@ class TestKalmanAblation:
             [],
             [det(54, 50)],
         ]
-        forest = run(frames, cfg).finalize()
+        forest = forest_of(run(frames, cfg))
         assert set(forest.tracks) == {1}
         assert sorted(forest.tracks[1].entries) == [0, 1, 3]
 
@@ -716,15 +777,76 @@ class TestKalmanAblation:
             [],
             [det(90, 50)],  # 40 px from last observation: in gate
         ]
-        forest = run(frames, cfg).finalize()
+        forest = forest_of(run(frames, cfg))
         assert set(forest.tracks) == {1}
         frames2 = [
             [det(50, 50)],
             [],
             [det(105, 50)],  # 55 px: out of gate, new track
         ]
-        forest2 = run(frames2, cfg).finalize()
+        forest2 = forest_of(run(frames2, cfg))
         assert len(forest2.tracks) == 2
+
+
+@st.composite
+def noisy_videos(draw):
+    """A small noisy simulated video, its tracker settings and metadata."""
+    frames = draw(st.integers(1, 10))
+    sim = SimulationConfig(
+        frames=frames, width=160.0, height=160.0,
+        initial_cells=draw(st.integers(1, 8)),
+        division_prob=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        death_prob=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        treatment_frame=draw(st.integers(0, frames - 1)),
+        box_jitter_sigma=draw(st.sampled_from([0.0, 1.0, 4.0])),
+        drop_prob=draw(st.sampled_from([0.0, 0.1, 0.4])),
+        fade_frames=draw(st.sampled_from([1.0, 4.0])),
+        false_positive_rate=draw(st.sampled_from([0.0, 0.5, 2.0])),
+        embedding_noise_sigma=draw(st.sampled_from([0.0, 1.0, 3.0])),
+        embedding_dim=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    tau_low, tau_high = sorted(draw(st.lists(st.sampled_from([0.0, 0.25, 0.45, 0.7, 1.0]), min_size=2, max_size=2)))
+    tracker = TrackerConfig(
+        tau_low=tau_low, tau_high=tau_high,
+        tau_dist=draw(st.sampled_from([5.0, 25.0, 50.0])),
+        tau_sim=draw(st.sampled_from([1.0, 6.5, 65.0])),
+        appearance_weight=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        memory_frames=draw(st.integers(0, 3)),
+        max_daughters=draw(st.integers(1, 3)),
+        use_kalman=draw(st.booleans()),
+    )
+    meta = VideoMeta(video_id="v", frames=frames, width=160.0, height=160.0)
+    return corrupt(simulate(sim).clean_frames, sim), tracker, sim.embedding_dim, meta
+
+
+class TestDetectionColumnsPath:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(noisy_videos())
+    def test_file_columns_lists_and_steps_agree(self, tmp_path_factory, case):
+        # The detection file's columns, the in-memory lists and a step
+        # loop track to the same forest file bytes, and that forest is a
+        # valid one that uses each detection at most once.
+        frames, config, dim, meta = case
+        tmp = tmp_path_factory.mktemp("columns")
+        save_detections(DetectionFile(meta, dim, frames), str(tmp / "d.txt"))
+        loaded = load_detections(str(tmp / "d.txt"))
+        engine = CellTracker(config)
+        for dets in frames:
+            engine.step(dets)
+        forests = {
+            "file": track_video(loaded.columns, config, loaded.meta),
+            "lists": track_video(frames, config, meta),
+            "steps": engine.finalize(meta),
+        }
+        saved = {}
+        for name, forest in forests.items():
+            paths = save_forest(forest, str(tmp / name))
+            saved[name] = [open(p, "rb").read() for p in paths]
+        assert saved["file"] == saved["lists"] == saved["steps"]
+        objects = LineageForest.from_columns(forests["file"])
+        objects.validate(require_coverage=config.use_kalman)
+        assert_detections_used_at_most_once(objects, frames, config)
 
 
 class TestEngineContracts:
@@ -751,8 +873,8 @@ class TestEngineContracts:
 
     def test_deterministic(self, tmp_path):
         frames = self.noisy_frames()
-        f1 = run(frames).finalize()
-        f2 = run(frames).finalize()
+        f1 = forest_of(run(frames))
+        f2 = forest_of(run(frames))
         p1 = save_forest(f1, str(tmp_path / "a"))
         p2 = save_forest(f2, str(tmp_path / "b"))
         assert open(p1[0]).read() == open(p2[0]).read()
@@ -760,7 +882,7 @@ class TestEngineContracts:
 
     def test_detections_consumed_at_most_once(self):
         frames = self.noisy_frames(seed=3)
-        forest = run(frames).finalize()
+        forest = forest_of(run(frames))
         assert_detections_used_at_most_once(forest, frames, CFG)
 
     def test_embedding_dim_change_rejected(self):
@@ -788,7 +910,7 @@ class TestEngineContracts:
         for frame in frames:
             by_list.step(frame)
             by_iter.step(iter(frame))
-        forests = by_list.finalize(), by_iter.finalize()
+        forests = forest_of(by_list), forest_of(by_iter)
         assert len(forests[1].tracks) == 2
         assert sum(len(t.entries) for t in forests[1].tracks.values()) == 6
         a, b = (save_forest(f, str(tmp_path / name)) for f, name in zip(forests, "ab"))
@@ -797,7 +919,7 @@ class TestEngineContracts:
     def test_track_video_wrapper(self):
         frames = [[det(50, 50)], [det(52, 50)]]
         forest = track_video(frames)
-        assert set(forest.tracks) == {1}
+        assert forest.ids.tolist() == [1]
         assert forest.meta.frames == 2
 
     def test_track_video_leaves_the_callers_meta_alone(self):
@@ -807,7 +929,7 @@ class TestEngineContracts:
         one = track_video([[det(50, 50)]], meta=meta)
         two = track_video([[det(50, 50)], [det(52, 50)]], meta=meta)
         assert (one.meta.frames, two.meta.frames, meta.frames) == (1, 2, 0)
-        assert two.tracks[1].last_frame == 1
+        assert two.frames[two.entry_ids == 1].max() == 1
 
     def test_track_video_declares_the_frames_fed(self):
         # A prefix of a longer video declares the frames it was given.
