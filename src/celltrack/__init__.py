@@ -11,6 +11,7 @@ from .core import (
     Box,
     CellClass,
     Detection,
+    DetectionColumns,
     EndReason,
     ForestColumns,
     LineageForest,
@@ -63,6 +64,7 @@ __all__ = [
     "Box",
     "CellClass",
     "Detection",
+    "DetectionColumns",
     "EndReason",
     "ForestColumns",
     "LineageForest",

@@ -217,18 +217,12 @@ def _simulate_one(sim_cfg: SimulationConfig, dir_str: str) -> str:
     out = Path(dir_str)
     out.mkdir(parents=True, exist_ok=True)
     result = simulate(sim_cfg)
-    save_forest(result.ground_truth, str(out / "gt"))
-    det = DetectionFile(
-        meta=result.ground_truth.meta,
-        embedding_dim=sim_cfg.embedding_dim,
-        frames=result.clean_frames,
-    )
-    save_detections(det, str(out / "clean.txt"))
+    save_forest(result.forest, str(out / "gt"))
+    meta, dim = result.forest.meta, sim_cfg.embedding_dim
+    save_detections(DetectionFile(meta, dim, columns=result.clean), str(out / "clean.txt"))
     if corrupts(sim_cfg):
-        noisy = corrupt(result.clean_frames, sim_cfg)
-        save_detections(
-            DetectionFile(det.meta, det.embedding_dim, noisy), str(out / "detections.txt")
-        )
+        noisy = corrupt(result.clean, sim_cfg)
+        save_detections(DetectionFile(meta, dim, columns=noisy), str(out / "detections.txt"))
     else:
         # The clean detections' text, without formatting it again.
         shutil.copyfile(out / "clean.txt", out / "detections.txt")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
@@ -30,7 +30,6 @@ __all__ = [
     "Point",
     "centroid",
     "Detection",
-    "detections_from_columns",
     "DetectionColumns",
     "TrackerConfig",
     "TrackEntry",
@@ -411,32 +410,6 @@ def valid_detections(
     return ok & np.isfinite(embeddings).all(axis=1) & (embeddings.shape[1] > 0)
 
 
-def detections_from_columns(
-    boxes: np.ndarray,
-    confidences: Sequence[float] | np.ndarray,
-    classes: Sequence[CellClass],
-    embeddings: np.ndarray,
-    source_ids: Sequence[int | None],
-) -> list[Detection]:
-    """Detections from ``n x 4`` boxes, ``n x D`` embeddings and ``n``
-    confidences, classes and source ids.  ``Detection``'s rules run once
-    per column, and the first bad row raises its ``Detection(...)``'s
-    ``ValidationError``; each embedding is a read-only row."""
-    conf = np.asarray(confidences, dtype=float)
-    ok = valid_detections(boxes, conf, embeddings)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        Detection(
-            tuple(boxes[i].tolist()), float(conf[i]), classes[i],
-            embeddings[i], source_ids[i],
-        )
-    embeddings.setflags(write=False)
-    return list(map(
-        Detection.trusted, zip(*boxes.T.tolist()), conf.tolist(), classes,
-        embeddings, source_ids,
-    ))
-
-
 @dataclass(eq=False)
 class DetectionColumns:
     """A video's checked detections as columns, in frame order and, within
@@ -462,6 +435,51 @@ class DetectionColumns:
     def __iter__(self):
         bounds = self.offsets.tolist()
         return map(range, bounds[:-1], bounds[1:])
+
+    @classmethod
+    def stack(
+        cls, frames: Iterable[Iterable[Detection]], first_frame: int = 0
+    ) -> DetectionColumns:
+        """A video's per-frame ``Detection`` lists as columns (read once).
+        Every embedding must be as long as the first: the first that is
+        not raises ``ValidationError`` naming its frame, counted from
+        ``first_frame``."""
+        frames = [list(f) for f in frames]
+        dets = list(chain.from_iterable(frames))
+        n = len(dets)
+        offsets = np.zeros(len(frames) + 1, dtype=np.intp)
+        offsets[1:] = np.cumsum(list(map(len, frames)))
+        sizes = [d.embedding.size for d in dets]
+        dim = sizes[0] if n else 0
+        if sizes.count(dim) != n:
+            k = next(k for k, size in enumerate(sizes) if size != dim)
+            frame = first_frame + int(offsets.searchsorted(k, "right")) - 1
+            raise ValidationError(
+                f"embedding length changed from {dim} to {sizes[k]} at frame {frame}"
+            )
+        embeddings = np.array([d.embedding for d in dets], dtype=float).reshape(n, dim)
+        embeddings.setflags(write=False)
+        return cls(
+            offsets=offsets,
+            boxes=np.fromiter(
+                chain.from_iterable(map(_BOX_OF, dets)), float, 4 * n
+            ).reshape(n, 4),
+            confidences=np.fromiter(map(_CONFIDENCE_OF, dets), float, n),
+            classes=np.fromiter(map(CELL_CLASSES.index, map(_CLASS_OF, dets)), np.intp, n),
+            embeddings=embeddings,
+            source_ids=[d.source_id for d in dets],
+        )
+
+    def validate(self) -> None:
+        """Raise ``Detection(...)``'s ``ValidationError`` for the first row,
+        in frame order, that ``valid_detections`` rejects."""
+        ok = valid_detections(self.boxes, self.confidences, self.embeddings)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            Detection(
+                tuple(self.boxes[i].tolist()), float(self.confidences[i]),
+                CELL_CLASSES[self.classes[i]], self.embeddings[i],
+            )
 
     def detections(self) -> list[list[Detection]]:
         """Frame ``f``'s ``Detection``s at index ``f``."""
@@ -655,6 +673,7 @@ CELL_CLASSES, PROVENANCES = tuple(CellClass), tuple(Provenance)
 _DEAD = CELL_CLASSES.index(CellClass.DEAD)
 _CLASS_OF, _BOX_OF = operator.attrgetter("cell_class"), operator.attrgetter("box")
 _PROVENANCE_OF = operator.attrgetter("provenance")
+_CONFIDENCE_OF = operator.attrgetter("confidence")
 
 
 def _first_fault(rules: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:

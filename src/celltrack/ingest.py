@@ -42,6 +42,7 @@ import os
 from collections.abc import Callable, Iterable
 from enum import Enum
 from functools import partial
+from itertools import chain, islice
 from typing import Any
 
 import numpy as np
@@ -215,8 +216,14 @@ def _write(
             head.append(f"#embedding_dim={embedding_dim}")
         if meta.dosage:
             head.append(f"#dosage={meta.dosage}")
+    # A few hundred lines at a time, so that a file's text is never held
+    # whole; a file with no lines holds one empty line.
+    lines = chain(head, records)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([*head, *records]) + "\n")
+        while batch := list(islice(lines, 256)):
+            fh.write("\n".join(batch) + "\n")
+        if not fh.tell():
+            fh.write("\n")
 
 
 def _columns(
@@ -304,19 +311,26 @@ def load_detections(path: str) -> DetectionFile:
 
 
 def save_detections(det_file: DetectionFile, path: str) -> None:
-    """Write a detection file; a record's frame is its list's index."""
-    records = (
-        ",".join((
-            str(frame),
-            *map(repr, map(float, d.box)),
-            repr(float(d.confidence)),
-            d.cell_class._value_,
-            *map(repr, d.embedding.tolist()),
-        ))
-        for frame, frame_dets in enumerate(det_file.frames)
-        for d in frame_dets
-    )
-    _write(path, det_file.meta, records, det_file.embedding_dim)
+    """Write a detection file from its columns (``frames`` stacked when it
+    has none), one frame at a time."""
+    cols = det_file.columns
+    if cols is None:
+        cols = DetectionColumns.stack(det_file.frames)
+    classes = [c._value_ for c in CELL_CLASSES]
+
+    def records():
+        for frame, rows in enumerate(cols):
+            lo, hi = rows.start, rows.stop
+            prefix = f"{frame},"
+            for box, confidence, code, embedding in zip(
+                cols.boxes[lo:hi].tolist(), cols.confidences[lo:hi].tolist(),
+                cols.classes[lo:hi].tolist(), cols.embeddings[lo:hi].tolist(),
+            ):
+                yield prefix + ",".join((
+                    *map(repr, box), repr(confidence), classes[code], *map(repr, embedding)
+                ))
+
+    _write(path, det_file.meta, records(), det_file.embedding_dim)
 
 
 # ---------------------------------------------------------------------------

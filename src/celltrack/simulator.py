@@ -3,10 +3,13 @@
 ``simulate`` grows a population of cells with random-walk motion,
 drifting latent appearance vectors, divisions and (post-treatment)
 deaths, and emits both the exact lineage forest and per-frame clean
-detections.  Each cell writes its own ground-truth ``Track`` as it
-goes; a division ends the record there and hands it to the two
-daughters, whose tracks take it up on the next frame.  Dead cells
-linger in place as dead-class detections rather than vanishing.
+detections, as columns.  Each frame snapshots the present cells'
+boxes, latents and classes; the snapshots become the video's
+``DetectionColumns`` and, sorted by cell, the entries of its
+``ForestColumns``, whose tracks are the cells: a parent id, an end
+reason and a birth frame per cell, a division ending the parent's
+track there and starting the two daughters' on the next frame.  Dead
+cells linger in place as dead-class detections rather than vanishing.
 ``corrupt`` then degrades the clean detections the way a real detector
 would: jittered boxes, false positives, noisy embeddings, and
 confidence fades.
@@ -22,30 +25,34 @@ A seed gives the same bytes; the per-cell draw order is the contract.
 Each frame, one loop draws every cell's random numbers in id order, and
 then the cells' positions, sizes and latents (arrays indexed by cell id
 - 1) advance at once.  ``corrupt`` draws per detection in frame order.
-Clean and noisy embeddings are read-only rows of their frame's array.
+Clean and noisy embeddings are read-only rows of the video's array.
+Each video's detections and forest are checked once, the first bad row
+raising its ``Detection(...)`` error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import (
+    CELL_CLASSES,
     MAX_FRAMES,
+    PROVENANCES,
     CellClass,
     Detection,
+    DetectionColumns,
+    EndReason,
+    ForestColumns,
     LineageForest,
     Provenance,
-    Track,
     TrackerConfig,
-    TrackEntry,
-    EndReason,
     ValidationError,
     VideoMeta,
     check_field_types,
-    detections_from_columns,
 )
 
 __all__ = [
@@ -77,6 +84,8 @@ _LARGEST_INITIAL_SIDE = INITIAL_SIZE_MEAN + INITIAL_SIZE_SPREAD
 MAX_FALSE_POSITIVE_RATE = 1000.0  # expected false positives per frame
 MAX_EMBEDDING_DIM = 1024
 MAX_CELLS = 20_000  # cells present on one frame
+_ALIVE, _DEAD = CELL_CLASSES.index(CellClass.ALIVE), CELL_CLASSES.index(CellClass.DEAD)
+_HIGH = PROVENANCES.index(Provenance.OBSERVED_HIGH)
 
 
 @dataclass(frozen=True)
@@ -189,8 +198,21 @@ class SimulationConfig:
 
 @dataclass(eq=False)
 class SimulationResult:
-    ground_truth: LineageForest
-    clean_frames: list[list[Detection]]
+    """A simulated video: its checked ground-truth ``forest`` and ``clean``
+    detections.  ``ground_truth`` (the forest's ``Track`` objects) and
+    ``clean_frames`` (the per-frame ``Detection`` lists) are built the
+    first time they are read."""
+
+    forest: ForestColumns
+    clean: DetectionColumns
+
+    @cached_property
+    def ground_truth(self) -> LineageForest:
+        return LineageForest.from_columns(self.forest)
+
+    @cached_property
+    def clean_frames(self) -> list[list[Detection]]:
+        return self.clean.detections()
 
 
 def _reflect(values: np.ndarray, half: np.ndarray, extent: np.ndarray) -> np.ndarray:
@@ -230,7 +252,7 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     """Run the generative model; returns ground truth plus clean detections.
 
     Clean detections carry the exact box, confidence 1.0, and the cell's
-    latent vector as embedding; ``Detection.source_id`` is the cell id.
+    latent vector as embedding; their source id is the cell id.
     Divisions replace one cell by two adjacent daughters on the next
     frame; deaths turn the cell into a motionless dead-class object that
     persists to the end of the video.
@@ -239,39 +261,47 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     dim = cfg.embedding_dim
     extent = np.array([cfg.width, cfg.height])
-    classes = (CellClass.DEAD, CellClass.ALIVE)
     # Cell state, cell id k at row k - 1.
-    tracks: list[Track] = []
     positions, sizes, latents = [], [], []
-    for cid in range(1, cfg.initial_cells + 1):
+    for _ in range(cfg.initial_cells):
         size = _initial_size(rng)
         half = size / 2
         positions.append((rng.uniform(half[0], cfg.width - half[0]),
                           rng.uniform(half[1], cfg.height - half[1])))
         sizes.append(size)
         latents.append(rng.uniform(-LATENT_RANGE, LATENT_RANGE, size=dim))
-        tracks.append(Track(cid, end_reason=EndReason.END_OF_VIDEO))
     position, size, latent = np.array(positions), np.array(sizes), np.array(latents)
-    alive = np.ones(len(tracks), dtype=bool)
-    present = np.arange(len(tracks))  # rows of cells that have not divided
+    alive = np.ones(cfg.initial_cells, dtype=bool)
+    parent_ids: list[int | None] = [None] * cfg.initial_cells
+    births = [0] * cfg.initial_cells
+    reasons = [EndReason.END_OF_VIDEO] * cfg.initial_cells
+    present = np.arange(cfg.initial_cells)  # rows of cells that have not divided
 
-    clean_frames: list[list[Detection]] = []
+    # Each frame's present rows, boxes, latents and dead flags.
+    shots: list[tuple[np.ndarray, ...]] = []
+
+    def clean() -> DetectionColumns:
+        """The checked detections of the frames recorded so far."""
+        rows, boxes, emb, dead = map(np.concatenate, zip(*shots))
+        emb.setflags(write=False)
+        columns = DetectionColumns(
+            offsets=np.append(0, np.cumsum([len(s[0]) for s in shots])),
+            boxes=boxes,
+            confidences=np.ones(len(rows)),
+            classes=np.where(dead, _DEAD, _ALIVE),
+            embeddings=emb,
+            source_ids=(rows + 1).tolist(),
+        )
+        columns.validate()
+        return columns
+
     for frame in range(cfg.frames):
         # Record every present cell on this frame.
         boxes = np.concatenate(
             [position[present] - size[present] / 2.0, size[present]], axis=1
         )
-        ids = (present + 1).tolist()
-        is_alive = alive[present].tolist()
-        detections = detections_from_columns(
-            boxes, [1.0] * len(ids), list(map(classes.__getitem__, is_alive)),
-            latent[present], ids,
-        )
-        for det, track in zip(detections, map(tracks.__getitem__, present.tolist())):
-            track.entries[frame] = TrackEntry.trusted(
-                det.box, det.cell_class, Provenance.OBSERVED_HIGH
-            )
-        clean_frames.append(detections)
+        is_alive = alive[present]
+        shots.append((present, boxes, latent[present], ~is_alive))
         if frame == cfg.frames - 1:
             break
 
@@ -283,12 +313,11 @@ def simulate(config: SimulationConfig) -> SimulationResult:
         divided, angles, daughter_sizes, daughter_drifts = [], [], [], []
         pair_growth: dict[int, float] = {}
         w_share = cfg.sister_growth_weight
-        for row, (cid, live) in enumerate(zip(ids, is_alive)):
-            track = tracks[cid - 1]
+        for row, (k, live) in enumerate(zip(present.tolist(), is_alive.tolist())):
             if not live:
                 steps.append(rng.normal(0.0, DEAD_MOTION_SIGMA, size=2))
-            elif _divides(cfg, rng, len(track.entries), frame):
-                track.end_reason = EndReason.DIVISION
+            elif _divides(cfg, rng, frame - births[k] + 1, frame):
+                reasons[k] = EndReason.DIVISION
                 divided.append(row)
                 angles.append(rng.uniform(0.0, 2.0 * math.pi))
                 for _ in range(2):
@@ -300,20 +329,18 @@ def simulate(config: SimulationConfig) -> SimulationResult:
                     daughter_drifts.append(
                         rng.normal(0.0, DIVISION_LATENT_SIGMA, size=dim)
                     )
-                    daughter = len(tracks) + 1
-                    tracks.append(
-                        Track(daughter, parent=cid, end_reason=EndReason.END_OF_VIDEO)
-                    )
-                    track.children.append(daughter)
+                    parent_ids.append(k + 1)
+                    births.append(frame + 1)
+                    reasons.append(EndReason.END_OF_VIDEO)
                 continue
             elif frame >= cfg.treatment_frame and rng.random() < cfg.death_prob:
-                alive[cid - 1] = False
-                track.end_reason = EndReason.DEATH
+                alive[k] = False
+                reasons[k] = EndReason.DEATH
                 continue
             else:
                 steps.append(rng.normal(0.0, MOTION_SIGMA, size=2))
                 growth = rng.normal(0.0, SIZE_WALK_SIGMA)
-                pair = track.parent
+                pair = parent_ids[k]
                 if w_share > 0.0 and pair is not None:
                     if pair not in pair_growth:
                         pair_growth[pair] = rng.normal(0.0, SIZE_WALK_SIGMA)
@@ -325,9 +352,10 @@ def simulate(config: SimulationConfig) -> SimulationResult:
             # Every cell that neither divided nor died drifts in appearance.
             stepped.append(row)
             drifts.append(rng.normal(0.0, LATENT_DRIFT_SIGMA, size=dim))
-        if len(ids) + len(divided) > MAX_CELLS:
+        if len(present) + len(divided) > MAX_CELLS:
+            clean()  # a bad box of an earlier frame is reported first
             raise ValidationError(
-                f"frame {frame + 1} would hold {len(ids) + len(divided)} cells; "
+                f"frame {frame + 1} would hold {len(present) + len(divided)} cells; "
                 f"the simulator holds at most {MAX_CELLS} (simulator.MAX_CELLS)"
             )
 
@@ -360,13 +388,27 @@ def simulate(config: SimulationConfig) -> SimulationResult:
             keep[divided] = False
             present = np.concatenate([present[keep], np.arange(first, len(position))])
 
-    meta = VideoMeta(
-        video_id=cfg.video_id, frames=cfg.frames, width=cfg.width,
-        height=cfg.height, dosage=cfg.dosage,
+    detections = clean()
+    # Entries in (cell, frame) order: a stable sort of the frame-ordered rows.
+    cells = np.array(detections.source_ids, dtype=np.int64)
+    order = np.argsort(cells, kind="stable")
+    frames = np.arange(cfg.frames, dtype=np.int64).repeat(np.diff(detections.offsets))
+    forest = ForestColumns(
+        meta=VideoMeta(
+            video_id=cfg.video_id, frames=cfg.frames, width=cfg.width,
+            height=cfg.height, dosage=cfg.dosage,
+        ),
+        ids=np.arange(1, len(parent_ids) + 1, dtype=np.int64),
+        parents=parent_ids,
+        end_reasons=reasons,
+        entry_ids=cells.take(order),
+        frames=frames.take(order),
+        classes=detections.classes.take(order),
+        boxes=detections.boxes.take(order, axis=0),
+        provenances=np.full(cells.size, _HIGH, dtype=np.intp),
     )
-    forest = LineageForest(tracks={t.track_id: t for t in tracks}, meta=meta)
     forest.validate()
-    return SimulationResult(ground_truth=forest, clean_frames=clean_frames)
+    return SimulationResult(forest=forest, clean=detections)
 
 
 def corrupts(config: SimulationConfig) -> bool:
@@ -378,22 +420,22 @@ def corrupts(config: SimulationConfig) -> bool:
     ))
 
 
-def corrupt(
-    clean_frames: list[list[Detection]], config: SimulationConfig
-) -> list[list[Detection]]:
+def corrupt(clean: DetectionColumns, config: SimulationConfig) -> DetectionColumns:
     """Degrade clean detections into realistic detector output.
 
-    When ``corrupts(config)`` is False the input comes back unchanged
-    (same values, fresh Detection objects).  Each true detection keeps
-    its identity through per-cell fade states; detections without a
-    ``source_id`` never fade.  False positives carry isotropic-normal
-    embeddings that sit far from every real latent.  A faded detection's
-    confidence falls below the default ``TrackerConfig.tau_low`` (a miss)
-    or in [tau_low, tau_high) (the low-confidence band); false positives
-    score in [tau_low, 1).  Embeddings are ``config.embedding_dim`` long,
-    as ``simulate`` makes them; each output embedding is a read-only row
-    of its frame's array.
+    When ``corrupts(config)`` is False, ``clean`` itself comes back.
+    Each true detection keeps its identity through per-cell fade states;
+    detections without a source id never fade.  False positives follow
+    their frame's detections and carry isotropic-normal embeddings that
+    sit far from every real latent.  A faded detection's confidence falls
+    below the default ``TrackerConfig.tau_low`` (a miss) or in [tau_low,
+    tau_high) (the low-confidence band); false positives score in
+    [tau_low, 1).  Embeddings are ``config.embedding_dim`` long, as
+    ``simulate`` makes them, and read-only.  The output is checked once,
+    and its first bad row raises ``Detection(...)``'s error.
     """
+    if not corrupts(config):
+        return clean
     cfg = config
     bands = TrackerConfig()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
@@ -406,12 +448,17 @@ def corrupt(
         enter_prob = cfg.drop_prob / (cfg.fade_frames * (1.0 - cfg.drop_prob))
     exit_prob = 1.0 / cfg.fade_frames
 
-    out: list[list[Detection]] = []
-    for frame_dets in clean_frames:
-        # Draw per detection in frame order, then degrade the frame's columns.
-        confidences, jitters, noises = [], [], []
-        for det in frame_dets:
-            cid = det.source_id
+    # Per frame, draw per detection in frame order, then the false
+    # positives, then degrade the frame's slice of the columns.
+    ids, dim = clean.source_ids, cfg.embedding_dim
+    clean_emb = clean.embeddings.reshape(len(ids), dim)
+    confidences, classes = clean.confidences.tolist(), clean.classes.tolist()
+    offsets, out_conf, out_classes, out_ids = [0], [], [], []
+    boxes, embeddings = [clean.boxes[:0]], [clean_emb[:0]]
+    for rows in clean:
+        jitters, noises, fp_boxes, fp_embeddings = [], [], [], []
+        for i in rows:
+            cid = ids[i]
             if cid is not None:
                 if cid in faded:
                     if rng.random() < exit_prob:
@@ -420,44 +467,47 @@ def corrupt(
                     faded.add(cid)
                 if cfg.drop_prob >= 1.0:
                     faded.add(cid)
-            confidence = det.confidence
+            confidence = confidences[i]
             if cid in faded:
                 if rng.random() < cfg.fade_miss_fraction:
                     confidence = rng.uniform(0.0, bands.tau_low)
                 else:
                     confidence = rng.uniform(bands.tau_low, bands.tau_high)
-            confidences.append(confidence)
+            out_conf.append(confidence)
             if cfg.box_jitter_sigma > 0.0:
                 jitters.append(rng.normal(0.0, cfg.box_jitter_sigma, size=4))
             if cfg.embedding_noise_sigma > 0.0:
-                noises.append(
-                    rng.normal(0.0, cfg.embedding_noise_sigma, size=cfg.embedding_dim)
-                )
-        boxes = [det.box for det in frame_dets]
-        classes = [det.cell_class for det in frame_dets]
-        embeddings = [det.embedding for det in frame_dets]
-        ids = [det.source_id for det in frame_dets]
+                noises.append(rng.normal(0.0, cfg.embedding_noise_sigma, size=dim))
         if cfg.false_positive_rate > 0.0:
             for _ in range(int(rng.poisson(cfg.false_positive_rate))):
                 w, h = _initial_size(rng).tolist()
                 cx = rng.uniform(w / 2, cfg.width - w / 2)
                 cy = rng.uniform(h / 2, cfg.height - h / 2)
-                boxes.append((cx - w / 2, cy - h / 2, w, h))
-                confidences.append(rng.uniform(bands.tau_low, 1.0))
-                classes.append(CellClass.ALIVE)
-                embeddings.append(rng.normal(0.0, 1.0, size=cfg.embedding_dim))
-                ids.append(None)
-        boxes = np.array(boxes, dtype=float).reshape(-1, 4)
-        embeddings = np.array(embeddings, dtype=float)
-        embeddings = embeddings.reshape(len(boxes), cfg.embedding_dim)
-        n = len(frame_dets)
+                fp_boxes.append((cx - w / 2, cy - h / 2, w, h))
+                out_conf.append(rng.uniform(bands.tau_low, 1.0))
+                fp_embeddings.append(rng.normal(0.0, 1.0, size=dim))
+        lo, hi = rows.start, rows.stop
+        frame_boxes, frame_emb = clean.boxes[lo:hi], clean_emb[lo:hi]
         if jitters:
-            jitter = np.array(jitters)
-            boxes[:n, :2] += jitter[:, :2]
-            boxes[:n, 2:] = np.maximum(boxes[:n, 2:] + jitter[:, 2:], 1.0)
+            frame_boxes = frame_boxes + np.array(jitters)
+            np.maximum(frame_boxes[:, 2:], 1.0, out=frame_boxes[:, 2:])
         if noises:
-            embeddings[:n] += np.array(noises)
-        out.append(
-            detections_from_columns(boxes, confidences, classes, embeddings, ids)
-        )
+            frame_emb = frame_emb + np.array(noises)
+        boxes += (frame_boxes, np.reshape(fp_boxes, (-1, 4)))
+        embeddings += (frame_emb, np.reshape(fp_embeddings, (-1, dim)))
+        out_classes += classes[lo:hi] + [_ALIVE] * len(fp_boxes)
+        out_ids += ids[lo:hi] + [None] * len(fp_boxes)
+        offsets.append(len(out_ids))
+
+    emb = np.concatenate(embeddings)
+    emb.setflags(write=False)
+    out = DetectionColumns(
+        offsets=np.array(offsets),
+        boxes=np.concatenate(boxes),
+        confidences=np.array(out_conf, dtype=float),
+        classes=np.array(out_classes, dtype=np.intp),
+        embeddings=emb,
+        source_ids=out_ids,
+    )
+    out.validate()
     return out

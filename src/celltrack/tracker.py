@@ -34,7 +34,8 @@ are consumed in order of ascending cost, ties broken by lower track id
 and then lower detection index.
 
 Everything is columns.  A video's detections arrive as
-``DetectionColumns`` sliced per frame, or as one ``Detection`` list per
+``DetectionColumns`` sliced per frame (``track_video`` stacks per-frame
+``Detection`` lists into them once), or as one ``Detection`` list per
 ``step``, stacked into the same records.  The open tracks are columns
 with one row per track (``_OpenTracks``): the track id, the class it was
 born with, the last matched detection, the frames lost and the Kalman
@@ -332,18 +333,7 @@ class CellTracker:
 
     def step(self, detections: Iterable[Detection]) -> None:
         """Track the next frame, given its detections (read once)."""
-        dets = list(detections)
-        for det in dets:
-            self._check_dim(det.embedding.size)
-        boxes = np.fromiter(
-            chain.from_iterable(d.box for d in dets), float, 4 * len(dets)
-        ).reshape(-1, 4)
-        emb = np.array([d.embedding for d in dets], dtype=float)
-        self._process(
-            _records(boxes, emb.reshape(len(dets), self._dim or 0)),
-            np.array([d.cell_class is CellClass.DEAD for d in dets], dtype=bool),
-            np.array([d.confidence for d in dets], dtype=float),
-        )
+        self._track(DetectionColumns.stack([detections], self._next_frame))
 
     def finalize(self, meta: VideoMeta | None = None) -> ForestColumns:
         """Close everything still open and emit the checked lineage forest,
@@ -386,6 +376,15 @@ class CellTracker:
                 f"embedding length changed from {self._dim} to {dim} "
                 f"at frame {self._next_frame}"
             )
+
+    def _track(self, frames: DetectionColumns) -> None:
+        """Track the frames of ``frames``, one slice of rows each."""
+        if frames.boxes.size:
+            self._check_dim(frames.embeddings.shape[1])
+        rec = _records(frames.boxes, frames.embeddings)
+        dead, conf = frames.classes == _DEAD, frames.confidences
+        for lo, hi in pairwise(frames.offsets.tolist()):
+            self._process(rec[lo:hi], dead[lo:hi], conf[lo:hi])
 
     def _process(self, rec: np.ndarray, dead: np.ndarray, conf: np.ndarray) -> None:
         """Track the next frame: its detection records, dead flags and
@@ -579,21 +578,14 @@ def track_video(
     meta: VideoMeta | None = None,
 ) -> ForestColumns:
     """Track a whole video: ``DetectionColumns``, or a list of per-frame
-    detection lists.
+    detection lists, stacked by ``DetectionColumns.stack``.
 
     The checked forest declares ``len(frames)`` frames and takes the rest
     of its metadata from ``meta``; ``LineageForest.from_columns`` gives
     its ``Track`` objects.
     """
     engine = CellTracker(config)
-    if isinstance(frames, DetectionColumns):
-        if frames.boxes.size:
-            engine._check_dim(frames.embeddings.shape[1])
-        rec = _records(frames.boxes, frames.embeddings)
-        dead, conf = frames.classes == _DEAD, frames.confidences
-        for lo, hi in pairwise(frames.offsets.tolist()):
-            engine._process(rec[lo:hi], dead[lo:hi], conf[lo:hi])
-    else:
-        for dets in frames:
-            engine.step(dets)
+    if not isinstance(frames, DetectionColumns):
+        frames = DetectionColumns.stack(frames)
+    engine._track(frames)
     return engine.finalize(meta=meta)

@@ -144,10 +144,10 @@ def test_criterion_1_identity_oracle():
         for seed in range(20):
             cfg = identity_config(seed)
             res = simulate(cfg)
-            dets = corrupt(res.clean_frames, cfg)
+            dets = corrupt(res.clean, cfg)
             pred = track_video(dets, TrackerConfig())
             pred.meta.frames = cfg.frames
-            report = evaluate(pred, res.ground_truth)
+            report = evaluate(pred, res.forest)
             scores = (
                 report.det,
                 report.lnk,
@@ -265,8 +265,8 @@ def noisy_sim_config(seed: int) -> SimulationConfig:
 def _score_noisy_video(seed: int) -> dict[str, float]:
     cfg = noisy_sim_config(seed)
     res = simulate(cfg)
-    dets = corrupt(res.clean_frames, cfg)
-    gt = build_graph(res.ground_truth)  # built once, scored by every variant
+    dets = corrupt(res.clean, cfg)
+    gt = build_graph(res.forest)  # built once, scored by every variant
     out = {}
     for name, tracker_cfg in NOISY_VARIANTS.items():
         pred = track_video(dets, tracker_cfg)
@@ -295,10 +295,10 @@ def noisy_draw_means():
 def embedding_gate_rejection_fraction(seed: int) -> float:
     """Share of true consecutive-frame pairs outside the L1 gate."""
     cfg = noisy_sim_config(seed)
-    noisy = corrupt(simulate(cfg).clean_frames, cfg)
+    noisy = corrupt(simulate(cfg).clean, cfg)
     last: dict[int, np.ndarray] = {}
     total = rejected = 0
-    for frame in noisy:
+    for frame in noisy.detections():
         seen: dict[int, np.ndarray] = {}
         for d in frame:
             if d.source_id is None:
@@ -429,7 +429,7 @@ def test_criterion_6_invariants():
         tracker_cfg = TrackerConfig()
         for i in range(50):
             cfg = random_sim_config(rng, i)
-            dets = corrupt(simulate(cfg).clean_frames, cfg)
+            dets = corrupt(simulate(cfg).clean, cfg)
 
             forest = LineageForest.from_columns(track_video(dets, tracker_cfg))
 
@@ -453,7 +453,7 @@ def test_criterion_6_invariants():
                     assert forest.tracks[c].start_frame == t.last_frame + 1
 
             # Each observed entry is one detection, used at most once.
-            assert_detections_used_at_most_once(forest, dets, tracker_cfg)
+            assert_detections_used_at_most_once(forest, dets.detections(), tracker_cfg)
 
 
 # ---------------------------------------------------------------------------

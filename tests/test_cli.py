@@ -276,9 +276,9 @@ class TestSimulateCommand:
         ``simulate --seed seed`` makes under ``sets``."""
         sim = replace(build_configs(None, sets).sim, seed=seed, video_id="video_000")
         result = simulate(sim)
-        frames = corrupt(result.clean_frames, sim)
+        noisy = corrupt(result.clean, sim)
         save_detections(
-            DetectionFile(result.ground_truth.meta, sim.embedding_dim, frames), str(path)
+            DetectionFile(result.forest.meta, sim.embedding_dim, columns=noisy), str(path)
         )
         return path.read_bytes()
 
@@ -579,6 +579,26 @@ class TestTrackingOnColumns:
         args = ["ablate", str(corpus_dir), "--out", str(tmp_path / "o"), "--no-sweep"]
         assert main(args) == 0
         assert made == []
+
+
+class TestSimulateOnColumns:
+    """``simulate`` writes the ground truth and both detection files from
+    columns: with every corruption on, it builds no ``Detection``,
+    ``Track`` or ``TrackEntry``."""
+
+    def test_simulate(self, tmp_path, monkeypatch):
+        made = TestTrackingOnColumns.spy(monkeypatch)
+        out = tmp_path / "o"
+        args = ["simulate", "--out", str(out), "--seed", "3", *SMALL_SIM]
+        for setting in ("sim.division_prob=0.1", "sim.death_prob=0.05",
+                        "sim.box_jitter_sigma=0.5", "sim.drop_prob=0.1",
+                        "sim.false_positive_rate=0.5", "sim.embedding_noise_sigma=0.3"):
+            args += ["--set", setting]
+        assert main(args) == 0
+        assert made == []
+        # The video holds divisions and deaths.
+        table = (out / "gt_tracks.txt").read_text()
+        assert ",division" in table and ",death" in table
 
 
 class TestAnalyzeCommand:
@@ -890,6 +910,17 @@ class TestExitCodes:
         # boxes are checked before any record is built.
         args = ["simulate", "--out", str(tmp_path / "o"),
                 "--set", "sim.width=1e300", "--set", "sim.frames=5",
+                "--set", "sim.initial_cells=3", "--set", "sim.treatment_frame=1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "box size lost to rounding at its position" in err
+        assert "internal error" not in err
+
+    def test_jitter_that_loses_a_box_size(self, tmp_path, capsys):
+        # Jitter of 1e200 carries a box to where its size is lost to
+        # rounding; the corrupted video's column check names that box.
+        args = ["simulate", "--out", str(tmp_path / "o"),
+                "--set", "sim.box_jitter_sigma=1e200", "--set", "sim.frames=5",
                 "--set", "sim.initial_cells=3", "--set", "sim.treatment_frame=1"]
         assert main(args) == 2
         err = capsys.readouterr().err

@@ -21,7 +21,7 @@ from celltrack import (
     ValidationError,
     centroid,
 )
-from celltrack.core import detections_from_columns, meeting_pairs
+from celltrack.core import CELL_CLASSES, DetectionColumns, meeting_pairs
 from celltrack.metrics import iou_matrix
 from conftest import bx, make_forest, make_track
 
@@ -135,7 +135,7 @@ class TestDetection:
 
     def rejects(self, match=None, **kw):
         """``Detection(...)`` rejects these fields, and
-        ``detections_from_columns`` raises the same message when they make
+        ``DetectionColumns.validate`` raises the same message when they make
         the first bad row, behind a good row and ahead of another bad one."""
         with pytest.raises(ValidationError, match=match) as direct:
             self.make(**kw)
@@ -145,15 +145,17 @@ class TestDetection:
             self.record(**kw),
             self.record(confidence=math.nan, embedding=np.zeros(dim)),
         ]
-        with pytest.raises(ValidationError) as columns:
-            detections_from_columns(
-                np.array([r["box"] for r in rows], dtype=float),
-                [r["confidence"] for r in rows],
-                [r["cell_class"] for r in rows],
-                np.array([r["embedding"] for r in rows], dtype=float),
-                [None] * len(rows),
-            )
-        assert str(columns.value) == str(direct.value)
+        columns = DetectionColumns(
+            offsets=np.array([0, 1, 3]),
+            boxes=np.array([r["box"] for r in rows], dtype=float),
+            confidences=np.array([r["confidence"] for r in rows], dtype=float),
+            classes=np.array([CELL_CLASSES.index(r["cell_class"]) for r in rows]),
+            embeddings=np.array([r["embedding"] for r in rows], dtype=float),
+            source_ids=[None] * len(rows),
+        )
+        with pytest.raises(ValidationError) as checked:
+            columns.validate()
+        assert str(checked.value) == str(direct.value)
 
     def test_valid(self):
         d = self.make()

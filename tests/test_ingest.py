@@ -262,7 +262,7 @@ class TestForestIO:
         )
         sim = simulate(cfg)
         pred = LineageForest.from_columns(
-            track_video(corrupt(sim.clean_frames, cfg), TrackerConfig())
+            track_video(corrupt(sim.clean, cfg), TrackerConfig())
         )
         provenances = set()
         for name, forest in (("pred", pred), ("gt", sim.ground_truth)):

@@ -591,7 +591,7 @@ class TestHota:
             seed=31,
         )
         res = simulate(cfg)
-        pred = track_video(corrupt(res.clean_frames, cfg), TrackerConfig())
+        pred = track_video(corrupt(res.clean, cfg), TrackerConfig())
         pred.meta.frames = cfg.frames
         g, p = build_graph(res.ground_truth), build_graph(pred)
         gt_sizes, pred_sizes = (Counter(graph.ids.tolist()) for graph in (g, p))
@@ -947,7 +947,7 @@ class TestGoldenScores:
                 false_positive_rate=1.0, embedding_noise_sigma=1.0, seed=seed,
             )
             res = simulate(sim)
-            dets = corrupt(res.clean_frames, sim)
+            dets = corrupt(res.clean, sim)
             for config in (
                 TrackerConfig(),
                 TrackerConfig(use_kalman=False),

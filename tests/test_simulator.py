@@ -22,7 +22,7 @@ from celltrack import (
 )
 from celltrack import simulator
 from celltrack.cli import _simulate_one
-from celltrack.core import MAX_FRAMES
+from celltrack.core import MAX_FRAMES, DetectionColumns
 from celltrack.simulator import MAX_CELLS, corrupts
 
 
@@ -310,29 +310,37 @@ class TestCorruption:
             frames=40, initial_cells=10, division_prob=0.01,
             treatment_frame=10, seed=9, **overrides,
         )
-        return simulate(cfg).clean_frames, cfg
+        return simulate(cfg).clean, cfg
+
+    @staticmethod
+    def noisy(clean, cfg):
+        """``corrupt``'s output as per-frame ``Detection`` lists."""
+        return corrupt(clean, cfg).detections()
 
     def test_zero_noise_is_identity(self):
         frames, cfg = self.clean()
         assert not corrupts(cfg)
-        noisy = corrupt(frames, cfg)
-        assert frames_equal(frames, noisy)
-        # Fresh objects, not aliases.
-        assert noisy[0][0] is not frames[0][0]
+        assert frames_equal(frames.detections(), self.noisy(frames, cfg))
         for setting in ("box_jitter_sigma", "drop_prob", "false_positive_rate",
                         "embedding_noise_sigma"):
             assert corrupts(replace(cfg, **{setting: 1e-3})), setting
+
+    def test_returns_its_input_when_nothing_corrupts(self):
+        # Fade lengths and miss fractions alone degrade nothing.
+        clean, cfg = self.clean(fade_frames=3.0, fade_miss_fraction=1.0)
+        assert not corrupts(cfg)
+        assert corrupt(clean, cfg) is clean
 
     def test_deterministic(self):
         frames, cfg = self.clean(
             box_jitter_sigma=1.0, drop_prob=0.1, false_positive_rate=0.5,
             embedding_noise_sigma=0.5,
         )
-        assert frames_equal(corrupt(frames, cfg), corrupt(frames, cfg))
+        assert frames_equal(self.noisy(frames, cfg), self.noisy(frames, cfg))
 
     def test_full_drop_fades_everything(self):
         frames, cfg = self.clean(drop_prob=1.0, fade_miss_fraction=1.0)
-        for frame in corrupt(frames, cfg):
+        for frame in self.noisy(frames, cfg):
             for d in frame:
                 assert d.confidence < BANDS.tau_low
 
@@ -340,7 +348,7 @@ class TestCorruption:
         # miss fraction 0 keeps every faded detection in the low band
         # instead of dropping it below the floor.
         frames, cfg = self.clean(drop_prob=1.0, fade_miss_fraction=0.0)
-        for frame in corrupt(frames, cfg):
+        for frame in self.noisy(frames, cfg):
             for d in frame:
                 assert BANDS.tau_low <= d.confidence < BANDS.tau_high
 
@@ -350,8 +358,7 @@ class TestCorruption:
             treatment_frame=0, seed=12, drop_prob=0.2, fade_frames=8.0,
             fade_miss_fraction=1.0,
         )
-        frames = simulate(cfg).clean_frames
-        noisy = corrupt(frames, cfg)
+        noisy = self.noisy(simulate(cfg).clean, cfg)
         total = sum(len(f) for f in noisy)
         faded = sum(
             1 for f in noisy for d in f if d.confidence < BANDS.tau_low
@@ -364,7 +371,7 @@ class TestCorruption:
             treatment_frame=0, seed=12, drop_prob=0.2, fade_frames=8.0,
             fade_miss_fraction=1.0,
         )
-        noisy = corrupt(simulate(cfg).clean_frames, cfg)
+        noisy = self.noisy(simulate(cfg).clean, cfg)
         state = {}
         runs = []
         for frame in noisy:
@@ -381,23 +388,23 @@ class TestCorruption:
 
     def test_jitter_keeps_positive_sizes(self):
         frames, cfg = self.clean(box_jitter_sigma=30.0)
-        for frame in corrupt(frames, cfg):
+        for frame in self.noisy(frames, cfg):
             for d in frame:
                 assert d.box[2] >= 1.0 and d.box[3] >= 1.0
 
     def test_jitter_that_loses_a_box_is_rejected(self):
         # Jitter of 1e300 carries a box to where its size is lost to
-        # rounding; the frame's column check raises that row's error.
+        # rounding; the video's column check raises that row's error.
         frames, cfg = self.clean(box_jitter_sigma=1e300)
         with pytest.raises(ValidationError, match="size lost to rounding"):
             corrupt(frames, cfg)
 
     def test_jitter_perturbs_boxes(self):
         frames, cfg = self.clean(box_jitter_sigma=2.0)
-        noisy = corrupt(frames, cfg)
+        noisy = self.noisy(frames, cfg)
         moved = [
             abs(n.box[0] - c.box[0])
-            for cf, nf in zip(frames, noisy)
+            for cf, nf in zip(frames.detections(), noisy)
             for c, n in zip(cf, nf)
         ]
         assert np.mean(moved) == pytest.approx(
@@ -406,7 +413,7 @@ class TestCorruption:
 
     def test_false_positives(self):
         frames, cfg = self.clean(false_positive_rate=2.0)
-        noisy = corrupt(frames, cfg)
+        noisy = self.noisy(frames, cfg)
         fps = [d for f in noisy for d in f if d.source_id is None]
         per_frame = len(fps) / len(noisy)
         assert per_frame == pytest.approx(2.0, rel=0.35)
@@ -437,7 +444,7 @@ class TestCorruption:
             frames=3, treatment_frame=0, embedding_dim=4, drop_prob=1.0,
             fade_miss_fraction=1.0, false_positive_rate=4.0, seed=3,
         )
-        noisy = corrupt(frames, cfg)
+        noisy = self.noisy(DetectionColumns.stack(frames), cfg)
         # The empty middle frame's false positives land in its own list.
         assert len(noisy) == len(frames)
         assert noisy[1]
@@ -454,8 +461,8 @@ class TestCorruption:
                     assert d.confidence < BANDS.tau_low
 
     def test_embedding_noise(self):
-        frames, cfg = self.clean(embedding_noise_sigma=0.7)
-        noisy = corrupt(frames, cfg)
+        clean, cfg = self.clean(embedding_noise_sigma=0.7)
+        frames, noisy = clean.detections(), self.noisy(clean, cfg)
         deltas = [
             n.embedding - c.embedding
             for cf, nf in zip(frames, noisy)
@@ -478,7 +485,7 @@ class TestOracleRoundTrip:
             division_prob=0.01, death_prob=0.02, treatment_frame=10, seed=21,
         )
         res = simulate(cfg)
-        dets = corrupt(res.clean_frames, cfg)
+        dets = corrupt(res.clean, cfg)
         tracker_cfg = TrackerConfig()
         pred = track_video(dets, tracker_cfg)
         pred.meta.frames = cfg.frames

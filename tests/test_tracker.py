@@ -350,7 +350,7 @@ class TestGateMatchesDenseReference:
                 box_jitter_sigma=2.0, drop_prob=0.1, fade_frames=6.0,
                 false_positive_rate=0.5, embedding_noise_sigma=1.0, seed=seed,
             )
-            dets = corrupt(simulate(cfg).clean_frames, cfg)
+            dets = corrupt(simulate(cfg).clean, cfg)
             for tracker_cfg in (CFG, replace(CFG, use_kalman=False)):
                 track_video(dets, tracker_cfg)
         assert any(outside for _, outside in gate_calls)
@@ -817,25 +817,27 @@ def noisy_videos(draw):
         use_kalman=draw(st.booleans()),
     )
     meta = VideoMeta(video_id="v", frames=frames, width=160.0, height=160.0)
-    return corrupt(simulate(sim).clean_frames, sim), tracker, sim.embedding_dim, meta
+    return corrupt(simulate(sim).clean, sim), tracker, sim.embedding_dim, meta
 
 
 class TestDetectionColumnsPath:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(noisy_videos())
     def test_file_columns_lists_and_steps_agree(self, tmp_path_factory, case):
-        # The detection file's columns, the in-memory lists and a step
-        # loop track to the same forest file bytes, and that forest is a
-        # valid one that uses each detection at most once.
-        frames, config, dim, meta = case
+        # The detection file's columns, the in-memory columns and lists
+        # and a step loop track to the same forest file bytes, and that
+        # forest is a valid one that uses each detection at most once.
+        columns, config, dim, meta = case
+        frames = columns.detections()
         tmp = tmp_path_factory.mktemp("columns")
-        save_detections(DetectionFile(meta, dim, frames), str(tmp / "d.txt"))
+        save_detections(DetectionFile(meta, dim, columns=columns), str(tmp / "d.txt"))
         loaded = load_detections(str(tmp / "d.txt"))
         engine = CellTracker(config)
         for dets in frames:
             engine.step(dets)
         forests = {
             "file": track_video(loaded.columns, config, loaded.meta),
+            "columns": track_video(columns, config, meta),
             "lists": track_video(frames, config, meta),
             "steps": engine.finalize(meta),
         }
@@ -843,7 +845,7 @@ class TestDetectionColumnsPath:
         for name, forest in forests.items():
             paths = save_forest(forest, str(tmp / name))
             saved[name] = [open(p, "rb").read() for p in paths]
-        assert saved["file"] == saved["lists"] == saved["steps"]
+        assert saved["file"] == saved["columns"] == saved["lists"] == saved["steps"]
         objects = LineageForest.from_columns(forests["file"])
         objects.validate(require_coverage=config.use_kalman)
         assert_detections_used_at_most_once(objects, frames, config)
@@ -899,6 +901,20 @@ class TestEngineContracts:
                     )
                 ],
             )
+
+    def test_embedding_dim_change_named_alike_by_lists_and_steps(self):
+        # ``track_video`` stacks the lists before tracking; the stack names
+        # the frame of the first embedding of another length, as a step
+        # loop does.
+        frames = [[det(50, 50)], [], [det(52, 50), det(90, 90, emb=(0.0,) * 7)]]
+        with pytest.raises(ValidationError) as stacked:
+            track_video(frames)
+        engine = CellTracker()
+        with pytest.raises(ValidationError) as stepped:
+            for frame in frames:
+                engine.step(frame)
+        message = "embedding length changed from 4 to 7 at frame 2"
+        assert str(stacked.value) == str(stepped.value) == message
 
     def test_step_takes_any_iterable(self, tmp_path):
         # A one-shot iterator of a frame's detections is read once and
@@ -991,7 +1007,7 @@ class TestGoldenForests:
                 embedding_noise_sigma=1.4,
                 seed=seed,
             )
-            out.append(corrupt(simulate(sim).clean_frames, sim))
+            out.append(corrupt(simulate(sim).clean, sim))
         return out
 
     @staticmethod
@@ -1036,7 +1052,7 @@ class TestGoldenForests:
             embedding_noise_sigma=1.4,
             seed=5,
         )
-        frames = corrupt(simulate(sim).clean_frames, sim)
+        frames = corrupt(simulate(sim).clean, sim)
         three = replace(CFG, max_daughters=3)
         configs = {
             "three_mem0": replace(three, memory_frames=0),
